@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import matrices as mx
 from .indexing import (PreorderDescriptor, Refinement,
                        check_preorder_descriptor)
-from .matrices import FinVec, RowFiniteMap
+from .matrices import RowFiniteMap
 from .rings import BaseRing, PrimeField
 
 
@@ -115,7 +115,7 @@ class NestedWitness(EquivWitness):
         self._bars = ref.bars
         self._betas: list[int] = []
         g = mx.from_index_map(ring, self._anchor_of, tag="nested_g")
-        h = RowFiniteMap(ring, self._h_row(ring), tag="nested_h")
+        h = mx.from_index_map(ring, self._h_index, tag="nested_h")
         super().__init__(Refinement.NESTED, rho, ring, g, h)
 
     def _anchor_of(self, j):
@@ -131,21 +131,18 @@ class NestedWitness(EquivWitness):
             self._betas.append(bar.nth(t))
         return self._betas[j - 1]
 
-    def _h_row(self, ring):
-        def rowfn(alpha):
-            # h sends each beta_j back to j; betas are distinct by choice.
-            j = 1
-            while True:
-                b = self.beta(j)
-                if b == alpha:
-                    return FinVec.unit(ring, j)
-                # The betas need not be increasing; stop once all remaining
-                # bars start beyond alpha.
-                if self._bars(j).nth(1) > alpha and b > alpha:
-                    return FinVec.zero(ring)
-                j += 1
-
-        return rowfn
+    def _h_index(self, alpha):
+        # h sends each beta_j back to j; betas are distinct by choice.
+        j = 1
+        while True:
+            b = self.beta(j)
+            if b == alpha:
+                return j
+            # The betas need not be increasing; stop once all remaining
+            # bars start beyond alpha.
+            if self._bars(j).nth(1) > alpha and b > alpha:
+                return None
+            j += 1
 
     def lift(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
         rows = {}
@@ -176,26 +173,22 @@ class DisjointWitness(EquivWitness):
         self._anchors = ref.anchors
         self._bars = ref.bars
         g = mx.from_index_map(ring, ref.anchors, tag="disjoint_g")
-        h = RowFiniteMap(ring, self._h_row(ring), tag="disjoint_h")
+        h = mx.from_index_map(ring, self._h_index, tag="disjoint_h")
         super().__init__(Refinement.DISJOINT, rho, ring, g, h)
 
-    def _h_row(self, ring):
-        def rowfn(alpha):
-            j = 1
-            while True:
-                bar = self._bars(j)
-                pos = bar.index_of(alpha)
-                if pos is not None:
-                    return FinVec.unit(ring, pos)
-                if bar.nth(1) > alpha:
-                    # Later bars may still start low; bound the scan by
-                    # checking a stretch of bar heads beyond alpha.
-                    if all(self._bars(t).nth(1) > alpha
-                           for t in range(j, j + 8)):
-                        return FinVec.zero(ring)
-                j += 1
-
-        return rowfn
+    def _h_index(self, alpha):
+        j = 1
+        while True:
+            bar = self._bars(j)
+            pos = bar.index_of(alpha)
+            if pos is not None:
+                return pos
+            if bar.nth(1) > alpha:
+                # Later bars may still start low; bound the scan by
+                # checking a stretch of bar heads beyond alpha.
+                if all(self._bars(t).nth(1) > alpha for t in range(j, j + 8)):
+                    return None
+            j += 1
 
     def lift(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
         rows = {}

@@ -24,7 +24,7 @@ from . import triangular as tr
 from . import twogen as tg
 from . import words as wd
 from .indexing import EnumerationStall, PreorderSpecError, parse_preorder
-from .rings import CountableRingEnum, parse_ring_spec
+from .rings import CountableRingEnum, RingError, parse_ring_spec
 from .twogen import ConstructionError
 
 PASS, FAIL, WARN = "pass", "fail", "warn"
@@ -152,6 +152,9 @@ def cmd_maltsev(args) -> Report:
     except ConstructionError as exc:
         report.check("embedding", FAIL, str(exc))
         return report
+    except RingError as exc:
+        report.check("embedding", WARN, f"not checkable: {exc}")
+        return report
     if args.corrupt:
         report.check("embedding", FAIL,
                      "corruption flag: simulated word mismatch")
@@ -278,9 +281,7 @@ def cmd_fear(args) -> Report:
                      f"escape={p.escape} cover_size={len(p.cover)}")
     if args.oracle_max:
         env = {"s": shift}
-        for p in witness.pairs[: args.oracle_max and 2]:
-            if p.j > args.oracle_max:
-                break
+        for p in witness.pairs[: args.oracle_max]:
             try:
                 res = wd.proximity_oracle(p.x, p.y, env, p.j,
                                           word_cap=default_bound())

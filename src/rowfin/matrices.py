@@ -1,11 +1,19 @@
-"""Finitely supported vectors and lazy row-finite matrices.
+"""Finitely supported vectors and row-finite matrices of three kinds.
 
-Vectors model elements of the direct sum; matrices are represented by
-their row function only, act on the right, and memoize computed rows.
+Vectors model elements of the direct sum; matrices act on the right and
+memoize computed rows.  A map is one of
+
+* general (`RowFiniteMap`): an arbitrary row function;
+* `Monomial`: row a is coeff * e_{index(a)}, or zero where the partial
+  index function is undefined;
+* `Chain`: a flat product of factors, evaluated by a loop over them.
+
 Zero entries are pruned at every arithmetic step so supports are exact.
 """
 
 from __future__ import annotations
+
+from functools import partial, reduce
 
 from .rings import BaseRing, RingMismatch
 
@@ -15,7 +23,7 @@ class MatrixError(Exception):
 
 
 class _RowEvalCounter:
-    """Counts row evaluations of primitive (non-derived) maps; test hook."""
+    """Counts evaluations of primitive rows and index functions; test hook."""
 
     def __init__(self):
         self.count = 0
@@ -25,6 +33,13 @@ class _RowEvalCounter:
 
 
 row_evals = _RowEvalCounter()
+
+
+def _common_ring(x, y) -> BaseRing:
+    """The ring shared by x and y: identity first (rings are interned), then spec."""
+    if x.ring is not y.ring and x.ring != y.ring:
+        raise RingMismatch(f"{x.ring.spec} vs {y.ring.spec}")
+    return x.ring
 
 
 class FinVec:
@@ -45,6 +60,14 @@ class FinVec:
         self.entries = pruned
 
     @classmethod
+    def _of(cls, ring: BaseRing, entries: dict) -> "FinVec":
+        """Wrap entries that are already canonical, nonzero and indexed >= 1."""
+        vec = cls.__new__(cls)
+        vec.ring = ring
+        vec.entries = entries
+        return vec
+
+    @classmethod
     def unit(cls, ring: BaseRing, idx: int, value=None) -> "FinVec":
         return cls(ring, {idx: ring.one if value is None else value})
 
@@ -62,41 +85,45 @@ class FinVec:
         return self.entries.get(idx, self.ring.zero)
 
     def add(self, other: "FinVec") -> "FinVec":
-        self._check(other)
+        ring = _common_ring(self, other)
+        add, is_zero, zero = ring.add, ring.is_zero, ring.zero
         out = dict(self.entries)
         for idx, val in other.entries.items():
-            s = self.ring.add(out.get(idx, self.ring.zero), val)
-            if self.ring.is_zero(s):
+            s = add(out.get(idx, zero), val)
+            if is_zero(s):
                 out.pop(idx, None)
             else:
                 out[idx] = s
-        vec = FinVec.__new__(FinVec)
-        vec.ring = self.ring
-        vec.entries = out
-        return vec
+        return FinVec._of(ring, out)
 
     def neg(self) -> "FinVec":
-        vec = FinVec.__new__(FinVec)
-        vec.ring = self.ring
-        vec.entries = {i: self.ring.neg(v) for i, v in self.entries.items()}
-        return vec
+        neg = self.ring.neg
+        return FinVec._of(self.ring, {i: neg(v) for i, v in self.entries.items()})
 
     def scale_left(self, payload) -> "FinVec":
         """payload * self, entrywise on the left (written product order)."""
-        return FinVec(self.ring,
-                      {i: self.ring.mul(payload, v) for i, v in self.entries.items()})
+        mul, is_zero = self.ring.mul, self.ring.is_zero
+        out = {}
+        for i, v in self.entries.items():
+            p = mul(payload, v)
+            if not is_zero(p):
+                out[i] = p
+        return FinVec._of(self.ring, out)
 
     def apply(self, f: "RowFiniteMap") -> "FinVec":
         """Right action: self . f = sum_a self[a] * row_a(f)."""
-        self._check(f)
-        acc = FinVec.zero(self.ring)
+        one = _common_ring(self, f).one
+        if isinstance(f, Monomial):
+            return f.remap(self)
+        if len(self.entries) == 1:
+            [(idx, val)] = self.entries.items()
+            row = f.row(idx)
+            return row if val == one else row.scale_left(val)
+        acc = None
         for idx, val in self.entries.items():
-            acc = acc.add(f.row(idx).scale_left(val))
-        return acc
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring.spec} vs {other.ring.spec}")
+            term = f.row(idx).scale_left(val)
+            acc = term if acc is None else acc.add(term)
+        return self if acc is None else acc
 
     def __eq__(self, other):
         return (isinstance(other, FinVec) and self.ring == other.ring
@@ -112,7 +139,7 @@ class FinVec:
 
 
 class RowFiniteMap:
-    """Lazy, memoized row function N+ -> FinVec; immutable once built.
+    """General kind: a lazy, memoized row function N+ -> FinVec; immutable once built.
 
     The memo table is an as-if-pure cache: concurrent reads may duplicate
     work but always converge to identical rows.
@@ -135,125 +162,219 @@ class RowFiniteMap:
             if self._primitive:
                 row_evals.count += 1
             cached = self._rowfn(alpha)
-            if cached.ring != self.ring:
-                raise RingMismatch("row function returned wrong ring")
+            _common_ring(self, cached)
             self._memo[alpha] = cached
         return cached
 
     def row_support(self, alpha: int) -> frozenset:
         return self.row(alpha).support()
 
+    def label(self) -> str:
+        return self.tag
+
     def __repr__(self):
-        return f"RowFiniteMap({self.tag or 'anonymous'})"
+        return f"RowFiniteMap({self.label() or 'anonymous'})"
+
+
+def _memoized_index(fn, parts: tuple):
+    """Partial index function a -> int | None, computed once per a.
+
+    A primitive one calls `fn`; a composite one (fn None) applies the flat
+    tuple `parts` of primitives in turn, and no parts is the identity.
+    """
+    memo = {}
+
+    def index(alpha):
+        t = memo.get(alpha, 0)  # 0 is never an index: not computed yet
+        if t == 0:
+            if fn is not None:
+                row_evals.count += 1
+                t = fn(alpha)
+                if t is not None and t < 1:
+                    raise MatrixError(f"index must be >= 1, got {t}")
+            else:
+                t = alpha
+                for part in parts:
+                    t = part(t)
+                    if t is None:
+                        break
+            memo[alpha] = t
+        return t
+
+    return index
+
+
+# The kinds bind these module functions with `partial` rather than pass a
+# bound method: a map whose row function refers to the map is a reference
+# cycle, freed only by the cyclic GC, and short-lived maps then pile up.
+def _monomial_row(ring: BaseRing, index, coeff, alpha: int) -> FinVec:
+    t = index(alpha)
+    return FinVec._of(ring, {} if t is None or ring.is_zero(coeff) else {t: coeff})
+
+
+class Monomial(RowFiniteMap):
+    """Row a is coeff * e_{index(a)}, or zero where the index is None.
+
+    The index is a primitive partial function `fn`, or the flat tuple
+    `parts` of primitive ones that a product of monomials applies in turn.
+    """
+
+    __slots__ = ("index", "parts", "coeff", "_scale")
+
+    def __init__(self, ring: BaseRing, fn=None, coeff=None, tag: str = "",
+                 parts: tuple = ()):
+        index = _memoized_index(fn, parts)
+        coeff = ring.one if coeff is None else ring.canon(coeff)
+        super().__init__(ring, partial(_monomial_row, ring, index, coeff),
+                         tag=tag, primitive=False)
+        self.index = index
+        self.parts = (index,) if fn is not None else parts
+        self.coeff = coeff
+        self._scale = None if coeff == ring.one else coeff
+
+    def remap(self, vec: FinVec) -> FinVec:
+        """vec . self: move each entry to its target, scaled on the right."""
+        ring, index, scale = self.ring, self.index, self._scale
+        out = {}
+        for idx, val in vec.entries.items():
+            t = index(idx)
+            if t is None:
+                continue
+            if scale is not None:
+                val = ring.mul(val, scale)
+            if t in out:
+                val = ring.add(out[t], val)
+            elif scale is None:
+                out[t] = val
+                continue
+            if ring.is_zero(val):
+                out.pop(t, None)
+            else:
+                out[t] = val
+        return FinVec._of(ring, out)
+
+    def then(self, g: "Monomial") -> "Monomial":
+        """The product self g: indices chain, coefficients multiply."""
+        return Monomial(self.ring, coeff=self.ring.mul(self.coeff, g.coeff),
+                        parts=self.parts + g.parts,
+                        tag=f"({self.tag}{g.tag})")
+
+
+def _chain_row(factors: tuple, alpha: int) -> FinVec:
+    it = iter(factors)
+    vec = next(it).row(alpha)
+    for f in it:
+        if not vec.entries:
+            break
+        vec = vec.apply(f)
+    return vec
+
+
+class Chain(RowFiniteMap):
+    """The product factors[0] factors[1] ... of two or more factors.
+
+    Row a is row a of the first factor pushed through the others in a
+    loop; only the chain's own rows are memoized.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, ring: BaseRing, factors: tuple):
+        super().__init__(ring, partial(_chain_row, factors), primitive=False)
+        self.factors = factors
+
+    def label(self) -> str:
+        return "(" + "".join(f.label() for f in self.factors) + ")"
 
 
 # ---------------------------------------------------------------------------
 # Constructors
 
 
-def zero_map(ring: BaseRing) -> RowFiniteMap:
-    return RowFiniteMap(ring, lambda a: FinVec.zero(ring), tag="0")
-
-
-def identity_map(ring: BaseRing) -> RowFiniteMap:
-    return RowFiniteMap(ring, lambda a: FinVec.unit(ring, a), tag="1")
-
-
-def scalar_map(ring: BaseRing, payload) -> RowFiniteMap:
+def scalar_map(ring: BaseRing, payload, tag: str = "") -> Monomial:
     """Diagonal map with a constant entry."""
-    payload = ring.canon(payload)
-    return RowFiniteMap(ring, lambda a: FinVec(ring, {a: payload}),
-                        tag=f"diag({ring.format_payload(payload)})")
+    return Monomial(ring, coeff=payload,
+                    tag=tag or f"diag({ring.format_payload(ring.canon(payload))})")
 
 
-def matrix_unit(ring: BaseRing, i: int, j: int) -> RowFiniteMap:
-    def rowfn(a):
-        return FinVec.unit(ring, j) if a == i else FinVec.zero(ring)
-
-    return RowFiniteMap(ring, rowfn, tag=f"e{i},{j}")
+def zero_map(ring: BaseRing) -> Monomial:
+    return scalar_map(ring, ring.zero, tag="0")
 
 
-def projection(ring: BaseRing, contains, tag: str = "proj") -> RowFiniteMap:
+def identity_map(ring: BaseRing) -> Monomial:
+    return scalar_map(ring, ring.one, tag="1")
+
+
+def matrix_unit(ring: BaseRing, i: int, j: int) -> Monomial:
+    return Monomial(ring, {i: j}.get, tag=f"e{i},{j}")
+
+
+def projection(ring: BaseRing, contains, tag: str = "proj") -> Monomial:
     """Projection onto the coordinates where `contains` holds.
 
     `contains` is a membership predicate or any object with a .contains method.
     """
     member = contains.contains if hasattr(contains, "contains") else contains
-
-    def rowfn(a):
-        return FinVec.unit(ring, a) if member(a) else FinVec.zero(ring)
-
-    return RowFiniteMap(ring, rowfn, tag=tag)
+    return Monomial(ring, lambda a: a if member(a) else None, tag=tag)
 
 
-def from_index_map(ring: BaseRing, fn, tag: str = "") -> RowFiniteMap:
+def from_index_map(ring: BaseRing, fn, tag: str = "") -> Monomial:
     """Map sending e_a to e_{fn(a)}; fn returning None gives a zero row."""
-
-    def rowfn(a):
-        target = fn(a)
-        return FinVec.zero(ring) if target is None else FinVec.unit(ring, target)
-
-    return RowFiniteMap(ring, rowfn, tag=tag)
+    return Monomial(ring, fn, tag=tag)
 
 
 def from_rows(ring: BaseRing, rows: dict, tag: str = "") -> RowFiniteMap:
     """Finite-support matrix from an explicit {row: FinVec | {col: payload}} dict."""
-    fixed = {}
-    for idx, row in rows.items():
-        fixed[idx] = row if isinstance(row, FinVec) else FinVec(ring, row)
-
-    def rowfn(a):
-        return fixed.get(a, FinVec.zero(ring))
-
-    return RowFiniteMap(ring, rowfn, tag=tag)
+    fixed = {idx: row if isinstance(row, FinVec) else FinVec(ring, row)
+             for idx, row in rows.items()}
+    zero = FinVec.zero(ring)
+    return RowFiniteMap(ring, lambda a: fixed.get(a, zero), tag=tag)
 
 
 # ---------------------------------------------------------------------------
 # Ring structure
 
 
-def _check_rings(f: RowFiniteMap, g: RowFiniteMap):
-    if f.ring != g.ring:
-        raise RingMismatch(f"{f.ring.spec} vs {g.ring.spec}")
-
-
 def add_maps(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
-    _check_rings(f, g)
-    return RowFiniteMap(f.ring, lambda a: f.row(a).add(g.row(a)),
-                        tag=f"({f.tag}+{g.tag})", primitive=False)
+    return RowFiniteMap(_common_ring(f, g), lambda a: f.row(a).add(g.row(a)),
+                        tag=f"({f.label()}+{g.label()})", primitive=False)
 
 
 def neg_map(f: RowFiniteMap) -> RowFiniteMap:
     return RowFiniteMap(f.ring, lambda a: f.row(a).neg(),
-                        tag=f"(-{f.tag})", primitive=False)
+                        tag=f"(-{f.label()})", primitive=False)
+
+
+def _factors(f: RowFiniteMap) -> tuple:
+    return f.factors if isinstance(f, Chain) else (f,)
 
 
 def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
-    """Right-action composition: row_a(fg) = row_a(f) . g."""
-    _check_rings(f, g)
-    return RowFiniteMap(f.ring, lambda a: f.row(a).apply(g),
-                        tag=f"({f.tag}{g.tag})", primitive=False)
+    """Right-action composition: row_a(fg) = row_a(f) . g.
+
+    Products flatten into one Chain, and monomials meeting at the seam
+    compose into one monomial; two monomials give a monomial.
+    """
+    ring = _common_ring(f, g)
+    left, right = _factors(f), _factors(g)
+    if isinstance(left[-1], Monomial) and isinstance(right[0], Monomial):
+        left = left[:-1] + (left[-1].then(right[0]),)
+        right = right[1:]
+    factors = left + right
+    return factors[0] if len(factors) == 1 else Chain(ring, factors)
 
 
 def compose_all(maps) -> RowFiniteMap:
     maps = list(maps)
     if not maps:
         raise MatrixError("empty composition")
-    acc = maps[0]
-    for m in maps[1:]:
-        acc = compose(acc, m)
-    return acc
+    return reduce(compose, maps)
 
 
 def power(f: RowFiniteMap, k: int) -> RowFiniteMap:
     if k < 0:
         raise MatrixError(f"exponent must be >= 0, got {k}")
-    if k == 0:
-        return identity_map(f.ring)
-    acc = f
-    for _ in range(k - 1):
-        acc = compose(acc, f)
-    return acc
+    return compose_all([f] * k) if k else identity_map(f.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +402,7 @@ class WindowCheck:
 
 
 def equal_on_window(f: RowFiniteMap, g: RowFiniteMap, n: int) -> WindowCheck:
-    _check_rings(f, g)
+    _common_ring(f, g)
     if n < 1:
         raise MatrixError(f"window must be >= 1, got {n}")
     for a in range(1, n + 1):

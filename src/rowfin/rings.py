@@ -38,6 +38,8 @@ class BaseRing:
     """Abstract ring operating on canonical payloads.
 
     Instances are immutable and compare equal iff their spec strings match.
+    `parse_ring_spec` interns them, so rings from parsed specs are equal
+    exactly when they are identical; hot paths test identity first.
     """
 
     spec: str
@@ -128,7 +130,7 @@ class IntegerRing(BaseRing):
         return 1
 
     def nth_element(self, index):
-        # 0, 1, -1, 2, -2, ...
+        # 0, -1, 1, -2, 2, ...
         if index == 0:
             return 0
         half, odd = divmod(index + 1, 2)
@@ -211,6 +213,9 @@ class MatrixRing(BaseRing):
         self.base = base
         self.k = k
         self.spec = f"Mat:{k}:{base.spec}"
+        z, o = base.zero, base.one
+        self._zero = tuple(tuple(z for _ in range(k)) for _ in range(k))
+        self._one = tuple(tuple(o if i == j else z for j in range(k)) for i in range(k))
 
     def add(self, a, b):
         k = self.k
@@ -248,15 +253,11 @@ class MatrixRing(BaseRing):
 
     @property
     def zero(self):
-        z = self.base.zero
-        return tuple(tuple(z for _ in range(self.k)) for _ in range(self.k))
+        return self._zero
 
     @property
     def one(self):
-        z, o = self.base.zero, self.base.one
-        return tuple(
-            tuple(o if i == j else z for j in range(self.k)) for i in range(self.k)
-        )
+        return self._one
 
     def size(self):
         b = self.base.size()
@@ -272,18 +273,21 @@ class MatrixRing(BaseRing):
     def nth_element(self, index):
         b = self.base.size()
         cells = self.k * self.k
-        digits = []
         if b is None:
-            # Diagonalize the index over the cells; injective but not surjective.
-            for _ in range(cells):
+            # Deal the bits of the index round-robin to the cells: a bijection
+            # N -> N^cells, so the enumeration is injective.
+            digits = [0] * cells
+            bit = 0
+            while index:
                 index, d = divmod(index, 2)
-                digits.append(d)
-            digits = [self.base.nth_element(d) for d in digits]
+                digits[bit % cells] |= d << (bit // cells)
+                bit += 1
         else:
+            digits = []
             for _ in range(cells):
                 index, d = divmod(index, b)
-                digits.append(self.base.nth_element(d))
-        it = iter(digits)
+                digits.append(d)
+        it = iter([self.base.nth_element(d) for d in digits])
         return tuple(tuple(next(it) for _ in range(self.k)) for _ in range(self.k))
 
     def random_payload(self, rng):
@@ -341,22 +345,26 @@ class Element:
         return self.ring.format_payload(self.payload)
 
 
+_INTERNED: dict[str, BaseRing] = {}
+
+
 def parse_ring_spec(text: str) -> BaseRing:
-    """Parse `Int | Zmod:<n> | GF:<p> | Mat:<k>:<inner-spec>`."""
+    """Parse `Int | Zmod:<n> | GF:<p> | Mat:<k>:<inner-spec>`; one ring object per spec."""
     text = text.strip()
     if text == "Int":
-        return IntegerRing()
-    if text.startswith("Zmod:"):
-        return ModularRing(_parse_int(text[5:], text))
-    if text.startswith("GF:"):
-        return PrimeField(_parse_int(text[3:], text))
-    if text.startswith("Mat:"):
-        rest = text[4:]
-        head, sep, inner = rest.partition(":")
+        ring = IntegerRing()
+    elif text.startswith("Zmod:"):
+        ring = ModularRing(_parse_int(text[5:], text))
+    elif text.startswith("GF:"):
+        ring = PrimeField(_parse_int(text[3:], text))
+    elif text.startswith("Mat:"):
+        head, sep, inner = text[4:].partition(":")
         if not sep:
             raise RingSpecError(f"malformed ring spec: {text!r}")
-        return MatrixRing(parse_ring_spec(inner), _parse_int(head, text))
-    raise RingSpecError(f"malformed ring spec: {text!r}")
+        ring = MatrixRing(parse_ring_spec(inner), _parse_int(head, text))
+    else:
+        raise RingSpecError(f"malformed ring spec: {text!r}")
+    return _INTERNED.setdefault(ring.spec, ring)
 
 
 def _parse_int(piece: str, full: str) -> int:

@@ -31,12 +31,7 @@ def sandwich_A(ring: BaseRing) -> RowFiniteMap:
 
 def sandwich_B(ring: BaseRing) -> RowFiniteMap:
     """Stacked identity blocks: row T(i-1)+k is e_k for 1 <= k <= i."""
-
-    def rowfn(r):
-        _, k = tri_split(r)
-        return FinVec.unit(ring, k)
-
-    return RowFiniteMap(ring, rowfn, tag="B")
+    return mx.from_index_map(ring, lambda r: tri_split(r)[1], tag="B")
 
 
 def sandwich_X(Y: RowFiniteMap, window: int, verify: bool = True) -> RowFiniteMap:
@@ -76,8 +71,8 @@ def upper_lower_split(f: RowFiniteMap):
     def up(a):
         return FinVec(ring, {c: v for c, v in f.row(a).entries.items() if c > a})
 
-    return (RowFiniteMap(ring, low, tag=f"low({f.tag})", primitive=False),
-            RowFiniteMap(ring, up, tag=f"up({f.tag})", primitive=False))
+    return (RowFiniteMap(ring, low, tag=f"low({f.label()})", primitive=False),
+            RowFiniteMap(ring, up, tag=f"up({f.label()})", primitive=False))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +131,7 @@ def fear_lower_embed(descriptor, ring: BaseRing,
         return supp
 
     seq = _TargetSequence(supp_fn)
-
-    def f_row(alpha):
-        k = seq.invert(alpha)
-        return FinVec.zero(ring) if k is None else FinVec.unit(ring, k)
-
-    f = RowFiniteMap(ring, f_row, tag="embed_f")
+    f = mx.from_index_map(ring, seq.invert, tag="embed_f")
     g = mx.from_index_map(ring, seq.get, tag="embed_g")
 
     if verify_window:

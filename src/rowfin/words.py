@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import (FinVec, RowFiniteMap, add_maps, compose, identity_map,
-                       neg_map, zero_map)
+                       scalar_map, zero_map)
 
 
 class WordError(Exception):
@@ -151,24 +151,36 @@ def parse_word(text: str) -> Word:
 
 
 def eval_word(w: Word, env: dict, ring) -> RowFiniteMap:
-    """Evaluate into a lazy row-finite map; env binds generator names."""
+    """Evaluate into a lazy row-finite map; env binds generator names.
+
+    The left spine is walked in a loop, so a left-associated product of
+    any length costs no recursion depth.
+    """
+    spine = []
+    while isinstance(w, (Sum, Prod)):
+        spine.append(w)
+        w = w.left
+    acc = _eval_leaf(w, env, ring)
+    for node in reversed(spine):
+        right = eval_word(node.right, env, ring)
+        acc = add_maps(acc, right) if isinstance(node, Sum) else compose(acc, right)
+    return acc
+
+
+def _eval_leaf(w: Word, env: dict, ring) -> RowFiniteMap:
     if isinstance(w, Const):
         if w.value == 0:
             return zero_map(ring)
         if w.value == 1:
             return identity_map(ring)
-        return neg_map(identity_map(ring))
-    if isinstance(w, Gen):
-        try:
-            m = env[w.name]
-        except KeyError:
-            raise WordError(f"unbound generator {w.name!r}") from None
-        if m.ring != ring:
-            raise WordError(f"generator {w.name!r} lives in {m.ring.spec}, not {ring.spec}")
-        return m
-    left = eval_word(w.left, env, ring)
-    right = eval_word(w.right, env, ring)
-    return add_maps(left, right) if isinstance(w, Sum) else compose(left, right)
+        return scalar_map(ring, ring.neg(ring.one))
+    try:
+        m = env[w.name]
+    except KeyError:
+        raise WordError(f"unbound generator {w.name!r}") from None
+    if m.ring is not ring and m.ring != ring:
+        raise WordError(f"generator {w.name!r} lives in {m.ring.spec}, not {ring.spec}")
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,25 @@ def test_fear_subcommand():
     assert report.failed
 
 
+def test_fear_oracle_max_confirms_blocks_1_to_k():
+    report, doc = run_json(["fear", "--blocks", "4", "--oracle-max", "3"])
+    assert not report.failed
+    oracle_checks = [c["name"] for c in doc["checks"] if "oracle" in c["name"]]
+    assert oracle_checks == ["block 1 oracle", "block 2 oracle", "block 3 oracle"]
+
+
+def test_maltsev_infinite_matrix_ring_is_a_structured_warning(capsys):
+    report, doc = run_json(["maltsev", "--ring", "Mat:2:Int", "--count", "3",
+                            "--window", "8"])
+    assert not report.failed
+    assert [(c["name"], c["verdict"]) for c in doc["checks"]] == [
+        ("embedding", "warn")]
+    assert "center" in doc["checks"][0]["detail"]
+    assert cli.main(["maltsev", "--ring", "Mat:2:Int", "--count", "3",
+                     "--window", "8"]) == 0
+    json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
 def test_simple_full_subcommand():
     report, doc = run_json(["simple-full", "--n", "2", "--p", "2"])
     assert not report.failed

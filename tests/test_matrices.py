@@ -202,3 +202,108 @@ def test_row_memoization_is_pure():
     second = f.row(4)
     assert first is second
     assert calls == [4]
+
+
+# ---------------------------------------------------------------------------
+# Monomial and chain kinds against the general row path
+
+MAT2 = parse_ring_spec("Mat:2:GF:2")
+
+
+def generic(m):
+    """The same map behind the general row path only: the slow reference."""
+    return RowFiniteMap(m.ring, m.row)
+
+
+def slow_apply(vec, f):
+    """sum_a vec[a] * row_a(f), one full vector per term."""
+    acc = FinVec.zero(vec.ring)
+    for idx, val in vec.entries.items():
+        acc = acc.add(f.row(idx).scale_left(val))
+    return acc
+
+
+def slow_product(maps):
+    """Row a of maps[0] maps[1] ..., pushed through generic wrappers."""
+    ring = maps[0].ring
+    wrapped = [generic(m) for m in maps]
+
+    def rowfn(a):
+        vec = wrapped[0].row(a)
+        for m in wrapped[1:]:
+            vec = slow_apply(vec, m)
+        return vec
+
+    return RowFiniteMap(ring, rowfn)
+
+
+def random_monomial(ring, rng, window=16):
+    # Not injective, so remapped entries collide and must be summed.
+    table = {a: rng.randint(1, window) for a in range(1, window + 1)
+             if rng.random() < 0.7}
+    m = mx.from_index_map(ring, table.get)
+    if rng.random() < 0.5:
+        m = mx.compose(mx.scalar_map(ring, ring.random_payload(rng)), m)
+    return m
+
+
+def random_vec(ring, rng, window=16):
+    return FinVec(ring, {rng.randint(1, window): ring.random_payload(rng)
+                         for _ in range(rng.randint(0, 5))})
+
+
+@pytest.mark.parametrize("ring", [Z6, GF5, MAT2])
+def test_monomial_apply_matches_general_rows(ring):
+    rng = random.Random(21)
+    for _ in range(40):
+        m = random_monomial(ring, rng)
+        assert isinstance(m, mx.Monomial)
+        for _ in range(5):
+            v = random_vec(ring, rng)
+            assert v.apply(m) == slow_apply(v, generic(m))
+            assert v.apply(generic(m)) == slow_apply(v, generic(m))
+
+
+@pytest.mark.parametrize("ring", [Z6, GF5, MAT2])
+def test_monomial_compose_matches_general_rows(ring):
+    rng = random.Random(22)
+    for _ in range(20):
+        parts = [random_monomial(ring, rng) for _ in range(rng.randint(2, 4))]
+        prod = mx.compose_all(parts)
+        assert isinstance(prod, mx.Monomial)
+        assert mx.equal_on_window(prod, slow_product(parts), 16)
+
+
+@pytest.mark.parametrize("ring", [Z6, GF5, MAT2])
+def test_chain_matches_general_rows(ring):
+    rng = random.Random(23)
+    for _ in range(15):
+        factors = [random_monomial(ring, rng) if rng.random() < 0.5
+                   else random_map(ring, rng, density=0.15)
+                   for _ in range(rng.randint(2, 6))]
+        prod = mx.compose_all(factors)
+        assert mx.equal_on_window(prod, slow_product(factors), 16)
+        # A product of two chains is one flat chain.
+        split = rng.randint(1, len(factors) - 1)
+        again = mx.compose(mx.compose_all(factors[:split]),
+                           mx.compose_all(factors[split:]))
+        assert not any(isinstance(f, mx.Chain) for f in mx._factors(again))
+        assert mx.equal_on_window(again, prod, 16)
+
+
+def test_monomials_meeting_in_a_chain_merge():
+    g = random_map(GF5, random.Random(24))
+    s = shift_map(GF5)
+    chain = mx.compose_all([s, s, g, s, s, s, g])
+    assert isinstance(chain, mx.Chain)
+    assert [type(f) for f in chain.factors] == [mx.Monomial, RowFiniteMap,
+                                                mx.Monomial, RowFiniteMap]
+
+
+def test_long_chain_row_needs_no_recursion():
+    rng = random.Random(25)
+    g = random_map(Z6, rng, density=0.2)
+    chain = mx.compose_all([shift_map(Z6, 0), g] * 3000)
+    assert isinstance(chain, mx.Chain) and len(chain.factors) == 6000
+    for a in range(1, 5):
+        chain.row(a)

@@ -184,3 +184,22 @@ def test_matrix_payload_text_roundtrip():
     ring = parse_ring_spec("Mat:2:GF:2")
     for elem in ring.elements():
         assert ring.parse_payload(ring.format_payload(elem)) == elem
+
+
+@pytest.mark.parametrize("spec", ["Mat:1:Int", "Mat:2:Int"])
+def test_infinite_matrix_enumeration_injective(spec):
+    ring = parse_ring_spec(spec)
+    elems = [ring.nth_element(i) for i in range(500)]
+    assert len(set(elems)) == 500
+
+
+def test_integer_enumeration_order():
+    assert [IntegerRing().nth_element(i) for i in range(5)] == [0, -1, 1, -2, 2]
+
+
+def test_parsed_rings_are_interned():
+    assert parse_ring_spec("GF:5") is parse_ring_spec(" GF:5")
+    mat = parse_ring_spec("Mat:2:Zmod:6")
+    assert mat.base is parse_ring_spec("Zmod:6")
+    # Rings built directly are equal by spec, not identical.
+    assert ModularRing(6) == mat.base and ModularRing(6) is not mat.base

@@ -145,3 +145,11 @@ def test_maltsev_embed_sigma_rows():
     enc = fam.pairing.encode
     alpha = enc(0, 4)
     assert fam.g3.row(alpha) == FinVec(GF3, {alpha: 2})
+
+
+def test_u_word_verifies_at_layer_1000():
+    source = {1000: mx.from_rows(GF3, {1: {2: 1, 5: 2}, 3: {1: 1}}, tag="u"),
+              -3: mx.matrix_unit(GF3, 2, 2)}
+    fam = tg.build_g_family(source, GF3, verify_window=6)
+    witness = tg.build_two_generators(fam, verify_window=8)
+    tg.verify_u_words(witness, 6)
