@@ -10,12 +10,13 @@ sandwich witness built from the descriptor's refinement metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import matrices as mx
 from .indexing import (PreorderDescriptor, Refinement,
                        check_preorder_descriptor)
 from .matrices import RowFiniteMap
-from .rings import BaseRing, PrimeField
+from .rings import BaseRing, PrimeField, RingError
 
 
 class ClassifyError(Exception):
@@ -224,63 +225,55 @@ class SubringCensus:
     sizes: list
 
 
-def simple_full_check(n: int, p: int, feasibility_cap: int = 2**16) -> SubringCensus:
+def simple_full_check(n: int, p: int, feasibility_cap: int = 1000) -> SubringCensus:
     """Enumerate diagonal-containing subrings of the n x n matrices over GF(p).
+
+    Over GF(p) an additive subgroup is a subspace, so a subring is held as
+    the reduced row-echelon basis of a subspace of F_p^(n*n), which is
+    also its dedup key.  Each subring S is extended by one line of E/S at
+    a time, represented by a vector on S's non-pivot cells whose first
+    nonzero entry is 1.  The cap bounds the candidate lines at the
+    diagonal, (p^(n*n-n) - 1)/(p - 1).
 
     Each subring must equal the incidence subring of its own nonzero-cell
     relation, and that relation must be a preorder; the census is returned
     for comparison against the preorder count.
     """
-    ring = MatrixRing_np(n, p)
-    if p ** (n * n) > feasibility_cap:
-        raise ClassifyError(f"{p}^{n * n} exceeds feasibility cap")
-    all_elems = list(ring.elements())
-    diagonal = [e for e in all_elems
-                if all(e[i][j] == 0 for i in range(n) for j in range(n) if i != j)]
-
-    def closure(gens):
-        s = set(gens)
-        frontier = set(gens)
-        while frontier:
-            new = set()
-            items = list(s)
-            for a in frontier:
-                for b in items:
-                    for c in (ring.mul(a, b), ring.mul(b, a),
-                              ring.add(a, b), ring.neg(a)):
-                        if c not in s:
-                            new.add(c)
-            s |= new
-            frontier = new
-        return frozenset(s)
-
-    base = closure(diagonal)
-    found = {base}
+    if n < 1:
+        raise ClassifyError(f"matrix size must be >= 1, got {n}")
+    try:
+        field = PrimeField(p)
+    except RingError as exc:
+        raise ClassifyError(str(exc)) from None
+    lines = (p ** (n * n - n) - 1) // (p - 1)
+    if lines > feasibility_cap:
+        raise ClassifyError(f"{lines} candidate lines at the diagonal exceed "
+                            f"the feasibility cap {feasibility_cap}")
+    algebra = _CellAlgebra(field, n)
+    diagonal = [algebra.unit(i, i) for i in range(n)]
+    base = algebra.close({}, [], diagonal)
+    found = {algebra.key(base): base}
     queue = [base]
     while queue:
         s = queue.pop()
-        for x in all_elems:
-            if x in s:
-                continue
-            bigger = closure(s | {x})
-            if bigger not in found:
-                found.add(bigger)
+        gens = list(s.values())
+        for x in algebra.line_representatives(s):
+            bigger = algebra.close(s, gens, [x])
+            key = algebra.key(bigger)
+            if key not in found:
+                found[key] = bigger
                 queue.append(bigger)
 
-    preorders = []
-    sizes = []
-    for s in sorted(found, key=len):
-        rel = set()
-        for e in s:
-            for i in range(n):
-                for j in range(n):
-                    if e[i][j] != 0:
-                        rel.add((i + 1, j + 1))
-        # The subring must be exactly the matrices supported on rel.
-        expected = p ** len(rel)
-        if len(s) != expected:
+    subrings = []
+    for s in found.values():
+        rel = {(c // n + 1, c % n + 1)
+               for row in s.values() for c, v in enumerate(row) if v}
+        # The subring lies inside the matrices supported on rel, so equal
+        # dimensions make it exactly that incidence subring.
+        if len(s) != len(rel):
             raise ClassifyError(
-                f"subring of size {len(s)} is not an incidence subring"
+                f"subring of dimension {len(s)} spans {len(rel)} cells; "
+                "not an incidence subring"
             )
         for a, b in rel:
             if (a, a) not in rel:
@@ -288,16 +281,104 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 2**16) -> SubringCe
             for c, d in rel:
                 if b == c and (a, d) not in rel:
                     raise ClassifyError("relation not transitive")
-        preorders.append(tuple(sorted(rel)))
-        sizes.append(len(s))
+        # By size, ties by the cells read column by column.
+        subrings.append((len(s), sorted((b, a) for a, b in rel),
+                         tuple(sorted(rel))))
+    subrings.sort()
     return SubringCensus(n=n, p=p, count=len(found),
-                         preorders=preorders, sizes=sizes)
+                         preorders=[rel for _, _, rel in subrings],
+                         sizes=[p ** dim for dim, _, _ in subrings])
 
 
-def MatrixRing_np(n: int, p: int):
-    from .rings import MatrixRing
+class _CellAlgebra:
+    """The n x n matrices over a prime field as row-major cell vectors.
 
-    return MatrixRing(PrimeField(p), n)
+    A subspace is a reduced row-echelon basis: a dict from pivot cell to
+    a basis vector that is 1 there and 0 at every other pivot.  All cell
+    arithmetic goes through the field's own operations.
+    """
+
+    def __init__(self, field: PrimeField, n: int):
+        self.field = field
+        self.n = n
+        self.cells = n * n
+
+    def unit(self, i: int, j: int) -> tuple:
+        v = [0] * self.cells
+        v[i * self.n + j] = self.field.one
+        return tuple(v)
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        n, add, mul = self.n, self.field.add, self.field.mul
+        out = [0] * self.cells
+        for i in range(n):
+            for t in range(n):
+                x = a[i * n + t]
+                if not x:
+                    continue
+                for j in range(n):
+                    y = b[t * n + j]
+                    if y:
+                        out[i * n + j] = add(out[i * n + j], mul(x, y))
+        return tuple(out)
+
+    def axpy(self, c, x: tuple, y: tuple) -> tuple:
+        """c*x + y."""
+        add, mul = self.field.add, self.field.mul
+        return tuple(add(mul(c, u), v) if u else v for u, v in zip(x, y))
+
+    def insert(self, basis: dict, v: tuple) -> bool:
+        """Add v to the span in place; False when it already lies there."""
+        neg = self.field.neg
+        for pivot, row in basis.items():
+            if v[pivot]:
+                v = self.axpy(neg(v[pivot]), row, v)
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        v = self.axpy(self.field.inv(v[pivot]), v, (0,) * self.cells)
+        for q, row in basis.items():
+            if row[pivot]:
+                basis[q] = self.axpy(neg(row[pivot]), v, row)
+        basis[pivot] = v
+        return True
+
+    def close(self, basis: dict, gens: list, new: list) -> dict:
+        """The subring spanned by a closed subring and some new vectors.
+
+        `gens` spans `basis` and all their pairwise products lie in it, so
+        only products involving a newly entered vector are formed.
+        """
+        basis = dict(basis)
+        gens = list(gens)
+        done = len(gens)
+        for v in new:
+            if self.insert(basis, v):
+                gens.append(v)
+        while done < len(gens):
+            v = gens[done]
+            for u in gens[:done + 1]:
+                for w in (self.mul(v, u), self.mul(u, v)):
+                    if self.insert(basis, w):
+                        gens.append(w)
+            done += 1
+        return basis
+
+    def key(self, basis: dict) -> tuple:
+        return tuple(basis[q] for q in sorted(basis))
+
+    def line_representatives(self, basis: dict):
+        """One vector per line of E/S: supported off the pivots, leading 1."""
+        free = [c for c in range(self.cells) if c not in basis]
+        one = self.field.one
+        for lead in range(len(free)):
+            for tail in product(range(self.field.n),
+                                repeat=len(free) - lead - 1):
+                v = [0] * self.cells
+                v[free[lead]] = one
+                for c, x in zip(free[lead + 1:], tail):
+                    v[c] = x
+                yield tuple(v)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import replace
 
 from . import classify as cl
 from . import fearing as fr
@@ -148,16 +149,13 @@ def cmd_maltsev(args) -> Report:
     try:
         emb = tg.maltsev_embed(CountableRingEnum(ring), args.count,
                                window=args.window,
-                               rng=random.Random(args.seed))
+                               rng=random.Random(args.seed),
+                               corrupt=args.corrupt)
     except ConstructionError as exc:
         report.check("embedding", FAIL, str(exc))
         return report
     except RingError as exc:
         report.check("embedding", WARN, f"not checkable: {exc}")
-        return report
-    if args.corrupt:
-        report.check("embedding", FAIL,
-                     "corruption flag: simulated word mismatch")
         return report
     report.check("embedding", PASS,
                  f"{emb.count} elements, {emb.hom_checks} hom checks, "
@@ -272,16 +270,18 @@ def cmd_fear(args) -> Report:
     descriptor = _DESCRIPTORS[args.descriptor]()
     shift = mx.from_index_map(ring, lambda a: a + 1, tag="shift")
     witness = fr.fear_witness(descriptor, {"s": shift}, args.blocks, ring)
-    for p in witness.pairs:
-        escape_ok = p.escape not in p.cover
-        if args.corrupt:
-            escape_ok = p.escape in p.cover
+    pairs = list(witness.pairs)
+    if args.corrupt and pairs:
+        # Negative control: block 1's cover now holds its escape index.
+        first = pairs[0]
+        pairs[0] = replace(first, cover=first.cover | {first.escape})
+    for p in pairs:
         report.check(f"block {p.j} escape certificate",
-                     PASS if escape_ok else FAIL,
+                     PASS if p.escape not in p.cover else FAIL,
                      f"escape={p.escape} cover_size={len(p.cover)}")
     if args.oracle_max:
         env = {"s": shift}
-        for p in witness.pairs[: args.oracle_max]:
+        for p in pairs[: args.oracle_max]:
             try:
                 res = wd.proximity_oracle(p.x, p.y, env, p.j,
                                           word_cap=default_bound())
@@ -291,7 +291,7 @@ def cmd_fear(args) -> Report:
             report.check(f"block {p.j} oracle",
                          FAIL if res.found else PASS,
                          f"words_tried={res.words_tried}")
-    report.witness("blocks", [[p.j, sorted(p.block)] for p in witness.pairs])
+    report.witness("blocks", [[p.j, sorted(p.block)] for p in pairs])
     return report
 
 

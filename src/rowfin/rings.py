@@ -203,6 +203,11 @@ class PrimeField(ModularRing):
         super().__init__(p)
         self.spec = f"GF:{p}"
 
+    def inv(self, a):
+        if a % self.n == 0:
+            raise RingError("zero has no inverse")
+        return pow(a, self.n - 2, self.n)
+
 
 class MatrixRing(BaseRing):
     """k-by-k square matrices over a base ring; payloads are tuples of tuples."""
@@ -377,7 +382,8 @@ def _parse_int(piece: str, full: str) -> int:
 def is_simple_hint(ring: BaseRing) -> bool:
     """True for prime fields and matrix rings over simple rings.
 
-    Gates the brute-force simple-full check; not a general simplicity decider.
+    A sufficient test, not a general simplicity decider: it returns False
+    for any other ring, simple or not.  No CLI path calls it.
     """
     if isinstance(ring, PrimeField):
         return True

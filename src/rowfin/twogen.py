@@ -244,13 +244,16 @@ class EmbeddingReport:
 
 
 def maltsev_embed(enum: CountableRingEnum, count: int, window: int = 16,
-                  rng=None, commute_samples: int = 20) -> EmbeddingReport:
+                  rng=None, commute_samples: int = 20,
+                  corrupt: bool = False) -> EmbeddingReport:
     """Embed `count` enumerated elements via their diagonal images.
 
     Verifies that each emitted word reproduces the diagonal image on the
     window, that the embedding is additive and multiplicative, and that
     central elements commute with the two generators and with sampled
-    finite-support matrices.
+    finite-support matrices.  `corrupt` is a negative control: element
+    0's target image gains a stray (1, 2) cell after the generators are
+    built, so its word check must fail.
     """
     import random as _random
 
@@ -264,11 +267,14 @@ def maltsev_embed(enum: CountableRingEnum, count: int, window: int = 16,
     from .words import eval_word
 
     env = witness.env()
+    targets = dict(source)
+    if corrupt and count:
+        targets[0] = mx.add_maps(source[0], mx.matrix_unit(ring, 1, 2))
     words = {}
     for i, s in enumerate(payloads):
         w = witness.word_for_u(i)
         got = eval_word(w, env, ring)
-        _require(mx.equal_on_window(got, source[i], window),
+        _require(mx.equal_on_window(got, targets[i], window),
                  f"diagonal image of element {i}")
         words[i] = w
 

@@ -46,30 +46,65 @@ ONE = Const(1)
 NEG_ONE = Const(-1)
 
 
-@dataclass(frozen=True)
-class Sum(Word):
+class _Binary(Word):
+    """Sum or product node.  Equality walks both trees with an explicit
+    stack, and the hash is that of the printed form, so a word of any
+    depth compares and hashes without recursion.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, _Binary):
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(format_word(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Sum(_Binary):
     left: Word
     right: Word
 
 
-@dataclass(frozen=True)
-class Prod(Word):
+@dataclass(frozen=True, eq=False)
+class Prod(_Binary):
     left: Word
     right: Word
+
+
+_OPS = {Sum: " + ", Prod: " * "}
+
+
+def _leaves(w: Word):
+    """The leaves of w, left to right."""
+    stack = [w]
+    while stack:
+        node = stack.pop()
+        while node.__class__ in _OPS:
+            stack.append(node.right)
+            node = node.left
+        yield node
 
 
 def word_length(w: Word) -> int:
-    if isinstance(w, (Gen, Const)):
-        return 1
-    return word_length(w.left) + word_length(w.right)
+    return sum(1 for _ in _leaves(w))
 
 
 def word_generators(w: Word) -> frozenset:
-    if isinstance(w, Gen):
-        return frozenset({w.name})
-    if isinstance(w, Const):
-        return frozenset()
-    return word_generators(w.left) | word_generators(w.right)
+    return frozenset(leaf.name for leaf in _leaves(w) if isinstance(leaf, Gen))
 
 
 def prod_chain(factors) -> Word:
@@ -84,64 +119,96 @@ def prod_chain(factors) -> Word:
 
 
 def format_word(w: Word) -> str:
-    if isinstance(w, Const):
-        return str(w.value)
-    if isinstance(w, Gen):
-        return w.name
-    op = "+" if isinstance(w, Sum) else "*"
-    return f"({format_word(w.left)} {op} {format_word(w.right)})"
+    # The stack holds pending words and the text that closes their parents;
+    # each left spine is unrolled in one inner loop.
+    out = []
+    stack = [w]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            out.append(node)
+            continue
+        depth = 0
+        while node.__class__ in _OPS:
+            op, right = _OPS[node.__class__], node.right
+            if right.__class__ in _OPS:
+                stack.append(")")
+                stack.append(right)
+                stack.append(op)
+            else:
+                stack.append(op + _format_leaf(right) + ")")
+            node = node.left
+            depth += 1
+        if depth:
+            out.append("(" * depth)
+        out.append(_format_leaf(node))
+    return "".join(out)
+
+
+def _format_leaf(w: Word) -> str:
+    return w.name if w.__class__ is Gen else str(w.value)
 
 
 def parse_word(text: str) -> Word:
-    """Parse `0 | 1 | -1 | <name> | (w + w) | (w * w)`; round-trips with format_word."""
+    """Parse `0 | 1 | -1 | <name> | (w + w) | (w * w)`; round-trips with format_word.
+
+    Open parentheses wait on an explicit stack as [left, op], so nesting
+    depth costs no recursion.
+    """
     pos = 0
+    end = len(text)
+    open_nodes = []
 
     def skip_ws():
         nonlocal pos
-        while pos < len(text) and text[pos].isspace():
+        while pos < end and text[pos].isspace():
             pos += 1
 
-    def parse() -> Word:
-        nonlocal pos
+    while True:
         skip_ws()
-        if pos >= len(text):
+        if pos >= end:
             raise WordError("unexpected end of word")
         ch = text[pos]
         if ch == "(":
             pos += 1
-            left = parse()
-            skip_ws()
-            if pos >= len(text) or text[pos] not in "+*":
-                raise WordError(f"expected + or * at position {pos}")
-            op = text[pos]
-            pos += 1
-            right = parse()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise WordError(f"expected ) at position {pos}")
-            pos += 1
-            return Sum(left, right) if op == "+" else Prod(left, right)
+            open_nodes.append([None, None])
+            continue
         if ch == "-" and text[pos:pos + 2] == "-1":
             pos += 2
-            return NEG_ONE
-        if ch.isdigit():
+            w = NEG_ONE
+        elif ch.isdigit():
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < end and text[pos].isdigit():
                 pos += 1
             val = int(text[start:pos])
             if val not in (0, 1):
                 raise WordError(f"constant must be 0, 1 or -1, got {val}")
-            return Const(val)
-        if ch.isalpha() or ch == "_":
+            w = Const(val)
+        elif ch.isalpha() or ch == "_":
             start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            while pos < end and (text[pos].isalnum() or text[pos] == "_"):
                 pos += 1
-            return Gen(text[start:pos])
-        raise WordError(f"unexpected character {ch!r} at position {pos}")
-
-    w = parse()
+            w = Gen(text[start:pos])
+        else:
+            raise WordError(f"unexpected character {ch!r} at position {pos}")
+        # Close every parenthesis that w completes as a right operand.
+        while open_nodes and open_nodes[-1][0] is not None:
+            left, op = open_nodes.pop()
+            skip_ws()
+            if pos >= end or text[pos] != ")":
+                raise WordError(f"expected ) at position {pos}")
+            pos += 1
+            w = Sum(left, w) if op == "+" else Prod(left, w)
+        if not open_nodes:
+            break
+        skip_ws()
+        if pos >= end or text[pos] not in "+*":
+            raise WordError(f"expected + or * at position {pos}")
+        open_nodes[-1][0] = w
+        open_nodes[-1][1] = text[pos]
+        pos += 1
     skip_ws()
-    if pos != len(text):
+    if pos != end:
         raise WordError(f"trailing input at position {pos}")
     return w
 

@@ -253,7 +253,10 @@ def test_criterion_11_determinism_across_hash_seeds(tmp_path):
     for name, argv in (("two-gen", ["two-gen", "--window", "24"]),
                        ("sandwich", ["sandwich", "--count", "3", "--window", "12"]),
                        ("oracle", ["oracle", "--ring", "Zmod:5", "--x1", "1:1",
-                                   "--x2", "3:2", "--r-max", "3"])):
+                                   "--x2", "3:2", "--r-max", "3"]),
+                       ("simple-full-2-3", ["simple-full", "--n", "2", "--p", "3"]),
+                       ("simple-full-3-2", ["simple-full", "--n", "3", "--p", "2"]),
+                       ("fear", ["fear", "--blocks", "4", "--oracle-max", "2"])):
         outputs = []
         for hash_seed in ("1", "99"):
             path = tmp_path / f"{name}-{hash_seed}.json"

@@ -5,7 +5,7 @@ import pytest
 from rowfin import classify as cl
 from rowfin import matrices as mx
 from rowfin.indexing import parse_preorder
-from rowfin.rings import IntegerRing, parse_ring_spec
+from rowfin.rings import IntegerRing, MatrixRing, PrimeField, parse_ring_spec
 from rowfin.triangular import sandwich_A
 
 Z = IntegerRing()
@@ -123,6 +123,92 @@ def test_simple_full_census():
     }
     assert set(census.preorders) == expected
     assert sorted(census.sizes) == [4, 8, 8, 16]
+
+
+def reference_census(n, p):
+    """Element-set census: every subring as the set of its p^dim matrices.
+
+    Closes sets under pairwise products, sums and negation, and extends
+    each subring by every element outside it.  Exponential in n*n; the
+    slow oracle for `simple_full_check`.
+    """
+    ring = MatrixRing(PrimeField(p), n)
+    all_elems = list(ring.elements())
+    diagonal = [e for e in all_elems
+                if all(e[i][j] == 0 for i in range(n) for j in range(n) if i != j)]
+
+    def closure(gens):
+        s = set(gens)
+        frontier = set(gens)
+        while frontier:
+            new = set()
+            items = list(s)
+            for a in frontier:
+                for b in items:
+                    for c in (ring.mul(a, b), ring.mul(b, a),
+                              ring.add(a, b), ring.neg(a)):
+                        if c not in s:
+                            new.add(c)
+            s |= new
+            frontier = new
+        return frozenset(s)
+
+    base = closure(diagonal)
+    found = {base}
+    queue = [base]
+    while queue:
+        s = queue.pop()
+        for x in all_elems:
+            if x in s:
+                continue
+            bigger = closure(s | {x})
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    preorders = {tuple(sorted({(i + 1, j + 1) for e in s for i in range(n)
+                               for j in range(n) if e[i][j] != 0}))
+                 for s in found}
+    return len(found), preorders, sorted(len(s) for s in found)
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3)])
+def test_simple_full_matches_element_set_census(n, p):
+    census = cl.simple_full_check(n, p)
+    count, preorders, sizes = reference_census(n, p)
+    assert census.count == count
+    assert set(census.preorders) == preorders
+    assert len(census.preorders) == count
+    assert sorted(census.sizes) == sizes
+
+
+def is_preorder(rel, n):
+    rel = set(rel)
+    return (all((a, a) in rel for a in range(1, n + 1))
+            and all((a, d) in rel for a, b in rel for c, d in rel if b == c))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_simple_full_three_by_three(p):
+    census = cl.simple_full_check(3, p)
+    assert census.count == 29  # preorders on three points (OEIS A000798)
+    assert len(set(census.preorders)) == 29
+    assert all(is_preorder(rel, 3) for rel in census.preorders)
+    assert census.sizes == [p ** len(rel) for rel in census.preorders]
+    # By size, ties by the cells read column by column.
+    keys = [(len(rel), sorted((b, a) for a, b in rel))
+            for rel in census.preorders]
+    assert keys == sorted(keys)
+
+
+def test_simple_full_rejects_bad_parameters():
+    with pytest.raises(cl.ClassifyError, match="prime"):
+        cl.simple_full_check(2, 4)
+    with pytest.raises(cl.ClassifyError, match=">= 1"):
+        cl.simple_full_check(0, 2)
+    # 63 candidate lines at the 3x3 diagonal over GF(2).
+    with pytest.raises(cl.ClassifyError, match="feasibility"):
+        cl.simple_full_check(3, 2, feasibility_cap=62)
+    assert cl.simple_full_check(3, 2, feasibility_cap=63).count == 29
 
 
 def test_simple_full_trivial_and_cap():

@@ -89,6 +89,18 @@ def test_maltsev_subcommand():
     assert report.failed
 
 
+def test_maltsev_corrupt_fails_in_the_word_check(capsys):
+    argv = ["maltsev", "--count", "4", "--window", "12", "--corrupt"]
+    report, doc = run_json(argv)
+    assert report.failed
+    [check] = doc["checks"]
+    assert (check["name"], check["verdict"]) == ("embedding", "fail")
+    assert check["detail"].startswith("diagonal image of element 0 failed:")
+    assert "words" not in doc["witnesses"]
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+
+
 def test_sandwich_subcommand():
     report, doc = run_json(["sandwich", "--ring", "GF:5", "--count", "4",
                             "--window", "12"])
@@ -125,6 +137,21 @@ def test_fear_subcommand():
     assert report.failed
 
 
+def test_fear_corrupt_fails_in_the_escape_check(capsys):
+    _, clean = run_json(["fear", "--blocks", "3"])
+    argv = ["fear", "--blocks", "3", "--corrupt"]
+    report, doc = run_json(argv)
+    assert report.failed
+    verdicts = [c["verdict"] for c in doc["checks"]]
+    assert verdicts == ["fail", "pass", "pass"]
+    before, after = clean["checks"][0]["detail"], doc["checks"][0]["detail"]
+    size = int(before.rsplit("=", 1)[1])
+    assert after == before.replace(f"cover_size={size}", f"cover_size={size + 1}")
+    assert doc["witnesses"] == clean["witnesses"]
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+
+
 def test_fear_oracle_max_confirms_blocks_1_to_k():
     report, doc = run_json(["fear", "--blocks", "4", "--oracle-max", "3"])
     assert not report.failed
@@ -151,6 +178,38 @@ def test_simple_full_subcommand():
     report, doc = run_json(["simple-full", "--n", "3", "--p", "5"])
     assert not report.failed  # infeasible scale is a warning, not a failure
     assert doc["checks"][0]["verdict"] == "warn"
+
+
+SIMPLE_FULL_2X2 = (
+    '{"checks":[{"detail":"count=4","name":"census","verdict":"pass"}],'
+    '"config":{"n":2,"p":%d},"subcommand":"simple-full","witnesses":'
+    '{"count":4,"preorders":[[[1,1],[2,2]],[[1,1],[2,1],[2,2]],'
+    '[[1,1],[1,2],[2,2]],[[1,1],[1,2],[2,1],[2,2]]]}}\n'
+)
+
+
+def test_simple_full_2x2_report_bytes():
+    for p in (2, 3):
+        report, _, _ = cli.run(["simple-full", "--n", "2", "--p", str(p)])
+        assert report.to_json() == SIMPLE_FULL_2X2 % p
+
+
+def test_simple_full_three_by_three_and_infeasible_scales():
+    report, doc = run_json(["simple-full", "--n", "3", "--p", "2"])
+    assert not report.failed
+    assert doc["witnesses"]["count"] == 29
+    for n, p in (("3", "5"), ("4", "2")):
+        report, doc = run_json(["simple-full", "--n", n, "--p", p])
+        assert not report.failed
+        assert [c["verdict"] for c in doc["checks"]] == ["warn"]
+        assert "feasibility" in doc["checks"][0]["detail"]
+
+
+def test_simple_full_non_prime_is_a_structured_failure():
+    report, doc = run_json(["simple-full", "--n", "2", "--p", "4"])
+    assert report.failed
+    assert doc["checks"] == [{"detail": "4 is not prime", "name": "census",
+                              "verdict": "fail"}]
 
 
 def test_oracle_subcommand():

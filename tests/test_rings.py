@@ -3,8 +3,9 @@ import random
 import pytest
 
 from rowfin.rings import (CountableRingEnum, Element, IntegerRing, MatrixRing,
-                          ModularRing, PrimeField, RingMismatch, RingSpecError,
-                          central_payloads, is_simple_hint, parse_ring_spec)
+                          ModularRing, PrimeField, RingError, RingMismatch,
+                          RingSpecError, central_payloads, is_simple_hint,
+                          parse_ring_spec)
 
 
 def test_parse_ring_spec_grammar():
@@ -169,6 +170,15 @@ def test_prime_field_requires_prime():
     with pytest.raises(RingSpecError):
         PrimeField(4)
     assert PrimeField(7).spec == "GF:7"
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_prime_field_inverse(p):
+    field = PrimeField(p)
+    for a in range(1, p):
+        assert field.mul(a, field.inv(a)) == 1
+    with pytest.raises(RingError):
+        field.inv(0)
 
 
 def test_central_payloads():

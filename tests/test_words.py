@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rowfin import matrices as mx
+from rowfin import twogen as tg
 from rowfin import words as wd
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, parse_ring_spec
@@ -55,6 +56,35 @@ def test_format_parse_roundtrip():
         w = random_word(4)
         assert parse_word(format_word(w)) == w
     assert format_word(Prod(Sum(ONE, Gen("s")), NEG_ONE)) == "((1 + s) * -1)"
+
+
+def test_deep_word_helpers_do_not_recurse():
+    w = tg.u_word(1000)
+    # g_i = f1^6 f3 f1^i f3 has 8 + i leaves; u_1000 = g1 g4^1000 g3 g5^1000 g2.
+    length = 9 + 1000 * 12 + 11 + 1000 * 13 + 10
+    text = format_word(w)
+    # 2003 factors chained left, the first of them eight products deep.
+    assert text.startswith("(" * (2002 + 8) + "f1 * f1)")
+    assert text.count("(") == length - 1
+    back = parse_word(text)
+    assert back == w and back is not w
+    assert hash(back) == hash(w)
+    assert word_length(back) == word_length(w) == length
+    assert word_generators(w) == {"f1", "f3"}
+    assert format_word(back) == text
+    assert back != tg.u_word(999)
+    assert Prod(w, ONE) != Sum(w, ONE)
+    assert Prod(w, ONE) != Prod(back, ZERO)
+
+
+def test_sum_and_prod_equality_and_hash():
+    a, b = Gen("a"), Gen("b")
+    assert Sum(a, b) == Sum(Gen("a"), Gen("b"))
+    assert hash(Sum(a, b)) == hash(Sum(Gen("a"), Gen("b")))
+    assert Sum(a, b) != Prod(a, b)
+    assert Sum(a, b) != Sum(b, a)
+    assert Prod(a, b) != a and a != Prod(a, b)
+    assert len({Sum(a, b), Sum(a, b), Prod(a, b), a}) == 3
 
 
 def test_parse_word_errors():
