@@ -5,7 +5,7 @@ emits a pretty text report plus a machine-readable JSON document with
 stable key order.  Identical configs produce byte-identical JSON (wall
 time is reported only in the pretty text).  Exit status is nonzero
 exactly when a check fails; hitting a resource bound is a warning, not a
-failure.
+failure.  A malformed ring spec or vector is an `input` failure.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from . import matrices as mx
 from . import triangular as tr
 from . import twogen as tg
 from . import words as wd
-from .indexing import EnumerationStall, PreorderSpecError, parse_preorder
-from .rings import CountableRingEnum, RingError, parse_ring_spec
+from .indexing import PreorderSpecError, parse_preorder
+from .rings import RingError, parse_ring_spec
 from .twogen import ConstructionError
 
 PASS, FAIL, WARN = "pass", "fail", "warn"
@@ -147,8 +147,7 @@ def cmd_maltsev(args) -> Report:
         "seed": args.seed, "corrupt": bool(args.corrupt),
     })
     try:
-        emb = tg.maltsev_embed(CountableRingEnum(ring), args.count,
-                               window=args.window,
+        emb = tg.maltsev_embed(ring, args.count, window=args.window,
                                rng=random.Random(args.seed),
                                corrupt=args.corrupt)
     except ConstructionError as exc:
@@ -315,8 +314,14 @@ def _parse_vec(text: str, ring):
     if text:
         for piece in text.split(","):
             idx, _, val = piece.partition(":")
-            entries[int(idx)] = ring.parse_payload(val)
-    return mx.FinVec(ring, entries)
+            try:
+                entries[int(idx)] = ring.parse_payload(val)
+            except ValueError as exc:
+                raise RingError(f"malformed vector entry {piece!r}: {exc}") from exc
+    try:
+        return mx.FinVec(ring, entries)
+    except mx.MatrixError as exc:
+        raise RingError(f"malformed vector {text!r}: {exc}") from exc
 
 
 def cmd_oracle(args) -> Report:
@@ -437,9 +442,9 @@ def run(argv=None) -> tuple[Report, float, object]:
     start = time.monotonic()
     try:
         report = args.func(args)
-    except EnumerationStall as exc:
+    except RingError as exc:
         report = Report(args.command, {})
-        report.check("enumeration", WARN, str(exc))
+        report.check("input", FAIL, str(exc))
     return report, time.monotonic() - start, args
 
 

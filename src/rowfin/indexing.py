@@ -1,9 +1,8 @@
 """Index combinatorics over the positive integers.
 
-Houses the pairing bijection with Z x N+, decidable infinite subsets with
-order isomorphisms, the mod-7 partition, triangular block indexing,
-preorder descriptors with their refinement metadata, and the two
-constructive set-refinement procedures (nested chain / disjointification).
+Houses the pairing bijection with Z x N+, decidable infinite subsets,
+the mod-7 partition, triangular block indexing, and preorder descriptors
+with their refinement metadata and the DSL that builds them.
 """
 
 from __future__ import annotations
@@ -16,15 +15,8 @@ class IndexError_(Exception):
     pass
 
 
-class EnumerationStall(IndexError_):
-    """An enumerator failed to produce a new element within its search bound."""
-
-
 class PreorderSpecError(IndexError_):
     pass
-
-
-DEFAULT_STALL_BOUND = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +63,6 @@ class ZPairing:
         return zunfold(a), b
 
 
-def z_pairing() -> ZPairing:
-    return ZPairing()
-
-
 # ---------------------------------------------------------------------------
 # Decidable infinite subsets
 
@@ -91,15 +79,6 @@ class InfSetEnum:
     def index_of(self, k: int):
         """Position of k in the enumeration (1-based), or None."""
         raise NotImplementedError
-
-    def elements_upto(self, bound: int):
-        j = 1
-        while True:
-            v = self.nth(j)
-            if v > bound:
-                return
-            yield v
-            j += 1
 
 
 class ResidueClassSet(InfSetEnum):
@@ -162,78 +141,8 @@ class PairedSliceSet(InfSetEnum):
         return b if a == self.row else None
 
 
-class LazyFilterSet(InfSetEnum):
-    """Filter an enumerator (or all of N+) by a predicate, with a stall bound."""
-
-    def __init__(self, pred, source: InfSetEnum | None = None,
-                 stall_bound: int = DEFAULT_STALL_BOUND):
-        self.pred = pred
-        self.source = source
-        self.stall_bound = stall_bound
-        self._memo: list[int] = []
-        self._probe = 0  # last source position / integer probed
-
-    def _extend(self):
-        probes = 0
-        while probes < self.stall_bound:
-            self._probe += 1
-            probes += 1
-            v = self.source.nth(self._probe) if self.source else self._probe
-            if self.pred(v):
-                self._memo.append(v)
-                return
-        raise EnumerationStall(
-            f"no new element within {self.stall_bound} probes "
-            f"(found {len(self._memo)} so far)"
-        )
-
-    def nth(self, j: int) -> int:
-        while len(self._memo) < j:
-            self._extend()
-        return self._memo[j - 1]
-
-    def index_of(self, k: int):
-        j = 1
-        while True:
-            v = self.nth(j)
-            if v == k:
-                return j
-            if v > k:
-                return None
-            j += 1
-
-
-class ExplicitDropSet(InfSetEnum):
-    """An enumerator minus a fixed finite set of excluded elements."""
-
-    def __init__(self, base: InfSetEnum, excluded):
-        self.base = base
-        self.excluded = frozenset(excluded)
-        self._memo: list[int] = []
-        self._pos = 0
-
-    def nth(self, j: int) -> int:
-        while len(self._memo) < j:
-            self._pos += 1
-            v = self.base.nth(self._pos)
-            if v not in self.excluded:
-                self._memo.append(v)
-        return self._memo[j - 1]
-
-    def index_of(self, k: int):
-        if k in self.excluded:
-            return None
-        pos = self.base.index_of(k)
-        if pos is None:
-            return None
-        # Count exclusions at or before k that actually belong to base.
-        dropped = sum(1 for e in self.excluded
-                      if e <= k and self.base.index_of(e) is not None)
-        return pos - dropped
-
-
 # ---------------------------------------------------------------------------
-# The mod-7 partition and order isomorphisms
+# The mod-7 partition
 
 
 class SevenPartition:
@@ -246,30 +155,6 @@ class SevenPartition:
         if not 1 <= i <= 7:
             raise IndexError_(f"piece index must be in 1..7, got {i}")
         return ResidueClassSet(7, [i])
-
-
-def seven_partition() -> SevenPartition:
-    return SevenPartition()
-
-
-class OrderIso:
-    """The order isomorphism src.nth(j) -> dst.nth(j)."""
-
-    def __init__(self, src: InfSetEnum, dst: InfSetEnum):
-        self.src = src
-        self.dst = dst
-
-    def apply(self, k: int):
-        j = self.src.index_of(k)
-        return None if j is None else self.dst.nth(j)
-
-    def inverse(self, k: int):
-        j = self.dst.index_of(k)
-        return None if j is None else self.src.nth(j)
-
-
-def order_iso(src: InfSetEnum, dst: InfSetEnum) -> OrderIso:
-    return OrderIso(src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -295,69 +180,6 @@ def tri_split(r: int) -> tuple[int, int]:
     while tri(i - 1) >= r:
         i -= 1
     return i, r - tri(i - 1)
-
-
-# ---------------------------------------------------------------------------
-# Refinement procedures from the nested / disjoint set constructions
-
-
-def nested_refine(family, depth: int,
-                  stall_bound: int = DEFAULT_STALL_BOUND) -> list[InfSetEnum]:
-    """Nested intersection chain: bars(1)=family(1), bars(j+1)=bars(j) & family(j+1).
-
-    The caller asserts all finite prefix intersections are infinite; an
-    empty tail surfaces as an EnumerationStall during enumeration.
-    """
-    family = list(family)
-    if depth > len(family):
-        raise IndexError_("depth exceeds family length")
-    bars: list[InfSetEnum] = [family[0]]
-    for j in range(1, depth):
-        nxt = family[j]
-        bars.append(LazyFilterSet(nxt.contains, source=bars[-1],
-                                  stall_bound=stall_bound))
-    return bars
-
-
-class IncompleteOverlap(IndexError_):
-    pass
-
-
-class _DisjointifiedSet(ExplicitDropSet):
-    """Delta_j minus declared overlaps, spot-checking overlap completeness."""
-
-    def __init__(self, base, excluded, earlier):
-        super().__init__(base, excluded)
-        self.earlier = earlier
-
-    def nth(self, j: int) -> int:
-        v = super().nth(j)
-        for i, delta in enumerate(self.earlier, start=1):
-            if delta.contains(v):
-                raise IncompleteOverlap(
-                    f"element {v} shared with earlier set {i} missing from overlaps"
-                )
-        return v
-
-
-def disjointify(deltas, overlaps) -> list[InfSetEnum]:
-    """bars(j) = Delta_j minus the declared finite overlaps with earlier Delta_i.
-
-    overlaps(i, j) must be exactly Delta_i & Delta_j (finite, 1-based i < j);
-    an enumerated common element missing from the declared overlaps raises
-    IncompleteOverlap.
-    """
-    deltas = list(deltas)
-    bars: list[InfSetEnum] = []
-    for j in range(1, len(deltas) + 1):
-        if j == 1:
-            bars.append(deltas[0])
-            continue
-        excluded = set()
-        for i in range(1, j):
-            excluded.update(overlaps(i, j))
-        bars.append(_DisjointifiedSet(deltas[j - 1], excluded, deltas[: j - 1]))
-    return bars
 
 
 # ---------------------------------------------------------------------------

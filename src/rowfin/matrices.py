@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import partial, reduce
 
-from .rings import BaseRing, RingMismatch
+from .rings import BaseRing, RingError
 
 
 class MatrixError(Exception):
@@ -38,7 +38,7 @@ row_evals = _RowEvalCounter()
 def _common_ring(x, y) -> BaseRing:
     """The ring shared by x and y: identity first (rings are interned), then spec."""
     if x.ring is not y.ring and x.ring != y.ring:
-        raise RingMismatch(f"{x.ring.spec} vs {y.ring.spec}")
+        raise RingError(f"ring mismatch: {x.ring.spec} vs {y.ring.spec}")
     return x.ring
 
 

@@ -8,14 +8,9 @@ hashable and canonical, so payload equality is ring equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 
 class RingError(Exception):
-    pass
-
-
-class RingMismatch(RingError):
     pass
 
 
@@ -90,9 +85,6 @@ class BaseRing:
 
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    def element(self, payload) -> "Element":
-        return Element(self, self.canon(payload))
 
     def __eq__(self, other):
         return isinstance(other, BaseRing) and self.spec == other.spec
@@ -317,39 +309,6 @@ class MatrixRing(BaseRing):
         return self.canon(data)
 
 
-@dataclass(frozen=True)
-class Element:
-    """A ring element: a ring reference plus a canonical payload."""
-
-    ring: BaseRing
-    payload: object
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring.spec} vs {other.ring.spec}")
-
-    def __add__(self, other):
-        self._check(other)
-        return Element(self.ring, self.ring.add(self.payload, other.payload))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Element(self.ring, self.ring.mul(self.payload, other.payload))
-
-    def __neg__(self):
-        return Element(self.ring, self.ring.neg(self.payload))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Element(self.ring, self.ring.sub(self.payload, other.payload))
-
-    def is_zero(self):
-        return self.ring.is_zero(self.payload)
-
-    def __str__(self):
-        return self.ring.format_payload(self.payload)
-
-
 _INTERNED: dict[str, BaseRing] = {}
 
 
@@ -377,38 +336,6 @@ def _parse_int(piece: str, full: str) -> int:
         return int(piece)
     except ValueError as exc:
         raise RingSpecError(f"malformed ring spec: {full!r}") from exc
-
-
-def is_simple_hint(ring: BaseRing) -> bool:
-    """True for prime fields and matrix rings over simple rings.
-
-    A sufficient test, not a general simplicity decider: it returns False
-    for any other ring, simple or not.  No CLI path calls it.
-    """
-    if isinstance(ring, PrimeField):
-        return True
-    if isinstance(ring, MatrixRing):
-        return is_simple_hint(ring.base)
-    return False
-
-
-class CountableRingEnum:
-    """Deterministic enumeration of a ring's elements.
-
-    For finite rings, indices 0..size-1 list every element exactly once.
-    For infinite rings the enumeration is injective.
-    """
-
-    def __init__(self, ring: BaseRing):
-        self.ring = ring
-
-    def enumerate(self, index: int):
-        if index < 0:
-            raise RingError("enumeration index must be >= 0")
-        n = self.ring.size()
-        if n is not None and index >= n:
-            raise RingError(f"index {index} out of range for {self.ring.spec}")
-        return Element(self.ring, self.ring.nth_element(index))
 
 
 def central_payloads(ring: BaseRing):

@@ -8,12 +8,12 @@ respects central elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import matrices as mx
-from .indexing import SevenPartition, ZPairing, seven_partition, z_pairing
+from .indexing import SevenPartition, ZPairing
 from .matrices import RowFiniteMap, FinVec
-from .rings import BaseRing, CountableRingEnum, central_payloads
+from .rings import BaseRing, RingError, central_payloads
 from .words import Gen, Word, prod_chain
 
 
@@ -36,12 +36,11 @@ class GFamily:
     g4: RowFiniteMap
     g5: RowFiniteMap
 
-    def sigma_contains(self, alpha: int) -> bool:
-        """Membership in the central copy Sigma = {0} x N+."""
-        return self.pairing.decode(alpha)[0] == 0
-
     def pi_sigma(self) -> RowFiniteMap:
-        return mx.projection(self.ring, self.sigma_contains, tag="pi_sigma")
+        """Projection onto the central copy Sigma = {0} x N+."""
+        return mx.projection(
+            self.ring, lambda alpha: self.pairing.decode(alpha)[0] == 0,
+            tag="pi_sigma")
 
     def u_product(self, i: int) -> RowFiniteMap:
         """The five-factor product that must reproduce u_i."""
@@ -51,7 +50,6 @@ class GFamily:
 
 
 def build_g_family(source: dict, ring: BaseRing,
-                   pairing: ZPairing | None = None,
                    verify_window: int = 20) -> GFamily:
     """Construct g1..g5 from a finite materialized family {i: u_i}.
 
@@ -60,7 +58,7 @@ def build_g_family(source: dict, ring: BaseRing,
     u_i on the i-th layer.  Every identity u_i = g1 g4^i g3 g5^i g2 is
     verified on the window before returning.
     """
-    pairing = pairing or z_pairing()
+    pairing = ZPairing()
     enc, dec = pairing.encode, pairing.decode
     for u in source.values():
         if u.ring != ring:
@@ -138,13 +136,9 @@ class TwoGenWitness:
     f1: RowFiniteMap
     f3: RowFiniteMap
     family: GFamily
-    partition: SevenPartition = field(default_factory=seven_partition)
 
     def env(self) -> dict:
         return {"f1": self.f1, "f3": self.f3}
-
-    def word_for_g(self, i: int) -> Word:
-        return g_word(i)
 
     def word_for_u(self, i: int) -> Word:
         if i not in self.family.source:
@@ -183,7 +177,7 @@ def build_two_generators(fam: GFamily, verify_window: int = 28) -> TwoGenWitness
     inverse transports so that g_i = f1^6 f3 f1^i f3 for i in 1..5.
     """
     ring = fam.ring
-    part = seven_partition()
+    part = SevenPartition()
     sigma1 = part.piece(1)
 
     f1 = mx.from_index_map(ring, lambda k: _phi(part, k), tag="f1")
@@ -207,7 +201,7 @@ def build_two_generators(fam: GFamily, verify_window: int = 28) -> TwoGenWitness
 
     f3 = RowFiniteMap(ring, f3_row, tag="f3")
 
-    witness = TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam, partition=part)
+    witness = TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)
     env = witness.env()
     from .words import eval_word
 
@@ -243,10 +237,10 @@ class EmbeddingReport:
     center_checks: int
 
 
-def maltsev_embed(enum: CountableRingEnum, count: int, window: int = 16,
+def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
                   rng=None, commute_samples: int = 20,
                   corrupt: bool = False) -> EmbeddingReport:
-    """Embed `count` enumerated elements via their diagonal images.
+    """Embed the first `count` elements of `ring.nth_element` via their diagonal images.
 
     Verifies that each emitted word reproduces the diagonal image on the
     window, that the embedding is additive and multiplicative, and that
@@ -257,9 +251,11 @@ def maltsev_embed(enum: CountableRingEnum, count: int, window: int = 16,
     """
     import random as _random
 
-    ring = enum.ring
     rng = rng or _random.Random(0)
-    payloads = [enum.enumerate(i).payload for i in range(count)]
+    size = ring.size()
+    if size is not None and count > size:
+        raise RingError(f"index {size} out of range for {ring.spec}")
+    payloads = [ring.nth_element(i) for i in range(count)]
     source = {i: mx.scalar_map(ring, s) for i, s in enumerate(payloads)}
     fam = build_g_family(source, ring, verify_window=min(window, 20))
     witness = build_two_generators(fam, verify_window=min(window, 28))

@@ -48,8 +48,8 @@ NEG_ONE = Const(-1)
 
 class _Binary(Word):
     """Sum or product node.  Equality walks both trees with an explicit
-    stack, and the hash is that of the printed form, so a word of any
-    depth compares and hashes without recursion.
+    stack, and the hash and repr use the printed form, so a word of any
+    depth compares, hashes and prints without recursion.
     """
 
     def __eq__(self, other):
@@ -72,14 +72,17 @@ class _Binary(Word):
     def __hash__(self):
         return hash(format_word(self))
 
+    def __repr__(self):
+        return f"parse_word({format_word(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(_Binary):
     left: Word
     right: Word
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Prod(_Binary):
     left: Word
     right: Word

@@ -21,7 +21,7 @@ from rowfin import triangular as tr
 from rowfin import twogen as tg
 from rowfin.indexing import parse_preorder
 from rowfin.matrices import FinVec
-from rowfin.rings import CountableRingEnum, parse_ring_spec
+from rowfin.rings import parse_ring_spec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, StepSupport, Sum,
                           eval_word, proximity_oracle, support_closure,
                           word_length)
@@ -88,7 +88,7 @@ def test_criterion_02_g_family_identities_window_128():
 def test_criterion_03_countable_ring_embedding():
     ok = True
     for ring, count in ((Z6, 6), (parse_ring_spec("Mat:2:GF:2"), 16)):
-        emb = tg.maltsev_embed(CountableRingEnum(ring), count, window=32)
+        emb = tg.maltsev_embed(ring, count, window=32)
         if emb.count != count or emb.hom_checks != 2 * count * count:
             ok = False
         if emb.center_checks == 0:

@@ -126,7 +126,7 @@ def test_simple_full_census():
 
 
 def reference_census(n, p):
-    """Element-set census: every subring as the set of its p^dim matrices.
+    """The element-set census: every subring as the set of its p^dim matrices.
 
     Closes sets under pairwise products, sums and negation, and extends
     each subring by every element outside it.  Exponential in n*n; the

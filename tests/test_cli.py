@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rowfin import cli
 from rowfin import matrices as mx
 from rowfin.rings import parse_ring_spec
@@ -168,6 +170,37 @@ def test_maltsev_infinite_matrix_ring_is_a_structured_warning(capsys):
     assert "center" in doc["checks"][0]["detail"]
     assert cli.main(["maltsev", "--ring", "Mat:2:Int", "--count", "3",
                      "--window", "8"]) == 0
+    json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+MALTSEV_TOO_MANY = (
+    '{"checks":[{"detail":"not checkable: index 6 out of range for Zmod:6",'
+    '"name":"embedding","verdict":"warn"}],"config":{"corrupt":false,'
+    '"count":7,"ring":"Zmod:6","seed":0,"window":16},"subcommand":"maltsev",'
+    '"witnesses":{}}\n'
+)
+
+
+def test_maltsev_count_beyond_ring_size_report_bytes():
+    report, _, _ = cli.run(["maltsev", "--ring", "Zmod:6", "--count", "7"])
+    assert report.to_json() == MALTSEV_TOO_MANY
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["two-gen", "--ring", "GF:4"], "4 is not prime"),
+    (["sandwich", "--ring", "Bogus"], "malformed ring spec: 'Bogus'"),
+    (["fear", "--ring", "Zmod:0"], "modulus must be >= 2, got 0"),
+    (["oracle", "--x1", "1:x"], "malformed vector entry '1:x'"),
+    (["oracle", "--x1", "0:1"], "malformed vector '0:1': index must be >= 1"),
+], ids=["two-gen-GF:4", "sandwich-Bogus", "fear-Zmod:0", "oracle-1:x", "oracle-0:1"])
+def test_bad_input_is_a_structured_failure(argv, detail, capsys):
+    report, doc = run_json(argv)
+    assert report.failed
+    [check] = doc["checks"]
+    assert (check["name"], check["verdict"]) == ("input", "fail")
+    assert check["detail"].startswith(detail)
+    assert doc["subcommand"] == argv[0]
+    assert cli.main(argv) == 1
     json.loads(capsys.readouterr().out.splitlines()[-1])
 
 

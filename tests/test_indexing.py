@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from rowfin.indexing import (EnumerationStall, IncompleteOverlap, InfSetEnum,
-                             LazyFilterSet, PairedSliceSet, PreorderSpecError,
-                             ResidueClassSet, TailSet, cantor_pair,
-                             cantor_unpair, check_preorder_descriptor,
-                             disjointify, nested_refine, order_iso,
-                             parse_preorder, seven_partition, tri, tri_block,
-                             tri_split, z_pairing, zfold, zunfold)
+from rowfin.indexing import (PairedSliceSet, PreorderSpecError,
+                             ResidueClassSet, SevenPartition, TailSet,
+                             ZPairing, cantor_pair, cantor_unpair,
+                             check_preorder_descriptor, parse_preorder, tri,
+                             tri_block, tri_split, zfold, zunfold)
 
 
 def test_zfold_examples():
@@ -32,7 +30,7 @@ def test_cantor_pairing_bijective_on_grid():
 
 
 def test_z_pairing_examples():
-    zp = z_pairing()
+    zp = ZPairing()
     assert zp.encode(0, 1) == 1
     assert zp.decode(zp.encode(-2, 5)) == (-2, 5)
     codes = {zp.encode(i, g) for i in range(-50, 51) for g in range(1, 51)}
@@ -43,7 +41,7 @@ def test_z_pairing_examples():
 
 
 def test_seven_partition_examples():
-    part = seven_partition()
+    part = SevenPartition()
     assert part.class_of(1) == 1
     assert part.class_of(14) == 7
     assert part.piece(3).nth(2) == 10
@@ -80,16 +78,6 @@ def test_paired_slices_partition_base():
             assert base.contains(v)
 
 
-def test_order_iso_partiality():
-    evens = ResidueClassSet(2, [2])
-    odds = ResidueClassSet(2, [1])
-    iso = order_iso(evens, odds)
-    assert iso.apply(4) == 3
-    assert iso.apply(3) is None
-    assert iso.inverse(3) == 4
-    assert iso.inverse(4) is None
-
-
 def test_tri_block_examples():
     assert list(tri_block(1)) == [1]
     assert list(tri_block(3)) == [4, 5, 6]
@@ -102,80 +90,6 @@ def test_tri_block_examples():
         start += i
     assert list(tri_block(5)) == [11, 12, 13, 14, 15]
     assert tri(5) == 15
-
-
-class PowerSet(InfSetEnum):
-    """{base^k : k >= 0}; test fixture."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def nth(self, j):
-        return self.base ** (j - 1)
-
-    def index_of(self, k):
-        j, v = 1, 1
-        while v < k:
-            v *= self.base
-            j += 1
-        return j if v == k else None
-
-
-def test_nested_refine_already_nested():
-    family = [ResidueClassSet(2**j, [2**j]) for j in range(1, 4)]
-    bars = nested_refine(family, 3)
-    for j in range(3):
-        for t in range(1, 20):
-            assert bars[j].nth(t) == family[j].nth(t)
-
-
-def test_nested_refine_intersection():
-    evens = ResidueClassSet(2, [2])
-    mult3 = ResidueClassSet(3, [3])
-    bars = nested_refine([evens, mult3], 2)
-    assert [bars[1].nth(t) for t in range(1, 5)] == [6, 12, 18, 24]
-
-
-def test_nested_refine_stall():
-    evens = ResidueClassSet(2, [2])
-    odds = ResidueClassSet(2, [1])
-    bars = nested_refine([evens, odds], 2, stall_bound=10**4)
-    with pytest.raises(EnumerationStall):
-        bars[1].nth(1)
-
-
-def test_lazy_filter_index_of():
-    squares = LazyFilterSet(lambda v: int(v**0.5) ** 2 == v)
-    assert [squares.nth(j) for j in range(1, 5)] == [1, 4, 9, 16]
-    assert squares.index_of(9) == 3
-    assert squares.index_of(8) is None
-
-
-def test_disjointify_powers():
-    d1, d2 = PowerSet(2), PowerSet(3)
-    bars = disjointify([d1, d2], lambda i, j: {1})
-    assert [bars[1].nth(t) for t in range(1, 4)] == [3, 9, 27]
-    # Enumerated disjointness up to a large bound.
-    b1 = set(bars[0].elements_upto(10**5))
-    for v in bars[1].elements_upto(10**5):
-        assert v not in b1
-
-
-def test_disjointify_disjoint_input_unchanged():
-    evens = ResidueClassSet(2, [2])
-    odds = ResidueClassSet(2, [1])
-    bars = disjointify([evens, odds], lambda i, j: set())
-    for t in range(1, 30):
-        assert bars[0].nth(t) == evens.nth(t)
-        assert bars[1].nth(t) == odds.nth(t)
-
-
-def test_disjointify_detects_missing_overlap():
-    evens = ResidueClassSet(2, [2])
-    mult4 = ResidueClassSet(4, [4])
-    bars = disjointify([evens, mult4], lambda i, j: set())
-    with pytest.raises(IncompleteOverlap):
-        bars[1].nth(1)
 
 
 # ---------------------------------------------------------------------------

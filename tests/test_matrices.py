@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+import rowfin
 from rowfin import matrices as mx
 from rowfin.indexing import ResidueClassSet
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
-from rowfin.rings import IntegerRing, RingMismatch, parse_ring_spec
+from rowfin.rings import IntegerRing, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
 
 Z = IntegerRing()
@@ -145,9 +146,9 @@ def test_sparse_text_format():
 
 
 def test_ring_mismatch_rejected():
-    with pytest.raises(RingMismatch):
+    with pytest.raises(RingError, match="ring mismatch: Int vs GF:5"):
         mx.compose(mx.identity_map(Z), mx.identity_map(GF5))
-    with pytest.raises(RingMismatch):
+    with pytest.raises(RingError, match="ring mismatch: Int vs GF:5"):
         FinVec.unit(Z, 1).apply(mx.identity_map(GF5))
 
 
@@ -307,3 +308,9 @@ def test_long_chain_row_needs_no_recursion():
     assert isinstance(chain, mx.Chain) and len(chain.factors) == 6000
     for a in range(1, 5):
         chain.row(a)
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from rowfin import *", namespace)
+    assert sorted(set(rowfin.__all__) - set(namespace)) == []

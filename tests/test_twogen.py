@@ -4,9 +4,9 @@ import pytest
 
 from rowfin import matrices as mx
 from rowfin import twogen as tg
-from rowfin.indexing import seven_partition
+from rowfin.indexing import SevenPartition
 from rowfin.matrices import FinVec
-from rowfin.rings import CountableRingEnum, parse_ring_spec
+from rowfin.rings import parse_ring_spec
 from rowfin.words import eval_word, word_generators, word_length
 
 GF3 = parse_ring_spec("GF:3")
@@ -72,7 +72,7 @@ def test_corrupted_g3_breaks_recovery():
 
 
 def test_phi_round_trip():
-    part = seven_partition()
+    part = SevenPartition()
     for k in range(1, 300):
         beta = tg._phi(part, k)
         assert part.class_of(beta) == min(part.class_of(k) + 1, 7)
@@ -104,7 +104,7 @@ def test_two_generator_words_units_family():
     env = witness.env()
     gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
     for i in range(1, 6):
-        got = eval_word(witness.word_for_g(i), env, GF3)
+        got = eval_word(tg.g_word(i), env, GF3)
         assert mx.equal_on_window(got, gmaps[i], 32)
     tg.verify_u_words(witness, 32)
 
@@ -132,7 +132,7 @@ def test_word_for_u_requires_materialized_index():
 
 
 def test_maltsev_embed_zmod6():
-    report = tg.maltsev_embed(CountableRingEnum(Z6), 6, window=16)
+    report = tg.maltsev_embed(Z6, 6, window=16)
     assert report.count == 6
     assert report.hom_checks == 2 * 36
     assert report.center_checks > 0

@@ -75,6 +75,7 @@ def test_deep_word_helpers_do_not_recurse():
     assert back != tg.u_word(999)
     assert Prod(w, ONE) != Sum(w, ONE)
     assert Prod(w, ONE) != Prod(back, ZERO)
+    assert repr(w) == f"parse_word({text!r})"
 
 
 def test_sum_and_prod_equality_and_hash():
