@@ -380,53 +380,3 @@ class _CellAlgebra:
                     v[c] = x
                 yield tuple(v)
 
-
-# ---------------------------------------------------------------------------
-# The column-anchored subring C
-
-
-@dataclass
-class CMembership:
-    member: bool
-    scalar: object = None      # the common diagonal payload s
-    column_part: dict = None   # (row -> payload) entries of the column-1 part
-    violation: tuple = None    # first offending cell
-
-
-def c_membership(f: RowFiniteMap, window: int) -> CMembership:
-    """Window-scale test for f = s*1 + (column-1 matrix).
-
-    Off column 1, every cell must be diagonal with one common value s;
-    the residue f - s*1 is then supported in column 1 alone.
-    """
-    ring = f.ring
-    scalar = f.row(2).get(2) if window >= 2 else f.row(1).get(1)
-    for a in range(1, window + 1):
-        row = f.row(a)
-        for b, v in sorted(row.entries.items()):
-            if b == 1:
-                continue
-            if b != a:
-                return CMembership(member=False, violation=(a, b))
-        if a >= 2 and row.get(a) != scalar:
-            return CMembership(member=False, violation=(a, a))
-    column = {}
-    for a in range(1, window + 1):
-        v = f.row(a).get(1)
-        if a == 1:
-            v = ring.sub(v, scalar)
-        if not ring.is_zero(v):
-            column[a] = v
-    return CMembership(member=True, scalar=scalar, column_part=column)
-
-
-def finite_column_support(f: RowFiniteMap, window: int) -> frozenset:
-    """Columns holding any nonzero cell in rows 1..window.
-
-    Window-scale stand-in for the finitely-many-nonzero-columns part of
-    the F-decomposition check.
-    """
-    cols = set()
-    for a in range(1, window + 1):
-        cols |= f.row_support(a)
-    return frozenset(cols)

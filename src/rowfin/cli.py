@@ -5,7 +5,8 @@ emits a pretty text report plus a machine-readable JSON document with
 stable key order.  Identical configs produce byte-identical JSON (wall
 time is reported only in the pretty text).  Exit status is nonzero
 exactly when a check fails; hitting a resource bound is a warning, not a
-failure.  A malformed ring spec or vector is an `input` failure.
+failure.  A malformed ring spec or vector, or a size option below its
+minimum, is an `input` failure.
 """
 
 from __future__ import annotations
@@ -309,10 +310,22 @@ def cmd_simple_full(args) -> Report:
     return report
 
 
+def _split_entries(text: str) -> list:
+    """Split on the commas outside brackets, so matrix payloads stay whole."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    pieces.append(text[start:])
+    return pieces
+
+
 def _parse_vec(text: str, ring):
     entries = {}
     if text:
-        for piece in text.split(","):
+        for piece in _split_entries(text):
             idx, _, val = piece.partition(":")
             try:
                 entries[int(idx)] = ring.parse_payload(val)
@@ -340,8 +353,7 @@ def cmd_oracle(args) -> Report:
             return report
         env["m"] = m
     if args.mode == "closure":
-        step = wd.StepSupport(supp_fn=lambda a: {a}, u_maps=env)
-        rep = wd.support_closure(x1, step, args.r_max)
+        rep = wd.support_closure(x1, lambda a: {a}, env, args.r_max)
         report.check("closure", PASS, f"cover_size={len(rep.cover)}")
         report.witness("cover", sorted(rep.cover))
         return report
@@ -410,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("fear")
-    common(p, ring="GF:3", window=0)
+    p.add_argument("--ring", default="GF:3")
+    p.add_argument("--out", default=None)
+    p.add_argument("--corrupt", action="store_true")
     p.add_argument("--descriptor", default="diagonal",
                    choices=sorted(_DESCRIPTORS))
     p.add_argument("--blocks", type=int, default=8)
@@ -437,14 +451,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least meaningful value of each size option, by argparse dest.
+_MINIMUMS = {"window": 1, "count": 1, "blocks": 1, "bound": 1, "r_max": 0,
+            "oracle_max": 0}
+
+
+def _input_failure(command: str, message: str) -> Report:
+    report = Report(command, {})
+    report.check("input", FAIL, message)
+    return report
+
+
 def run(argv=None) -> tuple[Report, float, object]:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
-    try:
-        report = args.func(args)
-    except RingError as exc:
-        report = Report(args.command, {})
-        report.check("input", FAIL, str(exc))
+    too_small = next((f"--{dest.replace('_', '-')} must be >= {low}, "
+                      f"got {getattr(args, dest)}"
+                      for dest, low in _MINIMUMS.items()
+                      if getattr(args, dest, low) < low), None)
+    if too_small:
+        report = _input_failure(args.command, too_small)
+    else:
+        try:
+            report = args.func(args)
+        except RingError as exc:
+            report = _input_failure(args.command, str(exc))
     return report, time.monotonic() - start, args
 
 

@@ -1,102 +1,63 @@
 """Fearing descriptors and the escape-endomorphism witness.
 
-A fearing descriptor names a subring by three oracles: a window-scale
-membership test, a per-row support bound, and a seeded sampler.  The
-witness generator builds, block by block, an endomorphism whose proximity
-to its inputs is unbounded over any finite extra generator set.
+A fearing descriptor names a subring by one fact: the per-row support
+bound supp(a) of its members.  The witness generator builds, block by
+block, an endomorphism whose proximity to its inputs is unbounded over
+any finite extra generator set.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import matrices as mx
 from .matrices import FinVec, RowFiniteMap
 from .rings import BaseRing
-from .words import descriptor_step, support_closure
+from .words import support_closure
 
 
 class FearingError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FearingDescriptor:
-    """Oracle bundle for a subring S.
+    """The subring S of all maps whose row a lies in supp(a).
 
-    supp(a) bounds the support of row a for every member (frozenset when
-    finite, InfSetEnum when infinite); infinite_supp_indices tags the rows
-    whose bound is infinite.
+    supp(a) is a frozenset when finite and an InfSetEnum when infinite;
+    infinite_supp_indices tags the rows whose bound is infinite.
     """
 
     name: str
-    member_on_window: object        # (RowFiniteMap, window) -> bool
     supp: object                    # a -> frozenset | InfSetEnum
-    sample: object                  # (ring, seed) -> RowFiniteMap in S
-    infinite_supp_indices: object = field(default_factory=frozenset)
+    infinite_supp_indices: frozenset = frozenset()
 
     def is_pointwise_finite(self) -> bool:
-        tags = self.infinite_supp_indices
-        return isinstance(tags, frozenset) and not tags
+        return not self.infinite_supp_indices
 
-    def is_weakly_finite(self) -> bool:
-        return isinstance(self.infinite_supp_indices, frozenset)
-
-
-def _member_by_supp(supp_fn):
-    def member(f: RowFiniteMap, window: int) -> bool:
-        for a in range(1, window + 1):
-            bound = supp_fn(a)
-            row = f.row_support(a)
-            if isinstance(bound, frozenset):
-                if not row <= bound:
-                    return False
-            else:
-                if any(not bound.contains(c) for c in row):
-                    return False
-        return True
-
-    return member
-
-
-def _sampler_from_supp(supp_fn, width: int = 24):
-    def sample(ring: BaseRing, seed: int) -> RowFiniteMap:
+    def sample(self, ring: BaseRing, seed: int) -> RowFiniteMap:
+        """A seeded member of S with up to three entries in each of rows 1..24."""
         rng = random.Random(seed)
         rows = {}
-        for a in range(1, width + 1):
-            bound = supp_fn(a)
+        for a in range(1, 25):
+            bound = self.supp(a)
             cols = sorted(bound) if isinstance(bound, frozenset) else [
                 bound.nth(j) for j in range(1, 4)
             ]
             if not cols:
                 continue
             chosen = rng.sample(cols, k=min(len(cols), rng.randint(1, 3)))
-            entries = {c: ring.random_payload(rng) for c in chosen}
-            if entries:
-                rows[a] = entries
+            rows[a] = {c: ring.random_payload(rng) for c in chosen}
         return mx.from_rows(ring, rows, tag="sampled")
-
-    return sample
-
-
-def supp_descriptor(name: str, supp_fn, infinite_supp_indices=frozenset()):
-    """Descriptor for the subring of all maps whose rows respect supp_fn."""
-    return FearingDescriptor(
-        name=name,
-        member_on_window=_member_by_supp(supp_fn),
-        supp=supp_fn,
-        sample=_sampler_from_supp(supp_fn),
-        infinite_supp_indices=infinite_supp_indices,
-    )
 
 
 def diagonal_fearing() -> FearingDescriptor:
-    return supp_descriptor("diagonal", lambda a: frozenset({a}))
+    return FearingDescriptor("diagonal", lambda a: frozenset({a}))
 
 
 def banded_fearing(width: int) -> FearingDescriptor:
-    return supp_descriptor(
+    return FearingDescriptor(
         f"band{width}",
         lambda a: frozenset(range(max(1, a - width), a + width + 1)),
     )
@@ -104,7 +65,7 @@ def banded_fearing(width: int) -> FearingDescriptor:
 
 def stretch_fearing(factor: int) -> FearingDescriptor:
     """supp(k) = {1..factor*k}; the raw lower-embed maxima jump by `factor`."""
-    return supp_descriptor(
+    return FearingDescriptor(
         f"stretch{factor}", lambda a: frozenset(range(1, factor * a + 1))
     )
 
@@ -112,67 +73,8 @@ def stretch_fearing(factor: int) -> FearingDescriptor:
 def paired_fearing() -> FearingDescriptor:
     """supp(k) = {2*ceil(k/2)}: consecutive rows share a target, so the
     raw lower-embed maxima repeat."""
-    return supp_descriptor("paired", lambda a: frozenset({2 * ((a + 1) // 2)}))
-
-
-# ---------------------------------------------------------------------------
-# Weak-fear split
-
-
-def split_weak_fearing(descriptor: FearingDescriptor):
-    """Split S along its finitely many infinite-support rows Sigma.
-
-    Returns (Sigma, S', S'') where S' pins the Sigma rows to the diagonal
-    (hence is pointwise finitely fearing) and S'' pins all other rows.
-    """
-    if not descriptor.is_weakly_finite():
-        raise FearingError(f"{descriptor.name} is not weakly finitely fearing")
-    sigma = frozenset(descriptor.infinite_supp_indices)
-
-    def prime_supp(a):
-        return frozenset({a}) if a in sigma else descriptor.supp(a)
-
-    def second_supp(a):
-        return descriptor.supp(a) if a in sigma else frozenset({a})
-
-    base_member = descriptor.member_on_window
-
-    def prime_member(f, window):
-        if not base_member(f, window):
-            return False
-        return all(f.row_support(a) <= {a} for a in sigma if a <= window)
-
-    def second_member(f, window):
-        if not base_member(f, window):
-            return False
-        return all(f.row_support(a) <= {a}
-                   for a in range(1, window + 1) if a not in sigma)
-
-    s_prime = FearingDescriptor(
-        name=f"{descriptor.name}'", member_on_window=prime_member,
-        supp=prime_supp, sample=_sampler_from_supp(prime_supp),
-        infinite_supp_indices=frozenset(),
-    )
-    s_second = FearingDescriptor(
-        name=f"{descriptor.name}''", member_on_window=second_member,
-        supp=second_supp, sample=_sampler_from_supp(second_supp),
-        infinite_supp_indices=sigma,
-    )
-    return sigma, s_prime, s_second
-
-
-def split_parts(f: RowFiniteMap, sigma: frozenset):
-    """pi_{off-Sigma} f and pi_Sigma f; the two re-sum to f."""
-    ring = f.ring
-
-    def off(a):
-        return FinVec.zero(ring) if a in sigma else f.row(a)
-
-    def on(a):
-        return f.row(a) if a in sigma else FinVec.zero(ring)
-
-    return (RowFiniteMap(ring, off, tag="off-sigma", primitive=False),
-            RowFiniteMap(ring, on, tag="on-sigma", primitive=False))
+    return FearingDescriptor("paired",
+                             lambda a: frozenset({2 * ((a + 1) // 2)}))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +120,7 @@ def fear_witness(descriptor: FearingDescriptor, u_maps: dict, J: int,
     for j in range(1, J + 1):
         m = used + 1
         x = FinVec.unit(ring, m)
-        step = descriptor_step(descriptor, u_maps)
-        report = support_closure(x, step, j)
+        report = support_closure(x, descriptor.supp, u_maps, j)
         escape = max(report.cover | {used}) + 1
         y = FinVec.unit(ring, escape)
         pairs.append(FearPair(j=j, x=x, y=y, cover=report.cover,

@@ -1,9 +1,8 @@
 """Triangular and diagonal sandwich constructions.
 
 The block matrices A and B sandwich a diagonal matrix into any given
-lower-triangular matrix; the upper/lower split decomposes an arbitrary
-map; the fearing lower-embedding squeezes a finite-support-per-row
-subring under the lower-triangular matrices.
+lower-triangular matrix; the fearing lower-embedding squeezes a
+finite-support-per-row subring under the lower-triangular matrices.
 """
 
 from __future__ import annotations
@@ -59,20 +58,6 @@ def sandwich_X(Y: RowFiniteMap, window: int, verify: bool = True) -> RowFiniteMa
         if not check:
             raise SandwichError(f"AXB != Y: {check.describe()}")
     return X
-
-
-def upper_lower_split(f: RowFiniteMap):
-    """f = t + tbar with t lower-triangular (diagonal included), tbar strictly upper."""
-    ring = f.ring
-
-    def low(a):
-        return FinVec(ring, {c: v for c, v in f.row(a).entries.items() if c <= a})
-
-    def up(a):
-        return FinVec(ring, {c: v for c, v in f.row(a).entries.items() if c > a})
-
-    return (RowFiniteMap(ring, low, tag=f"low({f.label()})", primitive=False),
-            RowFiniteMap(ring, up, tag=f"up({f.label()})", primitive=False))
 
 
 # ---------------------------------------------------------------------------

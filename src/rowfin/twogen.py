@@ -212,16 +212,6 @@ def build_two_generators(fam: GFamily, verify_window: int = 28) -> TwoGenWitness
     return witness
 
 
-def verify_u_words(witness: TwoGenWitness, window: int) -> None:
-    """Check every materialized u_i against its two-generator word."""
-    from .words import eval_word
-
-    env = witness.env()
-    for i, u in witness.family.source.items():
-        got = eval_word(witness.word_for_u(i), env, witness.ring)
-        _require(mx.equal_on_window(got, u, window), f"u_{i} word")
-
-
 # ---------------------------------------------------------------------------
 # Countable-ring embedding
 

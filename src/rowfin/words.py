@@ -259,66 +259,30 @@ def _eval_leaf(w: Word, env: dict, ring) -> RowFiniteMap:
 
 @dataclass
 class SupportBallReport:
-    center: FinVec
-    radius: int
     cover: frozenset
-    census: dict  # generator name -> indices it contributed
 
 
-class StepSupport:
-    """One closure step: indices reachable in a single generator application.
-
-    Assembled from a fearing descriptor's per-row support bound and the
-    finite extra generator set U; records which generator contributed
-    which new indices.
-    """
-
-    def __init__(self, supp_fn=None, u_maps=None):
-        self.supp_fn = supp_fn
-        self.u_maps = dict(u_maps or {})
-        self.census: dict[str, set] = {}
-
-    def __call__(self, indices: frozenset) -> frozenset:
-        out = set(indices)
-        for a in indices:
-            if self.supp_fn is not None:
-                added = set(self.supp_fn(a)) - out
-                if added:
-                    self.census.setdefault("S", set()).update(added)
-                    out.update(added)
-            for name, m in self.u_maps.items():
-                added = set(m.row_support(a)) - out
-                if added:
-                    self.census.setdefault(name, set()).update(added)
-                    out.update(added)
-        return frozenset(out)
-
-
-def support_closure(x: FinVec, step_support, r: int) -> SupportBallReport:
+def support_closure(x: FinVec, supp, maps: dict, r: int) -> SupportBallReport:
     """Iterated closure Gamma_r of support(x) under one-step reachability.
 
-    Word values are sums of products, and sums can only shrink support, so
-    the support of every vector within proximity r of x lies in Gamma_r.
+    One step from index a reaches the finite set supp(a) (a fearing
+    descriptor's row bound) and the row support of a under each map in
+    `maps`.  Word values are sums of products, and sums can only shrink
+    support, so the support of every vector within proximity r of x lies
+    in Gamma_r.
     """
     cover = frozenset(x.support())
     for _ in range(r):
-        cover = frozenset(step_support(cover))
-    census = dict(getattr(step_support, "census", {}))
-    return SupportBallReport(center=x, radius=r, cover=cover, census=census)
-
-
-def descriptor_step(descriptor, u_maps: dict) -> StepSupport:
-    """Step function for a fearing descriptor S plus a finite map family U."""
-
-    def supp_fn(a):
-        supp = descriptor.supp(a)
-        if isinstance(supp, frozenset):
-            return supp
-        raise WordError(
-            f"descriptor {descriptor.name} has infinite support at row {a}"
-        )
-
-    return StepSupport(supp_fn=supp_fn, u_maps=u_maps)
+        out = set(cover)
+        for a in cover:
+            bound = supp(a)
+            if not isinstance(bound, (set, frozenset)):
+                raise WordError(f"support bound at row {a} is not a finite set")
+            out.update(bound)
+            for m in maps.values():
+                out.update(m.row_support(a))
+        cover = frozenset(out)
+    return SupportBallReport(cover=cover)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from rowfin import twogen as tg
 from rowfin.indexing import parse_preorder
 from rowfin.matrices import FinVec
 from rowfin.rings import parse_ring_spec
-from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, StepSupport, Sum,
-                          eval_word, proximity_oracle, support_closure,
-                          word_length)
+from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, Sum, eval_word,
+                          proximity_oracle, support_closure, word_length)
 
 Z6 = parse_ring_spec("Zmod:6")
 GF2 = parse_ring_spec("GF:2")
@@ -190,8 +189,7 @@ def test_criterion_08_ball_containment():
         x = FinVec(GF3, {rng.randint(1, 15): rng.randrange(1, 3)
                          for _ in range(rng.randint(1, 3))})
         val = x.apply(eval_word(w, env, GF3))
-        step = StepSupport(supp_fn=lambda a: {a}, u_maps=env)
-        cover = support_closure(x, step, word_length(w)).cover
+        cover = support_closure(x, lambda a: {a}, env, word_length(w)).cover
         if not val.support() <= cover:
             violations += 1
     report(8, "support of word values inside closure covers (200 pairs)",

@@ -216,30 +216,3 @@ def test_simple_full_trivial_and_cap():
     with pytest.raises(cl.ClassifyError):
         cl.simple_full_check(3, 5)
 
-
-def test_c_membership_examples():
-    rep = cl.c_membership(mx.identity_map(Z), 8)
-    assert rep.member and rep.scalar == 1 and rep.column_part == {}
-
-    rep = cl.c_membership(mx.matrix_unit(Z, 3, 1), 8)
-    assert rep.member and rep.scalar == 0 and rep.column_part == {3: 1}
-
-    rep = cl.c_membership(mx.matrix_unit(Z, 2, 3), 8)
-    assert not rep.member and rep.violation == (2, 3)
-
-    mixed = mx.add_maps(mx.scalar_map(Z, 2), mx.matrix_unit(Z, 5, 1))
-    rep = cl.c_membership(mixed, 8)
-    assert rep.member and rep.scalar == 2
-    assert rep.column_part == {5: 1}
-
-
-def test_c_membership_scalar_in_first_cell():
-    # f = 3*identity: the (1,1) cell carries the scalar, so the column part
-    # must be empty after removing it.
-    rep = cl.c_membership(mx.scalar_map(Z, 3), 8)
-    assert rep.member and rep.scalar == 3 and rep.column_part == {}
-
-
-def test_finite_column_support():
-    f = mx.from_rows(Z, {1: {2: 1}, 4: {2: 5, 9: 1}})
-    assert cl.finite_column_support(f, 10) == {2, 9}

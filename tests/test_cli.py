@@ -1,10 +1,15 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from rowfin import cli
 from rowfin import matrices as mx
+from rowfin import words as wd
 from rowfin.rings import parse_ring_spec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_json(argv):
@@ -202,6 +207,78 @@ def test_bad_input_is_a_structured_failure(argv, detail, capsys):
     assert doc["subcommand"] == argv[0]
     assert cli.main(argv) == 1
     json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+SIZES_BELOW_MINIMUM = [
+    (["two-gen", "--window", "0"], "--window must be >= 1, got 0"),
+    (["sandwich", "--window", "0", "--count", "1"], "--window must be >= 1"),
+    (["maltsev", "--window", "0"], "--window must be >= 1"),
+    (["witness", "--preorder", "le", "--window", "0"], "--window must be >= 1"),
+    (["maltsev", "--count", "-1"], "--count must be >= 1, got -1"),
+    (["fear", "--blocks", "0"], "--blocks must be >= 1, got 0"),
+    (["sandwich", "--count", "0"], "--count must be >= 1, got 0"),
+    (["classify", "--preorder", "le", "--bound", "0"], "--bound must be >= 1"),
+    (["fear", "--blocks", "2", "--oracle-max", "-1"],
+     "--oracle-max must be >= 0, got -1"),
+    (["oracle", "--r-max", "-1"], "--r-max must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, detail", SIZES_BELOW_MINIMUM,
+                         ids=[" ".join(argv) for argv, _ in SIZES_BELOW_MINIMUM])
+def test_size_below_its_minimum_is_an_input_failure(argv, detail, capsys):
+    report, doc = run_json(argv)
+    assert report.failed
+    [check] = doc["checks"]
+    assert (check["name"], check["verdict"]) == ("input", "fail")
+    assert check["detail"].startswith(detail)
+    assert (doc["subcommand"], doc["config"]) == (argv[0], {})
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", ["--window", "--seed"])
+def test_fear_takes_no_window_or_seed(option, capsys):
+    with pytest.raises(SystemExit):
+        cli.run(["fear", option, "3", "--blocks", "2"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_oracle_over_a_matrix_ring():
+    ring = parse_ring_spec("Mat:2:GF:2")
+    one = "[[1,0],[0,1]]"
+    report, doc = run_json(["oracle", "--ring", "Mat:2:GF:2", "--x1", f"1:{one}",
+                            "--x2", f"2:{one}", "--r-max", "2"])
+    assert not report.failed
+    assert doc["checks"] == [{"name": "proximity", "verdict": "pass",
+                              "detail": "found at length 1"}]
+    assert doc["witnesses"] == {"found": True, "word": "s"}
+    direct = wd.proximity_oracle(
+        mx.FinVec(ring, {1: ring.one}), mx.FinVec(ring, {2: ring.one}),
+        {"s": mx.from_index_map(ring, lambda a: a + 1, tag="shift")}, 2)
+    assert (direct.found, direct.r, wd.format_word(direct.witness)) == (
+        True, 1, "s")
+    # Two entries: the commas inside each payload do not split the vector.
+    swap = "[[0,1],[1,0]]"
+    report, doc = run_json(["oracle", "--ring", "Mat:2:GF:2",
+                            "--x1", f"1:{one},3:{swap}",
+                            "--x2", f"2:{one},4:{swap}", "--r-max", "2"])
+    assert not report.failed
+    assert doc["witnesses"] == {"found": True, "word": "s"}
+
+
+def readme_cli_examples():
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("rowfin ")]
+
+
+def test_readme_cli_examples_pass():
+    examples = readme_cli_examples()
+    assert len(examples) >= 9
+    failing = [argv for argv in examples if cli.run(argv)[0].failed]
+    assert failing == []
 
 
 def test_simple_full_subcommand():

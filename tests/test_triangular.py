@@ -63,19 +63,6 @@ def test_sandwich_X_rejects_upper_cell():
         tr.sandwich_X(Y, 5)
 
 
-def test_upper_lower_split():
-    ident = mx.identity_map(Z)
-    low, up = tr.upper_lower_split(ident)
-    assert mx.equal_on_window(low, ident, 10)
-    assert mx.equal_on_window(up, mx.zero_map(Z), 10)
-
-    f = mx.add_maps(mx.matrix_unit(Z, 2, 1), mx.matrix_unit(Z, 1, 2))
-    low, up = tr.upper_lower_split(f)
-    assert mx.equal_on_window(low, mx.matrix_unit(Z, 2, 1), 10)
-    assert mx.equal_on_window(up, mx.matrix_unit(Z, 1, 2), 10)
-    assert mx.equal_on_window(mx.add_maps(low, up), f, 10)
-
-
 def test_lower_embed_diagonal_is_identity():
     witness = tr.fear_lower_embed(fr.diagonal_fearing(), Z, verify_window=20)
     assert witness.targets == list(range(1, 21))
@@ -109,6 +96,7 @@ def test_lower_embed_triangularizes_members(make):
     witness = tr.fear_lower_embed(descriptor, GF5, verify_window=24)
     for seed in range(10):
         h = descriptor.sample(GF5, seed)
-        assert descriptor.member_on_window(h, 24)
+        for a in range(1, 25):
+            assert h.row_support(a) <= descriptor.supp(a)
         fh = mx.compose(witness.f, h)
         assert tr.is_lower_triangular_on_window(fh, 24)

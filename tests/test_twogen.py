@@ -106,13 +106,18 @@ def test_two_generator_words_units_family():
     for i in range(1, 6):
         got = eval_word(tg.g_word(i), env, GF3)
         assert mx.equal_on_window(got, gmaps[i], 32)
-    tg.verify_u_words(witness, 32)
+    for i, u in fam.source.items():
+        got = eval_word(witness.word_for_u(i), env, GF3)
+        assert mx.equal_on_window(got, u, 32)
 
 
 def test_two_generator_words_random_family():
     fam = tg.build_g_family(random_family(Z6, seed=4), Z6)
     witness = tg.build_two_generators(fam)
-    tg.verify_u_words(witness, 32)
+    env = witness.env()
+    for i, u in fam.source.items():
+        got = eval_word(witness.word_for_u(i), env, Z6)
+        assert mx.equal_on_window(got, u, 32)
 
 
 def test_corrupted_f3_detected():
@@ -152,4 +157,7 @@ def test_u_word_verifies_at_layer_1000():
               -3: mx.matrix_unit(GF3, 2, 2)}
     fam = tg.build_g_family(source, GF3, verify_window=6)
     witness = tg.build_two_generators(fam, verify_window=8)
-    tg.verify_u_words(witness, 6)
+    env = witness.env()
+    for i, u in source.items():
+        got = eval_word(witness.word_for_u(i), env, GF3)
+        assert mx.equal_on_window(got, u, 6)

@@ -5,12 +5,13 @@ import pytest
 from rowfin import matrices as mx
 from rowfin import twogen as tg
 from rowfin import words as wd
+from rowfin.indexing import TailSet
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, parse_ring_spec
-from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, StepSupport,
-                          Sum, WordError, eval_word, format_word, parse_word,
-                          prod_chain, proximity_oracle, support_closure,
-                          word_generators, word_length)
+from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, Sum, WordError,
+                          eval_word, format_word, parse_word, prod_chain,
+                          proximity_oracle, support_closure, word_generators,
+                          word_length)
 
 Z = IntegerRing()
 GF2 = parse_ring_spec("GF:2")
@@ -107,24 +108,34 @@ def test_eval_word_basics():
 
 def test_support_closure_examples():
     env = {"s": shift(Z)}
-    step = StepSupport(supp_fn=lambda a: {a}, u_maps=env)
-    rep = support_closure(FinVec.unit(Z, 1), step, 3)
+    rep = support_closure(FinVec.unit(Z, 1), lambda a: {a}, env, 3)
     assert rep.cover == {1, 2, 3, 4}
-    assert "s" in rep.census
     # Diagonal alone never moves coordinates.
-    step = StepSupport(supp_fn=lambda a: {a}, u_maps={})
-    rep = support_closure(FinVec(Z, {2: 1, 5: 1}), step, 7)
+    rep = support_closure(FinVec(Z, {2: 1, 5: 1}), lambda a: {a}, {}, 7)
     assert rep.cover == {2, 5}
-    rep = support_closure(FinVec.zero(Z), step, 3)
+    rep = support_closure(FinVec.zero(Z), lambda a: {a}, {}, 3)
     assert rep.cover == frozenset()
+
+
+def test_support_closure_rejects_an_infinite_bound_at_a_reached_row():
+    env = {"s": shift(Z)}
+
+    def supp(a):
+        return TailSet(1) if a == 3 else frozenset({a})
+
+    # Radius 2 reaches row 3 but never steps from it.
+    rep = support_closure(FinVec.unit(Z, 1), supp, env, 2)
+    assert rep.cover == {1, 2, 3}
+    with pytest.raises(WordError, match="row 3 is not a finite set"):
+        support_closure(FinVec.unit(Z, 1), supp, env, 3)
 
 
 def test_support_closure_monotone_in_radius():
     env = {"s": shift(Z)}
     covers = []
     for r in range(5):
-        step = StepSupport(supp_fn=lambda a: {a}, u_maps=env)
-        covers.append(support_closure(FinVec.unit(Z, 3), step, r).cover)
+        covers.append(support_closure(FinVec.unit(Z, 3), lambda a: {a}, env,
+                                      r).cover)
     for small, big in zip(covers, covers[1:]):
         assert small <= big
 
@@ -183,6 +194,5 @@ def test_ball_containment_property():
         w = random_word(3)
         x = FinVec(GF2, {rng.randint(1, 12): 1 for _ in range(rng.randint(1, 3))})
         val = x.apply(eval_word(w, env, GF2))
-        step = StepSupport(supp_fn=lambda a: {a}, u_maps=env)
-        rep = support_closure(x, step, word_length(w))
+        rep = support_closure(x, lambda a: {a}, env, word_length(w))
         assert val.support() <= rep.cover
