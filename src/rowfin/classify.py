@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import matrices as mx
-from .indexing import (PreorderDescriptor, Refinement,
-                       check_preorder_descriptor)
+from .indexing import PreorderDescriptor, Refinement
 from .matrices import RowFiniteMap
 from .rings import BaseRing, PrimeField, RingError
 
@@ -34,9 +33,10 @@ class MembershipReport:
 
 
 def preorder_membership(f: RowFiniteMap, rho: PreorderDescriptor,
-                        window: int) -> MembershipReport:
+                        rows) -> MembershipReport:
+    """The cells of f in the given rows that break the relation."""
     violations = []
-    for a in range(1, window + 1):
+    for a in rows:
         for b in sorted(f.row_support(a)):
             if not rho.rel(a, b):
                 violations.append((a, b))
@@ -47,29 +47,21 @@ def preorder_membership(f: RowFiniteMap, rho: PreorderDescriptor,
 # Classification
 
 
-@dataclass
-class Classification:
-    verdict: str                    # "DClass" | "EClass"
-    evidence: object                # frozenset of exceptional rows, or enumerator
-
-    D_CLASS = "DClass"
-    E_CLASS = "EClass"
+D_CLASS = "DClass"
+E_CLASS = "EClass"
 
 
-def classify_preorder(rho: PreorderDescriptor, spot_bound: int = 40,
-                      rng=None) -> Classification:
+def classify_preorder(rho: PreorderDescriptor) -> str:
     """Diagonal-like iff only finitely many rows have infinite up-sets.
 
-    The finiteness tags are trusted after spot-checks; the two verdicts
-    are mutually exclusive by construction.
+    A row's up-set is infinite exactly when its class c has a triple
+    (c, d, +1) in the table, and then so is every row of class c.  So
+    either infinitely many rows have infinite up-sets (EClass) or none do
+    (DClass).
     """
-    problems = check_preorder_descriptor(rho, bound=spot_bound, rng=rng)
-    if problems:
-        raise ClassifyError(f"descriptor inconsistent: {problems[0]}")
-    if rho.has_finitely_many_infinite_upsets():
-        return Classification(Classification.D_CLASS,
-                              rho.infinite_upset_indices)
-    return Classification(Classification.E_CLASS, rho.infinite_upset_indices)
+    if any(s > 0 for _, _, s in rho.table):
+        return E_CLASS
+    return D_CLASS
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +80,16 @@ class EquivWitness:
         raise NotImplementedError
 
     def verify(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
-        """Lift and re-check g * lift * h = target on the window."""
+        """Lift; check g * lift * h = target on the window and that every
+        row of the lift (one per anchor) respects the preorder."""
         lifted = self.lift(target, window)
         sandwich = mx.compose(mx.compose(self.g, lifted), self.h)
         check = mx.equal_on_window(sandwich, target, window)
         if not check:
             raise ClassifyError(f"sandwich mismatch: {check.describe()}")
-        member = preorder_membership(lifted, self.rho, window)
+        anchors = self.rho.refinement.anchors
+        member = preorder_membership(
+            lifted, self.rho, (anchors(j) for j in range(1, window + 1)))
         if not member.ok:
             raise ClassifyError(
                 f"lift violates membership at {member.violations[0]}"
@@ -202,8 +197,7 @@ class DisjointWitness(EquivWitness):
 
 
 def eclass_witness(rho: PreorderDescriptor, ring: BaseRing) -> EquivWitness:
-    cls = classify_preorder(rho)
-    if cls.verdict != Classification.E_CLASS:
+    if classify_preorder(rho) != E_CLASS:
         raise ClassifyError(f"{rho.name} is not full-like")
     if rho.refinement is None:
         raise ClassifyError(f"{rho.name} has no refinement metadata")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -30,10 +29,6 @@ from .rings import RingError, parse_ring_spec
 from .twogen import ConstructionError
 
 PASS, FAIL, WARN = "pass", "fail", "warn"
-
-
-def default_bound() -> int:
-    return int(os.environ.get("ROWFIN_BOUND", "1000000"))
 
 
 class Report:
@@ -192,24 +187,25 @@ def cmd_sandwich(args) -> Report:
         axb = mx.compose(mx.compose(A, X), B)
         _window_check(report, f"trial {trial} AXB=Y",
                       mx.equal_on_window(axb, Y, args.window))
-        member = cl.preorder_membership(X, diag, args.window)
+        member = cl.preorder_membership(X, diag, range(1, args.window + 1))
         report.check(f"trial {trial} X diagonal", PASS if member.ok else FAIL,
                      None if member.ok else str(member.violations[0]))
     return report
 
 
 def cmd_classify(args) -> Report:
-    report = Report("classify", {"preorder": args.preorder, "bound": args.bound})
+    report = Report("classify", {"preorder": args.preorder})
     try:
         rho = parse_preorder(args.preorder)
-        verdict = cl.classify_preorder(rho, spot_bound=args.bound)
-    except (cl.ClassifyError, PreorderSpecError) as exc:
+    except PreorderSpecError as exc:
         report.check("classification", FAIL, str(exc))
         return report
-    report.check("classification", PASS, verdict.verdict)
-    report.witness("verdict", verdict.verdict)
-    if isinstance(verdict.evidence, frozenset):
-        report.witness("exceptional_rows", sorted(verdict.evidence))
+    verdict = cl.classify_preorder(rho)
+    report.check("classification", PASS, verdict)
+    report.witness("verdict", verdict)
+    if verdict == cl.D_CLASS:
+        # The rows with infinite up-sets: a DClass preorder has none.
+        report.witness("exceptional_rows", [])
     return report
 
 
@@ -283,8 +279,7 @@ def cmd_fear(args) -> Report:
         env = {"s": shift}
         for p in pairs[: args.oracle_max]:
             try:
-                res = wd.proximity_oracle(p.x, p.y, env, p.j,
-                                          word_cap=default_bound())
+                res = wd.proximity_oracle(p.x, p.y, env, p.j)
             except wd.OracleBudgetExceeded as exc:
                 report.check(f"block {p.j} oracle", WARN, str(exc))
                 continue
@@ -346,8 +341,12 @@ def cmd_oracle(args) -> Report:
     x1 = _parse_vec(args.x1, ring)
     env = {"s": mx.from_index_map(ring, lambda a: a + 1, tag="shift")}
     if args.infile:
-        with open(args.infile) as fh:
-            file_ring, m = mx.load_sparse(fh.read())
+        try:
+            with open(args.infile) as fh:
+                file_ring, m = mx.load_sparse(fh.read())
+        except (OSError, ValueError, mx.MatrixError) as exc:
+            report.check("input", FAIL, f"--in {args.infile}: {exc}")
+            return report
         if file_ring != ring:
             report.check("input", FAIL, "ring mismatch in input file")
             return report
@@ -359,8 +358,7 @@ def cmd_oracle(args) -> Report:
         return report
     x2 = _parse_vec(args.x2, ring)
     try:
-        res = wd.proximity_oracle(x1, x2, env, args.r_max,
-                                  word_cap=default_bound())
+        res = wd.proximity_oracle(x1, x2, env, args.r_max)
     except wd.OracleBudgetExceeded as exc:
         report.check("proximity", WARN, str(exc))
         return report
@@ -411,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify")
     p.add_argument("--preorder", required=True)
-    p.add_argument("--bound", type=int, default=40)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
@@ -452,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The least meaningful value of each size option, by argparse dest.
-_MINIMUMS = {"window": 1, "count": 1, "blocks": 1, "bound": 1, "r_max": 0,
-            "oracle_max": 0}
+_MINIMUMS = {"window": 1, "count": 1, "blocks": 1, "r_max": 0, "oracle_max": 0}
 
 
 def _input_failure(command: str, message: str) -> Report:

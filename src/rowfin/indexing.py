@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 
 class IndexError_(Exception):
@@ -200,92 +201,120 @@ class Refinement:
         self.bars = bars        # j -> InfSetEnum
 
 
+@dataclass(frozen=True)
 class PreorderDescriptor:
-    """A decidable reflexive-transitive relation with finiteness certificates.
+    """A preorder on N+ in normal form: a periodic table with finite exceptions.
 
-    upset(a) and infinite_upset_indices are either a frozenset (finite) or
-    an InfSetEnum (infinite); the tags are trusted after spot-checks, since
-    they are not derivable from the relation oracle alone.
+    Row k has class (k - 1) % period + 1.  For a, b <= K, a ~ b iff (a, b)
+    is in `finite`; otherwise a ~ b iff (class a, class b, sign(b - a)) is
+    in `table`.  `name` is the DSL text, for messages, and `refinement`
+    holds the bars of a full-like preorder's sandwich witness.
+
+    The constructor rejects a relation that is not reflexive and
+    transitive, deciding both exactly on rows 1..K+3*period: each of the
+    three blocks of `period` rows above K holds one row of every class, so
+    any three rows have copies there whose pairs relate alike (the same
+    rows up to K, the same classes and order above it).
     """
 
-    def __init__(self, name: str, rel, upset, infinite_upset_indices,
-                 refinement: Refinement | None = None):
-        self.name = name
-        self.rel = rel
-        self.upset = upset
-        self.infinite_upset_indices = infinite_upset_indices
-        self.refinement = refinement
+    name: str
+    period: int
+    table: frozenset                  # (class a, class b, sign(b - a)) that relate
+    K: int = 0
+    finite: frozenset = frozenset()   # the related pairs inside 1..K
+    refinement: Refinement | None = None
 
-    def has_finitely_many_infinite_upsets(self) -> bool:
-        return isinstance(self.infinite_upset_indices, frozenset)
+    def __post_init__(self):
+        m, K = self.period, self.K
+        if m < 1 or K < 0:
+            raise PreorderSpecError(f"period {m} must be >= 1 and K {K} >= 0")
+        for c, d, s in self.table:
+            if not (1 <= c <= m and 1 <= d <= m and s in (-1, 0, 1)
+                    and (s or c == d)):
+                raise PreorderSpecError(
+                    f"table triple ({c},{d},{s}) needs classes in 1..{m} and "
+                    "a sign in -1..1, which is 0 only for equal classes")
+        for a, b in self.finite:
+            if not (1 <= a <= K and 1 <= b <= K):
+                raise PreorderSpecError(f"finite pair ({a},{b}) outside 1..{K}")
+        _check_preorder(self)
+
+    def rel(self, a: int, b: int) -> bool:
+        if a <= self.K and b <= self.K:
+            return (a, b) in self.finite
+        m = self.period
+        return ((a - 1) % m + 1, (b - 1) % m + 1, (b > a) - (b < a)) in self.table
 
 
-def check_preorder_descriptor(rho: PreorderDescriptor, bound: int = 40,
-                              rng=None) -> list[str]:
-    """Spot-check descriptor invariants; returns a list of violations."""
-    import random as _random
+def _check_preorder(rho: PreorderDescriptor) -> None:
+    """Raise unless rho is reflexive and transitive on rows 1..K+3*period.
 
-    rng = rng or _random.Random(0)
-    problems = []
-    for a in range(1, bound + 1):
-        if not rho.rel(a, a):
-            problems.append(f"not reflexive at {a}")
-    for _ in range(200):
-        a, b, c = (rng.randint(1, bound) for _ in range(3))
-        if rho.rel(a, b) and rho.rel(b, c) and not rho.rel(a, c):
-            problems.append(f"not transitive on ({a},{b},{c})")
-    for a in range(1, min(bound, 12) + 1):
-        up = rho.upset(a)
-        if isinstance(up, frozenset):
-            expected = {b for b in range(1, bound + 1) if rho.rel(a, b)}
-            if expected != {b for b in up if b <= bound}:
-                problems.append(f"upset({a}) inconsistent with rel")
-            if rho.infinite_upset_indices is not None:
-                tagged = _tagged_infinite(rho, a)
-                if tagged:
-                    problems.append(f"{a} tagged infinite but upset is finite")
+    Each row's up-set among those rows is a bitset, bit b for row b.
+    """
+    m, K = rho.period, rho.K
+    n = K + 3 * m
+    succ = {}
+    for a, b in rho.finite:
+        succ.setdefault(a, []).append(b)
+    below, above, itself = ([0] * (m + 1) for _ in range(3))
+    for c, d, s in rho.table:
+        if s == 0:
+            itself[c] = 1
+            continue
+        # Rows d, d+m, ... up to n: a geometric series in 2^m.
+        rows = ((1 << m * ((n - d) // m + 1)) - 1) // ((1 << m) - 1) << d
+        if s < 0:
+            below[c] |= rows
         else:
-            for j in range(1, 10):
-                b = up.nth(j)
-                if not rho.rel(a, b):
-                    problems.append(f"upset({a}) lists {b} but rel fails")
-            if rho.infinite_upset_indices is not None and not _tagged_infinite(rho, a):
-                problems.append(f"{a} has infinite upset but is not tagged")
-    if rho.refinement is not None:
-        ref = rho.refinement
-        anchors = [ref.anchors(j) for j in range(1, 7)]
-        if len(set(anchors)) != len(anchors):
-            problems.append("anchors not distinct")
-        for j in range(1, 7):
-            up = rho.upset(ref.anchors(j))
-            bar = ref.bars(j)
-            for t in range(1, 8):
-                b = bar.nth(t)
-                inside = b in up if isinstance(up, frozenset) else up.contains(b)
-                if not inside:
-                    problems.append(f"bars({j}) element {b} outside upset of anchor")
-                    break
-        for j in range(2, 6):
-            for jp in range(1, j):
-                bj, bjp = ref.bars(j), ref.bars(jp)
-                if ref.branch == Refinement.NESTED:
-                    for t in range(1, 12):
-                        if not bjp.contains(bj.nth(t)):
-                            problems.append(f"bars({j}) not within bars({jp})")
-                            break
-                else:
-                    for t in range(1, 12):
-                        if bjp.contains(bj.nth(t)):
-                            problems.append(f"bars({j}) meets bars({jp})")
-                            break
-    return problems
+            above[c] |= rows
+
+    def up(a: int) -> int:
+        c = (a - 1) % m + 1
+        if a <= K:
+            return (sum(1 << b for b in succ.get(a, ()))
+                    | above[c] >> (K + 1) << (K + 1))
+        return ((below[c] & (1 << a) - 1) | itself[c] << a
+                | above[c] >> (a + 1) << (a + 1))
+
+    # Up-sets are kept only for rows that another row reaches, and a row up
+    # to K related only to itself is passed over, so a long stretch of such
+    # rows costs neither memory nor big-integer work.
+    reached = {}
+    for a in range(1, n + 1):
+        if a <= K and succ.get(a) == [a] and not above[(a - 1) % m + 1]:
+            continue
+        ua = up(a)
+        if not ua >> a & 1:
+            raise PreorderSpecError(f"{rho.name}: not reflexive at {a}")
+        rest = ua ^ 1 << a
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            rest ^= 1 << b
+            ub = reached.get(b)
+            if ub is None:
+                ub = reached[b] = up(b)
+            missing = ub & ~ua
+            if missing:
+                c = (missing & -missing).bit_length() - 1
+                raise PreorderSpecError(f"{rho.name}: not transitive: "
+                                        f"{a} ~ {b} ~ {c} but not {a} ~ {c}")
 
 
-def _tagged_infinite(rho: PreorderDescriptor, a: int) -> bool:
-    tags = rho.infinite_upset_indices
-    if isinstance(tags, frozenset):
-        return a in tags
-    return tags.contains(a)
+def _closure(pairs) -> set:
+    """The transitive closure of a finite set of pairs."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closed = set()
+    for a in succ:
+        seen, stack = set(), [a]
+        while stack:
+            for y in succ.get(stack.pop(), ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        closed.update((a, y) for y in seen)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -311,51 +340,29 @@ def _parse_pairs(text: str):
     return pairs
 
 
+# The one-class families: the signs of b - a that relate, and for the
+# full-like ones the nested bars of their anchors j -> j.
+_ONE_CLASS = {
+    "diag": ((0,), None),
+    "ge": ((-1, 0), None),
+    "le": ((0, 1), TailSet),
+    "full": ((-1, 0, 1), lambda j: TailSet(1)),
+}
+
+
 def parse_preorder(text: str) -> PreorderDescriptor:
-    """Compile the preorder DSL.
+    """Compile the preorder DSL to its normal form.
 
     Grammar: `diag | le | ge | full | mod:<m>:<pairs> | union-finite:<pairs>`
     where <pairs> is a comma list like `(1,2),(2,3)`.
     """
     text = text.strip()
-    if text == "diag":
-        return PreorderDescriptor(
-            "diag",
-            rel=lambda a, b: a == b,
-            upset=lambda a: frozenset({a}),
-            infinite_upset_indices=frozenset(),
-        )
-    if text == "ge":
-        return PreorderDescriptor(
-            "ge",
-            rel=lambda a, b: a >= b,
-            upset=lambda a: frozenset(range(1, a + 1)),
-            infinite_upset_indices=frozenset(),
-        )
-    if text == "le":
-        return PreorderDescriptor(
-            "le",
-            rel=lambda a, b: a <= b,
-            upset=lambda a: TailSet(a),
-            infinite_upset_indices=TailSet(1),
-            refinement=Refinement(
-                Refinement.NESTED,
-                anchors=lambda j: j,
-                bars=lambda j: TailSet(j),
-            ),
-        )
-    if text == "full":
-        return PreorderDescriptor(
-            "full",
-            rel=lambda a, b: True,
-            upset=lambda a: TailSet(1),
-            infinite_upset_indices=TailSet(1),
-            refinement=Refinement(
-                Refinement.NESTED,
-                anchors=lambda j: j,
-                bars=lambda j: TailSet(1),
-            ),
-        )
+    if text in _ONE_CLASS:
+        signs, bars = _ONE_CLASS[text]
+        refinement = None if bars is None else Refinement(
+            Refinement.NESTED, anchors=lambda j: j, bars=bars)
+        return PreorderDescriptor(text, 1, frozenset((1, 1, s) for s in signs),
+                                  refinement=refinement)
     if text.startswith("mod:"):
         rest = text[4:]
         head, sep, pairs_text = rest.partition(":")
@@ -371,7 +378,10 @@ def parse_preorder(text: str) -> PreorderDescriptor:
         return _mod_preorder(text, m, pairs)
     if text.startswith("union-finite:"):
         pairs = _parse_pairs(text[len("union-finite:"):])
-        return _union_finite_preorder(text, pairs)
+        K = max((x for p in pairs for x in p), default=0)
+        finite = _closure(pairs) | {(a, a) for a in range(1, K + 1)}
+        return PreorderDescriptor(text, 1, frozenset({(1, 1, 0)}), K,
+                                  frozenset(finite))
     raise PreorderSpecError(f"unknown preorder spec: {text!r}")
 
 
@@ -379,27 +389,9 @@ def _mod_preorder(name: str, m: int, pairs) -> PreorderDescriptor:
     for a, b in pairs:
         if not (1 <= a <= m and 1 <= b <= m):
             raise PreorderSpecError(f"class pair ({a},{b}) outside 1..{m}")
-    # Reflexive-transitive closure on the m classes.
-    reach = [[i == j for j in range(m)] for i in range(m)]
-    for a, b in pairs:
-        reach[a - 1][b - 1] = True
-    for t in range(m):
-        for i in range(m):
-            if reach[i][t]:
-                for j in range(m):
-                    if reach[t][j]:
-                        reach[i][j] = True
-
-    def cls(k: int) -> int:
-        return (k - 1) % m + 1
-
-    def rel(a: int, b: int) -> bool:
-        return reach[cls(a) - 1][cls(b) - 1]
-
-    def upset(a: int):
-        targets = [c + 1 for c in range(m) if reach[cls(a) - 1][c]]
-        return ResidueClassSet(m, targets)
-
+    reach = _closure(pairs) | {(c, c) for c in range(1, m + 1)}
+    table = {(c, d, s) for c, d in reach for s in (-1, 1)}
+    table |= {(c, c, 0) for c in range(1, m + 1)}
     # Every class is infinite and contains itself, so all upsets are infinite.
     # Anchor on class 1 and slice it into infinitely many disjoint bars.
     class_one = ResidueClassSet(m, [1])
@@ -408,36 +400,4 @@ def _mod_preorder(name: str, m: int, pairs) -> PreorderDescriptor:
         anchors=class_one.nth,
         bars=lambda j: PairedSliceSet(class_one, j),
     )
-    return PreorderDescriptor(
-        name, rel=rel, upset=upset,
-        infinite_upset_indices=TailSet(1),
-        refinement=refinement,
-    )
-
-
-def _union_finite_preorder(name: str, pairs) -> PreorderDescriptor:
-    # Transitive closure of the finite pair digraph, plus the diagonal.
-    nodes = sorted({x for p in pairs for x in p})
-    succ = {x: set() for x in nodes}
-    for a, b in pairs:
-        succ[a].add(b)
-    closed = {}
-    for a in nodes:
-        seen, stack = set(), [a]
-        while stack:
-            x = stack.pop()
-            for y in succ.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        closed[a] = frozenset(seen)
-
-    def rel(x: int, y: int) -> bool:
-        return x == y or y in closed.get(x, frozenset())
-
-    def upset(a: int):
-        return frozenset({a}) | closed.get(a, frozenset())
-
-    return PreorderDescriptor(
-        name, rel=rel, upset=upset, infinite_upset_indices=frozenset(),
-    )
+    return PreorderDescriptor(name, m, frozenset(table), refinement=refinement)

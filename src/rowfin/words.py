@@ -313,13 +313,18 @@ class _Cand:
         return self._mat
 
 
-def proximity_oracle(x1: FinVec, x2: FinVec, env: dict, r_max: int,
-                     word_cap: int = 500_000) -> ProximityResult:
+# The most candidate words one oracle query may build before it gives up.
+WORD_CAP = 1_000_000
+
+
+def proximity_oracle(x1: FinVec, x2: FinVec, env: dict,
+                     r_max: int) -> ProximityResult:
     """Least word length r with x2 = x1 . eval(w), by exhaustive enumeration.
 
     Enumeration order is by length, then tree shape, then generator,
     so results are deterministic.  Exponential in r_max; intended as a
-    test oracle at small radii.
+    test oracle at small radii.  Raises OracleBudgetExceeded once a level
+    would take the candidates built past WORD_CAP.
     """
     ring = x1.ring
     names = sorted(env)
@@ -343,9 +348,9 @@ def proximity_oracle(x1: FinVec, x2: FinVec, env: dict, r_max: int,
                         level.append(_Cand(
                             Prod(left.word, right.word),
                             left.vec.apply(right.mat(env, ring))))
-                        if tried + len(level) > word_cap:
+                        if tried + len(level) > WORD_CAP:
                             raise OracleBudgetExceeded(
-                                f"word cap {word_cap} exceeded at length {n}"
+                                f"word cap {WORD_CAP} exceeded at length {n}"
                             )
             by_length.append(level)
         for cand in by_length[n - 1]:

@@ -113,24 +113,27 @@ def test_criterion_04_sandwich():
             axb = mx.compose(mx.compose(A, X), B)
             if not mx.equal_on_window(axb, Y, 20):
                 ok = False
-            if not cl.preorder_membership(X, diag, 20).ok:
+            if not cl.preorder_membership(X, diag, range(1, 21)).ok:
                 ok = False
     report(4, "AXB = Y for 300 random lower-triangular targets", ok)
 
 
-def test_criterion_05_classification_table():
+def test_criterion_05_classification_table(reference_relation):
     table = [("diag", "DClass"), ("ge", "DClass"), ("le", "EClass"),
              ("full", "EClass"),
              ("union-finite:(1,2),(2,3),(4,7)", "DClass"),
              ("mod:5:(1,2),(2,3)", "EClass")]
+    rows = range(1, 61)
     ok = True
     for spec, expected in table:
-        for bound in (40, 80):
-            verdict = cl.classify_preorder(parse_preorder(spec),
-                                           spot_bound=bound)
-            if verdict.verdict != expected:
-                ok = False
-    report(5, "classification verdict table, stable under doubled bounds", ok)
+        rho = parse_preorder(spec)
+        if cl.classify_preorder(rho) != expected:
+            ok = False
+        if {(a, b) for a in rows for b in rows
+                if rho.rel(a, b)} != reference_relation(spec, 60):
+            ok = False
+    report(5, "classification verdict table, relations agree with brute force "
+              "on rows 1..60", ok)
 
 
 def test_criterion_06_eclass_witnesses():
@@ -152,7 +155,8 @@ def test_criterion_06_eclass_witnesses():
             except cl.ClassifyError:
                 ok = False
                 continue
-            if not cl.preorder_membership(lifted, witness.rho, 12).ok:
+            if not cl.preorder_membership(lifted, witness.rho,
+                                          range(1, 13)).ok:
                 ok = False
     report(6, "sandwich lifts for Nested and Disjoint witnesses", ok)
 

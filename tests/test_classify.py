@@ -1,10 +1,14 @@
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
 from rowfin import classify as cl
 from rowfin import matrices as mx
-from rowfin.indexing import parse_preorder
+from rowfin.indexing import (PairedSliceSet, PreorderDescriptor,
+                             PreorderSpecError, Refinement, ResidueClassSet,
+                             parse_preorder)
 from rowfin.rings import IntegerRing, MatrixRing, PrimeField, parse_ring_spec
 from rowfin.triangular import sandwich_A
 
@@ -14,19 +18,20 @@ GF3 = parse_ring_spec("GF:3")
 
 def test_membership_examples():
     diag = parse_preorder("diag")
-    rep = cl.preorder_membership(mx.matrix_unit(Z, 1, 2), diag, 8)
+    rep = cl.preorder_membership(mx.matrix_unit(Z, 1, 2), diag, range(1, 9))
     assert not rep.ok
     assert rep.violations[0] == (1, 2)
-    assert cl.preorder_membership(mx.identity_map(Z), diag, 8).ok
+    assert cl.preorder_membership(mx.identity_map(Z), diag, range(1, 9)).ok
 
     ge = parse_preorder("ge")
-    rep = cl.preorder_membership(sandwich_A(Z), ge, 8)
+    rep = cl.preorder_membership(sandwich_A(Z), ge, range(1, 9))
     assert not rep.ok
     assert rep.violations[0] == (2, 3)
 
     le = parse_preorder("le")
-    assert cl.preorder_membership(mx.matrix_unit(Z, 1, 2), le, 8).ok
-    assert not cl.preorder_membership(mx.matrix_unit(Z, 2, 1), le, 8).ok
+    assert cl.preorder_membership(mx.matrix_unit(Z, 1, 2), le, range(1, 9)).ok
+    assert not cl.preorder_membership(mx.matrix_unit(Z, 2, 1), le,
+                                      range(1, 9)).ok
 
 
 VERDICTS = [
@@ -39,21 +44,45 @@ VERDICTS = [
 ]
 
 
-@pytest.mark.parametrize("spec,expected", VERDICTS)
-def test_classification_table(spec, expected):
-    verdict = cl.classify_preorder(parse_preorder(spec))
-    assert verdict.verdict == expected
-    # Stable when every spot-check bound doubles.
-    doubled = cl.classify_preorder(parse_preorder(spec), spot_bound=80,
-                                   rng=random.Random(99))
-    assert doubled.verdict == expected
+# The specs of acceptance criterion 05 that VERDICTS does not list.
+CRITERION_05 = [
+    ("union-finite:(1,2),(2,3),(4,7)", "DClass"),
+    ("mod:5:(1,2),(2,3)", "EClass"),
+]
 
 
-def test_classify_rejects_inconsistent_descriptor():
-    rho = parse_preorder("diag")
-    rho.rel = lambda a, b: a <= b  # relation no longer matches the upsets
-    with pytest.raises(cl.ClassifyError):
-        cl.classify_preorder(rho)
+@pytest.mark.parametrize("spec,expected", VERDICTS + CRITERION_05)
+def test_classification_table(spec, expected, reference_relation):
+    rho = parse_preorder(spec)
+    assert cl.classify_preorder(rho) == expected
+    rows = range(1, 61)
+    assert {(a, b) for a in rows for b in rows
+            if rho.rel(a, b)} == reference_relation(spec, 60)
+
+
+def test_normal_form_rejects_a_relation_that_is_not_reflexive():
+    with pytest.raises(PreorderSpecError, match="not reflexive at 1"):
+        PreorderDescriptor("no-diagonal", 1, frozenset({(1, 1, 1), (1, 1, -1)}))
+
+
+def test_normal_form_rejects_a_relation_that_is_not_transitive():
+    # Row 1 reaches row 2 and row 2 reaches row 3, but class 1 does not
+    # reach class 1 upwards.
+    table = frozenset({(1, 1, 0), (2, 2, 0), (1, 2, 1), (2, 1, 1)})
+    with pytest.raises(PreorderSpecError, match="1 ~ 2 ~ 3 but not 1 ~ 3"):
+        PreorderDescriptor("skew", 2, table)
+
+
+CHAIN_300 = "union-finite:" + ",".join(f"({a},{a + 1})" for a in range(1, 300))
+
+
+@pytest.mark.parametrize("spec,expected", [(CHAIN_300, "DClass"),
+                                           ("mod:400:(1,2)", "EClass")],
+                         ids=["chain-300", "mod-400"])
+def test_exact_decision_is_fast_on_long_specs(spec, expected):
+    start = time.monotonic()
+    assert cl.classify_preorder(parse_preorder(spec)) == expected
+    assert time.monotonic() - start < 1.0
 
 
 def random_target(ring, rng, window, upper_only):
@@ -74,7 +103,7 @@ def test_nested_witness_lifts_upper_triangular():
     for _ in range(5):
         target = random_target(GF3, rng, 12, upper_only=True)
         lifted = witness.verify(target, 12)
-        assert cl.preorder_membership(lifted, witness.rho, 12).ok
+        assert cl.preorder_membership(lifted, witness.rho, range(1, 13)).ok
 
 
 def test_nested_witness_lift_of_zero_is_zero():
@@ -97,13 +126,27 @@ def test_disjoint_witness_lifts_arbitrary_targets():
     for _ in range(5):
         target = random_target(GF3, rng, 8, upper_only=False)
         lifted = witness.verify(target, 8)
-        assert cl.preorder_membership(lifted, witness.rho, 8).ok
+        assert cl.preorder_membership(lifted, witness.rho, range(1, 9)).ok
 
 
 def test_disjoint_witness_fixed_example():
     witness = cl.eclass_witness(parse_preorder("mod:2:(1,2)"), GF3)
     target = mx.add_maps(mx.matrix_unit(GF3, 1, 1), mx.matrix_unit(GF3, 2, 3))
     witness.verify(target, 8)
+
+
+def test_disjoint_witness_checks_every_row_of_the_lift():
+    # Bar 12 is a slice of class 3, which class 1 does not reach, so row 12
+    # of a target lifts to anchor 34 with a cell outside the preorder.  The
+    # sandwich still holds, and row 34 lies beyond the window.
+    rho = parse_preorder("mod:3:(1,2)")
+    good = rho.refinement
+    bad_bar = PairedSliceSet(ResidueClassSet(3, [3]), 12)
+    refinement = Refinement(Refinement.DISJOINT, good.anchors,
+                            lambda j: bad_bar if j == 12 else good.bars(j))
+    witness = cl.eclass_witness(replace(rho, refinement=refinement), GF3)
+    with pytest.raises(cl.ClassifyError, match=r"membership at \(34, 234\)"):
+        witness.verify(mx.matrix_unit(GF3, 12, 1), 12)
 
 
 def test_eclass_witness_refuses_dclass():

@@ -197,8 +197,19 @@ def test_maltsev_count_beyond_ring_size_report_bytes():
     (["fear", "--ring", "Zmod:0"], "modulus must be >= 2, got 0"),
     (["oracle", "--x1", "1:x"], "malformed vector entry '1:x'"),
     (["oracle", "--x1", "0:1"], "malformed vector '0:1': index must be >= 1"),
-], ids=["two-gen-GF:4", "sandwich-Bogus", "fear-Zmod:0", "oracle-1:x", "oracle-0:1"])
-def test_bad_input_is_a_structured_failure(argv, detail, capsys):
+    (["oracle", "--in", "missing.sparse"],
+     "--in missing.sparse: [Errno 2] No such file or directory"),
+    (["oracle", "--in", "no-header.sparse"],
+     "--in no-header.sparse: missing `ring <spec>` header"),
+    (["oracle", "--in", "bad-triple.sparse"],
+     "--in bad-triple.sparse: malformed triple line: '1 5'"),
+], ids=["two-gen-GF:4", "sandwich-Bogus", "fear-Zmod:0", "oracle-1:x", "oracle-0:1",
+        "oracle-in-missing", "oracle-in-no-header", "oracle-in-bad-triple"])
+def test_bad_input_is_a_structured_failure(argv, detail, capsys, tmp_path,
+                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no-header.sparse").write_text("1 5 1\n")
+    (tmp_path / "bad-triple.sparse").write_text("ring GF:2\n1 5\n")
     report, doc = run_json(argv)
     assert report.failed
     [check] = doc["checks"]
@@ -217,7 +228,6 @@ SIZES_BELOW_MINIMUM = [
     (["maltsev", "--count", "-1"], "--count must be >= 1, got -1"),
     (["fear", "--blocks", "0"], "--blocks must be >= 1, got 0"),
     (["sandwich", "--count", "0"], "--count must be >= 1, got 0"),
-    (["classify", "--preorder", "le", "--bound", "0"], "--bound must be >= 1"),
     (["fear", "--blocks", "2", "--oracle-max", "-1"],
      "--oracle-max must be >= 0, got -1"),
     (["oracle", "--r-max", "-1"], "--r-max must be >= 0, got -1"),
@@ -235,6 +245,12 @@ def test_size_below_its_minimum_is_an_input_failure(argv, detail, capsys):
     assert (doc["subcommand"], doc["config"]) == (argv[0], {})
     assert cli.main(argv) == 1
     capsys.readouterr()
+
+
+def test_classify_takes_no_bound(capsys):
+    with pytest.raises(SystemExit):
+        cli.run(["classify", "--preorder", "le", "--bound", "40"])
+    assert "unrecognized arguments: --bound" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--window", "--seed"])
@@ -349,8 +365,7 @@ def test_oracle_infile(tmp_path):
 
 
 def test_bound_env_var(monkeypatch):
-    monkeypatch.setenv("ROWFIN_BOUND", "10")
-    assert cli.default_bound() == 10
+    monkeypatch.setattr(wd, "WORD_CAP", 10)
     report, doc = run_json(["oracle", "--ring", "Zmod:5", "--x1", "1:1",
                             "--x2", "3:2", "--r-max", "3"])
     assert not report.failed  # cap exhaustion is a warning

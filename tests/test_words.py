@@ -172,11 +172,11 @@ def test_oracle_minimizes_over_larger_bounds():
     assert r3.witness == r5.witness
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    monkeypatch.setattr(wd, "WORD_CAP", 50)
     env = {"s": shift(Z)}
-    with pytest.raises(wd.OracleBudgetExceeded):
-        proximity_oracle(FinVec.unit(Z, 1), FinVec.unit(Z, 9), env, 6,
-                         word_cap=50)
+    with pytest.raises(wd.OracleBudgetExceeded, match="word cap 50"):
+        proximity_oracle(FinVec.unit(Z, 1), FinVec.unit(Z, 9), env, 6)
 
 
 def test_ball_containment_property():
