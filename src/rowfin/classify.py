@@ -3,8 +3,10 @@
 A preorder on the indices cuts out the incidence-style subring of maps
 whose nonzero cells respect the relation.  Such subrings fall into
 exactly two classes: diagonal-like (finitely many infinite up-sets) and
-full-like (infinitely many), and the full-like case carries an explicit
-sandwich witness built from the descriptor's refinement metadata.
+full-like (infinitely many).  Both the verdict and the full-like case's
+sandwich witness are read off the normal form's table: a triple
+(c, d, +1) makes the class full-like and gives the witness's anchors
+(class c) and bars (class d).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import matrices as mx
-from .indexing import PreorderDescriptor, Refinement
+from .indexing import PreorderDescriptor, cantor_pair, cantor_unpair
 from .matrices import RowFiniteMap
 from .rings import BaseRing, PrimeField, RingError
 
@@ -65,145 +67,80 @@ def classify_preorder(rho: PreorderDescriptor) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Full-class sandwich witnesses
+# Full-class sandwich witness
 
 
-@dataclass
 class EquivWitness:
-    branch: str
-    rho: PreorderDescriptor
-    ring: BaseRing
-    g: RowFiniteMap
-    h: RowFiniteMap
+    """Maps g, h with g * lift(Y) * h = Y on the window, lift(Y) in the subring.
+
+    It rests on one table triple (c, d, +1): every row of class c above K
+    relates to every later row of class d.  With a_j and D(n) the j-th row
+    of class c and the n-th row of class d above K, row j of Y lifts to row
+    a_j, spread along the bar B_j(t) = D(cantor_pair(j, t) + 1).  The bars
+    are disjoint because the pairing is injective, and each lies above its
+    anchor: D(T(j) + 1) >= K + T(j)*m + 1 > K + j*m >= a_j.  g sends j to
+    a_j, and h sends D(n + 1) to t, where (j, t) = cantor_unpair(n).
+    """
+
+    def __init__(self, rho: PreorderDescriptor, ring: BaseRing, c: int, d: int):
+        self.rho, self.ring = rho, ring
+        self.anchor_class, self.bar_class = c, d
+        m, K = rho.period, rho.K
+        # The first rows of classes c and d above K.
+        self._first_anchor = K + 1 + (c - K - 1) % m
+        self._first_bar = K + 1 + (d - K - 1) % m
+        self.g = mx.from_index_map(ring, self.anchor, tag="witness_g")
+        self.h = mx.from_index_map(ring, self._h_index, tag="witness_h")
+
+    def anchor(self, j: int) -> int:
+        return self._first_anchor + (j - 1) * self.rho.period
+
+    def bar(self, j: int, t: int) -> int:
+        return self._first_bar + cantor_pair(j, t) * self.rho.period
+
+    def _h_index(self, alpha):
+        n, off = divmod(alpha - self._first_bar, self.rho.period)
+        if n < 1 or off:
+            return None
+        return cantor_unpair(n)[1]
 
     def lift(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
-        raise NotImplementedError
+        rows = {}
+        for j in range(1, window + 1):
+            entries = {self.bar(j, k): v
+                       for k, v in target.row(j).entries.items()}
+            if entries:
+                rows[self.anchor(j)] = entries
+        return mx.from_rows(self.ring, rows, tag="witness_lift")
 
-    def verify(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
-        """Lift; check g * lift * h = target on the window and that every
-        row of the lift (one per anchor) respects the preorder."""
-        lifted = self.lift(target, window)
+    def check(self, target: RowFiniteMap, lifted: RowFiniteMap,
+              window: int) -> None:
+        """Raise unless g * lifted * h = target on the window and every row
+        of lifted that g reads (one per anchor) respects the preorder."""
         sandwich = mx.compose(mx.compose(self.g, lifted), self.h)
         check = mx.equal_on_window(sandwich, target, window)
         if not check:
             raise ClassifyError(f"sandwich mismatch: {check.describe()}")
-        anchors = self.rho.refinement.anchors
         member = preorder_membership(
-            lifted, self.rho, (anchors(j) for j in range(1, window + 1)))
+            lifted, self.rho, (self.anchor(j) for j in range(1, window + 1)))
         if not member.ok:
             raise ClassifyError(
                 f"lift violates membership at {member.violations[0]}"
             )
+
+    def verify(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
+        """Lift the target on the window, check the lift, and return it."""
+        lifted = self.lift(target, window)
+        self.check(target, lifted, window)
         return lifted
 
 
-class NestedWitness(EquivWitness):
-    """Upper-triangular targets via nested bars.
-
-    beta_j is picked greedily (least unused) from bars(j); since the bars
-    are nested downward, beta_k lies in every earlier bar, so the lifted
-    rows stay inside the anchors' up-sets.
-    """
-
-    def __init__(self, rho, ring):
-        ref = rho.refinement
-        self._anchors = ref.anchors
-        self._bars = ref.bars
-        self._betas: list[int] = []
-        g = mx.from_index_map(ring, self._anchor_of, tag="nested_g")
-        h = mx.from_index_map(ring, self._h_index, tag="nested_h")
-        super().__init__(Refinement.NESTED, rho, ring, g, h)
-
-    def _anchor_of(self, j):
-        return self._anchors(j)
-
-    def beta(self, j: int) -> int:
-        while len(self._betas) < j:
-            jj = len(self._betas) + 1
-            bar = self._bars(jj)
-            t = 1
-            while bar.nth(t) in self._betas:
-                t += 1
-            self._betas.append(bar.nth(t))
-        return self._betas[j - 1]
-
-    def _h_index(self, alpha):
-        # h sends each beta_j back to j; betas are distinct by choice.
-        j = 1
-        while True:
-            b = self.beta(j)
-            if b == alpha:
-                return j
-            # The betas need not be increasing; stop once all remaining
-            # bars start beyond alpha.
-            if self._bars(j).nth(1) > alpha and b > alpha:
-                return None
-            j += 1
-
-    def lift(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
-        rows = {}
-        for j in range(1, window + 1):
-            row = target.row(j)
-            entries = {}
-            for k, v in row.entries.items():
-                if k < j:
-                    raise ClassifyError(
-                        f"target not upper-triangular: cell ({j},{k})"
-                    )
-                entries[self.beta(k)] = v
-            if entries:
-                rows[self._anchors(j)] = entries
-        return mx.from_rows(self.ring, rows, tag="nested_lift")
-
-
-class DisjointWitness(EquivWitness):
-    """Arbitrary targets via pairwise disjoint bars.
-
-    Row j of the target is spread along bar j's enumeration; h collapses
-    every bar back onto the base coordinates, and disjointness keeps the
-    collapses from clashing.
-    """
-
-    def __init__(self, rho, ring):
-        ref = rho.refinement
-        self._anchors = ref.anchors
-        self._bars = ref.bars
-        g = mx.from_index_map(ring, ref.anchors, tag="disjoint_g")
-        h = mx.from_index_map(ring, self._h_index, tag="disjoint_h")
-        super().__init__(Refinement.DISJOINT, rho, ring, g, h)
-
-    def _h_index(self, alpha):
-        j = 1
-        while True:
-            bar = self._bars(j)
-            pos = bar.index_of(alpha)
-            if pos is not None:
-                return pos
-            if bar.nth(1) > alpha:
-                # Later bars may still start low; bound the scan by
-                # checking a stretch of bar heads beyond alpha.
-                if all(self._bars(t).nth(1) > alpha for t in range(j, j + 8)):
-                    return None
-            j += 1
-
-    def lift(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
-        rows = {}
-        for j in range(1, window + 1):
-            bar = self._bars(j)
-            entries = {bar.nth(k): v for k, v in target.row(j).entries.items()}
-            if entries:
-                rows[self._anchors(j)] = entries
-        return mx.from_rows(self.ring, rows, tag="disjoint_lift")
-
-
 def eclass_witness(rho: PreorderDescriptor, ring: BaseRing) -> EquivWitness:
-    if classify_preorder(rho) != E_CLASS:
+    """The witness on the least table triple (c, d, +1)."""
+    least = min(((c, d) for c, d, s in rho.table if s > 0), default=None)
+    if least is None:
         raise ClassifyError(f"{rho.name} is not full-like")
-    if rho.refinement is None:
-        raise ClassifyError(f"{rho.name} has no refinement metadata")
-    if rho.refinement.branch == Refinement.NESTED:
-        return NestedWitness(rho, ring)
-    return DisjointWitness(rho, ring)
+    return EquivWitness(rho, ring, *least)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Houses the pairing bijection with Z x N+, decidable infinite subsets,
 the mod-7 partition, triangular block indexing, and preorder descriptors
-with their refinement metadata and the DSL that builds them.
+with the DSL that builds them.
 """
 
 from __future__ import annotations
@@ -106,42 +106,6 @@ class ResidueClassSet(InfSetEnum):
         return q * len(self.classes) + self.classes.index(c) + 1
 
 
-class TailSet(InfSetEnum):
-    """All integers >= start."""
-
-    def __init__(self, start: int):
-        self.start = start
-
-    def nth(self, j: int) -> int:
-        return self.start + j - 1
-
-    def index_of(self, k: int):
-        return k - self.start + 1 if k >= self.start else None
-
-
-class PairedSliceSet(InfSetEnum):
-    """Slice `row` of a base enumerator partitioned via the Cantor pairing.
-
-    base.nth(n) belongs to slice j when cantor_unpair(n) has first
-    coordinate j.  The slices are pairwise disjoint, each infinite, and
-    their union is the base set.
-    """
-
-    def __init__(self, base: InfSetEnum, row: int):
-        self.base = base
-        self.row = row
-
-    def nth(self, j: int) -> int:
-        return self.base.nth(cantor_pair(self.row, j))
-
-    def index_of(self, k: int):
-        pos = self.base.index_of(k)
-        if pos is None:
-            return None
-        a, b = cantor_unpair(pos)
-        return b if a == self.row else None
-
-
 # ---------------------------------------------------------------------------
 # The mod-7 partition
 
@@ -187,28 +151,15 @@ def tri_split(r: int) -> tuple[int, int]:
 # Preorder descriptors
 
 
-class Refinement:
-    """Branch metadata: distinct anchors and per-anchor infinite bars."""
-
-    NESTED = "Nested"
-    DISJOINT = "Disjoint"
-
-    def __init__(self, branch: str, anchors, bars):
-        if branch not in (self.NESTED, self.DISJOINT):
-            raise PreorderSpecError(f"unknown branch {branch!r}")
-        self.branch = branch
-        self.anchors = anchors  # j -> alpha_j
-        self.bars = bars        # j -> InfSetEnum
-
-
 @dataclass(frozen=True)
 class PreorderDescriptor:
     """A preorder on N+ in normal form: a periodic table with finite exceptions.
 
-    Row k has class (k - 1) % period + 1.  For a, b <= K, a ~ b iff (a, b)
-    is in `finite`; otherwise a ~ b iff (class a, class b, sign(b - a)) is
-    in `table`.  `name` is the DSL text, for messages, and `refinement`
-    holds the bars of a full-like preorder's sandwich witness.
+    Row k has class (k - 1) % period + 1.  For a, b <= K, a ~ b iff a == b
+    or (a, b) is in `finite`; otherwise a ~ b iff (class a, class b,
+    sign(b - a)) is in `table`.  `name` is the DSL text, for messages.
+    The form is all a preorder carries: its classification and its
+    full-class sandwich witness are both read off `table`.
 
     The constructor rejects a relation that is not reflexive and
     transitive, deciding both exactly on rows 1..K+3*period: each of the
@@ -221,8 +172,7 @@ class PreorderDescriptor:
     period: int
     table: frozenset                  # (class a, class b, sign(b - a)) that relate
     K: int = 0
-    finite: frozenset = frozenset()   # the related pairs inside 1..K
-    refinement: Refinement | None = None
+    finite: frozenset = frozenset()   # the related a != b inside 1..K
 
     def __post_init__(self):
         m, K = self.period, self.K
@@ -235,13 +185,14 @@ class PreorderDescriptor:
                     f"table triple ({c},{d},{s}) needs classes in 1..{m} and "
                     "a sign in -1..1, which is 0 only for equal classes")
         for a, b in self.finite:
-            if not (1 <= a <= K and 1 <= b <= K):
-                raise PreorderSpecError(f"finite pair ({a},{b}) outside 1..{K}")
+            if not (1 <= a <= K and 1 <= b <= K and a != b):
+                raise PreorderSpecError(
+                    f"finite pair ({a},{b}) is not off-diagonal in 1..{K}")
         _check_preorder(self)
 
     def rel(self, a: int, b: int) -> bool:
         if a <= self.K and b <= self.K:
-            return (a, b) in self.finite
+            return a == b or (a, b) in self.finite
         m = self.period
         return ((a - 1) % m + 1, (b - 1) % m + 1, (b > a) - (b < a)) in self.table
 
@@ -257,12 +208,15 @@ def _check_preorder(rho: PreorderDescriptor) -> None:
     for a, b in rho.finite:
         succ.setdefault(a, []).append(b)
     below, above, itself = ([0] * (m + 1) for _ in range(3))
+    # Rows 1, 1+m, 1+2m, ... up to n (a geometric series in 2^m); the rows
+    # of class d are this mask shifted by d - 1 and cut at n.
+    every_mth = ((1 << m * ((n - 1) // m + 1)) - 1) // ((1 << m) - 1) << 1
+    rows_to_n = (1 << n + 1) - 1
     for c, d, s in rho.table:
         if s == 0:
             itself[c] = 1
             continue
-        # Rows d, d+m, ... up to n: a geometric series in 2^m.
-        rows = ((1 << m * ((n - d) // m + 1)) - 1) // ((1 << m) - 1) << d
+        rows = every_mth << d - 1 & rows_to_n
         if s < 0:
             below[c] |= rows
         else:
@@ -271,7 +225,7 @@ def _check_preorder(rho: PreorderDescriptor) -> None:
     def up(a: int) -> int:
         c = (a - 1) % m + 1
         if a <= K:
-            return (sum(1 << b for b in succ.get(a, ()))
+            return (sum(1 << b for b in succ.get(a, ())) | 1 << a
                     | above[c] >> (K + 1) << (K + 1))
         return ((below[c] & (1 << a) - 1) | itself[c] << a
                 | above[c] >> (a + 1) << (a + 1))
@@ -281,7 +235,7 @@ def _check_preorder(rho: PreorderDescriptor) -> None:
     # rows costs neither memory nor big-integer work.
     reached = {}
     for a in range(1, n + 1):
-        if a <= K and succ.get(a) == [a] and not above[(a - 1) % m + 1]:
+        if a <= K and a not in succ and not above[(a - 1) % m + 1]:
             continue
         ua = up(a)
         if not ua >> a & 1:
@@ -340,14 +294,8 @@ def _parse_pairs(text: str):
     return pairs
 
 
-# The one-class families: the signs of b - a that relate, and for the
-# full-like ones the nested bars of their anchors j -> j.
-_ONE_CLASS = {
-    "diag": ((0,), None),
-    "ge": ((-1, 0), None),
-    "le": ((0, 1), TailSet),
-    "full": ((-1, 0, 1), lambda j: TailSet(1)),
-}
+# The one-class families: the signs of b - a that relate.
+_ONE_CLASS = {"diag": (0,), "ge": (-1, 0), "le": (0, 1), "full": (-1, 0, 1)}
 
 
 def parse_preorder(text: str) -> PreorderDescriptor:
@@ -358,11 +306,8 @@ def parse_preorder(text: str) -> PreorderDescriptor:
     """
     text = text.strip()
     if text in _ONE_CLASS:
-        signs, bars = _ONE_CLASS[text]
-        refinement = None if bars is None else Refinement(
-            Refinement.NESTED, anchors=lambda j: j, bars=bars)
-        return PreorderDescriptor(text, 1, frozenset((1, 1, s) for s in signs),
-                                  refinement=refinement)
+        return PreorderDescriptor(
+            text, 1, frozenset((1, 1, s) for s in _ONE_CLASS[text]))
     if text.startswith("mod:"):
         rest = text[4:]
         head, sep, pairs_text = rest.partition(":")
@@ -379,9 +324,8 @@ def parse_preorder(text: str) -> PreorderDescriptor:
     if text.startswith("union-finite:"):
         pairs = _parse_pairs(text[len("union-finite:"):])
         K = max((x for p in pairs for x in p), default=0)
-        finite = _closure(pairs) | {(a, a) for a in range(1, K + 1)}
-        return PreorderDescriptor(text, 1, frozenset({(1, 1, 0)}), K,
-                                  frozenset(finite))
+        finite = frozenset((a, b) for a, b in _closure(pairs) if a != b)
+        return PreorderDescriptor(text, 1, frozenset({(1, 1, 0)}), K, finite)
     raise PreorderSpecError(f"unknown preorder spec: {text!r}")
 
 
@@ -392,12 +336,4 @@ def _mod_preorder(name: str, m: int, pairs) -> PreorderDescriptor:
     reach = _closure(pairs) | {(c, c) for c in range(1, m + 1)}
     table = {(c, d, s) for c, d in reach for s in (-1, 1)}
     table |= {(c, c, 0) for c in range(1, m + 1)}
-    # Every class is infinite and contains itself, so all upsets are infinite.
-    # Anchor on class 1 and slice it into infinitely many disjoint bars.
-    class_one = ResidueClassSet(m, [1])
-    refinement = Refinement(
-        Refinement.DISJOINT,
-        anchors=class_one.nth,
-        bars=lambda j: PairedSliceSet(class_one, j),
-    )
-    return PreorderDescriptor(name, m, frozenset(table), refinement=refinement)
+    return PreorderDescriptor(name, m, frozenset(table))

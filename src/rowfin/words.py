@@ -269,20 +269,22 @@ def support_closure(x: FinVec, supp, maps: dict, r: int) -> SupportBallReport:
     descriptor's row bound) and the row support of a under each map in
     `maps`.  Word values are sums of products, and sums can only shrink
     support, so the support of every vector within proximity r of x lies
-    in Gamma_r.
+    in Gamma_r.  Each step expands only the rows the step before added.
     """
-    cover = frozenset(x.support())
+    cover = set(x.support())
+    frontier = set(cover)
     for _ in range(r):
-        out = set(cover)
-        for a in cover:
+        out = set()
+        for a in frontier:
             bound = supp(a)
             if not isinstance(bound, (set, frozenset)):
                 raise WordError(f"support bound at row {a} is not a finite set")
             out.update(bound)
             for m in maps.values():
                 out.update(m.row_support(a))
-        cover = frozenset(out)
-    return SupportBallReport(cover=cover)
+        frontier = out - cover
+        cover |= frontier
+    return SupportBallReport(cover=frozenset(cover))
 
 
 # ---------------------------------------------------------------------------

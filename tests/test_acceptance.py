@@ -19,7 +19,7 @@ from rowfin import fearing as fr
 from rowfin import matrices as mx
 from rowfin import triangular as tr
 from rowfin import twogen as tg
-from rowfin.indexing import parse_preorder
+from rowfin.indexing import PreorderDescriptor, parse_preorder
 from rowfin.matrices import FinVec
 from rowfin.rings import parse_ring_spec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, Sum, eval_word,
@@ -139,14 +139,17 @@ def test_criterion_05_classification_table(reference_relation):
 def test_criterion_06_eclass_witnesses():
     ok = True
     rng = random.Random(42)
-    for spec, upper_only in (("le", True), ("mod:3:(1,2)", False)):
-        witness = cl.eclass_witness(parse_preorder(spec), GF3)
+    # A hand-built form whose least rising triple is (2, 1, +1), above K = 3.
+    skew = PreorderDescriptor("skew", 2,
+                              frozenset({(1, 1, 0), (2, 2, 0), (2, 1, 1)}),
+                              3, frozenset({(1, 3)}))
+    for rho in (parse_preorder("le"), parse_preorder("mod:3:(1,2)"), skew):
+        witness = cl.eclass_witness(rho, GF3)
         for _ in range(25):
             rows = {}
             for j in range(1, 13):
-                lo = j if upper_only else 1
                 entries = {c: GF3.random_payload(rng)
-                           for c in range(lo, 13) if rng.random() < 0.4}
+                           for c in range(1, 13) if rng.random() < 0.4}
                 if entries:
                     rows[j] = entries
             target = mx.from_rows(GF3, rows)
@@ -155,10 +158,10 @@ def test_criterion_06_eclass_witnesses():
             except cl.ClassifyError:
                 ok = False
                 continue
-            if not cl.preorder_membership(lifted, witness.rho,
-                                          range(1, 13)).ok:
+            anchors = [witness.anchor(j) for j in range(1, 13)]
+            if not cl.preorder_membership(lifted, rho, anchors).ok:
                 ok = False
-    report(6, "sandwich lifts for Nested and Disjoint witnesses", ok)
+    report(6, "full-class witnesses lift arbitrary targets", ok)
 
 
 def test_criterion_07_fear_witness():
@@ -258,7 +261,9 @@ def test_criterion_11_determinism_across_hash_seeds(tmp_path):
                                    "--x2", "3:2", "--r-max", "3"]),
                        ("simple-full-2-3", ["simple-full", "--n", "2", "--p", "3"]),
                        ("simple-full-3-2", ["simple-full", "--n", "3", "--p", "2"]),
-                       ("fear", ["fear", "--blocks", "4", "--oracle-max", "2"])):
+                       ("fear", ["fear", "--blocks", "4", "--oracle-max", "2"]),
+                       ("witness-le", ["witness", "--preorder", "le"]),
+                       ("witness-mod", ["witness", "--preorder", "mod:3:(1,2)"])):
         outputs = []
         for hash_seed in ("1", "99"):
             path = tmp_path / f"{name}-{hash_seed}.json"

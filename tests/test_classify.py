@@ -1,13 +1,11 @@
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
 from rowfin import classify as cl
 from rowfin import matrices as mx
-from rowfin.indexing import (PairedSliceSet, PreorderDescriptor,
-                             PreorderSpecError, Refinement, ResidueClassSet,
+from rowfin.indexing import (PreorderDescriptor, PreorderSpecError,
                              parse_preorder)
 from rowfin.rings import IntegerRing, MatrixRing, PrimeField, parse_ring_spec
 from rowfin.triangular import sandwich_A
@@ -85,48 +83,80 @@ def test_exact_decision_is_fast_on_long_specs(spec, expected):
     assert time.monotonic() - start < 1.0
 
 
-def random_target(ring, rng, window, upper_only):
+def random_target(ring, rng, window):
     rows = {}
     for j in range(1, window + 1):
-        lo = j if upper_only else 1
         entries = {c: ring.random_payload(rng)
-                   for c in range(lo, window + 1) if rng.random() < 0.4}
+                   for c in range(1, window + 1) if rng.random() < 0.4}
         if entries:
             rows[j] = entries
     return mx.from_rows(ring, rows)
 
 
-def test_nested_witness_lifts_upper_triangular():
-    witness = cl.eclass_witness(parse_preorder("le"), GF3)
-    assert witness.branch == "Nested"
-    rng = random.Random(0)
-    for _ in range(5):
-        target = random_target(GF3, rng, 12, upper_only=True)
-        lifted = witness.verify(target, 12)
-        assert cl.preorder_membership(lifted, witness.rho, range(1, 13)).ok
+# Hand-built normal forms whose least rising triple (c, d, +1) has c != d
+# and whose exceptions reach K > 0.
+SKEW_2 = PreorderDescriptor("skew-2", 2,
+                            frozenset({(1, 1, 0), (2, 2, 0), (2, 1, 1)}),
+                            3, frozenset({(1, 3)}))
+SKEW_3 = PreorderDescriptor("skew-3", 3,
+                            frozenset({(1, 1, 0), (2, 2, 0), (3, 3, 0),
+                                       (3, 2, 1), (3, 2, -1), (1, 2, 1)}),
+                            4, frozenset({(1, 2), (3, 2), (4, 2)}))
+
+WITNESS_CASES = [(parse_preorder(spec), (1, 1))
+                 for spec in ("le", "full", "mod:1:", "mod:3:(1,2)",
+                              "mod:5:(1,2),(2,3)")]
+WITNESS_CASES += [(SKEW_2, (2, 1)), (SKEW_3, (1, 2))]
 
 
-def test_nested_witness_lift_of_zero_is_zero():
+def test_eclass_witness_takes_the_least_rising_triple():
+    for rho, classes in WITNESS_CASES:
+        witness = cl.eclass_witness(rho, GF3)
+        assert (witness.anchor_class, witness.bar_class) == classes, rho.name
+
+
+def test_witness_bars_are_disjoint_and_above_their_anchors():
+    for rho, _ in WITNESS_CASES:
+        witness = cl.eclass_witness(rho, GF3)
+        m, K = rho.period, rho.K
+        bars = {}
+        for j in range(1, 9):
+            a = witness.anchor(j)
+            assert a > K and (a - 1) % m + 1 == witness.anchor_class
+            for t in range(1, 9):
+                b = witness.bar(j, t)
+                assert b not in bars, "bars must be pairwise disjoint"
+                bars[b] = t
+                assert b > a and rho.rel(a, b)
+        # h sends each bar cell back to its position and every other row
+        # to zero.
+        top = max(bars)
+        cells = {witness.bar(j, t): t for j in range(1, top) for t in range(1, top)
+                 if witness.bar(j, t) <= top}
+        for alpha in range(1, top + 1):
+            row = witness.h.row(alpha)
+            if alpha in cells:
+                assert row == mx.FinVec.unit(GF3, cells[alpha])
+            else:
+                assert row.is_zero()
+
+
+def test_disjoint_witness_lifts_arbitrary_targets():
+    rng = random.Random(1)
+    for rho, _ in WITNESS_CASES:
+        witness = cl.eclass_witness(rho, GF3)
+        for _ in range(5):
+            target = random_target(GF3, rng, 12)
+            lifted = witness.verify(target, 12)
+            anchors = [witness.anchor(j) for j in range(1, 13)]
+            assert cl.preorder_membership(lifted, rho, anchors).ok
+
+
+def test_witness_lift_of_zero_is_zero():
     witness = cl.eclass_witness(parse_preorder("le"), GF3)
     lifted = witness.lift(mx.zero_map(GF3), 10)
     for a in range(1, 20):
         assert lifted.row(a).is_zero()
-
-
-def test_nested_witness_rejects_lower_cell():
-    witness = cl.eclass_witness(parse_preorder("le"), GF3)
-    with pytest.raises(cl.ClassifyError):
-        witness.lift(mx.matrix_unit(GF3, 2, 1), 8)
-
-
-def test_disjoint_witness_lifts_arbitrary_targets():
-    witness = cl.eclass_witness(parse_preorder("mod:3:(1,2)"), GF3)
-    assert witness.branch == "Disjoint"
-    rng = random.Random(1)
-    for _ in range(5):
-        target = random_target(GF3, rng, 8, upper_only=False)
-        lifted = witness.verify(target, 8)
-        assert cl.preorder_membership(lifted, witness.rho, range(1, 9)).ok
 
 
 def test_disjoint_witness_fixed_example():
@@ -136,17 +166,23 @@ def test_disjoint_witness_fixed_example():
 
 
 def test_disjoint_witness_checks_every_row_of_the_lift():
-    # Bar 12 is a slice of class 3, which class 1 does not reach, so row 12
-    # of a target lifts to anchor 34 with a cell outside the preorder.  The
-    # sandwich still holds, and row 34 lies beyond the window.
+    # Bars in class 3, which class 1 does not reach: row 12 of a target
+    # lifts to anchor 34 with a cell outside the preorder.  The sandwich
+    # still holds, and row 34 lies beyond the window.
     rho = parse_preorder("mod:3:(1,2)")
-    good = rho.refinement
-    bad_bar = PairedSliceSet(ResidueClassSet(3, [3]), 12)
-    refinement = Refinement(Refinement.DISJOINT, good.anchors,
-                            lambda j: bad_bar if j == 12 else good.bars(j))
-    witness = cl.eclass_witness(replace(rho, refinement=refinement), GF3)
-    with pytest.raises(cl.ClassifyError, match=r"membership at \(34, 234\)"):
+    witness = cl.EquivWitness(rho, GF3, 1, 3)
+    with pytest.raises(cl.ClassifyError, match=r"membership at \(34, 237\)"):
         witness.verify(mx.matrix_unit(GF3, 12, 1), 12)
+
+
+def test_witness_check_sees_an_extra_cell_on_a_bar():
+    for rho, _ in WITNESS_CASES:
+        witness = cl.eclass_witness(rho, GF3)
+        target = random_target(GF3, random.Random(5), 12)
+        extra = mx.matrix_unit(GF3, witness.anchor(1), witness.bar(1, 1))
+        lifted = mx.add_maps(witness.lift(target, 12), extra)
+        with pytest.raises(cl.ClassifyError, match="sandwich mismatch: row 1"):
+            witness.check(target, lifted, 12)
 
 
 def test_eclass_witness_refuses_dclass():

@@ -119,14 +119,22 @@ def test_sandwich_subcommand():
 
 
 def test_witness_subcommand():
-    report, _ = run_json(["witness", "--preorder", "le", "--count", "4"])
+    report, doc = run_json(["witness", "--preorder", "le", "--count", "4"])
     assert not report.failed
+    assert doc["checks"][0]["detail"] == "anchors in class 1, bars in class 1"
     report, _ = run_json(["witness", "--preorder", "mod:2:(1,2)",
                           "--count", "3", "--window", "8"])
     assert not report.failed
-    report, _ = run_json(["witness", "--preorder", "le", "--count", "2",
-                          "--corrupt"])
-    assert report.failed
+    # The extra cell lies on bar 1, so the sandwich check sees it in every
+    # trial, whatever the window.
+    for spec in ("le", "full", "mod:2:(1,2)", "mod:3:(1,2)"):
+        for window in ("12", "13"):
+            report, doc = run_json(["witness", "--preorder", spec, "--count",
+                                    "2", "--window", window, "--corrupt"])
+            assert [c["verdict"] for c in doc["checks"]] == [
+                "pass", "fail", "fail"], (spec, window)
+            assert doc["checks"][1]["detail"].startswith(
+                "sandwich mismatch: row 1")
     report, _ = run_json(["witness", "--preorder", "ge", "--count", "1"])
     assert report.failed  # DClass preorders have no full-class witness
 

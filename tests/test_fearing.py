@@ -2,7 +2,7 @@ import pytest
 
 from rowfin import fearing as fr
 from rowfin import matrices as mx
-from rowfin.indexing import TailSet
+from rowfin.indexing import ResidueClassSet
 from rowfin.matrices import FinVec
 from rowfin.rings import parse_ring_spec
 from rowfin.words import proximity_oracle
@@ -37,7 +37,7 @@ def test_finiteness_flags():
     assert fr.diagonal_fearing().is_pointwise_finite()
     weak = fr.FearingDescriptor(
         "one-wide-row",
-        lambda a: TailSet(1) if a == 1 else frozenset({a}),
+        lambda a: ResidueClassSet(1, [1]) if a == 1 else frozenset({a}),
         infinite_supp_indices=frozenset({1}),
     )
     assert not weak.is_pointwise_finite()
@@ -74,7 +74,7 @@ def test_fear_witness_blocks_disjoint_and_certified():
 def test_fear_witness_requires_pointwise_finiteness():
     weak = fr.FearingDescriptor(
         "one-wide-row",
-        lambda a: TailSet(1) if a == 1 else frozenset({a}),
+        lambda a: ResidueClassSet(1, [1]) if a == 1 else frozenset({a}),
         infinite_supp_indices=frozenset({1}),
     )
     with pytest.raises(fr.FearingError):

@@ -1,11 +1,12 @@
+import random
+
 import pytest
 
 from rowfin import classify as cl
-from rowfin.indexing import (PairedSliceSet, PreorderSpecError,
-                             ResidueClassSet, SevenPartition, TailSet,
-                             ZPairing, cantor_pair, cantor_unpair,
-                             parse_preorder, tri, tri_block, tri_split, zfold,
-                             zunfold)
+from rowfin.indexing import (PreorderDescriptor, PreorderSpecError,
+                             ResidueClassSet, SevenPartition, ZPairing,
+                             cantor_pair, cantor_unpair, parse_preorder, tri,
+                             tri_block, tri_split, zfold, zunfold)
 
 
 def test_zfold_examples():
@@ -53,8 +54,8 @@ def test_seven_partition_examples():
 
 
 def test_infset_enumerators_consistent():
-    sets = [ResidueClassSet(7, [3]), ResidueClassSet(3, [1, 2]), TailSet(5),
-            PairedSliceSet(TailSet(1), 2)]
+    sets = [ResidueClassSet(7, [3]), ResidueClassSet(3, [1, 2]),
+            ResidueClassSet(1, [1])]
     for s in sets:
         prev = 0
         for j in range(1, 60):
@@ -63,18 +64,6 @@ def test_infset_enumerators_consistent():
             assert s.index_of(v) == j
             assert s.contains(v)
             prev = v
-
-
-def test_paired_slices_partition_base():
-    base = ResidueClassSet(4, [1])
-    slices = [PairedSliceSet(base, j) for j in range(1, 6)]
-    hits = {}
-    for j, s in enumerate(slices, start=1):
-        for t in range(1, 40):
-            v = s.nth(t)
-            assert v not in hits, "slices must be pairwise disjoint"
-            hits[v] = j
-            assert base.contains(v)
 
 
 def test_tri_block_examples():
@@ -138,6 +127,56 @@ def test_union_finite_preorder():
     assert [b for b in range(1, 13) if rho.rel(1, b)] == [1, 2, 3]
     assert [b for b in range(1, 13) if rho.rel(9, b)] == [9]
     assert cl.classify_preorder(rho) == cl.D_CLASS
+
+
+def test_union_finite_stores_only_off_diagonal_pairs():
+    rho = parse_preorder("union-finite:(1,100000)")
+    assert rho.finite == {(1, 100000)}
+    assert rho.rel(1, 100000) and rho.rel(50000, 50000)
+    assert not rho.rel(100000, 1)
+    # A cycle closes to diagonal pairs, which the form leaves implicit.
+    assert parse_preorder("union-finite:(1,2),(2,1)").finite == {(1, 2), (2, 1)}
+    with pytest.raises(PreorderSpecError, match="not off-diagonal"):
+        PreorderDescriptor("loop", 1, frozenset({(1, 1, 0)}), 2,
+                           frozenset({(1, 1)}))
+
+
+def _brute_force_is_preorder(m, table, K, finite, n):
+    """Reflexivity and transitivity of a normal form on rows 1..n, by brute
+    force over the form's definition."""
+    def rel(a, b):
+        if a <= K and b <= K:
+            return a == b or (a, b) in finite
+        return ((a - 1) % m + 1, (b - 1) % m + 1, (b > a) - (b < a)) in table
+
+    rows = range(1, n + 1)
+    up = {a: {b for b in rows if rel(a, b)} for a in rows}
+    return (all(a in up[a] for a in rows)
+            and all(up[b] <= up[a] for a in rows for b in up[a]))
+
+
+def test_exact_decision_matches_brute_force_on_random_forms():
+    # The constructor decides on rows 1..K+3m; brute force looks at
+    # 1..K+5m.  Tables and exceptions are random, so most are rejected.
+    rng = random.Random(7)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        m, K = rng.randint(1, 3), rng.randint(0, 4)
+        table = {(c, c, 0) for c in range(1, m + 1)}
+        table |= {(c, d, s) for c in range(1, m + 1) for d in range(1, m + 1)
+                  for s in (-1, 1) if rng.random() < 0.3}
+        finite = {(a, b) for a in range(1, K + 1) for b in range(1, K + 1)
+                  if a != b and rng.random() < 0.2}
+        try:
+            PreorderDescriptor("random", m, frozenset(table), K,
+                               frozenset(finite))
+            accepted = True
+        except PreorderSpecError:
+            accepted = False
+        assert accepted == _brute_force_is_preorder(m, table, K, finite,
+                                                    K + 5 * m)
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 30
 
 
 def test_preorder_spec_errors():

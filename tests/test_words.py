@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from rowfin import fearing as fr
 from rowfin import matrices as mx
 from rowfin import twogen as tg
 from rowfin import words as wd
-from rowfin.indexing import TailSet
+from rowfin.indexing import ResidueClassSet
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, parse_ring_spec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, Sum, WordError,
@@ -121,13 +122,52 @@ def test_support_closure_rejects_an_infinite_bound_at_a_reached_row():
     env = {"s": shift(Z)}
 
     def supp(a):
-        return TailSet(1) if a == 3 else frozenset({a})
+        return ResidueClassSet(1, [1]) if a == 3 else frozenset({a})
 
     # Radius 2 reaches row 3 but never steps from it.
     rep = support_closure(FinVec.unit(Z, 1), supp, env, 2)
     assert rep.cover == {1, 2, 3}
     with pytest.raises(WordError, match="row 3 is not a finite set"):
         support_closure(FinVec.unit(Z, 1), supp, env, 3)
+
+
+def reference_closure(x, supp, maps, r):
+    """Gamma_r by re-expanding the whole cover at every step: the slow
+    oracle for `support_closure`."""
+    cover = frozenset(x.support())
+    for _ in range(r):
+        out = set(cover)
+        for a in cover:
+            out.update(supp(a))
+            for m in maps.values():
+                out.update(m.row_support(a))
+        cover = frozenset(out)
+    return cover
+
+
+DESCRIPTORS = [fr.diagonal_fearing(), fr.banded_fearing(1),
+               fr.banded_fearing(2), fr.stretch_fearing(2),
+               fr.paired_fearing()]
+
+
+def test_support_closure_expands_each_row_once():
+    rng = random.Random(3)
+    maps = {"s": shift(Z), "m": mx.from_rows(Z, {2: {7: 1}, 6: {1: 1, 9: 1}})}
+    for descriptor in DESCRIPTORS:
+        for r in range(0, 6):
+            x = FinVec(Z, {rng.randint(1, 8): 1 for _ in range(2)})
+            calls = []
+
+            def supp(a):
+                calls.append(a)
+                return descriptor.supp(a)
+
+            cover = support_closure(x, supp, maps, r).cover
+            assert cover == reference_closure(x, descriptor.supp, maps, r)
+            # The rows expanded are the radius r - 1 cover, once each.
+            expanded = (reference_closure(x, descriptor.supp, maps, r - 1)
+                        if r else [])
+            assert sorted(calls) == sorted(expanded), descriptor.name
 
 
 def test_support_closure_monotone_in_radius():
