@@ -152,6 +152,21 @@ def test_disjoint_witness_lifts_arbitrary_targets():
             assert cl.preorder_membership(lifted, rho, anchors).ok
 
 
+def test_nested_witness_lifts_upper_triangular():
+    # The le witness of the nested case, on targets with cells only on or
+    # above the diagonal.
+    witness = cl.eclass_witness(parse_preorder("le"), GF3)
+    rng = random.Random(0)
+    for _ in range(5):
+        full = random_target(GF3, rng, 12)
+        target = mx.from_rows(GF3, {
+            j: {c: full.row(j).get(c) for c in full.row(j).support() if c >= j}
+            for j in range(1, 13)})
+        lifted = witness.verify(target, 12)
+        anchors = [witness.anchor(j) for j in range(1, 13)]
+        assert cl.preorder_membership(lifted, witness.rho, anchors).ok
+
+
 def test_witness_lift_of_zero_is_zero():
     witness = cl.eclass_witness(parse_preorder("le"), GF3)
     lifted = witness.lift(mx.zero_map(GF3), 10)
