@@ -64,6 +64,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _config(args) -> dict:
+    """A report's config: every parsed option but the output path."""
+    return {key: val for key, val in vars(args).items()
+            if key not in ("command", "func", "out")}
+
+
 def _window_check(report: Report, name: str, check: mx.WindowCheck):
     if check:
         report.check(name, PASS)
@@ -104,10 +110,7 @@ def builtin_family(kind: str, ring, seed: int, count: int) -> dict:
 
 def cmd_two_gen(args) -> Report:
     ring = parse_ring_spec(args.ring)
-    report = Report("two-gen", {
-        "ring": args.ring, "window": args.window, "seed": args.seed,
-        "family": args.family, "count": args.count, "corrupt": bool(args.corrupt),
-    })
+    report = Report(args.command, _config(args))
     try:
         source = builtin_family(args.family, ring, args.seed, args.count)
         fam = tg.build_g_family(source, ring, verify_window=min(args.window, 24))
@@ -138,10 +141,7 @@ def cmd_two_gen(args) -> Report:
 
 def cmd_maltsev(args) -> Report:
     ring = parse_ring_spec(args.ring)
-    report = Report("maltsev", {
-        "ring": args.ring, "count": args.count, "window": args.window,
-        "seed": args.seed, "corrupt": bool(args.corrupt),
-    })
+    report = Report(args.command, _config(args))
     try:
         emb = tg.maltsev_embed(ring, args.count, window=args.window,
                                rng=random.Random(args.seed),
@@ -162,10 +162,7 @@ def cmd_maltsev(args) -> Report:
 
 def cmd_sandwich(args) -> Report:
     ring = parse_ring_spec(args.ring)
-    report = Report("sandwich", {
-        "ring": args.ring, "window": args.window, "seed": args.seed,
-        "count": args.count, "corrupt": bool(args.corrupt),
-    })
+    report = Report(args.command, _config(args))
     rng = random.Random(args.seed)
     A, B = tr.sandwich_A(ring), tr.sandwich_B(ring)
     diag = parse_preorder("diag")
@@ -194,7 +191,7 @@ def cmd_sandwich(args) -> Report:
 
 
 def cmd_classify(args) -> Report:
-    report = Report("classify", {"preorder": args.preorder})
+    report = Report(args.command, _config(args))
     try:
         rho = parse_preorder(args.preorder)
     except PreorderSpecError as exc:
@@ -211,10 +208,7 @@ def cmd_classify(args) -> Report:
 
 def cmd_witness(args) -> Report:
     ring = parse_ring_spec(args.ring)
-    report = Report("witness", {
-        "preorder": args.preorder, "ring": args.ring, "window": args.window,
-        "seed": args.seed, "count": args.count, "corrupt": bool(args.corrupt),
-    })
+    report = Report(args.command, _config(args))
     rng = random.Random(args.seed)
     try:
         rho = parse_preorder(args.preorder)
@@ -260,10 +254,7 @@ _DESCRIPTORS = {
 
 def cmd_fear(args) -> Report:
     ring = parse_ring_spec(args.ring)
-    report = Report("fear", {
-        "ring": args.ring, "descriptor": args.descriptor, "blocks": args.blocks,
-        "oracle_max": args.oracle_max, "corrupt": bool(args.corrupt),
-    })
+    report = Report(args.command, _config(args))
     descriptor = _DESCRIPTORS[args.descriptor]()
     shift = mx.from_index_map(ring, lambda a: a + 1, tag="shift")
     witness = fr.fear_witness(descriptor, {"s": shift}, args.blocks, ring)
@@ -292,7 +283,7 @@ def cmd_fear(args) -> Report:
 
 
 def cmd_simple_full(args) -> Report:
-    report = Report("simple-full", {"n": args.n, "p": args.p})
+    report = Report(args.command, _config(args))
     try:
         census = cl.simple_full_check(args.n, args.p)
     except cl.ClassifyError as exc:
@@ -335,10 +326,7 @@ def _parse_vec(text: str, ring):
 
 def cmd_oracle(args) -> Report:
     ring = parse_ring_spec(args.ring)
-    report = Report("oracle", {
-        "ring": args.ring, "x1": args.x1, "x2": args.x2, "r_max": args.r_max,
-        "mode": args.mode,
-    })
+    report = Report(args.command, _config(args))
     x1 = _parse_vec(args.x1, ring)
     env = {"s": mx.from_index_map(ring, lambda a: a + 1, tag="shift")}
     if args.infile:

@@ -25,26 +25,19 @@ class FearingError(Exception):
 class FearingDescriptor:
     """The subring S of all maps whose row a lies in supp(a).
 
-    supp(a) is a frozenset when finite and an InfSetEnum when infinite;
-    infinite_supp_indices tags the rows whose bound is infinite.
+    supp(a) must be a finite set of columns.  A row the support closure
+    reaches whose bound is not one raises `WordError` there.
     """
 
     name: str
-    supp: object                    # a -> frozenset | InfSetEnum
-    infinite_supp_indices: frozenset = frozenset()
-
-    def is_pointwise_finite(self) -> bool:
-        return not self.infinite_supp_indices
+    supp: object                    # a -> frozenset
 
     def sample(self, ring: BaseRing, seed: int) -> RowFiniteMap:
         """A seeded member of S with up to three entries in each of rows 1..24."""
         rng = random.Random(seed)
         rows = {}
         for a in range(1, 25):
-            bound = self.supp(a)
-            cols = sorted(bound) if isinstance(bound, frozenset) else [
-                bound.nth(j) for j in range(1, 4)
-            ]
+            cols = sorted(self.supp(a))
             if not cols:
                 continue
             chosen = rng.sample(cols, k=min(len(cols), rng.randint(1, 3)))
@@ -106,14 +99,12 @@ def fear_witness(descriptor: FearingDescriptor, u_maps: dict, J: int,
     """Build J escape certificates and the block map g realizing them.
 
     x_j is a unit vector beyond all prior blocks; its radius-j closure
-    cover is finite (the descriptor is pointwise finitely fearing), so a
-    coordinate outside it exists; y_j is the unit vector there.  Then
-    y_j = x_j g while y_j lies outside the radius-j ball around x_j.
+    cover is finite (every support bound is a finite set, and
+    `support_closure` raises `WordError` at a reached row whose bound is
+    not), so a coordinate outside it exists; y_j is the unit vector
+    there.  Then y_j = x_j g while y_j lies outside the radius-j ball
+    around x_j.
     """
-    if not descriptor.is_pointwise_finite():
-        raise FearingError(
-            f"{descriptor.name} has rows with infinite support bound"
-        )
     pairs = []
     used = 0  # largest index consumed by any block so far
     g_rows = {}

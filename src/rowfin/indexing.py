@@ -1,8 +1,8 @@
 """Index combinatorics over the positive integers.
 
-Houses the pairing bijection with Z x N+, decidable infinite subsets,
-the mod-7 partition, triangular block indexing, and preorder descriptors
-with the DSL that builds them.
+Houses the pairing bijection with Z x N+, the mod-7 partition,
+triangular block indexing, and preorder descriptors with the DSL that
+builds them.
 """
 
 from __future__ import annotations
@@ -65,48 +65,6 @@ class ZPairing:
 
 
 # ---------------------------------------------------------------------------
-# Decidable infinite subsets
-
-
-class InfSetEnum:
-    """Strictly increasing enumeration of an infinite subset of N+."""
-
-    def nth(self, j: int) -> int:
-        raise NotImplementedError
-
-    def contains(self, k: int) -> bool:
-        return self.index_of(k) is not None
-
-    def index_of(self, k: int):
-        """Position of k in the enumeration (1-based), or None."""
-        raise NotImplementedError
-
-
-class ResidueClassSet(InfSetEnum):
-    """Elements of N+ whose residue classes mod m lie in a fixed set.
-
-    Classes are 1-based: class(k) = ((k-1) % m) + 1.
-    """
-
-    def __init__(self, m: int, classes):
-        self.m = m
-        self.classes = tuple(sorted(set(classes)))
-        if not self.classes:
-            raise IndexError_("empty residue class set")
-
-    def nth(self, j: int) -> int:
-        q, r = divmod(j - 1, len(self.classes))
-        return q * self.m + self.classes[r]
-
-    def index_of(self, k: int):
-        q, r = divmod(k - 1, self.m)
-        c = r + 1
-        if c not in self.classes:
-            return None
-        return q * len(self.classes) + self.classes.index(c) + 1
-
-
-# ---------------------------------------------------------------------------
 # The mod-7 partition
 
 
@@ -115,11 +73,6 @@ class SevenPartition:
 
     def class_of(self, k: int) -> int:
         return (k - 1) % 7 + 1
-
-    def piece(self, i: int) -> ResidueClassSet:
-        if not 1 <= i <= 7:
-            raise IndexError_(f"piece index must be in 1..7, got {i}")
-        return ResidueClassSet(7, [i])
 
 
 # ---------------------------------------------------------------------------

@@ -309,12 +309,8 @@ def matrix_unit(ring: BaseRing, i: int, j: int) -> Monomial:
     return Monomial(ring, {i: j}.get, tag=f"e{i},{j}")
 
 
-def projection(ring: BaseRing, contains, tag: str = "proj") -> Monomial:
-    """Projection onto the coordinates where `contains` holds.
-
-    `contains` is a membership predicate or any object with a .contains method.
-    """
-    member = contains.contains if hasattr(contains, "contains") else contains
+def projection(ring: BaseRing, member, tag: str = "proj") -> Monomial:
+    """Projection onto the coordinates where the predicate `member` holds."""
     return Monomial(ring, lambda a: a if member(a) else None, tag=tag)
 
 
@@ -382,15 +378,18 @@ def power(f: RowFiniteMap, k: int) -> RowFiniteMap:
 
 
 class WindowCheck:
-    """Result of comparing two maps on rows 1..n; rows compared in full."""
+    """Result of comparing two maps on rows 1..n; rows compared in full.
 
-    __slots__ = ("ok", "row", "expected", "got")
+    On a mismatch, `got` is the first map's row and `expected` the second's.
+    """
 
-    def __init__(self, ok, row=None, expected=None, got=None):
+    __slots__ = ("ok", "row", "got", "expected")
+
+    def __init__(self, ok, row=None, got=None, expected=None):
         self.ok = ok
         self.row = row
-        self.expected = expected
         self.got = got
+        self.expected = expected
 
     def __bool__(self):
         return self.ok
@@ -398,10 +397,11 @@ class WindowCheck:
     def describe(self) -> str:
         if self.ok:
             return "equal"
-        return f"row {self.row}: expected {self.expected!r}, got {self.got!r}"
+        return f"row {self.row}: got {self.got!r}, expected {self.expected!r}"
 
 
 def equal_on_window(f: RowFiniteMap, g: RowFiniteMap, n: int) -> WindowCheck:
+    """Compare rows 1..n of the computed map f with the expected map g."""
     _common_ring(f, g)
     if n < 1:
         raise MatrixError(f"window must be >= 1, got {n}")

@@ -8,13 +8,14 @@ respects central elements.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from . import matrices as mx
 from .indexing import SevenPartition, ZPairing
 from .matrices import RowFiniteMap, FinVec
 from .rings import BaseRing, RingError, central_payloads
-from .words import Gen, Word, prod_chain
+from .words import Gen, Word, eval_word, prod_chain
 
 
 class ConstructionError(Exception):
@@ -148,10 +149,8 @@ class TwoGenWitness:
 
 def _phi(part: SevenPartition, k: int) -> int:
     """The index action of f1: classes 1..5 advance; classes 6,7 merge into 7."""
-    c = part.class_of(k)
-    if c <= 5:
-        j = part.piece(c).index_of(k)
-        return part.piece(c + 1).nth(j)
+    if part.class_of(k) <= 5:
+        return k + 1
     # Position of k among {6,7, 13,14, 20,21, ...}.
     q, r = divmod(k - 1, 7)
     j = 2 * q + (1 if r == 5 else 2)
@@ -163,8 +162,7 @@ def _phi_inv(part: SevenPartition, beta: int):
     if c == 1:
         return None
     if c <= 6:
-        j = part.piece(c).index_of(beta)
-        return part.piece(c - 1).nth(j)
+        return beta - 1
     j = beta // 7
     q, odd = divmod(j - 1, 2)
     return 7 * q + (6 if odd == 0 else 7)
@@ -178,7 +176,6 @@ def build_two_generators(fam: GFamily, verify_window: int = 28) -> TwoGenWitness
     """
     ring = fam.ring
     part = SevenPartition()
-    sigma1 = part.piece(1)
 
     f1 = mx.from_index_map(ring, lambda k: _phi(part, k), tag="f1")
     gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
@@ -188,23 +185,22 @@ def build_two_generators(fam: GFamily, verify_window: int = 28) -> TwoGenWitness
         if c == 1:
             return FinVec.zero(ring)
         if c <= 6:
-            # Row of t_i^{-1} f2^{-1} g_i collapses to a plain row of g_i.
-            j = part.piece(c).index_of(alpha)
-            return gmaps[c - 1].row(j)
+            # Row of t_i^{-1} f2^{-1} g_i collapses to a plain row of g_i,
+            # indexed by alpha's position in its piece.
+            return gmaps[c - 1].row((alpha - 1) // 7 + 1)
         # Class 7: t6^{-1} f2, i.e. undo six f1-steps then land in Sigma_1.
         k = alpha
         for _ in range(6):
             k = _phi_inv(part, k)
             if k is None:
                 return FinVec.zero(ring)
-        return FinVec.unit(ring, sigma1.nth(k))
+        # The k-th row of Sigma_1 = {1, 8, 15, ...}.
+        return FinVec.unit(ring, 7 * k - 6)
 
     f3 = RowFiniteMap(ring, f3_row, tag="f3")
 
     witness = TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)
     env = witness.env()
-    from .words import eval_word
-
     for i in range(1, 6):
         _require(mx.equal_on_window(eval_word(g_word(i), env, ring), gmaps[i],
                                     verify_window),
@@ -239,9 +235,7 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
     0's target image gains a stray (1, 2) cell after the generators are
     built, so its word check must fail.
     """
-    import random as _random
-
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     size = ring.size()
     if size is not None and count > size:
         raise RingError(f"index {size} out of range for {ring.spec}")
@@ -249,8 +243,6 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
     source = {i: mx.scalar_map(ring, s) for i, s in enumerate(payloads)}
     fam = build_g_family(source, ring, verify_window=min(window, 20))
     witness = build_two_generators(fam, verify_window=min(window, 28))
-
-    from .words import eval_word
 
     env = witness.env()
     targets = dict(source)

@@ -367,6 +367,9 @@ def test_oracle_infile(tmp_path):
                        "--x2", "5:1", "--r-max", "1", "--in", str(path)])
     assert doc["witnesses"]["found"] is True
     assert doc["witnesses"]["word"] == "m"
+    assert doc["config"] == {"infile": str(path), "mode": "proximity",
+                             "r_max": 1, "ring": "GF:2", "x1": "1:1",
+                             "x2": "5:1"}
     report, _ = run_json(["oracle", "--ring", "GF:3", "--x1", "1:1",
                           "--x2", "5:1", "--r-max", "1", "--in", str(path)])
     assert report.failed

@@ -1,11 +1,12 @@
+import itertools
+
 import pytest
 
 from rowfin import fearing as fr
 from rowfin import matrices as mx
-from rowfin.indexing import ResidueClassSet
 from rowfin.matrices import FinVec
 from rowfin.rings import parse_ring_spec
-from rowfin.words import proximity_oracle
+from rowfin.words import WordError, proximity_oracle
 
 GF2 = parse_ring_spec("GF:2")
 GF3 = parse_ring_spec("GF:3")
@@ -31,16 +32,6 @@ def test_descriptor_membership_and_samples():
             h = descriptor.sample(GF3, seed)
             for a in range(1, 25):
                 assert h.row_support(a) <= descriptor.supp(a)
-
-
-def test_finiteness_flags():
-    assert fr.diagonal_fearing().is_pointwise_finite()
-    weak = fr.FearingDescriptor(
-        "one-wide-row",
-        lambda a: ResidueClassSet(1, [1]) if a == 1 else frozenset({a}),
-        infinite_supp_indices=frozenset({1}),
-    )
-    assert not weak.is_pointwise_finite()
 
 
 def test_fear_witness_first_block_geometry():
@@ -74,10 +65,9 @@ def test_fear_witness_blocks_disjoint_and_certified():
 def test_fear_witness_requires_pointwise_finiteness():
     weak = fr.FearingDescriptor(
         "one-wide-row",
-        lambda a: ResidueClassSet(1, [1]) if a == 1 else frozenset({a}),
-        infinite_supp_indices=frozenset({1}),
+        lambda a: itertools.count(1) if a == 1 else frozenset({a}),
     )
-    with pytest.raises(fr.FearingError):
+    with pytest.raises(WordError, match="row 1 is not a finite set"):
         fr.fear_witness(weak, {}, 2, GF3)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 import rowfin
 from rowfin import matrices as mx
-from rowfin.indexing import ResidueClassSet
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
 from rowfin.rings import IntegerRing, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
@@ -50,8 +49,7 @@ def test_finvec_add_neg():
 
 
 def test_projection_and_matrix_unit_rows():
-    evens = ResidueClassSet(2, [2])
-    proj = mx.projection(Z, evens)
+    proj = mx.projection(Z, lambda a: a % 2 == 0)
     assert proj.row(3).is_zero()
     assert proj.row(4) == FinVec.unit(Z, 4)
     e25 = mx.matrix_unit(Z, 2, 5)
@@ -99,9 +97,13 @@ def test_equal_on_window():
     assert "row 1" in check.describe()
 
 
+def test_window_check_reads_the_first_map_as_got():
+    check = mx.equal_on_window(mx.zero_map(Z), mx.identity_map(Z), 1)
+    assert check.describe() == "row 1: got FinVec(), expected FinVec(1:1)"
+
+
 def test_two_lazy_expressions_for_projection_agree():
-    evens = ResidueClassSet(2, [2])
-    p1 = mx.projection(Z, evens)
+    p1 = mx.projection(Z, lambda a: a % 2 == 0)
     p2 = mx.from_index_map(Z, lambda a: a if a % 2 == 0 else None)
     assert mx.equal_on_window(p1, p2, 50)
 

@@ -87,6 +87,49 @@ def test_phi_round_trip():
         assert tg._phi(part, k) == beta
 
 
+def enumerated_index_maps(n):
+    """f1's index map and its inverse on 1..n, read off enumerations of the
+    pieces {c, c+7, ...}: the j-th element of piece c goes to the j-th of
+    piece c + 1 for c <= 5, and the j-th element of pieces 6 and 7 merged
+    goes to the j-th of piece 7.  Also returns the enumerated pieces."""
+    # Past every image of 1..n, and n elements deep in piece 1.
+    top = 7 * n + 7
+    pieces = {c: list(range(c, top, 7)) for c in range(1, 8)}
+    phi = {}
+    for c in range(1, 6):
+        phi.update(zip(pieces[c], pieces[c + 1]))
+    phi.update(zip(sorted(pieces[6] + pieces[7]), pieces[7]))
+    phi_inv = {beta: k for k, beta in phi.items()}
+    return phi, phi_inv, pieces
+
+
+def test_index_maps_match_enumerated_pieces():
+    part = SevenPartition()
+    n = 5000
+    phi, phi_inv, pieces = enumerated_index_maps(n)
+    for k in range(1, n + 1):
+        assert tg._phi(part, k) == phi[k]
+        assert tg._phi_inv(part, k) == phi_inv.get(k)
+    fam = tg.build_g_family(random_family(GF3, 4), GF3)
+    witness = tg.build_two_generators(fam)
+    gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
+    for alpha in range(1, n + 1):
+        c = part.class_of(alpha)
+        if c == 1:
+            expected = FinVec.zero(GF3)
+        elif c <= 6:
+            expected = gmaps[c - 1].row(pieces[c].index(alpha) + 1)
+        else:
+            k = alpha
+            for _ in range(6):
+                k = phi_inv.get(k)
+                if k is None:
+                    break
+            expected = (FinVec.zero(GF3) if k is None
+                        else FinVec.unit(GF3, pieces[1][k - 1]))
+        assert witness.f3.row(alpha) == expected
+
+
 def test_word_shapes():
     for i in range(1, 6):
         w = tg.g_word(i)

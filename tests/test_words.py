@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from rowfin import fearing as fr
 from rowfin import matrices as mx
 from rowfin import twogen as tg
 from rowfin import words as wd
-from rowfin.indexing import ResidueClassSet
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, parse_ring_spec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, Sum, WordError,
@@ -122,7 +122,7 @@ def test_support_closure_rejects_an_infinite_bound_at_a_reached_row():
     env = {"s": shift(Z)}
 
     def supp(a):
-        return ResidueClassSet(1, [1]) if a == 3 else frozenset({a})
+        return itertools.count(1) if a == 3 else frozenset({a})
 
     # Radius 2 reaches row 3 but never steps from it.
     rep = support_closure(FinVec.unit(Z, 1), supp, env, 2)
