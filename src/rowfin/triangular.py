@@ -13,6 +13,7 @@ from . import matrices as mx
 from .indexing import tri_block, tri_split
 from .matrices import FinVec, RowFiniteMap
 from .rings import BaseRing
+from .words import is_finite_bound
 
 
 class SandwichError(Exception):
@@ -109,7 +110,7 @@ def fear_lower_embed(descriptor, ring: BaseRing,
 
     def supp_fn(a):
         supp = descriptor.supp(a)
-        if not isinstance(supp, frozenset):
+        if not is_finite_bound(supp):
             raise SandwichError(
                 f"descriptor {descriptor.name} is not finitely fearing at row {a}"
             )

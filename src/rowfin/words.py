@@ -3,7 +3,9 @@
 Words are binary trees with leaves 0, 1, -1, or a generator name; length
 is additive over sums and products.  Includes evaluation into row-finite
 maps, the support-closure over-approximation of proximity balls, and the
-definitional brute-force proximity oracle.
+proximity oracle, an exact least-length word search that builds longer
+words only from the first word of each class of words with equal rows
+on the support-closure cover.
 """
 
 from __future__ import annotations
@@ -257,6 +259,11 @@ def _eval_leaf(w: Word, env: dict, ring) -> RowFiniteMap:
 # Support closure (the computable ball-support over-approximation)
 
 
+def is_finite_bound(bound) -> bool:
+    """Whether a per-row support bound is a finite set of columns."""
+    return isinstance(bound, (set, frozenset))
+
+
 @dataclass
 class SupportBallReport:
     cover: frozenset
@@ -277,7 +284,7 @@ def support_closure(x: FinVec, supp, maps: dict, r: int) -> SupportBallReport:
         out = set()
         for a in frontier:
             bound = supp(a)
-            if not isinstance(bound, (set, frozenset)):
+            if not is_finite_bound(bound):
                 raise WordError(f"support bound at row {a} is not a finite set")
             out.update(bound)
             for m in maps.values():
@@ -288,7 +295,7 @@ def support_closure(x: FinVec, supp, maps: dict, r: int) -> SupportBallReport:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force proximity oracle
+# Proximity oracle
 
 
 @dataclass
@@ -296,23 +303,7 @@ class ProximityResult:
     found: bool
     r: int            # witness length, or the exhausted bound
     witness: Word | None
-    words_tried: int
-
-
-class _Cand:
-    """A candidate word with its vector image and a lazily built matrix."""
-
-    __slots__ = ("word", "vec", "_mat")
-
-    def __init__(self, word, vec):
-        self.word = word
-        self.vec = vec
-        self._mat = None
-
-    def mat(self, env, ring):
-        if self._mat is None:
-            self._mat = eval_word(self.word, env, ring)
-        return self._mat
+    words_tried: int  # candidate words built, each compared with x2
 
 
 # The most candidate words one oracle query may build before it gives up.
@@ -321,42 +312,65 @@ WORD_CAP = 1_000_000
 
 def proximity_oracle(x1: FinVec, x2: FinVec, env: dict,
                      r_max: int) -> ProximityResult:
-    """Least word length r with x2 = x1 . eval(w), by exhaustive enumeration.
+    """Least word length r with x2 = x1 . eval(w), and the first such word.
 
-    Enumeration order is by length, then tree shape, then generator,
-    so results are deterministic.  Exponential in r_max; intended as a
-    test oracle at small radii.  Raises OracleBudgetExceeded once a level
-    would take the candidates built past WORD_CAP.
+    Words are built by length, then tree shape, then generator, so
+    results are deterministic.  A word w of length l < r_max enters a
+    longer word of length <= r_max only through its rows on the cover
+    Gamma_{r_max-l}(supp x1): as a summand or left factor through its
+    vector x1 . w, and as a right factor through its rows on the support
+    of the left factor's vector.  So words of one length whose rows agree
+    there are interchangeable, and longer words are built from the first
+    word of each such class only.  The first witness in full order has
+    first-of-class children, so the search returns the same length and
+    word as enumerating every word.  Raises OracleBudgetExceeded once the
+    candidates built pass WORD_CAP.
     """
     ring = x1.ring
-    names = sorted(env)
     tried = 0
-
-    leaves = [_Cand(ZERO, FinVec.zero(ring)),
-              _Cand(ONE, x1),
-              _Cand(NEG_ONE, x1.neg())]
-    for name in names:
-        leaves.append(_Cand(Gen(name), x1.apply(env[name])))
-
-    by_length: list[list[_Cand]] = [leaves]
+    # reps[l - 1]: (word, vector, map) of the first word of each class of length l.
+    reps: list[list[tuple]] = []
     for n in range(1, r_max + 1):
-        if n > 1:
-            level: list[_Cand] = []
-            for m1 in range(1, n):
-                for left in by_length[m1 - 1]:
-                    for right in by_length[n - m1 - 1]:
-                        level.append(_Cand(Sum(left.word, right.word),
-                                           left.vec.add(right.vec)))
-                        level.append(_Cand(
-                            Prod(left.word, right.word),
-                            left.vec.apply(right.mat(env, ring))))
-                        if tried + len(level) > WORD_CAP:
-                            raise OracleBudgetExceeded(
-                                f"word cap {WORD_CAP} exceeded at length {n}"
-                            )
-            by_length.append(level)
-        for cand in by_length[n - 1]:
+        merge = n < r_max
+        if n == 1:
+            candidates = [(ZERO, FinVec.zero(ring), zero_map(ring)),
+                          (ONE, x1, identity_map(ring)),
+                          (NEG_ONE, x1.neg(), scalar_map(ring, ring.neg(ring.one)))]
+            candidates += [(Gen(name), x1.apply(env[name]), env[name])
+                           for name in sorted(env)]
+        else:
+            candidates = _products_and_sums(reps, n, build_maps=merge)
+        if merge:
+            cover = sorted(support_closure(x1, lambda a: {a}, env, r_max - n).cover)
+        seen = set()
+        level = []
+        for word, vec, mat in candidates:
             tried += 1
-            if cand.vec == x2:
-                return ProximityResult(True, n, cand.word, tried)
+            if tried > WORD_CAP:
+                raise OracleBudgetExceeded(
+                    f"word cap {WORD_CAP} exceeded at length {n}")
+            if vec == x2:
+                return ProximityResult(True, n, word, tried)
+            if merge:
+                signature = tuple(mat.row(a) for a in cover)
+                if signature not in seen:
+                    seen.add(signature)
+                    level.append((word, vec, mat))
+        reps.append(level)
     return ProximityResult(False, r_max, None, tried)
+
+
+def _products_and_sums(reps: list, n: int, build_maps: bool):
+    """Words of length n over the class representatives, in search order.
+
+    Yields (word, vector, map) for (left + right) and then (left * right),
+    for every split n = m1 + m2 and every pair of representatives; the
+    map is None unless `build_maps`.
+    """
+    for m1 in range(1, n):
+        for lword, lvec, lmat in reps[m1 - 1]:
+            for rword, rvec, rmat in reps[n - m1 - 1]:
+                yield (Sum(lword, rword), lvec.add(rvec),
+                       add_maps(lmat, rmat) if build_maps else None)
+                yield (Prod(lword, rword), lvec.apply(rmat),
+                       compose(lmat, rmat) if build_maps else None)

@@ -262,6 +262,10 @@ def test_criterion_11_determinism_across_hash_seeds(tmp_path):
                        ("simple-full-2-3", ["simple-full", "--n", "2", "--p", "3"]),
                        ("simple-full-3-2", ["simple-full", "--n", "3", "--p", "2"]),
                        ("fear", ["fear", "--blocks", "4", "--oracle-max", "2"]),
+                       ("fear-oracle-5", ["fear", "--ring", "GF:2", "--blocks", "5",
+                                          "--oracle-max", "5"]),
+                       ("oracle-6", ["oracle", "--ring", "GF:2", "--x1", "1:1",
+                                     "--x2", "9:1", "--r-max", "6"]),
                        ("witness-le", ["witness", "--preorder", "le"]),
                        ("witness-mod", ["witness", "--preorder", "mod:3:(1,2)"])):
         outputs = []

@@ -4,6 +4,7 @@ import pytest
 
 from rowfin import fearing as fr
 from rowfin import matrices as mx
+from rowfin import triangular as tr
 from rowfin.matrices import FinVec
 from rowfin.rings import parse_ring_spec
 from rowfin.words import WordError, proximity_oracle
@@ -69,6 +70,19 @@ def test_fear_witness_requires_pointwise_finiteness():
     )
     with pytest.raises(WordError, match="row 1 is not a finite set"):
         fr.fear_witness(weak, {}, 2, GF3)
+
+
+def test_closure_and_lower_embed_share_one_finiteness_test():
+    env = {"s": shift(GF3)}
+    setdiag = fr.FearingDescriptor("setdiag", lambda a: {a})
+    assert fr.fear_witness(setdiag, env, 4, GF3).certificates_hold()
+    embed = tr.fear_lower_embed(setdiag, GF3, verify_window=8)
+    assert embed.targets == list(range(1, 9))
+    counting = fr.FearingDescriptor("counting", lambda a: itertools.count(1))
+    with pytest.raises(WordError, match="not a finite set"):
+        fr.fear_witness(counting, env, 4, GF3)
+    with pytest.raises(tr.SandwichError, match="not finitely fearing"):
+        tr.fear_lower_embed(counting, GF3, verify_window=8)
 
 
 def test_fear_witness_oracle_confirms_certificates():

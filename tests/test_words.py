@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from oracle_reference import brute_oracle, first_words
 
 from rowfin import fearing as fr
 from rowfin import matrices as mx
@@ -217,6 +218,81 @@ def test_oracle_budget(monkeypatch):
     env = {"s": shift(Z)}
     with pytest.raises(wd.OracleBudgetExceeded, match="word cap 50"):
         proximity_oracle(FinVec.unit(Z, 1), FinVec.unit(Z, 9), env, 6)
+
+
+def test_oracle_budget_counts_candidates_built(monkeypatch):
+    # Over GF(2), 1 and -1 share a class, so length 2 is built from the
+    # 3 representatives of length 1: 4 + 18 = 22 candidates in all.
+    env = {"s": shift(GF2)}
+    x1, x2 = FinVec.unit(GF2, 1), FinVec.unit(GF2, 9)
+    assert proximity_oracle(x1, x2, env, 2).words_tried == 22
+    monkeypatch.setattr(wd, "WORD_CAP", 22)
+    assert not proximity_oracle(x1, x2, env, 2).found
+    monkeypatch.setattr(wd, "WORD_CAP", 21)
+    with pytest.raises(wd.OracleBudgetExceeded, match="at length 2"):
+        proximity_oracle(x1, x2, env, 2)
+
+
+def test_oracle_words_tried_is_pinned():
+    # A change to the merge rule moves these counts.  With the shift alone
+    # a word's vector fixes its rows; a second map makes the cover matter.
+    res = proximity_oracle(FinVec.unit(GF2, 1), FinVec.unit(GF2, 9),
+                           {"s": shift(GF2)}, 6)
+    assert (res.found, res.r, res.witness, res.words_tried) == (False, 6, None, 1196)
+    m = mx.from_rows(GF2, {2: {5: 1}, 3: {1: 1, 2: 1}})
+    res = proximity_oracle(FinVec.unit(GF2, 1), FinVec.unit(GF2, 20),
+                           {"s": shift(GF2), "m": m}, 4)
+    assert (res.found, res.words_tried) == (False, 871)
+    assert brute_oracle(FinVec.unit(GF2, 1), FinVec.unit(GF2, 20),
+                        {"s": shift(GF2), "m": m}, 4).words_tried == 26055
+
+
+def _random_vec(rng, ring, top, entries):
+    return FinVec(ring, {rng.randint(1, top): ring.random_payload(rng)
+                         for _ in range(entries)})
+
+
+def test_merged_oracle_matches_brute_force():
+    """Same found, r and witness as the reference that merges nothing.
+
+    Half the cases bind a random finite-support map m beside the shift,
+    as `oracle --in` does.  Each case asks the brute-force oracle about
+    one random target, mostly out of reach, and reads its answer for up
+    to ten reachable targets off one full enumeration: a merge rule that
+    drops a needed word shows up as a later or missing witness there.
+    """
+    rng = random.Random(20261018)
+    rings = [parse_ring_spec(spec) for spec in ("GF:2", "Zmod:5", "Mat:2:GF:2")]
+    checked = skipped = 0
+    for case in range(72):
+        ring = rings[case % 3]
+        env = {"s": shift(ring)}
+        if case % 2:
+            env["m"] = mx.from_rows(ring, {
+                a: {c: ring.random_payload(rng)
+                    for c in rng.sample(range(1, 9), rng.randint(1, 2))}
+                for a in rng.sample(range(1, 7), rng.randint(1, 6))})
+        top = 3 if ring.spec.startswith("Mat") or "m" in env else 4
+        r_max = rng.randint(1, top)
+        x1 = _random_vec(rng, ring, 4, rng.randint(1, 2))
+        x2 = _random_vec(rng, ring, 8, rng.randint(1, 2))
+        try:
+            ref = brute_oracle(x1, x2, env, r_max)
+            first = first_words(x1, env, r_max)
+        except wd.OracleBudgetExceeded:
+            skipped += 1
+            continue
+        got = proximity_oracle(x1, x2, env, r_max)
+        assert (got.found, got.r, got.witness) == (ref.found, ref.r, ref.witness), (
+            ring.spec, sorted(env), r_max, x1, x2)
+        assert got.words_tried <= ref.words_tried
+        reachable = list(first)
+        for x2 in rng.sample(reachable, min(10, len(reachable))):
+            got = proximity_oracle(x1, x2, env, r_max)
+            assert (got.found, (got.r, got.witness)) == (True, first[x2]), (
+                ring.spec, sorted(env), r_max, x1, x2)
+        checked += 1
+    assert skipped < checked
 
 
 def test_ball_containment_property():
