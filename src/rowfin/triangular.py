@@ -23,8 +23,10 @@ class SandwichError(Exception):
 def sandwich_A(ring: BaseRing) -> RowFiniteMap:
     """Row i carries a width-i block of ones at columns tri_block(i)."""
 
+    one = ring.one  # canonical and nonzero: every ring here has 1 != 0
+
     def rowfn(i):
-        return FinVec(ring, {c: ring.one for c in tri_block(i)})
+        return FinVec._of(ring, {c: one for c in tri_block(i)})
 
     return RowFiniteMap(ring, rowfn, tag="A")
 
@@ -34,12 +36,12 @@ def sandwich_B(ring: BaseRing) -> RowFiniteMap:
     return mx.from_index_map(ring, lambda r: tri_split(r)[1], tag="B")
 
 
-def sandwich_X(Y: RowFiniteMap, window: int, verify: bool = True) -> RowFiniteMap:
+def sandwich_X(Y: RowFiniteMap, window: int) -> RowFiniteMap:
     """Diagonal X with A X B = Y, for lower-triangular Y.
 
-    Cell T(i-1)+k of the diagonal holds Y[i,k]; lower-triangularity of Y
-    is checked on the window, and the sandwich identity is re-verified
-    there unless `verify` is disabled.
+    Cell T(i-1)+k of the diagonal holds Y[i,k]. Lower-triangularity of Y
+    is checked on the window; the caller verifies A X B = Y there with
+    its own A and B, whose memoised rows it can share across targets.
     """
     ring = Y.ring
     for i in range(1, window + 1):
@@ -49,16 +51,11 @@ def sandwich_X(Y: RowFiniteMap, window: int, verify: bool = True) -> RowFiniteMa
 
     def rowfn(d):
         i, k = tri_split(d)
-        v = Y.row(i).get(k)
-        return FinVec(ring, {d: v})
+        # Y's stored entries are canonical and nonzero; a missing one is zero.
+        v = Y.row(i).entries.get(k)
+        return FinVec._of(ring, {} if v is None else {d: v})
 
-    X = RowFiniteMap(ring, rowfn, tag="X")
-    if verify:
-        axb = mx.compose(mx.compose(sandwich_A(ring), X), sandwich_B(ring))
-        check = mx.equal_on_window(axb, Y, window)
-        if not check:
-            raise SandwichError(f"AXB != Y: {check.describe()}")
-    return X
+    return RowFiniteMap(ring, rowfn, tag="X")
 
 
 # ---------------------------------------------------------------------------

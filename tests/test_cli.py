@@ -6,6 +6,7 @@ import pytest
 
 from rowfin import cli
 from rowfin import matrices as mx
+from rowfin import triangular as tr
 from rowfin import words as wd
 from rowfin.rings import parse_ring_spec
 
@@ -113,9 +114,29 @@ def test_sandwich_subcommand():
                             "--window", "12"])
     assert not report.failed
     assert len(doc["checks"]) == 8  # AXB and diagonal membership per trial
-    report, _ = run_json(["sandwich", "--count", "2", "--window", "10",
-                          "--corrupt"])
-    assert report.failed
+    # The planted (1,1) cell keeps X diagonal; the one AXB check sees it.
+    report, doc = run_json(["sandwich", "--count", "2", "--window", "10",
+                            "--corrupt"])
+    assert [c["verdict"] for c in doc["checks"]] == ["fail", "pass"] * 2
+    for check in doc["checks"][::2]:
+        assert check["detail"].startswith("row 1: got")
+
+
+def test_sandwich_checks_diagonality_on_every_row_axb_reads(monkeypatch):
+    # Row 40 lies in block 9, past the window of 10 but inside T(10) = 55.
+    # Columns 15 and 41 both go to column 5 under B, so the two planted
+    # cells cancel in AXB and only the diagonality check can see them.
+    make_x = tr.sandwich_X
+
+    def planted(Y, window):
+        extra = mx.from_rows(Y.ring, {40: {15: -1, 41: 1}})
+        return mx.add_maps(make_x(Y, window), extra)
+
+    monkeypatch.setattr(tr, "sandwich_X", planted)
+    report, doc = run_json(["sandwich", "--ring", "Int", "--count", "2",
+                            "--window", "10"])
+    assert [c["verdict"] for c in doc["checks"]] == ["pass", "fail"] * 2
+    assert all(c["detail"] == "(40, 15)" for c in doc["checks"][1::2])
 
 
 def test_witness_subcommand():

@@ -5,7 +5,7 @@ import pytest
 from rowfin import fearing as fr
 from rowfin import matrices as mx
 from rowfin import triangular as tr
-from rowfin.indexing import tri, tri_block
+from rowfin.indexing import tri, tri_block, tri_split
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, parse_ring_spec
 
@@ -53,8 +53,34 @@ def test_sandwich_X_random_lower_triangular():
                 if rng.random() < 0.6}
             for i in range(1, 15)}
     Y = mx.from_rows(GF5, {i: r for i, r in rows.items() if r})
-    X = tr.sandwich_X(Y, 14)   # verifies AXB = Y internally
+    X = tr.sandwich_X(Y, 14)
+    axb = mx.compose(mx.compose(tr.sandwich_A(GF5), X), tr.sandwich_B(GF5))
+    assert mx.equal_on_window(axb, Y, 14)
     assert all(X.row_support(d) <= {d} for d in range(1, tri(14) + 1))
+
+
+@pytest.mark.parametrize("spec", ["GF:5", "Zmod:6", "Int", "Mat:2:GF:2"])
+def test_fast_rows_match_canonicalising_constructor(spec):
+    # A's and X's rows wrap payloads without re-canonicalising them; the
+    # canonicalising FinVec constructor is the reference.
+    ring, window = parse_ring_spec(spec), 12
+    rng = random.Random(spec)
+    for _ in range(5):
+        rows = {}
+        for i in range(1, window + 1):
+            entries = {c: ring.random_payload(rng)
+                       for c in range(1, i + 1) if rng.random() < 0.5}
+            if entries:
+                rows[i] = entries
+        Y = mx.from_rows(ring, rows)
+        A, X = tr.sandwich_A(ring), tr.sandwich_X(Y, window)
+        for d in range(1, tri(window) + 1):
+            i, k = tri_split(d)
+            slow_a = FinVec(ring, {c: ring.one for c in tri_block(d)})
+            slow_x = FinVec(ring, {d: Y.row(i).get(k)})
+            for fast, slow in ((A.row(d), slow_a), (X.row(d), slow_x)):
+                assert fast.entries == slow.entries, (spec, d)
+                assert fast.support() == slow.support(), (spec, d)
 
 
 def test_sandwich_X_rejects_upper_cell():
