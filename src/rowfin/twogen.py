@@ -2,14 +2,16 @@
 
 Builds the five-map family that packs a countable matrix family into
 conjugates of a single block map, compresses those five maps into words
-over two generators, and derives the countable-ring embedding that
-respects central elements.
+over two generators, evaluates a report's words with row work shared
+across them, and derives the countable-ring embedding that respects
+central elements.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import matrices as mx
 from .indexing import SevenPartition, ZPairing
@@ -43,21 +45,29 @@ class GFamily:
             self.ring, lambda alpha: self.pairing.decode(alpha)[0] == 0,
             tag="pi_sigma")
 
-    def u_product(self, i: int) -> RowFiniteMap:
-        """The five-factor product that must reproduce u_i."""
-        up = mx.power(self.g4, i) if i >= 0 else mx.power(self.g5, -i)
-        down = mx.power(self.g5, i) if i >= 0 else mx.power(self.g4, -i)
-        return mx.compose_all([self.g1, up, self.g3, down, self.g2])
+    def gmaps(self) -> dict:
+        return {1: self.g1, 2: self.g2, 3: self.g3, 4: self.g4, 5: self.g5}
+
+    def identity_checks(self, window: int) -> list:
+        """(name, WindowCheck) for g2 g1 = pi_sigma, g1 g2 = 1, g4 g5 = 1, g5 g4 = 1."""
+        ident = mx.identity_map(self.ring)
+        g1, g2, g4, g5 = self.g1, self.g2, self.g4, self.g5
+        return [(name, mx.equal_on_window(got, expected, window))
+                for name, got, expected in (
+                    ("g2*g1 = pi_sigma", mx.compose(g2, g1), self.pi_sigma()),
+                    ("g1*g2 = 1", mx.compose(g1, g2), ident),
+                    ("g4*g5 = 1", mx.compose(g4, g5), ident),
+                    ("g5*g4 = 1", mx.compose(g5, g4), ident))]
 
 
-def build_g_family(source: dict, ring: BaseRing,
-                   verify_window: int = 20) -> GFamily:
+def build_g_family(source: dict, ring: BaseRing) -> GFamily:
     """Construct g1..g5 from a finite materialized family {i: u_i}.
 
     g1 embeds the base coordinates into Sigma, g2 is its right inverse
     (zero off Sigma), g4/g5 shift the integer layer, and g3 carries each
-    u_i on the i-th layer.  Every identity u_i = g1 g4^i g3 g5^i g2 is
-    verified on the window before returning.
+    u_i on the i-th layer, so that u_i = g1 g4^i g3 g5^i g2.  Nothing is
+    verified here: `GFamily.identity_checks` and the word checks of a
+    report are the verification.
     """
     pairing = ZPairing()
     enc, dec = pairing.encode, pairing.decode
@@ -85,21 +95,8 @@ def build_g_family(source: dict, ring: BaseRing,
 
     g3 = RowFiniteMap(ring, g3_row, tag="g3")
 
-    fam = GFamily(ring=ring, pairing=pairing, source=dict(source),
-                  g1=g1, g2=g2, g3=g3, g4=g4, g5=g5)
-
-    _require(mx.equal_on_window(mx.compose(g2, g1), fam.pi_sigma(), verify_window),
-             "g2*g1 = pi_sigma")
-    _require(mx.equal_on_window(mx.compose(g1, g2), mx.identity_map(ring),
-                                verify_window), "g1*g2 = 1")
-    _require(mx.equal_on_window(mx.compose(g4, g5), mx.identity_map(ring),
-                                verify_window), "g4*g5 = 1")
-    _require(mx.equal_on_window(mx.compose(g5, g4), mx.identity_map(ring),
-                                verify_window), "g5*g4 = 1")
-    for i, u in fam.source.items():
-        _require(mx.equal_on_window(fam.u_product(i), u, verify_window),
-                 f"u_{i} recovered from the g-family")
-    return fam
+    return GFamily(ring=ring, pairing=pairing, source=dict(source),
+                   g1=g1, g2=g2, g3=g3, g4=g4, g5=g5)
 
 
 def _require(check: mx.WindowCheck, what: str):
@@ -168,17 +165,18 @@ def _phi_inv(part: SevenPartition, beta: int):
     return 7 * q + (6 if odd == 0 else 7)
 
 
-def build_two_generators(fam: GFamily, verify_window: int = 28) -> TwoGenWitness:
-    """Produce f1, f3 whose words reproduce g1..g5, with verification.
+def build_two_generators(fam: GFamily) -> TwoGenWitness:
+    """Produce f1, f3 whose words reproduce g1..g5.
 
     f1 advances the mod-7 pieces (merging the last two); f3 glues the
-    inverse transports so that g_i = f1^6 f3 f1^i f3 for i in 1..5.
+    inverse transports so that g_i = f1^6 f3 f1^i f3 for i in 1..5.  The
+    g-word checks of a report verify those identities.
     """
     ring = fam.ring
     part = SevenPartition()
 
     f1 = mx.from_index_map(ring, lambda k: _phi(part, k), tag="f1")
-    gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
+    gmaps = fam.gmaps()
 
     def f3_row(alpha):
         c = part.class_of(alpha)
@@ -198,14 +196,107 @@ def build_two_generators(fam: GFamily, verify_window: int = 28) -> TwoGenWitness
         return FinVec.unit(ring, 7 * k - 6)
 
     f3 = RowFiniteMap(ring, f3_row, tag="f3")
+    return TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)
 
-    witness = TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)
-    env = witness.env()
-    for i in range(1, 6):
-        _require(mx.equal_on_window(eval_word(g_word(i), env, ring), gmaps[i],
-                                    verify_window),
-                 f"g_{i} = f1^6 f3 f1^{i} f3")
-    return witness
+
+# ---------------------------------------------------------------------------
+# A report's words, evaluated with shared row work
+
+
+def _push(vec: FinVec, row) -> FinVec:
+    """vec . M, where row(b) gives row b of M."""
+    if len(vec.entries) == 1:
+        [(b, val)] = vec.entries.items()
+        out = row(b)
+        return out if val == vec.ring.one else out.scale_left(val)
+    acc = FinVec.zero(vec.ring)
+    for b, val in vec.entries.items():
+        acc = acc.add(row(b).scale_left(val))
+    return acc
+
+
+class _Prefix:
+    """Rows of P_k = first step^k; row a of P_k is row a of P_{k-1} . step."""
+
+    __slots__ = ("first", "step", "rows")
+
+    def __init__(self, first: RowFiniteMap, step: RowFiniteMap):
+        self.first = first
+        self.step = step
+        self.rows = {}      # a -> [row a of P_0, row a of P_1, ...]
+
+    def row(self, k: int, alpha: int) -> FinVec:
+        rows = self.rows.get(alpha)
+        if rows is None:
+            rows = self.rows[alpha] = [self.first.row(alpha)]
+        while len(rows) <= k:
+            rows.append(rows[-1].apply(self.step))
+        return rows[k]
+
+
+class _Suffix:
+    """Rows of S_k = step^k last; row b of S_k is row b of step . S_{k-1}.
+
+    A row is computed on an explicit work stack that stops at rows
+    already known, so depth k costs no recursion.
+    """
+
+    __slots__ = ("step", "last", "levels")
+
+    def __init__(self, step: RowFiniteMap, last: RowFiniteMap):
+        self.step = step
+        self.last = last
+        self.levels = []    # levels[j]: b -> row b of S_j
+
+    def row(self, k: int, beta: int) -> FinVec:
+        levels = self.levels
+        while len(levels) <= k:
+            levels.append({})
+        stack = [(k, beta)]
+        while stack:
+            j, b = stack[-1]
+            if b in levels[j]:
+                stack.pop()
+                continue
+            if j == 0:
+                levels[0][b] = self.last.row(b)
+                stack.pop()
+                continue
+            head = self.step.row(b)
+            below = levels[j - 1]
+            missing = [(j - 1, c) for c in head.entries if c not in below]
+            if missing:
+                stack.extend(missing)
+                continue
+            levels[j][b] = _push(head, below.__getitem__)
+            stack.pop()
+        return levels[k][beta]
+
+
+def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: _Suffix, k: int,
+           alpha: int) -> FinVec:
+    """Row alpha of u_k = P_k(alpha) . middle . S_k."""
+    return _push(prefix.row(k, alpha).apply(middle), partial(suffix.row, k))
+
+
+def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
+    """The maps of g_word(1..5) and of u_word(k) for k in `indices` under env.
+
+    Each g-word is evaluated once, as G_i.  u_k = G1 G_up^k G3 G_down^k G2,
+    with (up, down) = (4, 5) for k >= 0 and (5, 4) below, is read through
+    the prefix rows of G1 G_up^k and the suffix rows of G_down^k G2, both
+    shared across k.  Products are associative, so every row equals the
+    row of the flat `eval_word(u_word(k), env, ring)`.
+    """
+    g = {i: eval_word(g_word(i), env, ring) for i in range(1, 6)}
+    sides = {up: (_Prefix(g[1], g[up]), _Suffix(g[down], g[2]))
+             for up, down in ((4, 5), (5, 4))}
+    u = {}
+    for k in indices:
+        prefix, suffix = sides[4 if k >= 0 else 5]
+        u[k] = RowFiniteMap(ring, partial(_u_row, prefix, g[3], suffix, abs(k)),
+                            tag=f"u{k}", primitive=False)
+    return g, u
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +319,8 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
                   corrupt: bool = False) -> EmbeddingReport:
     """Embed the first `count` elements of `ring.nth_element` via their diagonal images.
 
-    Verifies that each emitted word reproduces the diagonal image on the
-    window, that the embedding is additive and multiplicative, and that
+    Verifies the g-family identities and the five g-words, that each
+    emitted word reproduces the diagonal image on the window, that the embedding is additive and multiplicative, and that
     central elements commute with the two generators and with sampled
     finite-support matrices.  `corrupt` is a negative control: element
     0's target image gains a stray (1, 2) cell after the generators are
@@ -241,20 +332,23 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
         raise RingError(f"index {size} out of range for {ring.spec}")
     payloads = [ring.nth_element(i) for i in range(count)]
     source = {i: mx.scalar_map(ring, s) for i, s in enumerate(payloads)}
-    fam = build_g_family(source, ring, verify_window=min(window, 20))
-    witness = build_two_generators(fam, verify_window=min(window, 28))
+    fam = build_g_family(source, ring)
+    witness = build_two_generators(fam)
+    for name, check in fam.identity_checks(window):
+        _require(check, name)
+    gwords, umaps = word_maps(witness.env(), ring, range(count))
+    for i, g in fam.gmaps().items():
+        _require(mx.equal_on_window(gwords[i], g, window),
+                 f"g_{i} = f1^6 f3 f1^{i} f3")
 
-    env = witness.env()
     targets = dict(source)
     if corrupt and count:
         targets[0] = mx.add_maps(source[0], mx.matrix_unit(ring, 1, 2))
     words = {}
-    for i, s in enumerate(payloads):
-        w = witness.word_for_u(i)
-        got = eval_word(w, env, ring)
-        _require(mx.equal_on_window(got, targets[i], window),
+    for i in range(count):
+        _require(mx.equal_on_window(umaps[i], targets[i], window),
                  f"diagonal image of element {i}")
-        words[i] = w
+        words[i] = witness.word_for_u(i)
 
     hom_checks = 0
     for i, a in enumerate(payloads):

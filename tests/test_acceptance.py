@@ -60,8 +60,8 @@ def test_criterion_01_two_generator_words():
     for seed in range(50):
         ring = Z6 if seed % 2 == 0 else GF5
         source = random_family(ring, seed)
-        fam = tg.build_g_family(source, ring, verify_window=16)
-        witness = tg.build_two_generators(fam, verify_window=16)
+        fam = tg.build_g_family(source, ring)
+        witness = tg.build_two_generators(fam)
         env = witness.env()
         for i, u in source.items():
             got = eval_word(witness.word_for_u(i), env, ring)
@@ -74,7 +74,7 @@ def test_criterion_01_two_generator_words():
 
 
 def test_criterion_02_g_family_identities_window_128():
-    fam = tg.build_g_family({}, GF3, verify_window=8)
+    fam = tg.build_g_family({}, GF3)
     ident = mx.identity_map(GF3)
     ok = (bool(mx.equal_on_window(mx.compose(fam.g2, fam.g1),
                                   fam.pi_sigma(), 128))

@@ -1,5 +1,6 @@
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from rowfin import cli
 from rowfin import matrices as mx
 from rowfin import triangular as tr
+from rowfin import twogen as tg
 from rowfin import words as wd
 from rowfin.rings import parse_ring_spec
 
@@ -41,6 +43,51 @@ def test_two_gen_corrupt_fails():
     assert report.failed
     failing = [c for c in doc["checks"] if c["verdict"] == "fail"]
     assert failing and "row" in failing[0]["detail"]
+
+
+def test_a_broken_g_family_fails_the_construction_check(monkeypatch):
+    build = tg.build_g_family
+    monkeypatch.setattr(
+        tg, "build_g_family",
+        lambda source, ring: replace(build(source, ring), g5=mx.identity_map(ring)))
+    report, doc = run_json(["two-gen", "--window", "16"])
+    assert report.failed
+    assert len(doc["checks"]) == 1 + 5 + 5
+    construction = doc["checks"][0]
+    assert (construction["name"], construction["verdict"]) == ("construction", "fail")
+    assert construction["detail"].startswith("g4*g5 = 1 failed: row 1:")
+
+
+def test_a_wrong_f1_row_fails_both_reports(monkeypatch, capsys):
+    """f1 wrong at row 3 only: the g-word checks must catch it, and each
+    report must end in FAIL, not a traceback."""
+    phi = tg._phi
+    monkeypatch.setattr(tg, "_phi",
+                        lambda part, k: phi(part, k) + 7 if k == 3 else phi(part, k))
+    report, doc = run_json(["two-gen", "--window", "16"])
+    assert report.failed
+    verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+    assert verdicts["construction"] == "pass"
+    assert "fail" in {verdicts[f"g{i} word"] for i in range(1, 6)}
+    assert len(doc["checks"]) == 1 + 5 + 5
+    report, doc = run_json(["maltsev", "--ring", "Zmod:6", "--count", "6"])
+    assert report.failed
+    [check] = doc["checks"]
+    assert (check["name"], check["verdict"]) == ("embedding", "fail")
+    assert check["detail"].startswith("g_1 = f1^6 f3 f1^1 f3 failed: row ")
+    assert cli.main(["maltsev", "--count", "3"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-gen", "--family", "random", "--seed", "7", "--corrupt"],
+    ["maltsev", "--corrupt"],
+])
+def test_corrupt_reports_fail(argv, capsys):
+    report, doc = run_json(argv)
+    assert report.failed
+    assert cli.main(argv) == 1
+    capsys.readouterr()
 
 
 def test_exit_codes(capsys):

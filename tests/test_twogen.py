@@ -198,9 +198,49 @@ def test_maltsev_embed_sigma_rows():
 def test_u_word_verifies_at_layer_1000():
     source = {1000: mx.from_rows(GF3, {1: {2: 1, 5: 2}, 3: {1: 1}}, tag="u"),
               -3: mx.matrix_unit(GF3, 2, 2)}
-    fam = tg.build_g_family(source, GF3, verify_window=6)
-    witness = tg.build_two_generators(fam, verify_window=8)
-    env = witness.env()
+    fam = tg.build_g_family(source, GF3)
+    witness = tg.build_two_generators(fam)
+    _, umaps = tg.word_maps(witness.env(), GF3, sorted(source))
     for i, u in source.items():
-        got = eval_word(witness.word_for_u(i), env, GF3)
-        assert mx.equal_on_window(got, u, 6)
+        assert mx.equal_on_window(umaps[i], u, 6)
+
+
+@pytest.mark.parametrize("spec", ["Int", "GF:5", "Mat:2:GF:2"])
+def test_shared_u_rows_match_the_flat_chain(spec):
+    ring = parse_ring_spec(spec)
+    indices = [0, 1, 2, 3, 7, 31, 300, -1, -5]
+    rng = random.Random(11)
+    source = {}
+    for k in indices:
+        rows = {}
+        for _ in range(rng.randint(1, 4)):
+            rows.setdefault(rng.randint(1, 8), {})[rng.randint(1, 8)] = \
+                ring.random_payload(rng)
+        source[k] = mx.from_rows(ring, rows, tag=f"u{k}")
+    witness = tg.build_two_generators(tg.build_g_family(source, ring))
+    env = witness.env()
+    _, umaps = tg.word_maps(env, ring, indices)
+    for k in indices:
+        flat = eval_word(tg.u_word(k), env, ring)
+        assert mx.equal_on_window(umaps[k], flat, 8)
+        assert mx.equal_on_window(umaps[k], source[k], 8)
+
+
+def test_shared_u_rows_match_the_flat_chain_under_a_spread_f3():
+    """With f3 + f3 s (s the shift a -> a + 1), rows of every g-word carry
+    several entries, so each branch of the shared rows is exercised."""
+    indices = [0, 1, 2, 3, -1, -2]
+    source = random_family(GF3, seed=9, count=len(indices), corner=8)
+    source = {k: source[n] for n, k in enumerate(indices)}
+    witness = tg.build_two_generators(tg.build_g_family(source, GF3))
+    shift = mx.from_index_map(GF3, lambda a: a + 1, tag="s")
+    env = {"f1": witness.f1,
+           "f3": mx.add_maps(witness.f3, mx.compose(witness.f3, shift))}
+    _, umaps = tg.word_maps(env, GF3, indices)
+    spread = 0
+    for k in indices:
+        flat = eval_word(tg.u_word(k), env, GF3)
+        assert mx.equal_on_window(umaps[k], flat, 8)
+        spread = max(spread, max(len(umaps[k].row(a).entries)
+                                 for a in range(1, 9)))
+    assert spread > 1
