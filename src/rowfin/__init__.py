@@ -2,15 +2,14 @@
 
 from .matrices import (FinVec, RowFiniteMap, add_maps, compose, equal_on_window,
                        from_rows, from_sparse, identity_map, matrix_unit,
-                       neg_map, power, projection, scalar_map, to_sparse,
-                       zero_map)
+                       projection, scalar_map, to_sparse, zero_map)
 from .rings import BaseRing, parse_ring_spec
 
 __all__ = [
     "BaseRing", "FinVec", "RowFiniteMap", "add_maps", "compose",
     "equal_on_window", "from_rows", "from_sparse", "identity_map",
-    "matrix_unit", "neg_map", "parse_ring_spec", "power", "projection",
-    "scalar_map", "to_sparse", "zero_map",
+    "matrix_unit", "parse_ring_spec", "projection", "scalar_map",
+    "to_sparse", "zero_map",
 ]
 
 __version__ = "0.1.0"

@@ -89,8 +89,8 @@ class EquivWitness:
         # The first rows of classes c and d above K.
         self._first_anchor = K + 1 + (c - K - 1) % m
         self._first_bar = K + 1 + (d - K - 1) % m
-        self.g = mx.from_index_map(ring, self.anchor, tag="witness_g")
-        self.h = mx.from_index_map(ring, self._h_index, tag="witness_h")
+        self.g = mx.from_index_map(ring, self.anchor)
+        self.h = mx.from_index_map(ring, self._h_index)
 
     def anchor(self, j: int) -> int:
         return self._first_anchor + (j - 1) * self.rho.period
@@ -111,7 +111,7 @@ class EquivWitness:
                        for k, v in target.row(j).entries.items()}
             if entries:
                 rows[self.anchor(j)] = entries
-        return mx.from_rows(self.ring, rows, tag="witness_lift")
+        return mx.from_rows(self.ring, rows)
 
     def check(self, target: RowFiniteMap, lifted: RowFiniteMap,
               window: int) -> None:

@@ -99,7 +99,7 @@ def builtin_family(kind: str, ring, seed: int, count: int) -> dict:
             for _ in range(rng.randint(1, 5)):
                 r, c = rng.randint(1, 24), rng.randint(1, 24)
                 rows.setdefault(r, {})[c] = ring.random_payload(rng)
-            out[i] = mx.from_rows(ring, rows, tag=f"u{i}")
+            out[i] = mx.from_rows(ring, rows)
         return out
     raise ValueError(f"unknown family {kind!r}")
 
@@ -171,7 +171,7 @@ def cmd_sandwich(args) -> Report:
                        for c in range(1, i + 1) if rng.random() < 0.5}
             if entries:
                 rows[i] = entries
-        Y = mx.from_rows(ring, rows, tag=f"Y{trial}")
+        Y = mx.from_rows(ring, rows)
         try:
             X = tr.sandwich_X(Y, args.window)
         except tr.SandwichError as exc:
@@ -229,7 +229,7 @@ def cmd_witness(args) -> Report:
                        for c in range(1, args.window + 1) if rng.random() < 0.4}
             if entries:
                 rows[j] = entries
-        target = mx.from_rows(ring, rows, tag=f"t{trial}")
+        target = mx.from_rows(ring, rows)
         try:
             if args.corrupt:
                 lifted = mx.add_maps(witness.lift(target, args.window), extra)
@@ -256,7 +256,7 @@ def cmd_fear(args) -> Report:
     ring = parse_ring_spec(args.ring)
     report = Report(args.command, _config(args))
     descriptor = _DESCRIPTORS[args.descriptor]()
-    shift = mx.from_index_map(ring, lambda a: a + 1, tag="shift")
+    shift = mx.from_index_map(ring, lambda a: a + 1)
     witness = fr.fear_witness(descriptor, {"s": shift}, args.blocks, ring)
     pairs = list(witness.pairs)
     if args.corrupt and pairs:
@@ -315,20 +315,24 @@ def _parse_vec(text: str, ring):
         for piece in _split_entries(text):
             idx, _, val = piece.partition(":")
             try:
-                entries[int(idx)] = ring.parse_payload(val)
+                idx = int(idx)
+                payload = ring.parse_payload(val)
             except ValueError as exc:
                 raise RingError(f"malformed vector entry {piece!r}: {exc}") from exc
-    try:
-        return mx.FinVec(ring, entries)
-    except mx.MatrixError as exc:
-        raise RingError(f"malformed vector {text!r}: {exc}") from exc
+            if idx < 1:
+                raise RingError(f"malformed vector {text!r}: "
+                                f"index must be >= 1, got {idx}")
+            if idx in entries:
+                raise RingError(f"malformed vector {text!r}: repeated index {idx}")
+            entries[idx] = payload
+    return mx.FinVec(ring, entries)
 
 
 def cmd_oracle(args) -> Report:
     ring = parse_ring_spec(args.ring)
     report = Report(args.command, _config(args))
     x1 = _parse_vec(args.x1, ring)
-    env = {"s": mx.from_index_map(ring, lambda a: a + 1, tag="shift")}
+    env = {"s": mx.from_index_map(ring, lambda a: a + 1)}
     if args.infile:
         try:
             with open(args.infile) as fh:

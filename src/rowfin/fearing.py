@@ -42,7 +42,7 @@ class FearingDescriptor:
                 continue
             chosen = rng.sample(cols, k=min(len(cols), rng.randint(1, 3)))
             rows[a] = {c: ring.random_payload(rng) for c in chosen}
-        return mx.from_rows(ring, rows, tag="sampled")
+        return mx.from_rows(ring, rows)
 
 
 def diagonal_fearing() -> FearingDescriptor:
@@ -118,7 +118,7 @@ def fear_witness(descriptor: FearingDescriptor, u_maps: dict, J: int,
                               escape=escape, block=frozenset({m, escape})))
         g_rows[m] = {escape: ring.one}
         used = escape
-    g = mx.from_rows(ring, g_rows, tag="fear_g")
+    g = mx.from_rows(ring, g_rows)
     witness = FearWitness(pairs=pairs, g=g)
     for p in witness.pairs:
         if p.x.apply(g) != p.y:

@@ -68,8 +68,8 @@ class FinVec:
         return vec
 
     @classmethod
-    def unit(cls, ring: BaseRing, idx: int, value=None) -> "FinVec":
-        return cls(ring, {idx: ring.one if value is None else value})
+    def unit(cls, ring: BaseRing, idx: int) -> "FinVec":
+        return cls(ring, {idx: ring.one})
 
     @classmethod
     def zero(cls, ring: BaseRing) -> "FinVec":
@@ -80,9 +80,6 @@ class FinVec:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def get(self, idx: int):
-        return self.entries.get(idx, self.ring.zero)
 
     def add(self, other: "FinVec") -> "FinVec":
         ring = _common_ring(self, other)
@@ -112,18 +109,10 @@ class FinVec:
 
     def apply(self, f: "RowFiniteMap") -> "FinVec":
         """Right action: self . f = sum_a self[a] * row_a(f)."""
-        one = _common_ring(self, f).one
+        _common_ring(self, f)
         if isinstance(f, Monomial):
             return f.remap(self)
-        if len(self.entries) == 1:
-            [(idx, val)] = self.entries.items()
-            row = f.row(idx)
-            return row if val == one else row.scale_left(val)
-        acc = None
-        for idx, val in self.entries.items():
-            term = f.row(idx).scale_left(val)
-            acc = term if acc is None else acc.add(term)
-        return self if acc is None else acc
+        return push(self, f.row)
 
     def __eq__(self, other):
         return (isinstance(other, FinVec) and self.ring == other.ring
@@ -138,6 +127,19 @@ class FinVec:
         return f"FinVec({inner})"
 
 
+def push(vec: FinVec, row) -> FinVec:
+    """vec . M = sum_a vec[a] * row(a), where row(a) gives row a of M."""
+    if len(vec.entries) == 1:
+        [(idx, val)] = vec.entries.items()
+        out = row(idx)
+        return out if val == vec.ring.one else out.scale_left(val)
+    acc = None
+    for idx, val in vec.entries.items():
+        term = row(idx).scale_left(val)
+        acc = term if acc is None else acc.add(term)
+    return vec if acc is None else acc
+
+
 class RowFiniteMap:
     """General kind: a lazy, memoized row function N+ -> FinVec; immutable once built.
 
@@ -145,12 +147,11 @@ class RowFiniteMap:
     work but always converge to identical rows.
     """
 
-    __slots__ = ("ring", "_rowfn", "tag", "_memo", "_primitive")
+    __slots__ = ("ring", "_rowfn", "_memo", "_primitive")
 
-    def __init__(self, ring: BaseRing, rowfn, tag: str = "", primitive: bool = True):
+    def __init__(self, ring: BaseRing, rowfn, primitive: bool = True):
         self.ring = ring
         self._rowfn = rowfn
-        self.tag = tag
         self._memo = {}
         self._primitive = primitive
 
@@ -168,12 +169,6 @@ class RowFiniteMap:
 
     def row_support(self, alpha: int) -> frozenset:
         return self.row(alpha).support()
-
-    def label(self) -> str:
-        return self.tag
-
-    def __repr__(self):
-        return f"RowFiniteMap({self.label() or 'anonymous'})"
 
 
 def _memoized_index(fn, parts: tuple):
@@ -221,12 +216,11 @@ class Monomial(RowFiniteMap):
 
     __slots__ = ("index", "parts", "coeff", "_scale")
 
-    def __init__(self, ring: BaseRing, fn=None, coeff=None, tag: str = "",
-                 parts: tuple = ()):
+    def __init__(self, ring: BaseRing, fn=None, coeff=None, parts: tuple = ()):
         index = _memoized_index(fn, parts)
         coeff = ring.one if coeff is None else ring.canon(coeff)
         super().__init__(ring, partial(_monomial_row, ring, index, coeff),
-                         tag=tag, primitive=False)
+                         primitive=False)
         self.index = index
         self.parts = (index,) if fn is not None else parts
         self.coeff = coeff
@@ -256,8 +250,7 @@ class Monomial(RowFiniteMap):
     def then(self, g: "Monomial") -> "Monomial":
         """The product self g: indices chain, coefficients multiply."""
         return Monomial(self.ring, coeff=self.ring.mul(self.coeff, g.coeff),
-                        parts=self.parts + g.parts,
-                        tag=f"({self.tag}{g.tag})")
+                        parts=self.parts + g.parts)
 
 
 def _chain_row(factors: tuple, alpha: int) -> FinVec:
@@ -283,48 +276,43 @@ class Chain(RowFiniteMap):
         super().__init__(ring, partial(_chain_row, factors), primitive=False)
         self.factors = factors
 
-    def label(self) -> str:
-        return "(" + "".join(f.label() for f in self.factors) + ")"
-
 
 # ---------------------------------------------------------------------------
 # Constructors
 
 
-def scalar_map(ring: BaseRing, payload, tag: str = "") -> Monomial:
+def scalar_map(ring: BaseRing, payload) -> Monomial:
     """Diagonal map with a constant entry."""
-    return Monomial(ring, coeff=payload,
-                    tag=tag or f"diag({ring.format_payload(ring.canon(payload))})")
+    return Monomial(ring, coeff=payload)
 
 
 def zero_map(ring: BaseRing) -> Monomial:
-    return scalar_map(ring, ring.zero, tag="0")
+    return scalar_map(ring, ring.zero)
 
 
 def identity_map(ring: BaseRing) -> Monomial:
-    return scalar_map(ring, ring.one, tag="1")
+    return scalar_map(ring, ring.one)
 
 
 def matrix_unit(ring: BaseRing, i: int, j: int) -> Monomial:
-    return Monomial(ring, {i: j}.get, tag=f"e{i},{j}")
+    return Monomial(ring, {i: j}.get)
 
 
-def projection(ring: BaseRing, member, tag: str = "proj") -> Monomial:
+def projection(ring: BaseRing, member) -> Monomial:
     """Projection onto the coordinates where the predicate `member` holds."""
-    return Monomial(ring, lambda a: a if member(a) else None, tag=tag)
+    return Monomial(ring, lambda a: a if member(a) else None)
 
 
-def from_index_map(ring: BaseRing, fn, tag: str = "") -> Monomial:
+def from_index_map(ring: BaseRing, fn) -> Monomial:
     """Map sending e_a to e_{fn(a)}; fn returning None gives a zero row."""
-    return Monomial(ring, fn, tag=tag)
+    return Monomial(ring, fn)
 
 
-def from_rows(ring: BaseRing, rows: dict, tag: str = "") -> RowFiniteMap:
-    """Finite-support matrix from an explicit {row: FinVec | {col: payload}} dict."""
-    fixed = {idx: row if isinstance(row, FinVec) else FinVec(ring, row)
-             for idx, row in rows.items()}
+def from_rows(ring: BaseRing, rows: dict) -> RowFiniteMap:
+    """Finite-support matrix from an explicit {row: {col: payload}} dict."""
+    fixed = {idx: FinVec(ring, row) for idx, row in rows.items()}
     zero = FinVec.zero(ring)
-    return RowFiniteMap(ring, lambda a: fixed.get(a, zero), tag=tag)
+    return RowFiniteMap(ring, lambda a: fixed.get(a, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +321,7 @@ def from_rows(ring: BaseRing, rows: dict, tag: str = "") -> RowFiniteMap:
 
 def add_maps(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
     return RowFiniteMap(_common_ring(f, g), lambda a: f.row(a).add(g.row(a)),
-                        tag=f"({f.label()}+{g.label()})", primitive=False)
-
-
-def neg_map(f: RowFiniteMap) -> RowFiniteMap:
-    return RowFiniteMap(f.ring, lambda a: f.row(a).neg(),
-                        tag=f"(-{f.label()})", primitive=False)
+                        primitive=False)
 
 
 def _factors(f: RowFiniteMap) -> tuple:
@@ -365,12 +348,6 @@ def compose_all(maps) -> RowFiniteMap:
     if not maps:
         raise MatrixError("empty composition")
     return reduce(compose, maps)
-
-
-def power(f: RowFiniteMap, k: int) -> RowFiniteMap:
-    if k < 0:
-        raise MatrixError(f"exponent must be >= 0, got {k}")
-    return compose_all([f] * k) if k else identity_map(f.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +389,20 @@ def equal_on_window(f: RowFiniteMap, g: RowFiniteMap, n: int) -> WindowCheck:
     return WindowCheck(True)
 
 
-def window_dense(f: RowFiniteMap, n: int) -> list:
-    """Dense n x m corner, m = largest column touched by rows 1..n."""
-    rows = [f.row(a) for a in range(1, n + 1)]
-    m = max((max(r.entries) for r in rows if r.entries), default=0)
-    return [[r.get(c) for c in range(1, m + 1)] for r in rows]
-
-
-def from_sparse(ring: BaseRing, triples, tag: str = "sparse") -> RowFiniteMap:
+def from_sparse(ring: BaseRing, triples) -> RowFiniteMap:
     """Build a finite-support matrix from (row, col, element-text) triples."""
     rows: dict[int, dict] = {}
     seen = set()
     for r, c, text in triples:
+        if r < 1:
+            raise MatrixError(f"row index must be >= 1, got {r}")
+        if c < 1:
+            raise MatrixError(f"index must be >= 1, got {c}")
         if (r, c) in seen:
             raise MatrixError(f"duplicate coordinate ({r},{c})")
         seen.add((r, c))
         rows.setdefault(r, {})[c] = ring.parse_payload(text)
-    return from_rows(ring, rows, tag=tag)
+    return from_rows(ring, rows)
 
 
 def to_sparse(f: RowFiniteMap, n: int) -> list:

@@ -80,9 +80,6 @@ class BaseRing:
     def parse_payload(self, text: str):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 

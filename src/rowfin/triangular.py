@@ -28,12 +28,12 @@ def sandwich_A(ring: BaseRing) -> RowFiniteMap:
     def rowfn(i):
         return FinVec._of(ring, {c: one for c in tri_block(i)})
 
-    return RowFiniteMap(ring, rowfn, tag="A")
+    return RowFiniteMap(ring, rowfn)
 
 
 def sandwich_B(ring: BaseRing) -> RowFiniteMap:
     """Stacked identity blocks: row T(i-1)+k is e_k for 1 <= k <= i."""
-    return mx.from_index_map(ring, lambda r: tri_split(r)[1], tag="B")
+    return mx.from_index_map(ring, lambda r: tri_split(r)[1])
 
 
 def sandwich_X(Y: RowFiniteMap, window: int) -> RowFiniteMap:
@@ -55,7 +55,7 @@ def sandwich_X(Y: RowFiniteMap, window: int) -> RowFiniteMap:
         v = Y.row(i).entries.get(k)
         return FinVec._of(ring, {} if v is None else {d: v})
 
-    return RowFiniteMap(ring, rowfn, tag="X")
+    return RowFiniteMap(ring, rowfn)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +114,8 @@ def fear_lower_embed(descriptor, ring: BaseRing,
         return supp
 
     seq = _TargetSequence(supp_fn)
-    f = mx.from_index_map(ring, seq.invert, tag="embed_f")
-    g = mx.from_index_map(ring, seq.get, tag="embed_g")
+    f = mx.from_index_map(ring, seq.invert)
+    g = mx.from_index_map(ring, seq.get)
 
     if verify_window:
         check = mx.equal_on_window(mx.compose(g, f), mx.identity_map(ring),

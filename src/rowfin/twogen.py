@@ -41,9 +41,8 @@ class GFamily:
 
     def pi_sigma(self) -> RowFiniteMap:
         """Projection onto the central copy Sigma = {0} x N+."""
-        return mx.projection(
-            self.ring, lambda alpha: self.pairing.decode(alpha)[0] == 0,
-            tag="pi_sigma")
+        return mx.projection(self.ring,
+                             lambda alpha: self.pairing.decode(alpha)[0] == 0)
 
     def gmaps(self) -> dict:
         return {1: self.g1, 2: self.g2, 3: self.g3, 4: self.g4, 5: self.g5}
@@ -75,15 +74,15 @@ def build_g_family(source: dict, ring: BaseRing) -> GFamily:
         if u.ring != ring:
             raise mx.MatrixError(f"source map in {u.ring.spec}, expected {ring.spec}")
 
-    g1 = mx.from_index_map(ring, lambda k: enc(0, k), tag="g1")
+    g1 = mx.from_index_map(ring, lambda k: enc(0, k))
 
     def g2_target(alpha):
         i, gamma = dec(alpha)
         return gamma if i == 0 else None
 
-    g2 = mx.from_index_map(ring, g2_target, tag="g2")
-    g4 = mx.from_index_map(ring, lambda a: enc(dec(a)[0] + 1, dec(a)[1]), tag="g4")
-    g5 = mx.from_index_map(ring, lambda a: enc(dec(a)[0] - 1, dec(a)[1]), tag="g5")
+    g2 = mx.from_index_map(ring, g2_target)
+    g4 = mx.from_index_map(ring, lambda a: enc(dec(a)[0] + 1, dec(a)[1]))
+    g5 = mx.from_index_map(ring, lambda a: enc(dec(a)[0] - 1, dec(a)[1]))
 
     def g3_row(alpha):
         i, gamma = dec(alpha)
@@ -93,7 +92,7 @@ def build_g_family(source: dict, ring: BaseRing) -> GFamily:
         # Row gamma of u_i transported onto layer i.
         return FinVec(ring, {enc(i, c): v for c, v in u.row(gamma).entries.items()})
 
-    g3 = RowFiniteMap(ring, g3_row, tag="g3")
+    g3 = RowFiniteMap(ring, g3_row)
 
     return GFamily(ring=ring, pairing=pairing, source=dict(source),
                    g1=g1, g2=g2, g3=g3, g4=g4, g5=g5)
@@ -175,7 +174,7 @@ def build_two_generators(fam: GFamily) -> TwoGenWitness:
     ring = fam.ring
     part = SevenPartition()
 
-    f1 = mx.from_index_map(ring, lambda k: _phi(part, k), tag="f1")
+    f1 = mx.from_index_map(ring, lambda k: _phi(part, k))
     gmaps = fam.gmaps()
 
     def f3_row(alpha):
@@ -195,24 +194,12 @@ def build_two_generators(fam: GFamily) -> TwoGenWitness:
         # The k-th row of Sigma_1 = {1, 8, 15, ...}.
         return FinVec.unit(ring, 7 * k - 6)
 
-    f3 = RowFiniteMap(ring, f3_row, tag="f3")
+    f3 = RowFiniteMap(ring, f3_row)
     return TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)
 
 
 # ---------------------------------------------------------------------------
 # A report's words, evaluated with shared row work
-
-
-def _push(vec: FinVec, row) -> FinVec:
-    """vec . M, where row(b) gives row b of M."""
-    if len(vec.entries) == 1:
-        [(b, val)] = vec.entries.items()
-        out = row(b)
-        return out if val == vec.ring.one else out.scale_left(val)
-    acc = FinVec.zero(vec.ring)
-    for b, val in vec.entries.items():
-        acc = acc.add(row(b).scale_left(val))
-    return acc
 
 
 class _Prefix:
@@ -268,7 +255,7 @@ class _Suffix:
             if missing:
                 stack.extend(missing)
                 continue
-            levels[j][b] = _push(head, below.__getitem__)
+            levels[j][b] = mx.push(head, below.__getitem__)
             stack.pop()
         return levels[k][beta]
 
@@ -276,7 +263,7 @@ class _Suffix:
 def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: _Suffix, k: int,
            alpha: int) -> FinVec:
     """Row alpha of u_k = P_k(alpha) . middle . S_k."""
-    return _push(prefix.row(k, alpha).apply(middle), partial(suffix.row, k))
+    return mx.push(prefix.row(k, alpha).apply(middle), partial(suffix.row, k))
 
 
 def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
@@ -295,7 +282,7 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     for k in indices:
         prefix, suffix = sides[4 if k >= 0 else 5]
         u[k] = RowFiniteMap(ring, partial(_u_row, prefix, g[3], suffix, abs(k)),
-                            tag=f"u{k}", primitive=False)
+                            primitive=False)
     return g, u
 
 
@@ -305,9 +292,7 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
 
 @dataclass
 class EmbeddingReport:
-    ring: BaseRing
     count: int
-    witness: TwoGenWitness
     words: dict                     # index -> Word over {f1, f3}
     elements: list                  # payloads in enumeration order
     hom_checks: int
@@ -315,13 +300,12 @@ class EmbeddingReport:
 
 
 def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
-                  rng=None, commute_samples: int = 20,
-                  corrupt: bool = False) -> EmbeddingReport:
+                  rng=None, corrupt: bool = False) -> EmbeddingReport:
     """Embed the first `count` elements of `ring.nth_element` via their diagonal images.
 
     Verifies the g-family identities and the five g-words, that each
     emitted word reproduces the diagonal image on the window, that the embedding is additive and multiplicative, and that
-    central elements commute with the two generators and with sampled
+    central elements commute with the two generators and with 20 sampled
     finite-support matrices.  `corrupt` is a negative control: element
     0's target image gains a stray (1, 2) cell after the generators are
     built, so its word check must fail.
@@ -366,14 +350,14 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
         centre = [p for p in payloads]  # Int: commutative, all central
     center_checks = 0
     samples = [witness.f1, witness.f3]
-    for _ in range(commute_samples):
+    for _ in range(20):
         n_entries = rng.randint(1, 6)
         entries = {}
         for _ in range(n_entries):
             r = rng.randint(1, window)
             c = rng.randint(1, window)
             entries.setdefault(r, {})[c] = ring.random_payload(rng)
-        samples.append(mx.from_rows(ring, entries, tag="sample"))
+        samples.append(mx.from_rows(ring, entries))
     for s in centre:
         if s not in payloads:
             continue
@@ -383,6 +367,5 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
                                         window), "central element commutes")
             center_checks += 1
 
-    return EmbeddingReport(ring=ring, count=count, witness=witness, words=words,
-                           elements=payloads, hom_checks=hom_checks,
-                           center_checks=center_checks)
+    return EmbeddingReport(count=count, words=words, elements=payloads,
+                           hom_checks=hom_checks, center_checks=center_checks)

@@ -39,7 +39,7 @@ def report(number, title, ok):
 
 
 def shift(ring):
-    return mx.from_index_map(ring, lambda a: a + 1, tag="s")
+    return mx.from_index_map(ring, lambda a: a + 1)
 
 
 def random_family(ring, seed, max_count=7, corner=24):
@@ -50,7 +50,7 @@ def random_family(ring, seed, max_count=7, corner=24):
         for _ in range(rng.randint(1, 4)):
             r, c = rng.randint(1, corner), rng.randint(1, corner)
             rows.setdefault(r, {})[c] = ring.random_payload(rng)
-        out[i] = mx.from_rows(ring, rows, tag=f"u{i}")
+        out[i] = mx.from_rows(ring, rows)
     return out
 
 

@@ -279,13 +279,27 @@ def test_maltsev_count_beyond_ring_size_report_bytes():
      "--in no-header.sparse: missing `ring <spec>` header"),
     (["oracle", "--in", "bad-triple.sparse"],
      "--in bad-triple.sparse: malformed triple line: '1 5'"),
+    (["oracle", "--in", "row-0.sparse"],
+     "--in row-0.sparse: row index must be >= 1, got 0"),
+    (["oracle", "--in", "row-minus-2.sparse"],
+     "--in row-minus-2.sparse: row index must be >= 1, got -2"),
+    (["oracle", "--ring", "GF:3", "--x1", "1:1,1:2", "--x2", "2:2", "--r-max", "1"],
+     "malformed vector '1:1,1:2': repeated index 1"),
+    (["oracle", "--x1", "0:0,1:1"], "malformed vector '0:0,1:1': index must be >= 1"),
+    (["oracle", "--in", "col-0-zero.sparse"],
+     "--in col-0-zero.sparse: index must be >= 1, got 0"),
 ], ids=["two-gen-GF:4", "sandwich-Bogus", "fear-Zmod:0", "oracle-1:x", "oracle-0:1",
-        "oracle-in-missing", "oracle-in-no-header", "oracle-in-bad-triple"])
+        "oracle-in-missing", "oracle-in-no-header", "oracle-in-bad-triple",
+        "oracle-in-row-0", "oracle-in-row-minus-2", "oracle-repeated-index",
+        "oracle-0:0", "oracle-in-col-0-zero"])
 def test_bad_input_is_a_structured_failure(argv, detail, capsys, tmp_path,
                                            monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no-header.sparse").write_text("1 5 1\n")
     (tmp_path / "bad-triple.sparse").write_text("ring GF:2\n1 5\n")
+    (tmp_path / "row-0.sparse").write_text("ring GF:2\n0 5 1\n")
+    (tmp_path / "row-minus-2.sparse").write_text("ring GF:2\n-2 3 1\n")
+    (tmp_path / "col-0-zero.sparse").write_text("ring GF:2\n1 0 0\n")
     report, doc = run_json(argv)
     assert report.failed
     [check] = doc["checks"]
@@ -347,7 +361,7 @@ def test_oracle_over_a_matrix_ring():
     assert doc["witnesses"] == {"found": True, "word": "s"}
     direct = wd.proximity_oracle(
         mx.FinVec(ring, {1: ring.one}), mx.FinVec(ring, {2: ring.one}),
-        {"s": mx.from_index_map(ring, lambda a: a + 1, tag="shift")}, 2)
+        {"s": mx.from_index_map(ring, lambda a: a + 1)}, 2)
     assert (direct.found, direct.r, wd.format_word(direct.witness)) == (
         True, 1, "s")
     # Two entries: the commas inside each payload do not split the vector.

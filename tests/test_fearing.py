@@ -14,7 +14,7 @@ GF3 = parse_ring_spec("GF:3")
 
 
 def shift(ring):
-    return mx.from_index_map(ring, lambda a: a + 1, tag="s")
+    return mx.from_index_map(ring, lambda a: a + 1)
 
 
 def test_descriptor_supports():

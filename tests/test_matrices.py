@@ -15,7 +15,7 @@ Z6 = parse_ring_spec("Zmod:6")
 
 
 def shift_map(ring, offset=1):
-    return mx.from_index_map(ring, lambda a: a + offset, tag="s")
+    return mx.from_index_map(ring, lambda a: a + offset)
 
 
 def random_map(ring, rng, window=16, density=0.3):
@@ -31,7 +31,7 @@ def random_map(ring, rng, window=16, density=0.3):
 def test_finvec_prunes_zero_entries():
     v = FinVec(Z, {2: 1, 7: 3, 9: 0})
     assert v.support() == {2, 7}
-    assert v.get(9) == 0
+    assert 9 not in v.entries
     assert FinVec.zero(Z).support() == frozenset()
     with pytest.raises(MatrixError):
         FinVec(Z, {0: 1})
@@ -60,7 +60,7 @@ def test_projection_and_matrix_unit_rows():
 def test_add_maps_inverse():
     rng = random.Random(3)
     f = random_map(Z6, rng)
-    total = mx.add_maps(f, mx.neg_map(f))
+    total = mx.add_maps(f, mx.compose(f, mx.scalar_map(Z6, -1)))
     for a in range(1, 21):
         assert total.row(a).is_zero()
 
@@ -80,12 +80,6 @@ def test_vector_application():
     e23 = mx.matrix_unit(Z, 2, 3)
     v = FinVec(Z, {1: 1, 2: 1})
     assert v.apply(e23) == FinVec.unit(Z, 3)
-
-
-def test_power_shift():
-    s = shift_map(Z)
-    assert mx.power(s, 3).row(1) == FinVec.unit(Z, 4)
-    assert mx.equal_on_window(mx.power(s, 0), mx.identity_map(Z), 10)
 
 
 def test_equal_on_window():
@@ -108,18 +102,10 @@ def test_two_lazy_expressions_for_projection_agree():
     assert mx.equal_on_window(p1, p2, 50)
 
 
-def test_window_dense_identity():
-    grid = mx.window_dense(mx.identity_map(Z), 3)
-    assert grid == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-def test_window_dense_block_matrices():
-    grid = mx.window_dense(sandwich_A(Z), 3)
-    assert grid == [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 1, 0, 0, 0],
-        [0, 0, 0, 1, 1, 1],
-    ]
+def test_block_matrix_rows():
+    A = sandwich_A(Z)
+    assert [A.row(r) for r in range(1, 4)] == [
+        FinVec(Z, {1: 1}), FinVec(Z, {2: 1, 3: 1}), FinVec(Z, {4: 1, 5: 1, 6: 1})]
     B = sandwich_B(Z)
     rows = [B.row(r) for r in range(1, 7)]
     assert rows == [FinVec.unit(Z, k) for k in (1, 1, 2, 1, 2, 3)]

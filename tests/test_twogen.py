@@ -25,7 +25,7 @@ def random_family(ring, seed, count=5, corner=24):
         for _ in range(rng.randint(1, 5)):
             r, c = rng.randint(1, corner), rng.randint(1, corner)
             rows.setdefault(r, {})[c] = ring.random_payload(rng)
-        out[i] = mx.from_rows(ring, rows, tag=f"u{i}")
+        out[i] = mx.from_rows(ring, rows)
     return out
 
 
@@ -196,7 +196,7 @@ def test_maltsev_embed_sigma_rows():
 
 
 def test_u_word_verifies_at_layer_1000():
-    source = {1000: mx.from_rows(GF3, {1: {2: 1, 5: 2}, 3: {1: 1}}, tag="u"),
+    source = {1000: mx.from_rows(GF3, {1: {2: 1, 5: 2}, 3: {1: 1}}),
               -3: mx.matrix_unit(GF3, 2, 2)}
     fam = tg.build_g_family(source, GF3)
     witness = tg.build_two_generators(fam)
@@ -216,7 +216,7 @@ def test_shared_u_rows_match_the_flat_chain(spec):
         for _ in range(rng.randint(1, 4)):
             rows.setdefault(rng.randint(1, 8), {})[rng.randint(1, 8)] = \
                 ring.random_payload(rng)
-        source[k] = mx.from_rows(ring, rows, tag=f"u{k}")
+        source[k] = mx.from_rows(ring, rows)
     witness = tg.build_two_generators(tg.build_g_family(source, ring))
     env = witness.env()
     _, umaps = tg.word_maps(env, ring, indices)
@@ -233,7 +233,7 @@ def test_shared_u_rows_match_the_flat_chain_under_a_spread_f3():
     source = random_family(GF3, seed=9, count=len(indices), corner=8)
     source = {k: source[n] for n, k in enumerate(indices)}
     witness = tg.build_two_generators(tg.build_g_family(source, GF3))
-    shift = mx.from_index_map(GF3, lambda a: a + 1, tag="s")
+    shift = mx.from_index_map(GF3, lambda a: a + 1)
     env = {"f1": witness.f1,
            "f3": mx.add_maps(witness.f3, mx.compose(witness.f3, shift))}
     _, umaps = tg.word_maps(env, GF3, indices)

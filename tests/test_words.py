@@ -21,7 +21,7 @@ Z5 = parse_ring_spec("Zmod:5")
 
 
 def shift(ring):
-    return mx.from_index_map(ring, lambda a: a + 1, tag="s")
+    return mx.from_index_map(ring, lambda a: a + 1)
 
 
 def test_word_length_examples():
