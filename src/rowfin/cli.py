@@ -12,6 +12,7 @@ minimum, is an `input` failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -451,8 +452,20 @@ def _input_failure(command: str, message: str) -> Report:
     return report
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import; parse_args fills a fresh
+    # Namespace each call and every default is immutable.
+    return build_parser()
+
+
 def run(argv=None) -> tuple[Report, float, object]:
-    args = build_parser().parse_args(argv)
+    """Parse argv and run one subcommand: (report, seconds, parsed args).
+
+    Every call in a process reuses one parser, built on the first call.
+    Argparse errors raise SystemExit as usual.
+    """
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     too_small = next((f"--{dest.replace('_', '-')} must be >= {low}, "
                       f"got {getattr(args, dest)}"

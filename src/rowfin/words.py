@@ -5,7 +5,7 @@ is additive over sums and products.  Includes evaluation into row-finite
 maps, the support-closure over-approximation of proximity balls, and the
 proximity oracle, an exact least-length word search that builds longer
 words only from the first word of each class of words with equal rows
-on the support-closure cover.
+on the support-closure cover, classes taken across all lengths so far.
 """
 
 from __future__ import annotations
@@ -321,14 +321,19 @@ def proximity_oracle(x1: FinVec, x2: FinVec, env: dict,
     vector x1 . w, and as a right factor through its rows on the support
     of the left factor's vector.  So words of one length whose rows agree
     there are interchangeable, and longer words are built from the first
-    word of each such class only.  The first witness in full order has
-    first-of-class children, so the search returns the same length and
-    word as enumerating every word.  Raises OracleBudgetExceeded once the
-    candidates built pass WORD_CAP.
+    word of each such class only.  A word whose rows there agree with a
+    shorter class representative's is dropped as well: any word holding
+    it has a shorter twin with the same vector.  The first witness in full
+    order has first-of-class children, and none that a shorter word could
+    replace, since that would give an earlier or shorter witness; so the
+    search returns the same length and word as enumerating every word.
+    Every candidate is compared with x2 before it is dropped.  Raises
+    OracleBudgetExceeded once the candidates built pass WORD_CAP.
     """
     ring = x1.ring
     tried = 0
-    # reps[l - 1]: (word, vector, map) of the first word of each class of length l.
+    # reps[l - 1]: (word, vector, map) of the first word of each class of
+    # length l that holds no shorter word.
     reps: list[list[tuple]] = []
     for n in range(1, r_max + 1):
         merge = n < r_max
@@ -340,9 +345,14 @@ def proximity_oracle(x1: FinVec, x2: FinVec, env: dict,
                            for name in sorted(env)]
         else:
             candidates = _products_and_sums(reps, n, build_maps=merge)
+        seen = set()
         if merge:
             cover = sorted(support_closure(x1, lambda a: {a}, env, r_max - n).cover)
-        seen = set()
+            # Every shorter representative's class on this level's cover,
+            # so a word equal to a shorter one there is dropped too.  The
+            # cover is inside every shorter level's, so these rows are memos.
+            seen.update(tuple(mat.row(a) for a in cover)
+                        for shorter in reps for _, _, mat in shorter)
         level = []
         for word, vec, mat in candidates:
             tried += 1

@@ -3,7 +3,8 @@
 `brute_oracle` enumerates every word of each length in the order
 `rowfin.words.proximity_oracle` uses, and is the slow search the merged
 one is cross-checked against.  `first_words` reads the brute-force
-answer for every reachable target off one enumeration.
+answer for every reachable target off one enumeration, and
+`words_up_to` counts the words it tries for a target out of reach.
 """
 
 from __future__ import annotations
@@ -79,13 +80,28 @@ def brute_oracle(x1: FinVec, x2: FinVec, env: dict,
 
 
 def first_words(x1: FinVec, env: dict, r_max: int) -> dict:
-    """vector -> (length, word) of the first word reaching it.
+    """vector -> brute_oracle's result for that target, from one enumeration.
 
     For every target x2 in the dict, brute_oracle(x1, x2, env, r_max)
-    finds exactly this length and word; for every other target it finds
+    returns exactly this result: the first word reaching x2, its length
+    and the words tried up to it.  For every other target it finds
     nothing.
     """
     first = {}
-    for n, word, vec in brute_words(x1, env, r_max):
-        first.setdefault(vec, (n, word))
+    for tried, (n, word, vec) in enumerate(brute_words(x1, env, r_max), 1):
+        if vec not in first:
+            first[vec] = ProximityResult(True, n, word, tried)
     return first
+
+
+def words_up_to(env: dict, r_max: int) -> int:
+    """How many words of length 1..r_max brute_words yields.
+
+    brute_oracle tries this many words before it reports a target out of
+    reach, and raises OracleBudgetExceeded instead when it passes WORD_CAP.
+    """
+    counts = [3 + len(env)]
+    for n in range(2, r_max + 1):
+        counts.append(2 * sum(counts[m - 1] * counts[n - m - 1]
+                              for m in range(1, n)))
+    return sum(counts)

@@ -350,6 +350,50 @@ def test_fear_takes_no_window_or_seed(option, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_one_parser_serves_a_sequence_of_reports(tmp_path, monkeypatch, capsys):
+    """Reports through the shared parser equal those of a fresh parser.
+
+    The sequence alternates options on and off, puts an argv argparse
+    rejects before a valid one, and ends on an input failure, so an
+    option left over from the call before would show in a report.
+    """
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.sparse").write_text("ring GF:2\n1 5 1\n")
+    oracle = ["oracle", "--x1", "1:1", "--x2", "5:1", "--r-max", "1"]
+    sequence = [["two-gen", "--corrupt"], ["two-gen"],
+                [*oracle, "--in", "m.sparse"], oracle,
+                ["oracle", "--r-max", "three"], ["oracle", "--x2", "2:1"],
+                ["two-gen", "--ring", "GF:4"]]
+
+    def outcomes():
+        out = []
+        for argv in sequence:
+            try:
+                out.append(json.loads(cli.run(argv)[0].to_json()))
+            except SystemExit as exc:
+                out.append(exc.code)
+        return out
+
+    assert cli._parser() is cli._parser()
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outcomes() == shared
+    assert "invalid int value: 'three'" in capsys.readouterr().err
+    corrupt, plain, with_in, without_in, rejected, valid, bad_ring = shared
+
+    def failed(doc):
+        return any(c["verdict"] == "fail" for c in doc["checks"])
+
+    assert failed(corrupt) and not failed(plain)
+    assert (corrupt["config"]["corrupt"], plain["config"]["corrupt"]) == (True, False)
+    assert with_in["witnesses"]["found"] and not without_in["witnesses"]["found"]
+    assert (with_in["config"]["infile"], without_in["config"]["infile"]) == (
+        "m.sparse", None)
+    assert rejected == 2
+    assert valid["config"]["r_max"] == 3 and valid["witnesses"]["found"]
+    assert failed(bad_ring) and bad_ring["checks"][0]["name"] == "input"
+
+
 def test_oracle_over_a_matrix_ring():
     ring = parse_ring_spec("Mat:2:GF:2")
     one = "[[1,0],[0,1]]"

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from oracle_reference import brute_oracle, first_words
+from oracle_reference import brute_oracle, first_words, words_up_to
 
 from rowfin import fearing as fr
 from rowfin import matrices as mx
@@ -238,11 +238,11 @@ def test_oracle_words_tried_is_pinned():
     # a word's vector fixes its rows; a second map makes the cover matter.
     res = proximity_oracle(FinVec.unit(GF2, 1), FinVec.unit(GF2, 9),
                            {"s": shift(GF2)}, 6)
-    assert (res.found, res.r, res.witness, res.words_tried) == (False, 6, None, 1196)
+    assert (res.found, res.r, res.witness, res.words_tried) == (False, 6, None, 340)
     m = mx.from_rows(GF2, {2: {5: 1}, 3: {1: 1, 2: 1}})
     res = proximity_oracle(FinVec.unit(GF2, 1), FinVec.unit(GF2, 20),
                            {"s": shift(GF2), "m": m}, 4)
-    assert (res.found, res.words_tried) == (False, 871)
+    assert (res.found, res.words_tried) == (False, 503)
     assert brute_oracle(FinVec.unit(GF2, 1), FinVec.unit(GF2, 20),
                         {"s": shift(GF2), "m": m}, 4).words_tried == 26055
 
@@ -260,6 +260,8 @@ def test_merged_oracle_matches_brute_force():
     one random target, mostly out of reach, and reads its answer for up
     to ten reachable targets off one full enumeration: a merge rule that
     drops a needed word shows up as a later or missing witness there.
+    Shift-only cases at radii 5 and 6 then reach the levels where most
+    words equal a shorter one and are dropped.
     """
     rng = random.Random(20261018)
     rings = [parse_ring_spec(spec) for spec in ("GF:2", "Zmod:5", "Mat:2:GF:2")]
@@ -286,13 +288,80 @@ def test_merged_oracle_matches_brute_force():
         assert (got.found, got.r, got.witness) == (ref.found, ref.r, ref.witness), (
             ring.spec, sorted(env), r_max, x1, x2)
         assert got.words_tried <= ref.words_tried
+        if not ref.found:
+            assert ref.words_tried == words_up_to(env, r_max)
         reachable = list(first)
         for x2 in rng.sample(reachable, min(10, len(reachable))):
-            got = proximity_oracle(x1, x2, env, r_max)
-            assert (got.found, (got.r, got.witness)) == (True, first[x2]), (
+            got, ref = proximity_oracle(x1, x2, env, r_max), first[x2]
+            assert (got.found, got.r, got.witness) == (True, ref.r, ref.witness), (
                 ring.spec, sorted(env), r_max, x1, x2)
+            assert got.words_tried <= ref.words_tried
         checked += 1
     assert skipped < checked
+
+    # The shift alone over GF(2) at radii 5 and 6, where most words equal
+    # a shorter one on the cover and are dropped.  One enumeration to
+    # length 5 gives the brute-force answer for every target reached by
+    # then, at either radius: a brute-force search that finds its target
+    # by length 5 never builds length 6.
+    env = {"s": shift(GF2)}
+    x1 = FinVec(GF2, {1: 1, 3: 1})
+    first = first_words(x1, env, 5)
+    for x2, ref in first.items():
+        for r_max in (5, 6):
+            got = proximity_oracle(x1, x2, env, r_max)
+            assert (got.found, got.r, got.witness) == (True, ref.r, ref.witness), (
+                r_max, x2)
+            assert got.words_tried <= ref.words_tried
+    assert {ref.r for ref in first.values()} == {1, 2, 3, 4, 5}
+    # Out of reach, brute force tries every word up to length 5.
+    far = FinVec.unit(GF2, 2)
+    assert far not in first
+    got = proximity_oracle(x1, far, env, 5)
+    assert (got.found, got.r, got.witness) == (False, 5, None)
+    assert got.words_tried <= words_up_to(env, 5)
+    # Length 6 passes WORD_CAP by brute force, so radius 6 is checked
+    # against the least length of each polynomial in s instead.
+    least = _shift_polynomial_lengths(6)
+    outcomes = set()
+    for bits in range(1, 1 << 8):
+        x2 = FinVec(GF2, {1 + i: 1 for i in range(8) if bits >> i & 1})
+        got = proximity_oracle(FinVec.unit(GF2, 1), x2, env, 6)
+        assert (got.found, got.r) == ((True, least[bits]) if bits in least
+                                      else (False, 6)), bits
+        if got.found:
+            assert word_length(got.witness) == got.r
+            assert FinVec.unit(GF2, 1).apply(eval_word(got.witness, env, GF2)) == x2
+        outcomes.add((got.found, got.r))
+    assert {(True, 6), (False, 6)} <= outcomes
+
+
+def _shift_polynomial_lengths(r_max):
+    """Least length of a shift-only word for each polynomial p(s) over GF(2).
+
+    A word in the shift s alone evaluates to a polynomial in s, kept here
+    as a bitmask (bit i is the coefficient of s^i), and e1 . p(s) has
+    entry 1 at 1 + i for each set bit i.  So this is an exact, merge-free
+    reference for found and r when x1 = e1.
+    """
+    def times(p, q):
+        out = 0
+        while q:
+            if q & 1:
+                out ^= p
+            p, q = p << 1, q >> 1
+        return out
+
+    levels = [{0, 1, 2}]  # 0, 1 = -1, and s
+    for n in range(2, r_max + 1):
+        levels.append({op(p, q) for m in range(1, n)
+                       for p in levels[m - 1] for q in levels[n - m - 1]
+                       for op in (int.__xor__, times)})
+    least = {}
+    for n, level in enumerate(levels, 1):
+        for p in level:
+            least.setdefault(p, n)
+    return least
 
 
 def test_ball_containment_property():
