@@ -6,7 +6,9 @@ memoize computed rows.  A map is one of
 * general (`RowFiniteMap`): an arbitrary row function;
 * `Monomial`: row a is coeff * e_{index(a)}, or zero where the partial
   index function is undefined;
-* `Chain`: a flat product of factors, evaluated by a loop over them.
+* `Chain`: a flat product of factors, evaluated by a loop over them.  A
+  chain row carries a single term as (index, coefficient) across the
+  factors and builds a vector only when it has several terms.
 
 Zero entries are pruned at every arithmetic step so supports are exact.
 """
@@ -163,7 +165,8 @@ class RowFiniteMap:
             if self._primitive:
                 row_evals.count += 1
             cached = self._rowfn(alpha)
-            _common_ring(self, cached)
+            if cached.ring is not self.ring:
+                _common_ring(self, cached)
             self._memo[alpha] = cached
         return cached
 
@@ -175,9 +178,11 @@ def _memoized_index(fn, parts: tuple):
     """Partial index function a -> int | None, computed once per a.
 
     A primitive one calls `fn`; a composite one (fn None) applies the flat
-    tuple `parts` of primitives in turn, and no parts is the identity.
+    tuple `parts` of primitives in turn, reading each part's memo (its
+    `memo` attribute) before calling it, and no parts is the identity.
     """
     memo = {}
+    steps = tuple((part.memo, part) for part in parts)
 
     def index(alpha):
         t = memo.get(alpha, 0)  # 0 is never an index: not computed yet
@@ -189,13 +194,14 @@ def _memoized_index(fn, parts: tuple):
                     raise MatrixError(f"index must be >= 1, got {t}")
             else:
                 t = alpha
-                for part in parts:
-                    t = part(t)
+                for part_memo, part in steps:
+                    t = part_memo.get(t) or part(t)
                     if t is None:
                         break
             memo[alpha] = t
         return t
 
+    index.memo = memo
     return index
 
 
@@ -253,27 +259,54 @@ class Monomial(RowFiniteMap):
                         parts=self.parts + g.parts)
 
 
-def _chain_row(factors: tuple, alpha: int) -> FinVec:
-    it = iter(factors)
-    vec = next(it).row(alpha)
-    for f in it:
-        if not vec.entries:
-            break
-        vec = vec.apply(f)
-    return vec
+def _chain_row(ring: BaseRing, factors: tuple, alpha: int) -> FinVec:
+    """Row alpha of the product: e_alpha pushed through the factors in turn.
+
+    While the running vector is one term c * e_t it travels as the pair
+    (t, c): a monomial sends it to (index(t), c * coeff), a general factor
+    gives c * row t.  A FinVec is carried only while it has several terms.
+    """
+    one = ring.one
+    t, c, vec = alpha, one, None
+    for f in factors:
+        if vec is not None:
+            vec = vec.apply(f)
+        elif isinstance(f, Monomial):
+            index = f.index
+            t = index.memo.get(t) or index(t)  # a memo hit skips the call
+            if t is None:
+                return FinVec._of(ring, {})
+            if f._scale is not None:
+                c = ring.mul(c, f._scale)
+                if ring.is_zero(c):
+                    return FinVec._of(ring, {})
+            continue
+        else:
+            vec = f.row(t)
+            if c != one:
+                vec = vec.scale_left(c)
+        entries = vec.entries
+        if len(entries) == 1:
+            [(t, c)] = entries.items()
+            vec = None
+        elif not entries:
+            return vec
+    return FinVec._of(ring, {t: c}) if vec is None else vec
 
 
 class Chain(RowFiniteMap):
     """The product factors[0] factors[1] ... of two or more factors.
 
-    Row a is row a of the first factor pushed through the others in a
-    loop; only the chain's own rows are memoized.
+    Row a is e_a pushed through the factors in a loop; only the chain's
+    own rows are memoized.  Every factor's ring is checked once, here.
     """
 
     __slots__ = ("factors",)
 
     def __init__(self, ring: BaseRing, factors: tuple):
-        super().__init__(ring, partial(_chain_row, factors), primitive=False)
+        super().__init__(ring, partial(_chain_row, ring, factors), primitive=False)
+        for f in factors:
+            _common_ring(self, f)
         self.factors = factors
 
 

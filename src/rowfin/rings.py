@@ -38,6 +38,8 @@ class BaseRing:
     """
 
     spec: str
+    zero: object
+    one: object
 
     def add(self, a, b):
         raise NotImplementedError
@@ -49,14 +51,6 @@ class BaseRing:
         raise NotImplementedError
 
     def canon(self, a):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
         raise NotImplementedError
 
     def size(self):
@@ -95,6 +89,8 @@ class BaseRing:
 
 class IntegerRing(BaseRing):
     spec = "Int"
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -109,14 +105,6 @@ class IntegerRing(BaseRing):
         if not isinstance(a, int):
             raise RingError(f"not an integer payload: {a!r}")
         return a
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def nth_element(self, index):
         # 0, -1, 1, -2, 2, ...
@@ -143,6 +131,8 @@ class ModularRing(BaseRing):
             raise RingSpecError(f"modulus must be >= 2, got {n}")
         self.n = n
         self.spec = f"Zmod:{n}"
+        self.zero = 0
+        self.one = 1 % n
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -157,14 +147,6 @@ class ModularRing(BaseRing):
         if not isinstance(a, int):
             raise RingError(f"not an integer payload: {a!r}")
         return a % self.n
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.n
 
     def size(self):
         return self.n
@@ -208,8 +190,8 @@ class MatrixRing(BaseRing):
         self.k = k
         self.spec = f"Mat:{k}:{base.spec}"
         z, o = base.zero, base.one
-        self._zero = tuple(tuple(z for _ in range(k)) for _ in range(k))
-        self._one = tuple(tuple(o if i == j else z for j in range(k)) for i in range(k))
+        self.zero = tuple(tuple(z for _ in range(k)) for _ in range(k))
+        self.one = tuple(tuple(o if i == j else z for j in range(k)) for i in range(k))
 
     def add(self, a, b):
         k = self.k
@@ -244,14 +226,6 @@ class MatrixRing(BaseRing):
                 raise RingError(f"expected {self.k} columns, got {len(row)}")
             out.append(tuple(self.base.canon(x) for x in row))
         return tuple(out)
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def one(self):
-        return self._one
 
     def size(self):
         b = self.base.size()

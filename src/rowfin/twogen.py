@@ -192,7 +192,7 @@ def build_two_generators(fam: GFamily) -> TwoGenWitness:
             if k is None:
                 return FinVec.zero(ring)
         # The k-th row of Sigma_1 = {1, 8, 15, ...}.
-        return FinVec.unit(ring, 7 * k - 6)
+        return FinVec._of(ring, {7 * k - 6: ring.one})
 
     f3 = RowFiniteMap(ring, f3_row)
     return TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)

@@ -278,6 +278,30 @@ def test_chain_matches_general_rows(ring):
                            mx.compose_all(factors[split:]))
         assert not any(isinstance(f, mx.Chain) for f in mx._factors(again))
         assert mx.equal_on_window(again, prod, 16)
+    # Edges of the single-term path, built as direct chains so that
+    # monomials stay apart.  Coefficients are random payloads, so over
+    # Mat:2:GF:2 a product taken in the wrong order shows.
+    holes = mx.from_index_map(ring, lambda a: None if a % 3 == 0 else a)
+    fold = mx.from_index_map(ring, lambda a: 2)   # many terms -> one term
+    zero = mx.zero_map(ring)
+    for _ in range(10):
+        g, h = (random_map(ring, rng, density=0.15) for _ in range(2))
+        dense = random_map(ring, rng, density=0.6)
+        c1, c2 = (mx.scalar_map(ring, ring.random_payload(rng)) for _ in range(2))
+        for factors in ((g, zero, h),            # zero coefficient
+                        (holes, g, h),           # None index first
+                        (g, holes, h),           # None index in the middle
+                        (g, h, c1),              # general first factor
+                        (dense, fold, c1, g, c2, h),  # collapse, then go on
+                        (c1, holes, g, c2, fold, h, c1)):
+            chain = mx.Chain(ring, factors)
+            assert mx.equal_on_window(chain, slow_product(list(factors)), 16)
+
+
+def test_chain_rejects_mixed_rings_at_construction():
+    gf3 = random_map(parse_ring_spec("GF:3"), random.Random(26))
+    with pytest.raises(RingError, match="ring mismatch: GF:5 vs GF:3"):
+        mx.Chain(GF5, (mx.identity_map(GF5), gf3))
 
 
 def test_monomials_meeting_in_a_chain_merge():
