@@ -159,6 +159,23 @@ def cmd_maltsev(args) -> Report:
     return report
 
 
+def _random_lower_triangular(ring, rng, window: int) -> mx.RowFiniteMap:
+    """A sandwich target Y: each cell (i, c) with c <= i drawn with probability 1/2.
+
+    Rows are wrapped as they are drawn: random payloads are already
+    canonical, so only the zero ones are dropped.
+    """
+    rows = {}
+    for i in range(1, window + 1):
+        entries = {c: ring.random_payload(rng)
+                   for c in range(1, i + 1) if rng.random() < 0.5}
+        entries = {c: v for c, v in entries.items() if not ring.is_zero(v)}
+        if entries:
+            rows[i] = mx.FinVec._of(ring, entries)
+    zero = mx.FinVec.zero(ring)
+    return mx.RowFiniteMap(ring, lambda a: rows.get(a, zero))
+
+
 def cmd_sandwich(args) -> Report:
     ring = parse_ring_spec(args.ring)
     report = Report(args.command, _config(args))
@@ -166,13 +183,7 @@ def cmd_sandwich(args) -> Report:
     A, B = tr.sandwich_A(ring), tr.sandwich_B(ring)
     diag = parse_preorder("diag")
     for trial in range(args.count):
-        rows = {}
-        for i in range(1, args.window + 1):
-            entries = {c: ring.random_payload(rng)
-                       for c in range(1, i + 1) if rng.random() < 0.5}
-            if entries:
-                rows[i] = entries
-        Y = mx.from_rows(ring, rows)
+        Y = _random_lower_triangular(ring, rng, args.window)
         try:
             X = tr.sandwich_X(Y, args.window)
         except tr.SandwichError as exc:

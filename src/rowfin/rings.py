@@ -181,7 +181,12 @@ class PrimeField(ModularRing):
 
 
 class MatrixRing(BaseRing):
-    """k-by-k square matrices over a base ring; payloads are tuples of tuples."""
+    """k-by-k square matrices over a base ring; payloads are tuples of tuples.
+
+    Identity operands short-circuit: `add` with zero and `mul` with one
+    return the other operand, found by payload equality (payloads are
+    canonical), without touching the base ring.
+    """
 
     def __init__(self, base: BaseRing, k: int):
         if k < 1:
@@ -194,12 +199,20 @@ class MatrixRing(BaseRing):
         self.one = tuple(tuple(o if i == j else z for j in range(k)) for i in range(k))
 
     def add(self, a, b):
+        if a == self.zero:
+            return b
+        if b == self.zero:
+            return a
         k = self.k
         return tuple(
             tuple(self.base.add(a[i][j], b[i][j]) for j in range(k)) for i in range(k)
         )
 
     def mul(self, a, b):
+        if a == self.one:
+            return b
+        if b == self.one:
+            return a
         k, br = self.k, self.base
         out = []
         for i in range(k):

@@ -59,6 +59,12 @@ class GFamily:
                     ("g5*g4 = 1", mx.compose(g5, g4), ident))]
 
 
+def _shift_layer(enc, dec, step: int, alpha: int) -> int:
+    """The index of alpha's coordinate moved `step` layers up."""
+    i, gamma = dec(alpha)
+    return enc(i + step, gamma)
+
+
 def build_g_family(source: dict, ring: BaseRing) -> GFamily:
     """Construct g1..g5 from a finite materialized family {i: u_i}.
 
@@ -81,16 +87,17 @@ def build_g_family(source: dict, ring: BaseRing) -> GFamily:
         return gamma if i == 0 else None
 
     g2 = mx.from_index_map(ring, g2_target)
-    g4 = mx.from_index_map(ring, lambda a: enc(dec(a)[0] + 1, dec(a)[1]))
-    g5 = mx.from_index_map(ring, lambda a: enc(dec(a)[0] - 1, dec(a)[1]))
+    g4 = mx.from_index_map(ring, partial(_shift_layer, enc, dec, 1))
+    g5 = mx.from_index_map(ring, partial(_shift_layer, enc, dec, -1))
 
     def g3_row(alpha):
         i, gamma = dec(alpha)
         u = source.get(i)
         if u is None:
             return FinVec.zero(ring)
-        # Row gamma of u_i transported onto layer i.
-        return FinVec(ring, {enc(i, c): v for c, v in u.row(gamma).entries.items()})
+        # Row gamma of u_i transported onto layer i: u's entries are
+        # canonical and nonzero, and every encoded index is >= 1.
+        return FinVec._of(ring, {enc(i, c): v for c, v in u.row(gamma).entries.items()})
 
     g3 = RowFiniteMap(ring, g3_row)
 

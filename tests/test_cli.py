@@ -186,6 +186,29 @@ def test_sandwich_checks_diagonality_on_every_row_axb_reads(monkeypatch):
     assert all(c["detail"] == "(40, 15)" for c in doc["checks"][1::2])
 
 
+def _y_through_from_rows(ring, rng, window):
+    """Sandwich's Y from the same draws, canonicalised again by from_rows."""
+    rows = {}
+    for i in range(1, window + 1):
+        entries = {c: ring.random_payload(rng)
+                   for c in range(1, i + 1) if rng.random() < 0.5}
+        if entries:
+            rows[i] = entries
+    return mx.from_rows(ring, rows)
+
+
+@pytest.mark.parametrize("ring", ["Mat:2:GF:2", "GF:5"])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_sandwich_y_from_canonical_payloads_matches_from_rows(ring, corrupt,
+                                                              monkeypatch):
+    argv = ["sandwich", "--ring", ring, "--count", "3", "--window", "9"]
+    argv += ["--corrupt"] if corrupt else []
+    report, _, _ = cli.run(argv)
+    assert report.failed == corrupt
+    monkeypatch.setattr(cli, "_random_lower_triangular", _y_through_from_rows)
+    assert cli.run(argv)[0].to_json() == report.to_json()
+
+
 def test_witness_subcommand():
     report, doc = run_json(["witness", "--preorder", "le", "--count", "4"])
     assert not report.failed

@@ -201,3 +201,85 @@ def test_parsed_rings_are_interned():
     assert mat.base is parse_ring_spec("Zmod:6")
     # Rings built directly are equal by spec, not identical.
     assert ModularRing(6) == mat.base and ModularRing(6) is not mat.base
+
+
+def _reference_matrix_ops(ring):
+    """(add, mul) for a matrix ring: entrywise sums and the k^3 product.
+
+    Written without shortcuts; a matrix base ring gets its own reference
+    ops, so nested rings never reach `MatrixRing.add` or `.mul`.
+    """
+    base, k = ring.base, ring.k
+    if isinstance(base, MatrixRing):
+        base_add, base_mul = _reference_matrix_ops(base)
+    else:
+        base_add, base_mul = base.add, base.mul
+
+    def add(a, b):
+        return tuple(tuple(base_add(a[i][j], b[i][j]) for j in range(k))
+                     for i in range(k))
+
+    def mul(a, b):
+        out = []
+        for i in range(k):
+            row = []
+            for j in range(k):
+                acc = base.zero
+                for t in range(k):
+                    acc = base_add(acc, base_mul(a[i][t], b[t][j]))
+                row.append(acc)
+            out.append(tuple(row))
+        return tuple(out)
+
+    return add, mul
+
+
+def _fresh_copy(ring, payload):
+    """An equal payload that shares no tuple object with `payload`."""
+    copy = ring.parse_payload(ring.format_payload(payload))
+    assert copy == payload and copy is not payload
+    return copy
+
+
+def test_matrix_ops_match_the_reference_on_every_mat2_gf2_pair():
+    ring = parse_ring_spec("Mat:2:GF:2")
+    add, mul = _reference_matrix_ops(ring)
+    elems = list(ring.elements())
+    # The enumeration builds its own tuples: its one and zero are equal
+    # to the ring's, but not the same objects.
+    assert ring.one in elems and ring.zero in elems
+    assert all(e is not ring.one and e is not ring.zero for e in elems)
+    for a in elems:
+        for b in elems:
+            assert ring.add(a, b) == add(a, b)
+            assert ring.mul(a, b) == mul(a, b)
+
+
+@pytest.mark.parametrize("spec", ["Mat:3:Zmod:6", "Mat:2:Int",
+                                  "Mat:2:Mat:2:GF:2"])
+def test_matrix_ops_match_the_reference_on_random_pairs(spec):
+    ring = parse_ring_spec(spec)
+    add, mul = _reference_matrix_ops(ring)
+    rng = random.Random(5)
+    pool = [ring.random_payload(rng) for _ in range(40)]
+    pool += [_fresh_copy(ring, ring.one), _fresh_copy(ring, ring.zero)]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
+    pairs += [(x, y) for x in pool[-2:] for y in pool]
+    pairs += [(y, x) for x in pool[-2:] for y in pool]
+    for a, b in pairs:
+        assert ring.add(a, b) == add(a, b)
+        assert ring.mul(a, b) == mul(a, b)
+
+
+def test_matrix_identity_operands_skip_the_base_ring(monkeypatch):
+    ring = parse_ring_spec("Mat:2:Zmod:6")
+    one, zero = _fresh_copy(ring, ring.one), _fresh_copy(ring, ring.zero)
+    a = ((1, 2), (3, 4))
+
+    def unreachable(*args):
+        raise AssertionError("base ring reached")
+
+    monkeypatch.setattr(ring.base, "add", unreachable)
+    monkeypatch.setattr(ring.base, "mul", unreachable)
+    assert ring.mul(one, a) is a and ring.mul(a, one) is a
+    assert ring.add(zero, a) is a and ring.add(a, zero) is a
