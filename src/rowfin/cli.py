@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -493,14 +494,29 @@ def run(argv=None) -> tuple[Report, float, object]:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print its report; 1 if it failed or stdout closed."""
     report, elapsed, args = run(argv)
-    sys.stdout.write(report.pretty(elapsed))
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    out = getattr(args, "out", None)
+    text = report.pretty(elapsed) + ("" if out else report.to_json())
+    printed = _write_stdout(text)
+    if out:
+        with open(out, "w") as fh:
             fh.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_json())
-    return 1 if report.failed else 0
+    return 1 if report.failed or not printed else 0
+
+
+def _write_stdout(text: str) -> bool:
+    """Write and flush text to stdout; False if the reader closed the pipe."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit cannot fail
+        # again (the recipe in the documentation of Python's `signal`).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return False
+    return True
 
 
 if __name__ == "__main__":

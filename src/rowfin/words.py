@@ -303,10 +303,11 @@ class ProximityResult:
     found: bool
     r: int            # witness length, or the exhausted bound
     witness: Word | None
-    words_tried: int  # candidate words built, each compared with x2
+    words_tried: int  # candidates formed, each compared with x2
 
 
-# The most candidate words one oracle query may build before it gives up.
+# The most candidates one oracle query may form, each compared with x2,
+# before it gives up.
 WORD_CAP = 1_000_000
 
 
@@ -327,8 +328,13 @@ def proximity_oracle(x1: FinVec, x2: FinVec, env: dict,
     order has first-of-class children, and none that a shorter word could
     replace, since that would give an earlier or shorter witness; so the
     search returns the same length and word as enumerating every word.
-    Every candidate is compared with x2 before it is dropped.  Raises
-    OracleBudgetExceeded once the candidates built pass WORD_CAP.
+
+    A candidate is formed as its operator, its two parent representatives
+    and its vector, and its rows on the cover are read off the parents'
+    rows.  Only a candidate that becomes a representative is given its
+    word and map, and only the witness its word.  Every candidate formed
+    is compared with x2 before it is dropped; OracleBudgetExceeded is
+    raised once the candidates formed pass WORD_CAP.
     """
     ring = x1.ring
     tried = 0
@@ -338,49 +344,77 @@ def proximity_oracle(x1: FinVec, x2: FinVec, env: dict,
     for n in range(1, r_max + 1):
         merge = n < r_max
         if n == 1:
-            candidates = [(ZERO, FinVec.zero(ring), zero_map(ring)),
-                          (ONE, x1, identity_map(ring)),
-                          (NEG_ONE, x1.neg(), scalar_map(ring, ring.neg(ring.one)))]
-            candidates += [(Gen(name), x1.apply(env[name]), env[name])
-                           for name in sorted(env)]
+            # A leaf is the candidate (None, rep, None, vector).
+            leaves = [(ZERO, FinVec.zero(ring), zero_map(ring)),
+                      (ONE, x1, identity_map(ring)),
+                      (NEG_ONE, x1.neg(), scalar_map(ring, ring.neg(ring.one)))]
+            leaves += [(Gen(name), x1.apply(env[name]), env[name])
+                       for name in sorted(env)]
+            candidates = [(None, leaf, None, leaf[1]) for leaf in leaves]
         else:
-            candidates = _products_and_sums(reps, n, build_maps=merge)
+            candidates = _products_and_sums(reps, n)
         seen = set()
         if merge:
             cover = sorted(support_closure(x1, lambda a: {a}, env, r_max - n).cover)
             # Every shorter representative's class on this level's cover,
             # so a word equal to a shorter one there is dropped too.  The
-            # cover is inside every shorter level's, so these rows are memos.
-            seen.update(tuple(mat.row(a) for a in cover)
+            # cover is inside every shorter level's, so a representative's
+            # rows are computed at the level after its own and memos after.
+            seen.update(_rows(None, mat, None, cover)
                         for shorter in reps for _, _, mat in shorter)
         level = []
-        for word, vec, mat in candidates:
+        for op, left, right, vec in candidates:
             tried += 1
             if tried > WORD_CAP:
                 raise OracleBudgetExceeded(
                     f"word cap {WORD_CAP} exceeded at length {n}")
             if vec == x2:
+                word = left[0] if op is None else op(left[0], right[0])
                 return ProximityResult(True, n, word, tried)
             if merge:
-                signature = tuple(mat.row(a) for a in cover)
+                signature = _rows(op, left[2], right and right[2], cover)
                 if signature not in seen:
                     seen.add(signature)
-                    level.append((word, vec, mat))
+                    level.append(_representative(op, left, right, vec))
         reps.append(level)
     return ProximityResult(False, r_max, None, tried)
 
 
-def _products_and_sums(reps: list, n: int, build_maps: bool):
-    """Words of length n over the class representatives, in search order.
+def _products_and_sums(reps: list, n: int):
+    """Candidates of length n over the class representatives, in search order.
 
-    Yields (word, vector, map) for (left + right) and then (left * right),
-    for every split n = m1 + m2 and every pair of representatives; the
-    map is None unless `build_maps`.
+    Yields (op, left, right, vector) for (left + right) and then
+    (left * right), op being Sum or Prod, for every split n = m1 + m2 and
+    every pair of representatives.
     """
     for m1 in range(1, n):
-        for lword, lvec, lmat in reps[m1 - 1]:
-            for rword, rvec, rmat in reps[n - m1 - 1]:
-                yield (Sum(lword, rword), lvec.add(rvec),
-                       add_maps(lmat, rmat) if build_maps else None)
-                yield (Prod(lword, rword), lvec.apply(rmat),
-                       compose(lmat, rmat) if build_maps else None)
+        for left in reps[m1 - 1]:
+            lvec = left[1]
+            for right in reps[n - m1 - 1]:
+                yield (Sum, left, right, lvec.add(right[1]))
+                yield (Prod, left, right, lvec.apply(right[2]))
+
+
+def _rows(op, lmat, rmat, cover) -> tuple:
+    """Rows on `cover` of lmat (op None), lmat + rmat (Sum) or lmat rmat (Prod).
+
+    They are the rows of add_maps(lmat, rmat) and compose(lmat, rmat),
+    read without building either map: row a of a product is row a of
+    its left factor times the right factor, the action being associative.
+    """
+    if op is None:
+        return tuple(lmat.row(a) for a in cover)
+    if op is Sum:
+        return tuple(lmat.row(a).add(rmat.row(a)) for a in cover)
+    return tuple(lmat.row(a).apply(rmat) for a in cover)
+
+
+def _representative(op, left, right, vec) -> tuple:
+    """(word, vector, map) of a kept candidate; a leaf is its own."""
+    if op is None:
+        return left
+    lword, _, lmat = left
+    rword, _, rmat = right
+    if op is Sum:
+        return Sum(lword, rword), vec, add_maps(lmat, rmat)
+    return Prod(lword, rword), vec, compose(lmat, rmat)

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -530,3 +533,23 @@ def test_bound_env_var(monkeypatch):
                             "--x2", "3:2", "--r-max", "3"])
     assert not report.failed  # cap exhaustion is a warning
     assert doc["checks"][0]["verdict"] == "warn"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # The read end of the child's stdout pipe is closed before the child
+    # starts, so its first write or flush meets a closed pipe.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rowfin.cli", "classify",
+                               "--preorder", "ge"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr

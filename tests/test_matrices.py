@@ -5,7 +5,7 @@ import pytest
 import rowfin
 from rowfin import matrices as mx
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
-from rowfin.rings import IntegerRing, RingError, parse_ring_spec
+from rowfin.rings import IntegerRing, PrimeField, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
 
 Z = IntegerRing()
@@ -138,6 +138,20 @@ def test_ring_mismatch_rejected():
         mx.compose(mx.identity_map(Z), mx.identity_map(GF5))
     with pytest.raises(RingError, match="ring mismatch: Int vs GF:5"):
         FinVec.unit(Z, 1).apply(mx.identity_map(GF5))
+    with pytest.raises(RingError, match="ring mismatch: GF:5 vs Zmod:5"):
+        FinVec.unit(GF5, 1).add(FinVec.unit(parse_ring_spec("Zmod:5"), 1))
+
+
+def test_vectors_over_equal_distinct_rings_agree():
+    # classify builds PrimeField(p) directly, so a ring equal to an
+    # interned one need not be the same object.
+    twin = PrimeField(5)
+    assert twin is not GF5 and twin == GF5
+    v, w = FinVec(GF5, {1: 2, 4: 3}), FinVec(twin, {1: 2, 4: 3})
+    assert v == w and w == v and hash(v) == hash(w)
+    assert v != FinVec(twin, {1: 2})
+    assert v.add(w) == FinVec(GF5, {1: 4, 4: 1})
+    assert w.add(v.neg()).is_zero()
 
 
 @pytest.mark.parametrize("ring", [Z6, GF5])

@@ -247,6 +247,60 @@ def test_oracle_words_tried_is_pinned():
                         {"s": shift(GF2), "m": m}, 4).words_tried == 26055
 
 
+@pytest.mark.parametrize("spec", ["Zmod:6", "GF:3", "Mat:2:GF:2"])
+def test_parent_rows_are_the_rows_of_the_built_map(spec):
+    # The oracle reads a candidate's rows off its parents' rows; they must
+    # be the rows of the map add_maps or compose would build for it.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(20261019)
+    for _ in range(12):
+        env = {"s": shift(ring), "m": mx.from_rows(ring, {
+            a: {c: ring.random_payload(rng) for c in rng.sample(range(1, 9), 2)}
+            for a in rng.sample(range(1, 7), 4)})}
+        x1 = _random_vec(rng, ring, 4, 2)
+        cover = sorted(support_closure(x1, lambda a: {a}, env, 3).cover)
+        lmat, rmat = (eval_word(_random_word(rng, 2), env, ring) for _ in range(2))
+        assert wd._rows(None, lmat, None, cover) == tuple(lmat.row(a) for a in cover)
+        assert wd._rows(Sum, lmat, rmat, cover) == tuple(
+            mx.add_maps(lmat, rmat).row(a) for a in cover)
+        assert wd._rows(Prod, lmat, rmat, cover) == tuple(
+            mx.compose(lmat, rmat).row(a) for a in cover)
+
+
+def _random_word(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([ZERO, ONE, NEG_ONE, Gen("s"), Gen("m")])
+    return rng.choice([Sum, Prod])(_random_word(rng, depth - 1),
+                                   _random_word(rng, depth - 1))
+
+
+def test_oracle_builds_maps_for_representatives_only(monkeypatch):
+    """add_maps and compose run once per kept representative of length >= 2.
+
+    With the shift alone over GF(2) and x1 = e1, a word's class on any
+    cover is its polynomial in s, so the representatives of length l are
+    the polynomials of least length l.  The last level keeps nothing and
+    builds no map, found or not.
+    """
+    built = []
+    for name in ("add_maps", "compose"):
+        original = getattr(wd, name)
+        monkeypatch.setattr(wd, name, lambda f, g, original=original:
+                            built.append(1) or original(f, g))
+    env = {"s": shift(GF2)}
+    least = _shift_polynomial_lengths(6)
+    for r_max in range(1, 7):
+        kept = sum(1 for n in least.values() if 2 <= n < r_max)
+        last = next(bits for bits, n in least.items() if n == r_max)
+        for bits in (last, 1 << 12):  # found at the last level, out of reach
+            built.clear()
+            x2 = FinVec(GF2, {1 + i: 1 for i in range(13) if bits >> i & 1})
+            res = proximity_oracle(FinVec.unit(GF2, 1), x2, env, r_max)
+            assert res.found == (bits == last) and res.r == r_max
+            assert len(built) == kept, (r_max, bits)
+    assert kept > 0
+
+
 def _random_vec(rng, ring, top, entries):
     return FinVec(ring, {rng.randint(1, top): ring.random_payload(rng)
                          for _ in range(entries)})
