@@ -134,8 +134,8 @@ def cmd_two_gen(args) -> Report:
                       mx.equal_on_window(umaps[i], fam.source[i], args.window))
     report.witness("f1", _sparse_witness(witness.f1, args.window))
     report.witness("f3", _sparse_witness(witness.f3, args.window))
-    report.witness("words", {str(i): wd.format_word(witness.word_for_u(i))
-                             for i in indices})
+    report.witness("words", {str(i): text
+                             for i, text in tg.u_word_texts(indices).items()})
     return report
 
 

@@ -6,16 +6,18 @@ memoize computed rows.  A map is one of
 * general (`RowFiniteMap`): an arbitrary row function;
 * `Monomial`: row a is coeff * e_{index(a)}, or zero where the partial
   index function is undefined;
-* `Chain`: a flat product of factors, evaluated by a loop over them.  A
-  chain row carries a single term as (index, coefficient) across the
-  factors and builds a vector only when it has several terms.
+* `Chain`: a flat product of factors, evaluated by a loop over flat
+  steps built once: a monomial factor becomes its primitive index parts
+  and its scale, which the loop walks itself.  A chain row carries a
+  single term as (index, coefficient) across the steps and builds a
+  vector only when it has several terms.
 
 Zero entries are pruned at every arithmetic step so supports are exact.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 
 from .rings import BaseRing, RingError
 
@@ -37,11 +39,16 @@ class _RowEvalCounter:
 row_evals = _RowEvalCounter()
 
 
+def _same_ring(ring: BaseRing, other: BaseRing) -> BaseRing:
+    """ring, if other is the same ring: identity first (rings are interned), then spec."""
+    if other is not ring and other != ring:
+        raise RingError(f"ring mismatch: {ring.spec} vs {other.spec}")
+    return ring
+
+
 def _common_ring(x, y) -> BaseRing:
-    """The ring shared by x and y: identity first (rings are interned), then spec."""
-    if x.ring is not y.ring and x.ring != y.ring:
-        raise RingError(f"ring mismatch: {x.ring.spec} vs {y.ring.spec}")
-    return x.ring
+    """The ring shared by x and y."""
+    return _same_ring(x.ring, y.ring)
 
 
 class FinVec:
@@ -113,19 +120,22 @@ class FinVec:
 
     def apply(self, f: "RowFiniteMap") -> "FinVec":
         """Right action: self . f = sum_a self[a] * row_a(f)."""
-        _common_ring(self, f)
+        if f.ring is not self.ring:
+            _common_ring(self, f)
         if isinstance(f, Monomial):
             return f.remap(self)
         return push(self, f.row)
 
     def __eq__(self, other):
-        # No identity shortcut here: perfbench's self-test needs the ring
-        # comparisons counted on the sandwich and oracle workloads.
-        return (isinstance(other, FinVec) and self.ring == other.ring
-                and self.entries == other.entries)
+        # Entries first, so rings are compared only for equal entries.  No
+        # identity shortcut on the rings: perfbench's self-test needs the
+        # ring comparisons counted on the sandwich and oracle workloads.
+        return (isinstance(other, FinVec) and self.entries == other.entries
+                and self.ring == other.ring)
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.entries.items()))))
+        # The entries alone: equal vectors have equal entries.
+        return hash(frozenset(self.entries.items()))
 
     def __repr__(self):
         inner = ", ".join(f"{i}:{self.ring.format_payload(v)}"
@@ -162,10 +172,11 @@ class RowFiniteMap:
         self._primitive = primitive
 
     def row(self, alpha: int) -> FinVec:
-        if alpha < 1:
-            raise MatrixError(f"row index must be >= 1, got {alpha}")
         cached = self._memo.get(alpha)
         if cached is None:
+            # Checked on a miss only: no index below 1 is ever memoized.
+            if alpha < 1:
+                raise MatrixError(f"row index must be >= 1, got {alpha}")
             if self._primitive:
                 row_evals.count += 1
             cached = self._rowfn(alpha)
@@ -263,30 +274,32 @@ class Monomial(RowFiniteMap):
                         parts=self.parts + g.parts)
 
 
-def _chain_row(ring: BaseRing, factors: tuple, alpha: int) -> FinVec:
-    """Row alpha of the product: e_alpha pushed through the factors in turn.
+def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
+    """Row alpha of the product: e_alpha pushed through the steps in turn.
 
-    While the running vector is one term c * e_t it travels as the pair
-    (t, c): a monomial sends it to (index(t), c * coeff), a general factor
-    gives c * row t.  A FinVec is carried only while it has several terms.
+    A step is (factor, parts, scale).  While the running vector is one
+    term c * e_t it travels as the pair (t, c): a monomial step sends t
+    through its primitive parts (memo first) and c to c * scale, a general
+    step gives c * row t.  A FinVec is carried only while it has several
+    terms, and then each step applies its whole factor.
     """
-    one = ring.one
+    one, mul, is_zero = ring.one, ring.mul, ring.is_zero
     t, c, vec = alpha, one, None
-    for f in factors:
+    for f, parts, scale in steps:
         if vec is not None:
             vec = vec.apply(f)
-        elif isinstance(f, Monomial):
-            index = f.index
-            t = index.memo.get(t) or index(t)  # a memo hit skips the call
-            if t is None:
-                return FinVec._of(ring, {})
-            if f._scale is not None:
-                c = ring.mul(c, f._scale)
-                if ring.is_zero(c):
+        elif parts is not None:
+            for memo, part in parts:
+                t = memo.get(t) or part(t)  # a memo hit skips the call
+                if t is None:
+                    return FinVec._of(ring, {})
+            if scale is not None:
+                c = mul(c, scale)
+                if is_zero(c):
                     return FinVec._of(ring, {})
             continue
         else:
-            vec = f.row(t)
+            vec = f._memo.get(t) or f.row(t)
             if c != one:
                 vec = vec.scale_left(c)
         entries = vec.entries
@@ -298,20 +311,33 @@ def _chain_row(ring: BaseRing, factors: tuple, alpha: int) -> FinVec:
     return FinVec._of(ring, {t: c}) if vec is None else vec
 
 
+def _chain_step(f: RowFiniteMap) -> tuple:
+    """(f, parts, scale): a monomial's (memo, part) pairs, or None for a general f."""
+    if isinstance(f, Monomial):
+        return f, tuple((part.memo, part) for part in f.parts), f._scale
+    return f, None, None
+
+
 class Chain(RowFiniteMap):
     """The product factors[0] factors[1] ... of two or more factors.
 
-    Row a is e_a pushed through the factors in a loop; only the chain's
-    own rows are memoized.  Every factor's ring is checked once, here.
+    Row a is e_a pushed through the factors' flat steps in a loop; only
+    the chain's own rows are memoized.  A single-term row walks a
+    monomial's primitive parts, so it neither reads nor fills a composite
+    monomial's index memo.  Every factor's ring is checked once, here.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "steps")
 
-    def __init__(self, ring: BaseRing, factors: tuple):
-        super().__init__(ring, partial(_chain_row, ring, factors), primitive=False)
-        for f in factors:
-            _common_ring(self, f)
+    def __init__(self, ring: BaseRing, factors: tuple, steps: tuple = None):
+        # `compose` passes the steps of factors whose rings it has checked.
+        if steps is None:
+            for f in factors:
+                _same_ring(ring, f.ring)
+            steps = tuple(_chain_step(f) for f in factors)
+        super().__init__(ring, partial(_chain_row, ring, steps), primitive=False)
         self.factors = factors
+        self.steps = steps
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +391,10 @@ def _factors(f: RowFiniteMap) -> tuple:
     return f.factors if isinstance(f, Chain) else (f,)
 
 
+def _steps(f: RowFiniteMap) -> tuple:
+    return f.steps if isinstance(f, Chain) else (_chain_step(f),)
+
+
 def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
     """Right-action composition: row_a(fg) = row_a(f) . g.
 
@@ -373,18 +403,16 @@ def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
     """
     ring = _common_ring(f, g)
     left, right = _factors(f), _factors(g)
+    lsteps, rsteps = _steps(f), _steps(g)
     if isinstance(left[-1], Monomial) and isinstance(right[0], Monomial):
-        left = left[:-1] + (left[-1].then(right[0]),)
-        right = right[1:]
+        seam = left[-1].then(right[0])
+        left, lsteps = left[:-1] + (seam,), lsteps[:-1] + (_chain_step(seam),)
+        right, rsteps = right[1:], rsteps[1:]
     factors = left + right
-    return factors[0] if len(factors) == 1 else Chain(ring, factors)
-
-
-def compose_all(maps) -> RowFiniteMap:
-    maps = list(maps)
-    if not maps:
-        raise MatrixError("empty composition")
-    return reduce(compose, maps)
+    if len(factors) == 1:
+        return factors[0]
+    # Every factor of f and of g is in the ring of f and g, checked above.
+    return Chain(ring, factors, lsteps + rsteps)
 
 
 # ---------------------------------------------------------------------------

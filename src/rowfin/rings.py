@@ -229,12 +229,14 @@ class MatrixRing(BaseRing):
         return tuple(tuple(self.base.neg(x) for x in row) for row in a)
 
     def canon(self, a):
-        rows = tuple(a)
-        if len(rows) != self.k:
-            raise RingError(f"expected {self.k} rows, got {len(rows)}")
+        if not isinstance(a, (list, tuple)):
+            raise RingError(f"not a matrix payload: {a!r}")
+        if len(a) != self.k:
+            raise RingError(f"expected {self.k} rows, got {len(a)}")
         out = []
-        for row in rows:
-            row = tuple(row)
+        for row in a:
+            if not isinstance(row, (list, tuple)):
+                raise RingError(f"not a matrix row: {row!r}")
             if len(row) != self.k:
                 raise RingError(f"expected {self.k} columns, got {len(row)}")
             out.append(tuple(self.base.canon(x) for x in row))

@@ -17,7 +17,7 @@ from . import matrices as mx
 from .indexing import SevenPartition, ZPairing
 from .matrices import RowFiniteMap, FinVec
 from .rings import BaseRing, RingError, central_payloads
-from .words import Gen, Word, eval_word, prod_chain
+from .words import Gen, Word, eval_word, format_word, prod_chain
 
 
 class ConstructionError(Exception):
@@ -125,13 +125,32 @@ def g_word(i: int) -> Word:
     return prod_chain([F1] * 6 + [F3] + [F1] * i + [F3])
 
 
-def u_word(i: int) -> Word:
-    """g1 g4^i g3 g5^i g2 with every factor replaced by its two-generator word."""
+def _u_factors(i: int) -> list:
+    """The g-word indices of u_i = g1 g_up^|i| g3 g_down^|i| g2, left to right."""
     up, down = (4, 5) if i >= 0 else (5, 4)
     k = abs(i)
-    factors = ([g_word(1)] + [g_word(up)] * k + [g_word(3)]
-               + [g_word(down)] * k + [g_word(2)])
-    return prod_chain(factors)
+    return [1] + [up] * k + [3] + [down] * k + [2]
+
+
+def u_word(i: int) -> Word:
+    """g1 g4^i g3 g5^i g2 with every factor replaced by its two-generator word."""
+    g = {j: g_word(j) for j in range(1, 6)}
+    return prod_chain(g[j] for j in _u_factors(i))
+
+
+def u_word_texts(indices) -> dict:
+    """k -> format_word(u_word(k)), joined from the five g-word texts.
+
+    u_word(k) is a left-associated product, so its text opens one bracket
+    per factor after the first and closes one after each of them.
+    """
+    closing = {j: f" * {format_word(g_word(j))})" for j in range(1, 6)}
+    first = format_word(g_word(1))
+    out = {}
+    for k in indices:
+        rest = _u_factors(k)[1:]
+        out[k] = "(" * len(rest) + first + "".join([closing[j] for j in rest])
+    return out
 
 
 @dataclass
@@ -150,25 +169,27 @@ class TwoGenWitness:
         return u_word(i)
 
 
-def _phi(part: SevenPartition, k: int) -> int:
+def _phi(k: int) -> int:
     """The index action of f1: classes 1..5 advance; classes 6,7 merge into 7."""
-    if part.class_of(k) <= 5:
+    q, r = divmod(k - 1, 7)     # k is in class r + 1
+    if r <= 4:
         return k + 1
     # Position of k among {6,7, 13,14, 20,21, ...}.
-    q, r = divmod(k - 1, 7)
-    j = 2 * q + (1 if r == 5 else 2)
-    return 7 * j
+    return 7 * (2 * q + (1 if r == 5 else 2))
 
 
-def _phi_inv(part: SevenPartition, beta: int):
-    c = part.class_of(beta)
-    if c == 1:
-        return None
-    if c <= 6:
-        return beta - 1
-    j = beta // 7
-    q, odd = divmod(j - 1, 2)
-    return 7 * q + (6 if odd == 0 else 7)
+def _sigma1_index(alpha: int) -> int:
+    """For alpha in class 7, the k with f1^6 sending 7k - 6 (k-th of Sigma_1) to alpha.
+
+    Undoing f1 on 7j halves j while j is even (class 7 from class 7) and
+    leaves class 7 for class 6 once j is odd; every later step goes down
+    one class.  After e <= 6 halvings that gives k in closed form, and it
+    never runs below class 1.
+    """
+    j = alpha // 7
+    e = min(6, (j & -j).bit_length() - 1)   # trailing zero bits of j
+    j >>= e
+    return 7 * j if e == 6 else 7 * (j - 1) // 2 + 1 + e
 
 
 def build_two_generators(fam: GFamily) -> TwoGenWitness:
@@ -181,7 +202,7 @@ def build_two_generators(fam: GFamily) -> TwoGenWitness:
     ring = fam.ring
     part = SevenPartition()
 
-    f1 = mx.from_index_map(ring, lambda k: _phi(part, k))
+    f1 = mx.from_index_map(ring, _phi)
     gmaps = fam.gmaps()
 
     def f3_row(alpha):
@@ -192,14 +213,9 @@ def build_two_generators(fam: GFamily) -> TwoGenWitness:
             # Row of t_i^{-1} f2^{-1} g_i collapses to a plain row of g_i,
             # indexed by alpha's position in its piece.
             return gmaps[c - 1].row((alpha - 1) // 7 + 1)
-        # Class 7: t6^{-1} f2, i.e. undo six f1-steps then land in Sigma_1.
-        k = alpha
-        for _ in range(6):
-            k = _phi_inv(part, k)
-            if k is None:
-                return FinVec.zero(ring)
-        # The k-th row of Sigma_1 = {1, 8, 15, ...}.
-        return FinVec._of(ring, {7 * k - 6: ring.one})
+        # Class 7: t6^{-1} f2, i.e. undo six f1-steps then land in the
+        # k-th row of Sigma_1 = {1, 8, 15, ...}.
+        return FinVec._of(ring, {7 * _sigma1_index(alpha) - 6: ring.one})
 
     f3 = RowFiniteMap(ring, f3_row)
     return TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)

@@ -65,8 +65,7 @@ def test_a_wrong_f1_row_fails_both_reports(monkeypatch, capsys):
     """f1 wrong at row 3 only: the g-word checks must catch it, and each
     report must end in FAIL, not a traceback."""
     phi = tg._phi
-    monkeypatch.setattr(tg, "_phi",
-                        lambda part, k: phi(part, k) + 7 if k == 3 else phi(part, k))
+    monkeypatch.setattr(tg, "_phi", lambda k: phi(k) + 7 if k == 3 else phi(k))
     report, doc = run_json(["two-gen", "--window", "16"])
     assert report.failed
     verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
@@ -535,19 +534,45 @@ def test_bound_env_var(monkeypatch):
     assert doc["checks"][0]["verdict"] == "warn"
 
 
+def run_child(argv, extra_env=None, **kwargs):
+    """`python -m rowfin.cli argv` in a child process that imports this rowfin."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **(extra_env or {}),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rowfin.cli", *argv], env=env,
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["--ring", "Mat:2:Zmod:3", "--x1", "1:1", "--x2", "2:1"],
+     "not a matrix payload: 1"),
+    (["--ring", "Mat:2:Zmod:3", "--x1", "1:true", "--x2", "2:1"],
+     "not a matrix payload: True"),
+    (["--ring", "Mat:2:GF:2", "--x1", "1:[[1,0],[0,1]]", "--x2", "2:[[1,0],[0,1]]",
+      "--in", "scalar.sparse"], "not a matrix payload: 1"),
+    (["--ring", "Mat:2:GF:2", "--x1", "1:[1,[0,1]]", "--x2", "2:[[1,0],[0,1]]"],
+     "not a matrix row: 1"),
+], ids=["x1-int", "x1-bool", "in-file-int", "x1-int-row"])
+def test_scalar_matrix_payload_is_an_input_failure(argv, detail, tmp_path):
+    (tmp_path / "scalar.sparse").write_text("ring Mat:2:GF:2\n1 2 1\n")
+    proc = run_child(["oracle", *argv, "--r-max", "2"], cwd=tmp_path,
+                     capture_output=True)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert doc["checks"] == [{"detail": detail, "name": "input", "verdict": "fail"}]
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
     # The read end of the child's stdout pipe is closed before the child
     # starts, so its first write or flush meets a closed pipe.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "rowfin.cli", "classify",
-                               "--preorder", "ge"], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = run_child(["classify", "--preorder", "ge"],
+                         {"PYTHONUNBUFFERED": unbuffered},
+                         stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert proc.returncode == 1

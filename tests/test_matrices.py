@@ -1,9 +1,11 @@
 import random
+from functools import reduce
 
 import pytest
 
 import rowfin
 from rowfin import matrices as mx
+from rowfin import twogen as tg
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
 from rowfin.rings import IntegerRing, PrimeField, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
@@ -16,6 +18,11 @@ Z6 = parse_ring_spec("Zmod:6")
 
 def shift_map(ring, offset=1):
     return mx.from_index_map(ring, lambda a: a + offset)
+
+
+def product(maps):
+    """maps[0] maps[1] ... through `compose`."""
+    return reduce(mx.compose, maps)
 
 
 def random_map(ring, rng, window=16, density=0.3):
@@ -154,6 +161,18 @@ def test_vectors_over_equal_distinct_rings_agree():
     assert w.add(v.neg()).is_zero()
 
 
+def test_vector_hash_and_equality_read_entries_then_ring():
+    twin = PrimeField(3)
+    gf3 = parse_ring_spec("GF:3")
+    v, w = FinVec(twin, {1: 2, 5: 1}), FinVec(gf3, {5: 1, 1: 2})
+    assert twin is not gf3
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    # Equal entries over unequal rings: unequal vectors, both kept.
+    z = FinVec(parse_ring_spec("Zmod:3"), {1: 2, 5: 1})
+    assert z != w and w != z
+    assert len({w, z}) == 2
+
+
 @pytest.mark.parametrize("ring", [Z6, GF5])
 def test_map_ring_axioms_on_window(ring):
     rng = random.Random(11)
@@ -187,10 +206,23 @@ def test_apply_is_linear():
 def test_composition_is_lazy():
     k = 12
     shifts = [shift_map(Z) for _ in range(k)]
-    chain = mx.compose_all(shifts)
+    chain = product(shifts)
     row_evals.reset()
     assert chain.row(1) == FinVec.unit(Z, k + 1)
     assert row_evals.count <= k + 1
+
+
+def test_rows_below_1_raise_after_the_memo_holds_rows():
+    rng = random.Random(27)
+    g = random_map(GF5, rng)
+    s = shift_map(GF5)
+    for f in (g, s, mx.compose(s, s), mx.Chain(GF5, (s, g, s))):
+        for a in range(1, 9):
+            f.row(a)
+        assert f._memo
+        for bad in (0, -3):
+            with pytest.raises(MatrixError, match="row index must be >= 1"):
+                f.row(bad)
 
 
 def test_row_memoization_is_pure():
@@ -272,7 +304,7 @@ def test_monomial_compose_matches_general_rows(ring):
     rng = random.Random(22)
     for _ in range(20):
         parts = [random_monomial(ring, rng) for _ in range(rng.randint(2, 4))]
-        prod = mx.compose_all(parts)
+        prod = product(parts)
         assert isinstance(prod, mx.Monomial)
         assert mx.equal_on_window(prod, slow_product(parts), 16)
 
@@ -284,12 +316,12 @@ def test_chain_matches_general_rows(ring):
         factors = [random_monomial(ring, rng) if rng.random() < 0.5
                    else random_map(ring, rng, density=0.15)
                    for _ in range(rng.randint(2, 6))]
-        prod = mx.compose_all(factors)
+        prod = product(factors)
         assert mx.equal_on_window(prod, slow_product(factors), 16)
         # A product of two chains is one flat chain.
         split = rng.randint(1, len(factors) - 1)
-        again = mx.compose(mx.compose_all(factors[:split]),
-                           mx.compose_all(factors[split:]))
+        again = mx.compose(product(factors[:split]),
+                           product(factors[split:]))
         assert not any(isinstance(f, mx.Chain) for f in mx._factors(again))
         assert mx.equal_on_window(again, prod, 16)
     # Edges of the single-term path, built as direct chains so that
@@ -312,6 +344,52 @@ def test_chain_matches_general_rows(ring):
             assert mx.equal_on_window(chain, slow_product(list(factors)), 16)
 
 
+def test_chain_steps_walk_the_parts_of_composite_monomials():
+    """Chains holding products of monomials against the general row path.
+    A single-term row neither reads nor fills a composite's index memo."""
+    ring = MAT2
+    rng = random.Random(28)
+    f1 = mx.from_index_map(ring, tg._phi)
+    c = mx.scalar_map(ring, ((1, 1), (0, 1)))        # a non-unit coefficient
+    f1_6 = product([f1] * 3 + [c] + [f1] * 3)
+    holes = mx.from_index_map(ring, lambda a: None if a % 3 == 0 else a)
+    s = shift_map(ring)
+    hole_in_middle = product([s, holes, s])
+    zero_coeff = product([s, mx.zero_map(ring), s])
+    run1 = product([c, s, f1, mx.scalar_map(ring, ((0, 1), (1, 1)))])
+    run2 = product([s, c, s])
+    composites = (f1_6, hole_in_middle, zero_coeff, run1, run2)
+    assert all(isinstance(m, mx.Monomial) and len(m.parts) > 1 for m in composites)
+    assert f1_6.coeff == c.coeff and hole_in_middle.coeff == ring.one
+    assert zero_coeff.coeff == ring.zero
+    for _ in range(5):
+        g, h = (random_map(ring, rng, window=64, density=0.05) for _ in range(2))
+        for factors in ((g, f1_6, h),
+                        (f1_6, g),
+                        (g, hole_in_middle, h),
+                        (hole_in_middle, g, f1_6),
+                        (g, zero_coeff, h),
+                        (g, h, zero_coeff),
+                        (run1, g, run2),
+                        (run1, g, f1_6, h, run2)):
+            chain = mx.Chain(ring, factors)
+            for a in range(1, 17):
+                chain.row(a)
+            # A multi-term row remaps through the composite index, so only
+            # a leading monomial's memo is sure to stay empty.
+            if isinstance(factors[0], mx.Monomial):
+                assert not factors[0].index.memo
+            assert mx.equal_on_window(chain, slow_product(list(factors)), 16)
+            for m in composites:
+                m.index.memo.clear()
+    # One row of f1_6: c times e_{phi^6(a)}, from the composite's own memo.
+    a = 100
+    for _ in range(6):
+        a = tg._phi(a)
+    assert f1_6.row(100) == FinVec(ring, {a: c.coeff})
+    assert f1_6.index.memo == {100: a}
+
+
 def test_chain_rejects_mixed_rings_at_construction():
     gf3 = random_map(parse_ring_spec("GF:3"), random.Random(26))
     with pytest.raises(RingError, match="ring mismatch: GF:5 vs GF:3"):
@@ -321,7 +399,7 @@ def test_chain_rejects_mixed_rings_at_construction():
 def test_monomials_meeting_in_a_chain_merge():
     g = random_map(GF5, random.Random(24))
     s = shift_map(GF5)
-    chain = mx.compose_all([s, s, g, s, s, s, g])
+    chain = product([s, s, g, s, s, s, g])
     assert isinstance(chain, mx.Chain)
     assert [type(f) for f in chain.factors] == [mx.Monomial, RowFiniteMap,
                                                 mx.Monomial, RowFiniteMap]
@@ -330,7 +408,7 @@ def test_monomials_meeting_in_a_chain_merge():
 def test_long_chain_row_needs_no_recursion():
     rng = random.Random(25)
     g = random_map(Z6, rng, density=0.2)
-    chain = mx.compose_all([shift_map(Z6, 0), g] * 3000)
+    chain = product([shift_map(Z6, 0), g] * 3000)
     assert isinstance(chain, mx.Chain) and len(chain.factors) == 6000
     for a in range(1, 5):
         chain.row(a)

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -7,10 +8,14 @@ from rowfin import twogen as tg
 from rowfin.indexing import SevenPartition
 from rowfin.matrices import FinVec
 from rowfin.rings import parse_ring_spec
-from rowfin.words import eval_word, word_generators, word_length
+from rowfin.words import eval_word, format_word, word_generators, word_length
 
 GF3 = parse_ring_spec("GF:3")
 Z6 = parse_ring_spec("Zmod:6")
+
+
+def product(maps):
+    return reduce(mx.compose, maps)
 
 
 def units_family(ring):
@@ -46,16 +51,16 @@ def test_g_family_empty_source():
 
 def test_g_family_single_identity_source():
     fam = tg.build_g_family({0: mx.identity_map(GF3)}, GF3)
-    prod = mx.compose_all([fam.g1, fam.g3, fam.g2])
+    prod = product([fam.g1, fam.g3, fam.g2])
     assert mx.equal_on_window(prod, mx.identity_map(GF3), 20)
 
 
 def test_g_family_single_unit_source():
     fam = tg.build_g_family({1: mx.matrix_unit(GF3, 1, 2)}, GF3)
-    prod = mx.compose_all([fam.g1, fam.g4, fam.g3, fam.g5, fam.g2])
+    prod = product([fam.g1, fam.g4, fam.g3, fam.g5, fam.g2])
     assert mx.equal_on_window(prod, mx.matrix_unit(GF3, 1, 2), 20)
     # The 0-layer is empty, so the undressed product is zero.
-    assert mx.equal_on_window(mx.compose_all([fam.g1, fam.g3, fam.g2]),
+    assert mx.equal_on_window(product([fam.g1, fam.g3, fam.g2]),
                               mx.zero_map(GF3), 20)
 
 
@@ -67,24 +72,62 @@ def test_g_family_rejects_mismatched_ring():
 def test_corrupted_g3_breaks_recovery():
     fam = tg.build_g_family(units_family(GF3), GF3)
     broken = mx.add_maps(fam.g3, mx.matrix_unit(GF3, 1, 1))
-    got = mx.compose_all([fam.g1, broken, fam.g2])
+    got = product([fam.g1, broken, fam.g2])
     assert not mx.equal_on_window(got, fam.source[0], 20)
+
+
+def phi_inv(beta):
+    """The inverse of f1's index map, None on class 1."""
+    c = (beta - 1) % 7 + 1
+    if c == 1:
+        return None
+    if c <= 6:
+        return beta - 1
+    j = beta // 7
+    q, odd = divmod(j - 1, 2)
+    return 7 * q + (6 if odd == 0 else 7)
+
+
+def undo_f1_six_times(alpha):
+    """The slow oracle for f3's class-7 rows: six steps of phi_inv."""
+    k = alpha
+    for _ in range(6):
+        k = phi_inv(k)
+        if k is None:
+            return None
+    return k
 
 
 def test_phi_round_trip():
     part = SevenPartition()
     for k in range(1, 300):
-        beta = tg._phi(part, k)
+        beta = tg._phi(k)
         assert part.class_of(beta) == min(part.class_of(k) + 1, 7)
-        assert tg._phi_inv(part, beta) == k or part.class_of(k) >= 6
+        assert phi_inv(beta) == k or part.class_of(k) >= 6
     # Classes 6 and 7 merge injectively into class 7.
-    images = [tg._phi(part, k) for k in range(1, 400)
+    images = [tg._phi(k) for k in range(1, 400)
               if part.class_of(k) >= 6]
     assert len(images) == len(set(images))
     for beta in images:
         assert part.class_of(beta) == 7
-        k = tg._phi_inv(part, beta)
-        assert tg._phi(part, k) == beta
+        k = phi_inv(beta)
+        assert tg._phi(k) == beta
+
+
+def test_closed_form_class_7_rows_match_six_inverse_steps():
+    for j in range(1, 10 ** 5):
+        assert tg._sigma1_index(7 * j) == undo_f1_six_times(7 * j)
+    rng = random.Random(17)
+    alphas = [7 * rng.randrange(1, 10 ** 12 // 7) for _ in range(20000)]
+    alphas += [7 * 2 ** s * m for s in range(30) for m in (1, 3, 5, 7, 9, 99)]
+    for alpha in alphas:
+        k = tg._sigma1_index(alpha)
+        assert k is not None and k == undo_f1_six_times(alpha)
+    # f3's class-7 row is e_{7k-6}, read through the closed form.
+    witness = tg.build_two_generators(tg.build_g_family({}, GF3))
+    for alpha in (7, 448, 7 * 2 ** 40 * 3):
+        k = undo_f1_six_times(alpha)
+        assert witness.f3.row(alpha) == FinVec.unit(GF3, 7 * k - 6)
 
 
 def enumerated_index_maps(n):
@@ -99,17 +142,17 @@ def enumerated_index_maps(n):
     for c in range(1, 6):
         phi.update(zip(pieces[c], pieces[c + 1]))
     phi.update(zip(sorted(pieces[6] + pieces[7]), pieces[7]))
-    phi_inv = {beta: k for k, beta in phi.items()}
-    return phi, phi_inv, pieces
+    inverse = {beta: k for k, beta in phi.items()}
+    return phi, inverse, pieces
 
 
 def test_index_maps_match_enumerated_pieces():
     part = SevenPartition()
     n = 5000
-    phi, phi_inv, pieces = enumerated_index_maps(n)
+    phi, enumerated_inv, pieces = enumerated_index_maps(n)
     for k in range(1, n + 1):
-        assert tg._phi(part, k) == phi[k]
-        assert tg._phi_inv(part, k) == phi_inv.get(k)
+        assert tg._phi(k) == phi[k]
+        assert phi_inv(k) == enumerated_inv.get(k)
     fam = tg.build_g_family(random_family(GF3, 4), GF3)
     witness = tg.build_two_generators(fam)
     gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
@@ -122,7 +165,7 @@ def test_index_maps_match_enumerated_pieces():
         else:
             k = alpha
             for _ in range(6):
-                k = phi_inv.get(k)
+                k = enumerated_inv.get(k)
                 if k is None:
                     break
             expected = (FinVec.zero(GF3) if k is None
@@ -139,6 +182,14 @@ def test_word_shapes():
         tg.g_word(0)
     u = tg.u_word(-2)
     assert word_generators(u) == {"f1", "f3"}
+
+
+def test_u_word_texts_match_the_formatted_words():
+    indices = range(-300, 301)
+    texts = tg.u_word_texts(indices)
+    assert list(texts) == list(indices)
+    for k in indices:
+        assert texts[k] == format_word(tg.u_word(k))
 
 
 def test_two_generator_words_units_family():
