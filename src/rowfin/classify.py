@@ -39,7 +39,7 @@ def preorder_membership(f: RowFiniteMap, rho: PreorderDescriptor,
     """The cells of f in the given rows that break the relation."""
     violations = []
     for a in rows:
-        for b in sorted(f.row_support(a)):
+        for b in sorted(f.row(a).entries):
             if not rho.rel(a, b):
                 violations.append((a, b))
     return MembershipReport(ok=not violations, violations=violations)

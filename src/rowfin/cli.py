@@ -155,8 +155,8 @@ def cmd_maltsev(args) -> Report:
     report.check("embedding", PASS,
                  f"{emb.count} elements, {emb.hom_checks} hom checks, "
                  f"{emb.center_checks} center checks")
-    report.witness("words", {str(i): wd.format_word(w)
-                             for i, w in sorted(emb.words.items())})
+    report.witness("words", {str(i): text for i, text
+                             in tg.u_word_texts(range(emb.count)).items()})
     return report
 
 
@@ -164,13 +164,17 @@ def _random_lower_triangular(ring, rng, window: int) -> mx.RowFiniteMap:
     """A sandwich target Y: each cell (i, c) with c <= i drawn with probability 1/2.
 
     Rows are wrapped as they are drawn: random payloads are already
-    canonical, so only the zero ones are dropped.
+    canonical, so a zero one is dropped as it is drawn.
     """
+    draw, is_zero, coin = ring.random_payload, ring.is_zero, rng.random
     rows = {}
     for i in range(1, window + 1):
-        entries = {c: ring.random_payload(rng)
-                   for c in range(1, i + 1) if rng.random() < 0.5}
-        entries = {c: v for c, v in entries.items() if not ring.is_zero(v)}
+        entries = {}
+        for c in range(1, i + 1):
+            if coin() < 0.5:
+                v = draw(rng)
+                if not is_zero(v):
+                    entries[c] = v
         if entries:
             rows[i] = mx.FinVec._of(ring, entries)
     zero = mx.FinVec.zero(ring)
@@ -350,7 +354,7 @@ def cmd_oracle(args) -> Report:
         try:
             with open(args.infile) as fh:
                 file_ring, m = mx.load_sparse(fh.read())
-        except (OSError, ValueError, mx.MatrixError) as exc:
+        except (OSError, ValueError, mx.MatrixError, RingError) as exc:
             report.check("input", FAIL, f"--in {args.infile}: {exc}")
             return report
         if file_ring != ring:

@@ -40,11 +40,13 @@ def cantor_pair(a: int, b: int) -> int:
 
 
 def cantor_unpair(n: int) -> tuple[int, int]:
+    """Inverse of `cantor_pair`, in closed form.
+
+    n = T(s-1) + a on the diagonal s = a + b - 1, with 1 <= a <= s, where
+    s = (isqrt(8n - 7) + 1) // 2: 8n - 7 = (2s - 1)^2 + 8(a - 1) lies
+    below (2s + 1)^2, so the square root's floor is exactly 2s - 1.
+    """
     s = (math.isqrt(8 * n - 7) + 1) // 2
-    while s * (s + 1) // 2 < n:
-        s += 1
-    while (s - 1) * s // 2 >= n:
-        s -= 1
     a = n - (s - 1) * s // 2
     return a, s - a + 1
 
@@ -91,13 +93,13 @@ def tri_block(i: int) -> range:
 
 
 def tri_split(r: int) -> tuple[int, int]:
-    """Invert block indexing: r = T(i-1)+k with 1 <= k <= i."""
+    """Invert block indexing: r = T(i-1)+k with 1 <= k <= i.
+
+    Closed form: i = (isqrt(8r - 7) + 1) // 2 and k = r - i(i - 1)/2,
+    exact for the reason given in `cantor_unpair`.
+    """
     i = (math.isqrt(8 * r - 7) + 1) // 2
-    while tri(i) < r:
-        i += 1
-    while tri(i - 1) >= r:
-        i -= 1
-    return i, r - tri(i - 1)
+    return i, r - i * (i - 1) // 2
 
 
 # ---------------------------------------------------------------------------

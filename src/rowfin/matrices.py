@@ -144,16 +144,25 @@ class FinVec:
 
 
 def push(vec: FinVec, row) -> FinVec:
-    """vec . M = sum_a vec[a] * row(a), where row(a) gives row a of M."""
+    """vec . M = sum_a vec[a] * row(a), where row(a) gives row a of M.
+
+    A term whose row is zero is skipped before it is scaled, and the first
+    nonzero term starts the sum.  Every other term is scaled with
+    `scale_left`, even by one, and added with `FinVec.add`.
+    """
     if len(vec.entries) == 1:
         [(idx, val)] = vec.entries.items()
         out = row(idx)
-        return out if val == vec.ring.one else out.scale_left(val)
+        return out if val == vec.ring.one or not out.entries else out.scale_left(val)
     acc = None
     for idx, val in vec.entries.items():
-        term = row(idx).scale_left(val)
-        acc = term if acc is None else acc.add(term)
-    return vec if acc is None else acc
+        out = row(idx)
+        if out.entries:
+            term = out.scale_left(val)
+            acc = term if acc is None else acc.add(term)
+    if acc is None:  # vec is zero, or every row it meets is
+        return vec if not vec.entries else FinVec._of(vec.ring, {})
+    return acc
 
 
 class RowFiniteMap:

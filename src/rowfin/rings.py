@@ -8,6 +8,7 @@ hashable and canonical, so payload equality is ring equality.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 
 class RingError(Exception):
@@ -274,10 +275,13 @@ class MatrixRing(BaseRing):
         return tuple(tuple(next(it) for _ in range(self.k)) for _ in range(self.k))
 
     def random_payload(self, rng):
-        return tuple(
-            tuple(self.base.random_payload(rng) for _ in range(self.k))
-            for _ in range(self.k)
-        )
+        """k*k base-ring draws from rng, in row-major order.
+
+        One `map` makes every draw; `zip` cuts them into rows of k.
+        """
+        k = self.k
+        cells = map(self.base.random_payload, repeat(rng, k * k))
+        return tuple(zip(*[cells] * k))
 
     def format_payload(self, a):
         def unpack(x, ring):

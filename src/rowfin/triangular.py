@@ -49,11 +49,13 @@ def sandwich_X(Y: RowFiniteMap, window: int) -> RowFiniteMap:
         if bad:
             raise SandwichError(f"Y is not lower-triangular: cell ({i},{bad[0]})")
 
+    zero = FinVec._of(ring, {})  # shared by every zero row, as in `from_rows`
+
     def rowfn(d):
         i, k = tri_split(d)
         # Y's stored entries are canonical and nonzero; a missing one is zero.
         v = Y.row(i).entries.get(k)
-        return FinVec._of(ring, {} if v is None else {d: v})
+        return zero if v is None else FinVec._of(ring, {d: v})
 
     return RowFiniteMap(ring, rowfn)
 

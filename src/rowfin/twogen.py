@@ -316,7 +316,6 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
 @dataclass
 class EmbeddingReport:
     count: int
-    words: dict                     # index -> Word over {f1, f3}
     elements: list                  # payloads in enumeration order
     hom_checks: int
     center_checks: int
@@ -327,11 +326,12 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
     """Embed the first `count` elements of `ring.nth_element` via their diagonal images.
 
     Verifies the g-family identities and the five g-words, that each
-    emitted word reproduces the diagonal image on the window, that the embedding is additive and multiplicative, and that
-    central elements commute with the two generators and with 20 sampled
-    finite-support matrices.  `corrupt` is a negative control: element
-    0's target image gains a stray (1, 2) cell after the generators are
-    built, so its word check must fail.
+    u-word reproduces the diagonal image on the window, that the
+    embedding is additive and multiplicative, and that central elements
+    commute with the two generators and with 20 sampled finite-support
+    matrices.  `corrupt` is a negative control: element 0's target image
+    gains a stray (1, 2) cell after the generators are built, so its word
+    check must fail.
     """
     rng = rng or random.Random(0)
     size = ring.size()
@@ -351,11 +351,9 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
     targets = dict(source)
     if corrupt and count:
         targets[0] = mx.add_maps(source[0], mx.matrix_unit(ring, 1, 2))
-    words = {}
     for i in range(count):
         _require(mx.equal_on_window(umaps[i], targets[i], window),
                  f"diagonal image of element {i}")
-        words[i] = witness.word_for_u(i)
 
     hom_checks = 0
     for i, a in enumerate(payloads):
@@ -390,5 +388,5 @@ def maltsev_embed(ring: BaseRing, count: int, window: int = 16,
                                         window), "central element commutes")
             center_checks += 1
 
-    return EmbeddingReport(count=count, words=words, elements=payloads,
+    return EmbeddingReport(count=count, elements=payloads,
                            hom_checks=hom_checks, center_checks=center_checks)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -140,7 +141,9 @@ def test_maltsev_subcommand():
     report, doc = run_json(["maltsev", "--ring", "Zmod:6", "--count", "6",
                             "--window", "16"])
     assert not report.failed
-    assert len(doc["witnesses"]["words"]) == 6
+    # The formatted word trees are the oracle for the joined texts.
+    assert doc["witnesses"]["words"] == {str(i): wd.format_word(tg.u_word(i))
+                                         for i in range(6)}
     report, _ = run_json(["maltsev", "--count", "4", "--window", "12",
                           "--corrupt"])
     assert report.failed
@@ -197,6 +200,32 @@ def _y_through_from_rows(ring, rng, window):
         if entries:
             rows[i] = entries
     return mx.from_rows(ring, rows)
+
+
+def _two_pass_rows(ring, rng, window):
+    """The replaced draw of Y's rows: a dict of draws, then one without zeros."""
+    rows = {}
+    for i in range(1, window + 1):
+        entries = {c: ring.random_payload(rng)
+                   for c in range(1, i + 1) if rng.random() < 0.5}
+        entries = {c: v for c, v in entries.items() if not ring.is_zero(v)}
+        if entries:
+            rows[i] = entries
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["Mat:2:GF:2", "GF:5", "GF:2", "Zmod:6",
+                                  "Mat:3:Zmod:6"])
+def test_one_pass_y_draws_match_the_two_pass_draws(spec):
+    ring = parse_ring_spec(spec)
+    for seed in range(6):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for window in (1, 5, 17):
+            Y = cli._random_lower_triangular(ring, fast, window)
+            rows = _two_pass_rows(ring, slow, window)
+            assert fast.getstate() == slow.getstate()
+            for i in range(1, window + 3):
+                assert Y.row(i).entries == rows.get(i, {}), (spec, seed, i)
 
 
 @pytest.mark.parametrize("ring", ["Mat:2:GF:2", "GF:5"])
@@ -549,7 +578,7 @@ def run_child(argv, extra_env=None, **kwargs):
     (["--ring", "Mat:2:Zmod:3", "--x1", "1:true", "--x2", "2:1"],
      "not a matrix payload: True"),
     (["--ring", "Mat:2:GF:2", "--x1", "1:[[1,0],[0,1]]", "--x2", "2:[[1,0],[0,1]]",
-      "--in", "scalar.sparse"], "not a matrix payload: 1"),
+      "--in", "scalar.sparse"], "--in scalar.sparse: not a matrix payload: 1"),
     (["--ring", "Mat:2:GF:2", "--x1", "1:[1,[0,1]]", "--x2", "2:[[1,0],[0,1]]"],
      "not a matrix row: 1"),
 ], ids=["x1-int", "x1-bool", "in-file-int", "x1-int-row"])

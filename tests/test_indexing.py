@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -49,6 +50,37 @@ def test_seven_partition_examples():
         c = part.class_of(k)
         counts[c] += 1
     assert set(counts.values()) == {1000}
+
+
+def loop_cantor_unpair(n):
+    """The replaced form of `cantor_unpair`, with its correction loops."""
+    s = (math.isqrt(8 * n - 7) + 1) // 2
+    while s * (s + 1) // 2 < n:
+        s += 1
+    while (s - 1) * s // 2 >= n:
+        s -= 1
+    a = n - (s - 1) * s // 2
+    return a, s - a + 1
+
+
+def loop_tri_split(r):
+    """The replaced form of `tri_split`, with its correction loops."""
+    i = (math.isqrt(8 * r - 7) + 1) // 2
+    while tri(i) < r:
+        i += 1
+    while tri(i - 1) >= r:
+        i -= 1
+    return i, r - tri(i - 1)
+
+
+def test_closed_forms_match_the_correction_loops():
+    big = [n for c in (10**12, 2**61 - 1, 10**30) for n in range(c - 200, c + 201)]
+    # Both ends of the diagonals s near 10**6 and 10**15.
+    big += [tri(s) + d for c in (10**6, 10**15) for s in range(c - 3, c + 3)
+            for d in (0, 1)]
+    for n in [*range(1, 2 * 10**5 + 1), *big]:
+        assert cantor_unpair(n) == loop_cantor_unpair(n), n
+        assert tri_split(n) == loop_tri_split(n), n
 
 
 def test_tri_block_examples():

@@ -272,6 +272,48 @@ def slow_product(maps):
     return RowFiniteMap(ring, rowfn)
 
 
+E11, E12, E22 = ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("ring, vec, rows", [
+    # Zero divisors: 2 * 3 = 3 * 2 = 3 * 4 = 0 in Zmod:6.
+    (Z6, {1: 2, 2: 3}, {1: {5: 3}, 2: {5: 2, 6: 4}}),
+    (Z6, {1: 2, 2: 1, 3: 3}, {1: {5: 3}, 2: {5: 2}, 3: {5: 4, 7: 1}}),
+    # Rows that are all zero, after and before a nonzero one.
+    (Z6, {1: 5, 4: 1, 9: 2}, {4: {2: 1}}),
+    (Z6, {1: 5, 4: 1, 9: 2}, {}),
+    (Z6, {4: 3}, {}),
+    (Z6, {}, {1: {1: 1}}),
+    # Non-unit scalars: E11 * E22 = 0 and E12 * E22 = E12, E22 * E12 = 0.
+    (MAT2, {1: E11, 2: E12}, {1: {3: E22}, 2: {3: E22, 4: E12}}),
+    (MAT2, {1: E22}, {1: {3: E12}}),
+    (MAT2, {1: E11, 2: E22, 3: E12}, {2: {1: E11}}),
+    (MAT2, {1: E11, 2: E22}, {}),
+], ids=["products-zero", "some-zero", "zero-rows", "all-rows-zero",
+        "one-term-zero-row", "empty", "mat-mixed", "mat-one-term-zero-product",
+        "mat-zero-rows", "mat-all-rows-zero"])
+def test_push_matches_scaling_every_term(ring, vec, rows):
+    m = mx.from_rows(ring, rows)
+    v = FinVec(ring, vec)
+    got = mx.push(v, m.row)
+    assert got.ring is ring
+    assert got.entries == slow_apply(v, m).entries
+
+
+@pytest.mark.parametrize("ring", [Z6, MAT2])
+def test_push_matches_scaling_every_term_on_random_rows(ring):
+    rng = random.Random(33)
+    for _ in range(200):
+        # About half the rows are zero, so push skips many terms.
+        m = mx.from_rows(ring, {a: {c: ring.random_payload(rng)
+                                    for c in rng.sample(range(1, 9), 2)}
+                                for a in range(1, 13) if rng.random() < 0.5})
+        v = random_vec(ring, rng, window=12)
+        got = mx.push(v, m.row)
+        assert got.ring is ring
+        assert got.entries == slow_apply(v, m).entries
+
+
 def random_monomial(ring, rng, window=16):
     # Not injective, so remapped entries collide and must be summed.
     table = {a: rng.randint(1, window) for a in range(1, window + 1)

@@ -140,6 +140,25 @@ def test_canonicalization_idempotent(spec):
         assert ring.canon(ring.canon(x)) == ring.canon(x)
 
 
+def nested_draw(ring, rng):
+    """The replaced `MatrixRing.random_payload`: one call per cell, row by row."""
+    if isinstance(ring, MatrixRing):
+        return tuple(tuple(nested_draw(ring.base, rng) for _ in range(ring.k))
+                     for _ in range(ring.k))
+    return ring.random_payload(rng)
+
+
+@pytest.mark.parametrize("spec", ["Mat:2:GF:2", "Mat:3:Zmod:6", "Mat:2:Int",
+                                  "Mat:2:Mat:2:GF:2"])
+def test_random_payload_matches_the_per_cell_draw(spec):
+    ring = parse_ring_spec(spec)
+    for seed in (0, 1, 7, 4242):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert ring.random_payload(fast) == nested_draw(ring, slow)
+            assert fast.getstate() == slow.getstate()
+
+
 def test_finite_enumeration_lists_each_element_once():
     for spec in ["Zmod:6", "GF:3", "Mat:2:GF:2"]:
         ring = parse_ring_spec(spec)
