@@ -11,7 +11,6 @@ sandwich witness are read off the normal form's table: a triple
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import matrices as mx
@@ -28,10 +27,12 @@ class ClassifyError(Exception):
 # Membership
 
 
-@dataclass
 class MembershipReport:
-    ok: bool
-    violations: list  # (row, col) cells breaking the relation
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: list):
+        self.ok = ok
+        self.violations = violations  # (row, col) cells breaking the relation
 
 
 def preorder_membership(f: RowFiniteMap, rho: PreorderDescriptor,
@@ -147,13 +148,15 @@ def eclass_witness(rho: PreorderDescriptor, ring: BaseRing) -> EquivWitness:
 # Finite-scale subring census
 
 
-@dataclass
 class SubringCensus:
-    n: int
-    p: int
-    count: int
-    preorders: list   # sorted pair tuples, one per subring
-    sizes: list
+    __slots__ = ("n", "p", "count", "preorders", "sizes")
+
+    def __init__(self, n: int, p: int, count: int, preorders: list, sizes: list):
+        self.n = n
+        self.p = p
+        self.count = count
+        self.preorders = preorders  # sorted pair tuples, one per subring
+        self.sizes = sizes
 
 
 def simple_full_check(n: int, p: int, feasibility_cap: int = 1000) -> SubringCensus:

@@ -18,7 +18,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import replace
 
 from . import classify as cl
 from . import fearing as fr
@@ -279,7 +278,9 @@ def cmd_fear(args) -> Report:
     if args.corrupt and pairs:
         # Negative control: block 1's cover now holds its escape index.
         first = pairs[0]
-        pairs[0] = replace(first, cover=first.cover | {first.escape})
+        pairs[0] = fr.FearPair(first.j, first.x, first.y,
+                               first.cover | {first.escape}, first.escape,
+                               first.block)
     for p in pairs:
         report.check(f"block {p.j} escape certificate",
                      PASS if p.escape not in p.cover else FAIL,
@@ -462,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 _MINIMUMS = {"window": 1, "count": 1, "blocks": 1, "r_max": 0, "oracle_max": 0}
 
 
-def _input_failure(command: str, message: str) -> Report:
-    report = Report(command, {})
+def _input_failure(args, message: str) -> Report:
+    report = Report(args.command, _config(args))
     report.check("input", FAIL, message)
     return report
 
@@ -488,12 +489,12 @@ def run(argv=None) -> tuple[Report, float, object]:
                       for dest, low in _MINIMUMS.items()
                       if getattr(args, dest, low) < low), None)
     if too_small:
-        report = _input_failure(args.command, too_small)
+        report = _input_failure(args, too_small)
     else:
         try:
             report = args.func(args)
         except RingError as exc:
-            report = _input_failure(args.command, str(exc))
+            report = _input_failure(args, str(exc))
     return report, time.monotonic() - start, args
 
 

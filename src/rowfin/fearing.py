@@ -9,7 +9,6 @@ any finite extra generator set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import matrices as mx
 from .matrices import FinVec, RowFiniteMap
@@ -21,16 +20,27 @@ class FearingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class FearingDescriptor:
     """The subring S of all maps whose row a lies in supp(a).
 
     supp(a) must be a finite set of columns.  A row the support closure
-    reaches whose bound is not one raises `WordError` there.
+    reaches whose bound is not one raises `WordError` there.  Descriptors
+    compare and hash by name and supp function.
     """
 
-    name: str
-    supp: object                    # a -> frozenset
+    __slots__ = ("name", "supp")
+
+    def __init__(self, name: str, supp):
+        self.name = name
+        self.supp = supp            # a -> frozenset
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.supp) == (other.name, other.supp)
+
+    def __hash__(self):
+        return hash((self.name, self.supp))
 
     def sample(self, ring: BaseRing, seed: int) -> RowFiniteMap:
         """A seeded member of S with up to three entries in each of rows 1..24."""
@@ -74,20 +84,25 @@ def paired_fearing() -> FearingDescriptor:
 # The escape witness
 
 
-@dataclass
 class FearPair:
-    j: int
-    x: FinVec
-    y: FinVec
-    cover: frozenset
-    escape: int
-    block: frozenset
+    __slots__ = ("j", "x", "y", "cover", "escape", "block")
+
+    def __init__(self, j: int, x: FinVec, y: FinVec, cover: frozenset,
+                 escape: int, block: frozenset):
+        self.j = j
+        self.x = x
+        self.y = y
+        self.cover = cover
+        self.escape = escape
+        self.block = block
 
 
-@dataclass
 class FearWitness:
-    pairs: list
-    g: RowFiniteMap
+    __slots__ = ("pairs", "g")
+
+    def __init__(self, pairs: list, g: RowFiniteMap):
+        self.pairs = pairs
+        self.g = g
 
     def certificates_hold(self) -> bool:
         return all(p.escape not in p.cover and p.escape in p.y.support()

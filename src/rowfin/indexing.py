@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 
 class IndexError_(Exception):
@@ -106,7 +105,6 @@ def tri_split(r: int) -> tuple[int, int]:
 # Preorder descriptors
 
 
-@dataclass(frozen=True)
 class PreorderDescriptor:
     """A preorder on N+ in normal form: a periodic table with finite exceptions.
 
@@ -120,17 +118,20 @@ class PreorderDescriptor:
     transitive, deciding both exactly on rows 1..K+3*period: each of the
     three blocks of `period` rows above K holds one row of every class, so
     any three rows have copies there whose pairs relate alike (the same
-    rows up to K, the same classes and order above it).
+    rows up to K, the same classes and order above it).  Descriptors
+    compare and hash by all five fields.
     """
 
-    name: str
-    period: int
-    table: frozenset                  # (class a, class b, sign(b - a)) that relate
-    K: int = 0
-    finite: frozenset = frozenset()   # the related a != b inside 1..K
+    __slots__ = ("name", "period", "table", "K", "finite")
 
-    def __post_init__(self):
-        m, K = self.period, self.K
+    def __init__(self, name: str, period: int, table: frozenset, K: int = 0,
+                 finite: frozenset = frozenset()):
+        self.name = name
+        self.period = period
+        self.table = table      # (class a, class b, sign(b - a)) that relate
+        self.K = K
+        self.finite = finite    # the related a != b inside 1..K
+        m = period
         if m < 1 or K < 0:
             raise PreorderSpecError(f"period {m} must be >= 1 and K {K} >= 0")
         for c, d, s in self.table:
@@ -144,6 +145,17 @@ class PreorderDescriptor:
                 raise PreorderSpecError(
                     f"finite pair ({a},{b}) is not off-diagonal in 1..{K}")
         _check_preorder(self)
+
+    def _key(self) -> tuple:
+        return (self.name, self.period, self.table, self.K, self.finite)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def rel(self, a: int, b: int) -> bool:
         if a <= self.K and b <= self.K:

@@ -7,8 +7,6 @@ finite-support-per-row subring under the lower-triangular matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import matrices as mx
 from .indexing import tri_block, tri_split
 from .matrices import FinVec, RowFiniteMap
@@ -64,11 +62,13 @@ def sandwich_X(Y: RowFiniteMap, window: int) -> RowFiniteMap:
 # Lower-embedding of a fearing subring
 
 
-@dataclass
 class LowerEmbedWitness:
-    g: RowFiniteMap
-    f: RowFiniteMap
-    targets: list  # strictly increasing l'_k, as materialized
+    __slots__ = ("g", "f", "targets")
+
+    def __init__(self, g: RowFiniteMap, f: RowFiniteMap, targets: list):
+        self.g = g
+        self.f = f
+        self.targets = targets  # strictly increasing l'_k, as materialized
 
 
 class _TargetSequence:

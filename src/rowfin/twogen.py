@@ -10,7 +10,6 @@ central elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 
 from . import matrices as mx
@@ -28,16 +27,20 @@ class ConstructionError(Exception):
 # The g-family
 
 
-@dataclass
 class GFamily:
-    ring: BaseRing
-    pairing: ZPairing
-    source: dict            # materialized i -> RowFiniteMap (the u_i)
-    g1: RowFiniteMap
-    g2: RowFiniteMap
-    g3: RowFiniteMap
-    g4: RowFiniteMap
-    g5: RowFiniteMap
+    __slots__ = ("ring", "pairing", "source", "g1", "g2", "g3", "g4", "g5")
+
+    def __init__(self, ring: BaseRing, pairing: ZPairing, source: dict,
+                 g1: RowFiniteMap, g2: RowFiniteMap, g3: RowFiniteMap,
+                 g4: RowFiniteMap, g5: RowFiniteMap):
+        self.ring = ring
+        self.pairing = pairing
+        self.source = source    # materialized i -> RowFiniteMap (the u_i)
+        self.g1 = g1
+        self.g2 = g2
+        self.g3 = g3
+        self.g4 = g4
+        self.g5 = g5
 
     def pi_sigma(self) -> RowFiniteMap:
         """Projection onto the central copy Sigma = {0} x N+."""
@@ -153,12 +156,15 @@ def u_word_texts(indices) -> dict:
     return out
 
 
-@dataclass
 class TwoGenWitness:
-    ring: BaseRing
-    f1: RowFiniteMap
-    f3: RowFiniteMap
-    family: GFamily
+    __slots__ = ("ring", "f1", "f3", "family")
+
+    def __init__(self, ring: BaseRing, f1: RowFiniteMap, f3: RowFiniteMap,
+                 family: GFamily):
+        self.ring = ring
+        self.f1 = f1
+        self.f3 = f3
+        self.family = family
 
     def env(self) -> dict:
         return {"f1": self.f1, "f3": self.f3}
@@ -313,12 +319,15 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
 # Countable-ring embedding
 
 
-@dataclass
 class EmbeddingReport:
-    count: int
-    elements: list                  # payloads in enumeration order
-    hom_checks: int
-    center_checks: int
+    __slots__ = ("count", "elements", "hom_checks", "center_checks")
+
+    def __init__(self, count: int, elements: list, hom_checks: int,
+                 center_checks: int):
+        self.count = count
+        self.elements = elements    # payloads in enumeration order
+        self.hom_checks = hom_checks
+        self.center_checks = center_checks
 
 
 def maltsev_embed(ring: BaseRing, count: int, window: int = 16,

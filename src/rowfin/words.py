@@ -10,8 +10,6 @@ on the support-closure cover, classes taken across all lengths so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matrices import (FinVec, RowFiniteMap, add_maps, compose, identity_map,
                        scalar_map, zero_map)
 
@@ -28,19 +26,46 @@ class OracleBudgetExceeded(WordError):
 # Word trees
 
 
-@dataclass(frozen=True)
 class Word:
-    pass
+    """A word: a leaf `Gen` or `Const`, or a `Sum` or `Prod` node.
+
+    Words compare and hash by value; the repr is the printed form.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"parse_word({format_word(self)!r})"
 
 
-@dataclass(frozen=True)
 class Gen(Word):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class Const(Word):
-    value: int  # one of -1, 0, 1
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value  # one of -1, 0, 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
 ZERO = Const(0)
@@ -53,6 +78,12 @@ class _Binary(Word):
     stack, and the hash and repr use the printed form, so a word of any
     depth compares, hashes and prints without recursion.
     """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Word, right: Word):
+        self.left = left
+        self.right = right
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -74,20 +105,13 @@ class _Binary(Word):
     def __hash__(self):
         return hash(format_word(self))
 
-    def __repr__(self):
-        return f"parse_word({format_word(self)!r})"
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(_Binary):
-    left: Word
-    right: Word
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Prod(_Binary):
-    left: Word
-    right: Word
+    __slots__ = ()
 
 
 _OPS = {Sum: " + ", Prod: " * "}
@@ -264,9 +288,11 @@ def is_finite_bound(bound) -> bool:
     return isinstance(bound, (set, frozenset))
 
 
-@dataclass
 class SupportBallReport:
-    cover: frozenset
+    __slots__ = ("cover",)
+
+    def __init__(self, cover: frozenset):
+        self.cover = cover
 
 
 def support_closure(x: FinVec, supp, maps: dict, r: int) -> SupportBallReport:
@@ -298,12 +324,15 @@ def support_closure(x: FinVec, supp, maps: dict, r: int) -> SupportBallReport:
 # Proximity oracle
 
 
-@dataclass
 class ProximityResult:
-    found: bool
-    r: int            # witness length, or the exhausted bound
-    witness: Word | None
-    words_tried: int  # candidates formed, each compared with x2
+    __slots__ = ("found", "r", "witness", "words_tried")
+
+    def __init__(self, found: bool, r: int, witness: Word | None,
+                 words_tried: int):
+        self.found = found
+        self.r = r                      # witness length, or the exhausted bound
+        self.witness = witness
+        self.words_tried = words_tried  # candidates formed, each compared with x2
 
 
 # The most candidates one oracle query may form, each compared with x2,

@@ -4,7 +4,6 @@ import random
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,9 +50,13 @@ def test_two_gen_corrupt_fails():
 
 def test_a_broken_g_family_fails_the_construction_check(monkeypatch):
     build = tg.build_g_family
-    monkeypatch.setattr(
-        tg, "build_g_family",
-        lambda source, ring: replace(build(source, ring), g5=mx.identity_map(ring)))
+
+    def broken(source, ring):
+        fam = build(source, ring)
+        return tg.GFamily(fam.ring, fam.pairing, fam.source, fam.g1, fam.g2,
+                          fam.g3, fam.g4, mx.identity_map(ring))
+
+    monkeypatch.setattr(tg, "build_g_family", broken)
     report, doc = run_json(["two-gen", "--window", "16"])
     assert report.failed
     assert len(doc["checks"]) == 1 + 5 + 5
@@ -275,16 +278,20 @@ def test_fear_subcommand():
 
 
 def test_fear_corrupt_fails_in_the_escape_check(capsys):
-    _, clean = run_json(["fear", "--blocks", "3"])
-    argv = ["fear", "--blocks", "3", "--corrupt"]
-    report, doc = run_json(argv)
-    assert report.failed
-    verdicts = [c["verdict"] for c in doc["checks"]]
-    assert verdicts == ["fail", "pass", "pass"]
-    before, after = clean["checks"][0]["detail"], doc["checks"][0]["detail"]
-    size = int(before.rsplit("=", 1)[1])
-    assert after == before.replace(f"cover_size={size}", f"cover_size={size + 1}")
-    assert doc["witnesses"] == clean["witnesses"]
+    """For every descriptor, only block 1's escape check fails."""
+    for descriptor in sorted(cli._DESCRIPTORS):
+        plain = ["fear", "--descriptor", descriptor, "--blocks", "4"]
+        _, clean = run_json(plain)
+        argv = [*plain, "--corrupt"]
+        report, doc = run_json(argv)
+        assert report.failed
+        verdicts = [c["verdict"] for c in doc["checks"]]
+        assert verdicts == ["fail", "pass", "pass", "pass"], descriptor
+        before, after = clean["checks"][0]["detail"], doc["checks"][0]["detail"]
+        size = int(before.rsplit("=", 1)[1])
+        assert after == before.replace(f"cover_size={size}", f"cover_size={size + 1}")
+        assert doc["checks"][1:] == clean["checks"][1:]
+        assert doc["witnesses"] == clean["witnesses"]
     assert cli.main(argv) == 1
     capsys.readouterr()
 
@@ -360,6 +367,7 @@ def test_bad_input_is_a_structured_failure(argv, detail, capsys, tmp_path,
     assert (check["name"], check["verdict"]) == ("input", "fail")
     assert check["detail"].startswith(detail)
     assert doc["subcommand"] == argv[0]
+    assert doc["config"] == cli._config(cli._parser().parse_args(argv))
     assert cli.main(argv) == 1
     json.loads(capsys.readouterr().out.splitlines()[-1])
 
@@ -381,12 +389,16 @@ SIZES_BELOW_MINIMUM = [
 @pytest.mark.parametrize("argv, detail", SIZES_BELOW_MINIMUM,
                          ids=[" ".join(argv) for argv, _ in SIZES_BELOW_MINIMUM])
 def test_size_below_its_minimum_is_an_input_failure(argv, detail, capsys):
-    report, doc = run_json(argv)
+    report, _, args = cli.run(argv)
+    doc = json.loads(report.to_json())
     assert report.failed
     [check] = doc["checks"]
     assert (check["name"], check["verdict"]) == ("input", "fail")
     assert check["detail"].startswith(detail)
-    assert (doc["subcommand"], doc["config"]) == (argv[0], {})
+    # The report keeps the parsed config, the offending option included.
+    assert (doc["subcommand"], doc["config"]) == (argv[0], cli._config(args))
+    for option, value in zip(argv[1::2], argv[2::2]):
+        assert str(doc["config"][option[2:].replace("-", "_")]) == value
     assert cli.main(argv) == 1
     capsys.readouterr()
 
@@ -564,12 +576,26 @@ def test_bound_env_var(monkeypatch):
 
 
 def run_child(argv, extra_env=None, **kwargs):
-    """`python -m rowfin.cli argv` in a child process that imports this rowfin."""
+    """`python argv` in a child process that imports this rowfin."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, **(extra_env or {}),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "rowfin.cli", *argv], env=env,
-                          timeout=120, **kwargs)
+    return subprocess.run([sys.executable, *argv], env=env, timeout=120, **kwargs)
+
+
+def test_importing_the_cli_loads_no_code_generators():
+    """`import rowfin.cli` loads neither `dataclasses` nor `inspect`.
+
+    It runs in a child, since pytest itself imports both; modules the
+    child had before the import, as a bare interpreter has, are allowed.
+    """
+    probe = ("import sys; before = set(sys.modules); import rowfin.cli; "
+             "print(rowfin.cli.__file__, *sorted(set(sys.modules) - before), sep='\\n')")
+    proc = run_child(["-c", probe], capture_output=True, text=True, check=True)
+    path, *loaded = proc.stdout.splitlines()
+    assert Path(path).resolve() == Path(cli.__file__).resolve()
+    assert "rowfin.twogen" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded), loaded
 
 
 @pytest.mark.parametrize("argv, detail", [
@@ -584,8 +610,8 @@ def run_child(argv, extra_env=None, **kwargs):
 ], ids=["x1-int", "x1-bool", "in-file-int", "x1-int-row"])
 def test_scalar_matrix_payload_is_an_input_failure(argv, detail, tmp_path):
     (tmp_path / "scalar.sparse").write_text("ring Mat:2:GF:2\n1 2 1\n")
-    proc = run_child(["oracle", *argv, "--r-max", "2"], cwd=tmp_path,
-                     capture_output=True)
+    proc = run_child(["-m", "rowfin.cli", "oracle", *argv, "--r-max", "2"],
+                     cwd=tmp_path, capture_output=True)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
     doc = json.loads(proc.stdout.decode().splitlines()[-1])
@@ -599,7 +625,7 @@ def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = run_child(["classify", "--preorder", "ge"],
+        proc = run_child(["-m", "rowfin.cli", "classify", "--preorder", "ge"],
                          {"PYTHONUNBUFFERED": unbuffered},
                          stdout=write_end, stderr=subprocess.PIPE)
     finally:
