@@ -26,8 +26,7 @@ from . import triangular as tr
 from . import twogen as tg
 from . import words as wd
 from .indexing import PreorderSpecError, parse_preorder, tri
-from .rings import RingError, parse_ring_spec
-from .twogen import ConstructionError
+from .rings import RingError, central_payloads, parse_ring_spec
 
 PASS, FAIL, WARN = "pass", "fail", "warn"
 
@@ -109,53 +108,116 @@ def builtin_family(kind: str, ring, seed: int, count: int) -> dict:
 # Subcommands
 
 
+def _word_checks(report: Report, fam, env: dict, targets: dict, window: int):
+    """The checks two-gen and maltsev share, on rows 1..window.
+
+    The four g-family identities as one `construction` check, each
+    g-word under env against g1..g5, and each u-word against its target.
+    """
+    failure = next((f"{name} failed: {check.describe()}"
+                    for name, check in fam.identity_checks(window)
+                    if not check), None)
+    report.check("construction", FAIL if failure else PASS, failure)
+    indices = sorted(targets)
+    gwords, umaps = tg.word_maps(env, fam.ring, indices)
+    for i, g in fam.gmaps().items():
+        _window_check(report, f"g{i} word",
+                      mx.equal_on_window(gwords[i], g, window))
+    for i in indices:
+        _window_check(report, f"u{i} word",
+                      mx.equal_on_window(umaps[i], targets[i], window))
+
+
+def _all_hold(report: Report, name: str, checks):
+    """One check for a run of (what, WindowCheck): its count, or the first failure."""
+    count = 0
+    for what, check in checks:
+        if not check:
+            report.check(name, FAIL, f"{what} failed: {check.describe()}")
+            return
+        count += 1
+    report.check(name, PASS, f"{count} checks")
+
+
 def cmd_two_gen(args) -> Report:
     ring = parse_ring_spec(args.ring)
     report = Report(args.command, _config(args))
     source = builtin_family(args.family, ring, args.seed, args.count)
     fam = tg.build_g_family(source, ring)
     witness = tg.build_two_generators(fam)
-    failure = next((f"{name} failed: {check.describe()}"
-                    for name, check in fam.identity_checks(args.window)
-                    if not check), None)
-    report.check("construction", FAIL if failure else PASS, failure)
     f3 = witness.f3
     if args.corrupt:
         f3 = mx.add_maps(f3, mx.matrix_unit(ring, 2, 1))
-    env = {"f1": witness.f1, "f3": f3}
-    indices = sorted(fam.source)
-    gwords, umaps = tg.word_maps(env, ring, indices)
-    for i, g in fam.gmaps().items():
-        _window_check(report, f"g{i} word",
-                      mx.equal_on_window(gwords[i], g, args.window))
-    for i in indices:
-        _window_check(report, f"u{i} word",
-                      mx.equal_on_window(umaps[i], fam.source[i], args.window))
+    _word_checks(report, fam, {"f1": witness.f1, "f3": f3}, fam.source,
+                 args.window)
     report.witness("f1", _sparse_witness(witness.f1, args.window))
     report.witness("f3", _sparse_witness(witness.f3, args.window))
-    report.witness("words", {str(i): text
-                             for i, text in tg.u_word_texts(indices).items()})
+    report.witness("words", {str(i): text for i, text
+                             in tg.u_word_texts(sorted(fam.source)).items()})
     return report
+
+
+def _hom_checks(ring, images: dict, payloads: list, window: int):
+    """Image of a*b = image a * image b, and likewise for a+b, for every pair."""
+    for i, a in enumerate(payloads):
+        for j, b in enumerate(payloads):
+            yield f"mul ({i},{j})", mx.equal_on_window(
+                mx.compose(images[i], images[j]),
+                mx.scalar_map(ring, ring.mul(a, b)), window)
+            yield f"add ({i},{j})", mx.equal_on_window(
+                mx.add_maps(images[i], images[j]),
+                mx.scalar_map(ring, ring.add(a, b)), window)
+
+
+def _centre_checks(ring, centre: list, samples: dict, window: int):
+    """Each central element's scalar map commutes with each sample."""
+    for s in centre:
+        delta = mx.scalar_map(ring, s)
+        for label, m in samples.items():
+            yield (f"{ring.format_payload(s)} commutes with {label}",
+                   mx.equal_on_window(mx.compose(delta, m), mx.compose(m, delta),
+                                      window))
 
 
 def cmd_maltsev(args) -> Report:
     ring = parse_ring_spec(args.ring)
     report = Report(args.command, _config(args))
     try:
-        emb = tg.maltsev_embed(ring, args.count, window=args.window,
-                               rng=random.Random(args.seed),
-                               corrupt=args.corrupt)
-    except ConstructionError as exc:
-        report.check("embedding", FAIL, str(exc))
-        return report
+        images = tg.maltsev_embed(ring, args.count)
     except RingError as exc:
-        report.check("embedding", WARN, f"not checkable: {exc}")
+        report.check("embedding", WARN, str(exc))
         return report
-    report.check("embedding", PASS,
-                 f"{emb.count} elements, {emb.hom_checks} hom checks, "
-                 f"{emb.center_checks} center checks")
+    fam = tg.build_g_family(images, ring)
+    witness = tg.build_two_generators(fam)
+    targets = dict(images)
+    if args.corrupt:
+        # Negative control: element 0's target gains a stray (1, 2) cell.
+        targets[0] = mx.add_maps(images[0], mx.matrix_unit(ring, 1, 2))
+    _word_checks(report, fam, witness.env(), targets, args.window)
+    payloads = [ring.nth_element(i) for i in range(args.count)]
+    _all_hold(report, "hom", _hom_checks(ring, images, payloads, args.window))
+    try:
+        centre = central_payloads(ring)
+    except RingError as exc:
+        report.check("centre", WARN, str(exc))
+    else:
+        # Int is commutative: every element is central.
+        centre = payloads if centre is None else [
+            s for s in centre if s in payloads]
+        # f1, f3 and 20 seeded maps with 1..6 cells in rows and columns
+        # 1..window.
+        rng = random.Random(args.seed)
+        samples = {"f1": witness.f1, "f3": witness.f3}
+        for k in range(20):
+            entries = {}
+            for _ in range(rng.randint(1, 6)):
+                r, c = rng.randint(1, args.window), rng.randint(1, args.window)
+                entries.setdefault(r, {})[c] = ring.random_payload(rng)
+            samples[f"sample {k}"] = mx.from_rows(ring, entries)
+        _all_hold(report, "centre",
+                  _centre_checks(ring, centre, samples, args.window))
     report.witness("words", {str(i): text for i, text
-                             in tg.u_word_texts(range(emb.count)).items()})
+                             in tg.u_word_texts(range(args.count)).items()})
     return report
 
 
@@ -282,9 +344,13 @@ def cmd_fear(args) -> Report:
                                first.cover | {first.escape}, first.escape,
                                first.block)
     for p in pairs:
+        image = p.x.apply(witness.g)
+        detail = f"escape={p.escape} cover_size={len(p.cover)}"
+        if image != p.y:
+            detail += f"; x_j g: got {image!r}, expected {p.y!r}"
         report.check(f"block {p.j} escape certificate",
-                     PASS if p.escape not in p.cover else FAIL,
-                     f"escape={p.escape} cover_size={len(p.cover)}")
+                     PASS if image == p.y and p.escape not in p.cover else FAIL,
+                     detail)
     if args.oracle_max:
         env = {"s": shift}
         for p in pairs[: args.oracle_max]:

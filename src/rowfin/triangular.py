@@ -62,15 +62,6 @@ def sandwich_X(Y: RowFiniteMap, window: int) -> RowFiniteMap:
 # Lower-embedding of a fearing subring
 
 
-class LowerEmbedWitness:
-    __slots__ = ("g", "f", "targets")
-
-    def __init__(self, g: RowFiniteMap, f: RowFiniteMap, targets: list):
-        self.g = g
-        self.f = f
-        self.targets = targets  # strictly increasing l'_k, as materialized
-
-
 class _TargetSequence:
     """l'_k: strictly increasing majorant of the running support maxima."""
 
@@ -98,13 +89,15 @@ class _TargetSequence:
             k += 1
 
 
-def fear_lower_embed(descriptor, ring: BaseRing,
-                     verify_window: int = 0) -> LowerEmbedWitness:
-    """Maps g, f with g f = 1 and f h lower-triangular for every h in S.
+def fear_lower_embed(descriptor,
+                     ring: BaseRing) -> tuple[RowFiniteMap, RowFiniteMap]:
+    """Maps (g, f) with g f = 1 and f h lower-triangular for every h in S.
 
-    Requires every per-row support bound of the descriptor to be finite.
-    The raw maxima l_k may repeat; the emitted targets are their minimal
-    strictly increasing majorant, which preserves lower-triangularity.
+    Row k of g is the unit vector at l'_k.  The raw maxima l_k may
+    repeat; the targets l'_k are their minimal strictly increasing
+    majorant, which preserves lower-triangularity.  Both maps are lazy
+    and nothing is verified here: reading a row whose support bound is
+    not a finite set raises `SandwichError`, and callers check g f = 1.
     """
 
     def supp_fn(a):
@@ -116,16 +109,7 @@ def fear_lower_embed(descriptor, ring: BaseRing,
         return supp
 
     seq = _TargetSequence(supp_fn)
-    f = mx.from_index_map(ring, seq.invert)
-    g = mx.from_index_map(ring, seq.get)
-
-    if verify_window:
-        check = mx.equal_on_window(mx.compose(g, f), mx.identity_map(ring),
-                                   verify_window)
-        if not check:
-            raise SandwichError(f"g*f != 1: {check.describe()}")
-    targets = [seq.get(k) for k in range(1, (verify_window or 16) + 1)]
-    return LowerEmbedWitness(g=g, f=f, targets=targets)
+    return mx.from_index_map(ring, seq.get), mx.from_index_map(ring, seq.invert)
 
 
 def is_lower_triangular_on_window(f: RowFiniteMap, n: int) -> bool:

@@ -86,11 +86,17 @@ def test_criterion_02_g_family_identities_window_128():
 
 def test_criterion_03_countable_ring_embedding():
     ok = True
-    for ring, count in ((Z6, 6), (parse_ring_spec("Mat:2:GF:2"), 16)):
-        emb = tg.maltsev_embed(ring, count, window=32)
-        if emb.count != count or emb.hom_checks != 2 * count * count:
+    for ring, count in (("Zmod:6", 6), ("Mat:2:GF:2", 16)):
+        run, _, _ = cli.run(["maltsev", "--ring", ring, "--count", str(count),
+                             "--window", "32"])
+        checks = {c["name"]: c for c in run.doc["checks"]}
+        if run.failed or any(c["verdict"] != "pass" for c in checks.values()):
             ok = False
-        if emb.center_checks == 0:
+        if len(checks) != 1 + 5 + count + 2:
+            ok = False
+        if checks["hom"]["detail"] != f"{2 * count * count} checks":
+            ok = False
+        if int(checks["centre"]["detail"].split()[0]) == 0:
             ok = False
     report(3, "diagonal embedding of Zmod:6 and Mat:2:GF:2", ok)
 
@@ -166,8 +172,13 @@ def test_criterion_06_eclass_witnesses():
 
 def test_criterion_07_fear_witness():
     descriptor = fr.diagonal_fearing()
+    run, _, _ = cli.run(["fear", "--ring", "GF:3", "--blocks", "8"])
+    ok = (not run.failed and len(run.doc["checks"]) == 8
+          and all(c["verdict"] == "pass" for c in run.doc["checks"]))
     witness = fr.fear_witness(descriptor, {"s": shift(GF3)}, 8, GF3)
-    ok = witness.certificates_hold() and len(witness.pairs) == 8
+    ok = ok and len(witness.pairs) == 8 and all(
+        p.x.apply(witness.g) == p.y and p.escape not in p.cover
+        for p in witness.pairs)
     start = time.monotonic()
     env2 = {"s": shift(GF2)}
     witness2 = fr.fear_witness(descriptor, env2, 2, GF2)
@@ -221,13 +232,12 @@ def test_criterion_10_lower_embedding():
     for make in (lambda: fr.banded_fearing(1), lambda: fr.stretch_fearing(2),
                  fr.paired_fearing):
         descriptor = make()
-        witness = tr.fear_lower_embed(descriptor, GF5, verify_window=64)
-        gf = mx.compose(witness.g, witness.f)
-        if not mx.equal_on_window(gf, mx.identity_map(GF5), 64):
+        g, f = tr.fear_lower_embed(descriptor, GF5)
+        if not mx.equal_on_window(mx.compose(g, f), mx.identity_map(GF5), 64):
             ok = False
         for seed in range(20):
             h = descriptor.sample(GF5, seed)
-            fh = mx.compose(witness.f, h)
+            fh = mx.compose(f, h)
             if not tr.is_lower_triangular_on_window(fh, 64):
                 ok = False
     report(10, "lower embedding: g*f = 1 and f*h lower-triangular", ok)

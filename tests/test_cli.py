@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rowfin import cli
+from rowfin import fearing as fr
 from rowfin import matrices as mx
 from rowfin import triangular as tr
 from rowfin import twogen as tg
@@ -78,9 +79,11 @@ def test_a_wrong_f1_row_fails_both_reports(monkeypatch, capsys):
     assert len(doc["checks"]) == 1 + 5 + 5
     report, doc = run_json(["maltsev", "--ring", "Zmod:6", "--count", "6"])
     assert report.failed
-    [check] = doc["checks"]
-    assert (check["name"], check["verdict"]) == ("embedding", "fail")
-    assert check["detail"].startswith("g_1 = f1^6 f3 f1^1 f3 failed: row ")
+    verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+    assert len(verdicts) == 1 + 5 + 6 + 2
+    assert verdicts["construction"] == verdicts["hom"] == "pass"
+    g1 = next(c for c in doc["checks"] if c["name"] == "g1 word")
+    assert (g1["verdict"], g1["detail"][:6]) == ("fail", "row 1:")
     assert cli.main(["maltsev", "--count", "3"]) == 1
     capsys.readouterr()
 
@@ -156,10 +159,11 @@ def test_maltsev_corrupt_fails_in_the_word_check(capsys):
     argv = ["maltsev", "--count", "4", "--window", "12", "--corrupt"]
     report, doc = run_json(argv)
     assert report.failed
-    [check] = doc["checks"]
-    assert (check["name"], check["verdict"]) == ("embedding", "fail")
-    assert check["detail"].startswith("diagonal image of element 0 failed:")
-    assert "words" not in doc["witnesses"]
+    failing = [c for c in doc["checks"] if c["verdict"] == "fail"]
+    assert [c["name"] for c in failing] == ["u0 word"]
+    assert failing[0]["detail"].startswith("row 1: got FinVec(), expected FinVec(2:1)")
+    _, clean = run_json(argv[:-1])
+    assert doc["witnesses"] == clean["witnesses"]
     assert cli.main(argv) == 1
     capsys.readouterr()
 
@@ -307,25 +311,120 @@ def test_maltsev_infinite_matrix_ring_is_a_structured_warning(capsys):
     report, doc = run_json(["maltsev", "--ring", "Mat:2:Int", "--count", "3",
                             "--window", "8"])
     assert not report.failed
-    assert [(c["name"], c["verdict"]) for c in doc["checks"]] == [
-        ("embedding", "warn")]
-    assert "center" in doc["checks"][0]["detail"]
+    *checked, centre = doc["checks"]
+    assert [c["name"] for c in checked] == [
+        "construction", "g1 word", "g2 word", "g3 word", "g4 word", "g5 word",
+        "u0 word", "u1 word", "u2 word", "hom"]
+    assert {c["verdict"] for c in checked} == {"pass"}
+    assert (centre["name"], centre["verdict"]) == ("centre", "warn")
+    assert "center" in centre["detail"]
     assert cli.main(["maltsev", "--ring", "Mat:2:Int", "--count", "3",
                      "--window", "8"]) == 0
     json.loads(capsys.readouterr().out.splitlines()[-1])
 
 
 MALTSEV_TOO_MANY = (
-    '{"checks":[{"detail":"not checkable: index 6 out of range for Zmod:6",'
+    '{"checks":[{"detail":"count 7 exceeds the 6 elements of Zmod:6",'
     '"name":"embedding","verdict":"warn"}],"config":{"corrupt":false,'
     '"count":7,"ring":"Zmod:6","seed":0,"window":16},"subcommand":"maltsev",'
     '"witnesses":{}}\n'
 )
 
 
-def test_maltsev_count_beyond_ring_size_report_bytes():
+def test_maltsev_count_beyond_ring_size_report_bytes(capsys):
     report, _, _ = cli.run(["maltsev", "--ring", "Zmod:6", "--count", "7"])
     assert report.to_json() == MALTSEV_TOO_MANY
+    argv = ["maltsev", "--ring", "GF:2", "--count", "5"]
+    _, doc = run_json(argv)
+    assert doc["checks"] == [{"name": "embedding", "verdict": "warn",
+                              "detail": "count 5 exceeds the 2 elements of GF:2"}]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
+def failing_checks(argv):
+    report, doc = run_json(argv)
+    return [c for c in doc["checks"] if c["verdict"] == "fail"]
+
+
+def test_fear_reports_a_wrong_block_map_as_a_failed_certificate(monkeypatch,
+                                                                capsys):
+    """x_1 g != y_1: block 1's certificate fails in the report, no traceback."""
+    build = fr.fear_witness
+
+    def broken(descriptor, u_maps, J, ring):
+        witness = build(descriptor, u_maps, J, ring)
+        first = min(witness.pairs[0].block)
+        stray = mx.matrix_unit(ring, first, first)
+        return fr.FearWitness(witness.pairs, mx.add_maps(witness.g, stray))
+
+    monkeypatch.setattr(fr, "fear_witness", broken)
+    argv = ["fear", "--blocks", "3"]
+    [check] = failing_checks(argv)
+    assert check["name"] == "block 1 escape certificate"
+    assert check["detail"] == ("escape=3 cover_size=2; x_j g: got "
+                               "FinVec(1:1, 3:1), expected FinVec(3:1)")
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+
+
+MALTSEV = ["maltsev", "--ring", "Zmod:6", "--count", "6"]
+
+
+def test_maltsev_broken_g5_fails_only_the_construction_check(monkeypatch):
+    build = tg.build_g_family
+
+    def broken(source, ring):
+        fam = build(source, ring)
+        return tg.GFamily(fam.ring, fam.pairing, fam.source, fam.g1, fam.g2,
+                          fam.g3, fam.g4, mx.identity_map(ring))
+
+    monkeypatch.setattr(tg, "build_g_family", broken)
+    # u0 = g1 g3 g2 reads no g5; every longer u-word would fail too.
+    [check] = failing_checks(["maltsev", "--count", "1"])
+    assert check["name"] == "construction"
+    assert check["detail"].startswith("g4*g5 = 1 failed: row 1:")
+
+
+def test_maltsev_perturbed_f3_fails_only_a_g_word_check(monkeypatch):
+    build = tg.build_two_generators
+
+    def broken(fam):
+        w = build(fam)
+        # f3's row 5 is row 1 of g4; no u-word reads it on the window.
+        f3 = mx.add_maps(w.f3, mx.matrix_unit(w.ring, 5, 1))
+        return tg.TwoGenWitness(w.ring, w.f1, f3, fam)
+
+    monkeypatch.setattr(tg, "build_two_generators", broken)
+    [check] = failing_checks(MALTSEV)
+    assert check["name"] == "g4 word"
+    assert check["detail"].startswith("row 1:")
+
+
+def test_maltsev_non_additive_image_fails_only_the_hom_check(monkeypatch):
+    embed = tg.maltsev_embed
+
+    def broken(ring, count):
+        images = embed(ring, count)
+        # The words reproduce whatever images they are given.
+        images[1] = mx.add_maps(images[1], mx.matrix_unit(ring, 1, 2))
+        return images
+
+    monkeypatch.setattr(tg, "maltsev_embed", broken)
+    [check] = failing_checks(MALTSEV)
+    assert check["name"] == "hom"
+    assert check["detail"] == ("add (0,1) failed: row 1: "
+                               "got FinVec(1:1, 2:1), expected FinVec(1:1)")
+
+
+def test_maltsev_non_central_payload_fails_only_the_centre_check(monkeypatch):
+    ring = parse_ring_spec("Mat:2:GF:2")
+    unit = ring.parse_payload("[[0,1],[0,0]]")
+    monkeypatch.setattr(cli, "central_payloads", lambda r: [ring.zero, unit])
+    [check] = failing_checks(["maltsev", "--ring", "Mat:2:GF:2", "--count", "16",
+                              "--window", "32"])
+    assert check["name"] == "centre"
+    assert check["detail"].startswith("[[0,1],[0,0]] commutes with ")
 
 
 @pytest.mark.parametrize("argv, detail", [

@@ -50,17 +50,17 @@ def test_fear_witness_no_extra_maps():
         m = min(p.block)
         assert p.cover == {m}
         assert p.escape == m + 1
-    assert witness.certificates_hold()
+        assert p.x.apply(witness.g) == p.y
 
 
 def test_fear_witness_blocks_disjoint_and_certified():
     witness = fr.fear_witness(fr.diagonal_fearing(), {"s": shift(GF3)}, 8, GF3)
-    assert witness.certificates_hold()
     seen = set()
     for p in witness.pairs:
         assert not (p.block & seen)
         seen |= p.block
         assert p.x.apply(witness.g) == p.y
+        assert p.escape not in p.cover and p.escape in p.y.support()
 
 
 def test_fear_witness_requires_pointwise_finiteness():
@@ -75,14 +75,20 @@ def test_fear_witness_requires_pointwise_finiteness():
 def test_closure_and_lower_embed_share_one_finiteness_test():
     env = {"s": shift(GF3)}
     setdiag = fr.FearingDescriptor("setdiag", lambda a: {a})
-    assert fr.fear_witness(setdiag, env, 4, GF3).certificates_hold()
-    embed = tr.fear_lower_embed(setdiag, GF3, verify_window=8)
-    assert embed.targets == list(range(1, 9))
+    witness = fr.fear_witness(setdiag, env, 4, GF3)
+    for p in witness.pairs:
+        assert p.x.apply(witness.g) == p.y and p.escape not in p.cover
+    g, f = tr.fear_lower_embed(setdiag, GF3)
+    assert mx.equal_on_window(mx.compose(g, f), mx.identity_map(GF3), 8)
+    assert [g.row(k) for k in range(1, 9)] == [FinVec.unit(GF3, k)
+                                               for k in range(1, 9)]
     counting = fr.FearingDescriptor("counting", lambda a: itertools.count(1))
     with pytest.raises(WordError, match="not a finite set"):
         fr.fear_witness(counting, env, 4, GF3)
+    # The maps are lazy: the bound is read with the first row.
+    g, _ = tr.fear_lower_embed(counting, GF3)
     with pytest.raises(tr.SandwichError, match="not finitely fearing"):
-        tr.fear_lower_embed(counting, GF3, verify_window=8)
+        g.row(1)
 
 
 def test_fear_witness_oracle_confirms_certificates():

@@ -89,29 +89,37 @@ def test_sandwich_X_rejects_upper_cell():
         tr.sandwich_X(Y, 5)
 
 
+def lower_embed(descriptor, ring, n):
+    """g, f and l'_1..l'_n read off g's rows, after checking g f = 1 on 1..n."""
+    g, f = tr.fear_lower_embed(descriptor, ring)
+    assert mx.equal_on_window(mx.compose(g, f), mx.identity_map(ring), n)
+    targets = []
+    for k in range(1, n + 1):
+        [(target, coeff)] = g.row(k).entries.items()
+        assert coeff == ring.one
+        targets.append(target)
+    return g, f, targets
+
+
 def test_lower_embed_diagonal_is_identity():
-    witness = tr.fear_lower_embed(fr.diagonal_fearing(), Z, verify_window=20)
-    assert witness.targets == list(range(1, 21))
-    assert mx.equal_on_window(witness.f, mx.identity_map(Z), 20)
-    assert mx.equal_on_window(witness.g, mx.identity_map(Z), 20)
+    g, f, targets = lower_embed(fr.diagonal_fearing(), Z, 20)
+    assert targets == list(range(1, 21))
+    assert mx.equal_on_window(f, mx.identity_map(Z), 20)
+    assert mx.equal_on_window(g, mx.identity_map(Z), 20)
 
 
 def test_lower_embed_stretch():
-    witness = tr.fear_lower_embed(fr.stretch_fearing(2), Z, verify_window=16)
-    assert witness.targets == [2 * k for k in range(1, 17)]
-    gf = mx.compose(witness.g, witness.f)
-    assert mx.equal_on_window(gf, mx.identity_map(Z), 16)
+    _, _, targets = lower_embed(fr.stretch_fearing(2), Z, 16)
+    assert targets == [2 * k for k in range(1, 17)]
 
 
 def test_lower_embed_repeated_maxima():
     # paired supp has l_1 = l_2 = 2, l_3 = l_4 = 4, ...; the emitted
     # targets must still be strictly increasing.
-    witness = tr.fear_lower_embed(fr.paired_fearing(), Z, verify_window=16)
-    assert witness.targets[:4] == [2, 3, 4, 5]
-    for a, b in zip(witness.targets, witness.targets[1:]):
+    _, _, targets = lower_embed(fr.paired_fearing(), Z, 16)
+    assert targets[:4] == [2, 3, 4, 5]
+    for a, b in zip(targets, targets[1:]):
         assert a < b
-    gf = mx.compose(witness.g, witness.f)
-    assert mx.equal_on_window(gf, mx.identity_map(Z), 16)
 
 
 @pytest.mark.parametrize("make", [lambda: fr.banded_fearing(1),
@@ -119,10 +127,10 @@ def test_lower_embed_repeated_maxima():
                                   fr.paired_fearing])
 def test_lower_embed_triangularizes_members(make):
     descriptor = make()
-    witness = tr.fear_lower_embed(descriptor, GF5, verify_window=24)
+    _, f, _ = lower_embed(descriptor, GF5, 24)
     for seed in range(10):
         h = descriptor.sample(GF5, seed)
         for a in range(1, 25):
             assert h.row_support(a) <= descriptor.supp(a)
-        fh = mx.compose(witness.f, h)
+        fh = mx.compose(f, h)
         assert tr.is_lower_triangular_on_window(fh, 24)

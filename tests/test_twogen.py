@@ -7,7 +7,7 @@ from rowfin import matrices as mx
 from rowfin import twogen as tg
 from rowfin.indexing import SevenPartition
 from rowfin.matrices import FinVec
-from rowfin.rings import parse_ring_spec
+from rowfin.rings import RingError, parse_ring_spec
 from rowfin.words import eval_word, format_word, word_generators, word_length
 
 GF3 = parse_ring_spec("GF:3")
@@ -231,11 +231,12 @@ def test_word_for_u_requires_materialized_index():
 
 
 def test_maltsev_embed_zmod6():
-    report = tg.maltsev_embed(Z6, 6, window=16)
-    assert report.count == 6
-    assert report.hom_checks == 2 * 36
-    assert report.center_checks > 0
-    assert sorted(report.elements) == [0, 1, 2, 3, 4, 5]
+    images = tg.maltsev_embed(Z6, 6)
+    assert sorted(images) == [0, 1, 2, 3, 4, 5]
+    for i, image in images.items():
+        assert mx.equal_on_window(image, mx.scalar_map(Z6, Z6.nth_element(i)), 16)
+    with pytest.raises(RingError, match="count 7 exceeds the 6 elements of Zmod:6"):
+        tg.maltsev_embed(Z6, 7)
 
 
 def test_maltsev_embed_sigma_rows():
