@@ -346,10 +346,13 @@ def cmd_fear(args) -> Report:
     for p in pairs:
         image = p.x.apply(witness.g)
         detail = f"escape={p.escape} cover_size={len(p.cover)}"
+        reaches = p.escape in image.support()
         if image != p.y:
             detail += f"; x_j g: got {image!r}, expected {p.y!r}"
-        report.check(f"block {p.j} escape certificate",
-                     PASS if image == p.y and p.escape not in p.cover else FAIL,
+        elif not reaches:
+            detail += "; escape not in supp(x_j g)"
+        ok = image == p.y and reaches and p.escape not in p.cover
+        report.check(f"block {p.j} escape certificate", PASS if ok else FAIL,
                      detail)
     if args.oracle_max:
         env = {"s": shift}

@@ -178,7 +178,7 @@ def test_criterion_07_fear_witness():
     witness = fr.fear_witness(descriptor, {"s": shift(GF3)}, 8, GF3)
     ok = ok and len(witness.pairs) == 8 and all(
         p.x.apply(witness.g) == p.y and p.escape not in p.cover
-        for p in witness.pairs)
+        and p.escape in p.y.support() for p in witness.pairs)
     start = time.monotonic()
     env2 = {"s": shift(GF2)}
     witness2 = fr.fear_witness(descriptor, env2, 2, GF2)

@@ -368,6 +368,25 @@ def test_fear_reports_a_wrong_block_map_as_a_failed_certificate(monkeypatch,
     capsys.readouterr()
 
 
+def test_fear_reports_an_escape_outside_y_as_a_failed_certificate(
+        monkeypatch):
+    """x_1 g = y_1 and escape not in cover, but y_1 misses the escape."""
+    build = fr.fear_witness
+
+    def broken(descriptor, u_maps, J, ring):
+        witness = build(descriptor, u_maps, J, ring)
+        first = witness.pairs[0]
+        moved = fr.FearPair(first.j, first.x, first.y, first.cover,
+                            first.escape + 1, first.block)
+        return fr.FearWitness([moved, *witness.pairs[1:]], witness.g)
+
+    monkeypatch.setattr(fr, "fear_witness", broken)
+    [check] = failing_checks(["fear", "--blocks", "3"])
+    assert check["name"] == "block 1 escape certificate"
+    assert check["detail"] == ("escape=4 cover_size=2; "
+                               "escape not in supp(x_j g)")
+
+
 MALTSEV = ["maltsev", "--ring", "Zmod:6", "--count", "6"]
 
 

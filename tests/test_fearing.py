@@ -50,7 +50,7 @@ def test_fear_witness_no_extra_maps():
         m = min(p.block)
         assert p.cover == {m}
         assert p.escape == m + 1
-        assert p.x.apply(witness.g) == p.y
+        assert p.x.apply(witness.g) == p.y and p.escape in p.y.support()
 
 
 def test_fear_witness_blocks_disjoint_and_certified():
@@ -77,7 +77,8 @@ def test_closure_and_lower_embed_share_one_finiteness_test():
     setdiag = fr.FearingDescriptor("setdiag", lambda a: {a})
     witness = fr.fear_witness(setdiag, env, 4, GF3)
     for p in witness.pairs:
-        assert p.x.apply(witness.g) == p.y and p.escape not in p.cover
+        assert p.x.apply(witness.g) == p.y
+        assert p.escape not in p.cover and p.escape in p.y.support()
     g, f = tr.fear_lower_embed(setdiag, GF3)
     assert mx.equal_on_window(mx.compose(g, f), mx.identity_map(GF3), 8)
     assert [g.row(k) for k in range(1, 9)] == [FinVec.unit(GF3, k)
