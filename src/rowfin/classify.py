@@ -27,23 +27,11 @@ class ClassifyError(Exception):
 # Membership
 
 
-class MembershipReport:
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: list):
-        self.ok = ok
-        self.violations = violations  # (row, col) cells breaking the relation
-
-
 def preorder_membership(f: RowFiniteMap, rho: PreorderDescriptor,
-                        rows) -> MembershipReport:
-    """The cells of f in the given rows that break the relation."""
-    violations = []
-    for a in rows:
-        for b in sorted(f.row(a).entries):
-            if not rho.rel(a, b):
-                violations.append((a, b))
-    return MembershipReport(ok=not violations, violations=violations)
+                        rows) -> list:
+    """The cells (row, col) of f in the given rows that break the relation."""
+    return [(a, b) for a in rows for b in sorted(f.row(a).entries)
+            if not rho.rel(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +102,20 @@ class EquivWitness:
                 rows[self.anchor(j)] = entries
         return mx.from_rows(self.ring, rows)
 
-    def check(self, target: RowFiniteMap, lifted: RowFiniteMap,
-              window: int) -> None:
-        """Raise unless g * lifted * h = target on the window and every row
-        of lifted that g reads (one per anchor) respects the preorder."""
+    def verify(self, target: RowFiniteMap, lifted: RowFiniteMap,
+               window: int) -> str | None:
+        """None if g * lifted * h = target on the window and every row of
+        lifted that g reads (one per anchor) respects the preorder; else
+        the first failure."""
         sandwich = mx.compose(mx.compose(self.g, lifted), self.h)
         check = mx.equal_on_window(sandwich, target, window)
         if not check:
-            raise ClassifyError(f"sandwich mismatch: {check.describe()}")
-        member = preorder_membership(
+            return f"sandwich mismatch: {check.describe()}"
+        violations = preorder_membership(
             lifted, self.rho, (self.anchor(j) for j in range(1, window + 1)))
-        if not member.ok:
-            raise ClassifyError(
-                f"lift violates membership at {member.violations[0]}"
-            )
-
-    def verify(self, target: RowFiniteMap, window: int) -> RowFiniteMap:
-        """Lift the target on the window, check the lift, and return it."""
-        lifted = self.lift(target, window)
-        self.check(target, lifted, window)
-        return lifted
+        if violations:
+            return f"lift violates membership at {violations[0]}"
+        return None
 
 
 def eclass_witness(rho: PreorderDescriptor, ring: BaseRing) -> EquivWitness:

@@ -19,7 +19,7 @@ from .words import Gen, Word, eval_word, format_word, prod_chain
 
 
 class ConstructionError(Exception):
-    """A g-word index outside 1..5, or a u-word for an index not in the family."""
+    """A g-word index outside 1..5."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +150,6 @@ def u_word_texts(indices) -> dict:
     return out
 
 
-class TwoGenWitness:
-    __slots__ = ("ring", "f1", "f3", "family")
-
-    def __init__(self, ring: BaseRing, f1: RowFiniteMap, f3: RowFiniteMap,
-                 family: GFamily):
-        self.ring = ring
-        self.f1 = f1
-        self.f3 = f3
-        self.family = family
-
-    def env(self) -> dict:
-        return {"f1": self.f1, "f3": self.f3}
-
-    def word_for_u(self, i: int) -> Word:
-        if i not in self.family.source:
-            raise ConstructionError(f"u_{i} not materialized")
-        return u_word(i)
-
-
 def _phi(k: int) -> int:
     """The index action of f1: classes 1..5 advance; classes 6,7 merge into 7."""
     q, r = divmod(k - 1, 7)     # k is in class r + 1
@@ -192,8 +173,8 @@ def _sigma1_index(alpha: int) -> int:
     return 7 * j if e == 6 else 7 * (j - 1) // 2 + 1 + e
 
 
-def build_two_generators(fam: GFamily) -> TwoGenWitness:
-    """Produce f1, f3 whose words reproduce g1..g5.
+def build_two_generators(fam: GFamily) -> tuple[RowFiniteMap, RowFiniteMap]:
+    """(f1, f3), whose words reproduce g1..g5.
 
     f1 advances the mod-7 pieces (merging the last two); f3 glues the
     inverse transports so that g_i = f1^6 f3 f1^i f3 for i in 1..5.  The
@@ -217,8 +198,7 @@ def build_two_generators(fam: GFamily) -> TwoGenWitness:
         # k-th row of Sigma_1 = {1, 8, 15, ...}.
         return FinVec._of(ring, {7 * _sigma1_index(alpha) - 6: ring.one})
 
-    f3 = RowFiniteMap(ring, f3_row)
-    return TwoGenWitness(ring=ring, f1=f1, f3=f3, family=fam)
+    return f1, RowFiniteMap(ring, f3_row)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rowfin import classify as cl
 from rowfin import cli
 from rowfin import fearing as fr
 from rowfin import matrices as mx
@@ -187,9 +188,9 @@ def test_sandwich_checks_diagonality_on_every_row_axb_reads(monkeypatch):
     # cells cancel in AXB and only the diagonality check can see them.
     make_x = tr.sandwich_X
 
-    def planted(Y, window):
+    def planted(Y):
         extra = mx.from_rows(Y.ring, {40: {15: -1, 41: 1}})
-        return mx.add_maps(make_x(Y, window), extra)
+        return mx.add_maps(make_x(Y), extra)
 
     monkeypatch.setattr(tr, "sandwich_X", planted)
     report, doc = run_json(["sandwich", "--ring", "Int", "--count", "2",
@@ -266,6 +267,19 @@ def test_witness_subcommand():
                 "sandwich mismatch: row 1")
     report, _ = run_json(["witness", "--preorder", "ge", "--count", "1"])
     assert report.failed  # DClass preorders have no full-class witness
+
+
+def test_witness_lift_outside_the_preorder_fails_its_trial(monkeypatch):
+    # Bars in class 3, which class 1 does not reach: the sandwich holds, and
+    # only the membership check sees the lift.
+    monkeypatch.setattr(cl, "eclass_witness",
+                        lambda rho, ring: cl.EquivWitness(rho, ring, 1, 3))
+    report, doc = run_json(["witness", "--preorder", "mod:3:(1,2)",
+                            "--count", "2", "--window", "6"])
+    assert report.failed
+    assert doc["checks"][1:] == [
+        {"detail": "lift violates membership at (1, 24)", "name": f"trial {k}",
+         "verdict": "fail"} for k in range(2)]
 
 
 def test_fear_subcommand():
@@ -409,10 +423,9 @@ def test_maltsev_perturbed_f3_fails_only_a_g_word_check(monkeypatch):
     build = tg.build_two_generators
 
     def broken(fam):
-        w = build(fam)
+        f1, f3 = build(fam)
         # f3's row 5 is row 1 of g4; no u-word reads it on the window.
-        f3 = mx.add_maps(w.f3, mx.matrix_unit(w.ring, 5, 1))
-        return tg.TwoGenWitness(w.ring, w.f1, f3, fam)
+        return f1, mx.add_maps(f3, mx.matrix_unit(fam.ring, 5, 1))
 
     monkeypatch.setattr(tg, "build_two_generators", broken)
     [check] = failing_checks(MALTSEV)
@@ -636,6 +649,43 @@ def test_simple_full_2x2_report_bytes():
     for p in (2, 3):
         report, _, _ = cli.run(["simple-full", "--n", "2", "--p", str(p)])
         assert report.to_json() == SIMPLE_FULL_2X2 % p
+
+
+WITNESS_CORRUPT = (
+    '{"checks":[{"detail":"anchors in class 1, bars in class 1",'
+    '"name":"witness construction","verdict":"pass"},'
+    '{"detail":"sandwich mismatch: row 1: got FinVec(1:1, 4:2), '
+    'expected FinVec(4:2)","name":"trial 0","verdict":"fail"},'
+    '{"detail":"sandwich mismatch: row 1: got FinVec(2:2, 3:2, 4:1), '
+    'expected FinVec(1:2, 2:2, 3:2, 4:1)","name":"trial 1","verdict":"fail"}],'
+    '"config":{"corrupt":true,"count":2,"preorder":"mod:3:(1,2)",'
+    '"ring":"GF:3","seed":0,"window":4},"subcommand":"witness",'
+    '"witnesses":{}}\n'
+)
+
+
+def test_witness_corrupt_report_bytes():
+    report, _, _ = cli.run(["witness", "--preorder", "mod:3:(1,2)", "--count",
+                            "2", "--window", "4", "--corrupt"])
+    assert report.to_json() == WITNESS_CORRUPT
+
+
+SANDWICH_CORRUPT = (
+    '{"checks":[{"detail":"row 1: got FinVec(1:1), expected FinVec()",'
+    '"name":"trial 0 AXB=Y","verdict":"fail"},'
+    '{"name":"trial 0 X diagonal","verdict":"pass"},'
+    '{"detail":"row 1: got FinVec(1:2), expected FinVec(1:1)",'
+    '"name":"trial 1 AXB=Y","verdict":"fail"},'
+    '{"name":"trial 1 X diagonal","verdict":"pass"}],'
+    '"config":{"corrupt":true,"count":2,"ring":"GF:5","seed":0,"window":3},'
+    '"subcommand":"sandwich","witnesses":{}}\n'
+)
+
+
+def test_sandwich_corrupt_report_bytes():
+    report, _, _ = cli.run(["sandwich", "--count", "2", "--window", "3",
+                            "--corrupt"])
+    assert report.to_json() == SANDWICH_CORRUPT
 
 
 def test_simple_full_three_by_three_and_infeasible_scales():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rowfin import cli
 from rowfin import fearing as fr
 from rowfin import matrices as mx
 from rowfin import triangular as tr
@@ -34,7 +35,7 @@ def test_AB_product_row_sums():
 
 
 def test_sandwich_X_identity():
-    X = tr.sandwich_X(mx.identity_map(Z), 12)
+    X = tr.sandwich_X(mx.identity_map(Z))
     for i in range(1, 13):
         assert X.row(tri(i)) == FinVec.unit(Z, tri(i))
     axb = mx.compose(mx.compose(tr.sandwich_A(Z), X), tr.sandwich_B(Z))
@@ -42,7 +43,7 @@ def test_sandwich_X_identity():
 
 
 def test_sandwich_X_zero():
-    X = tr.sandwich_X(mx.zero_map(Z), 10)
+    X = tr.sandwich_X(mx.zero_map(Z))
     for d in range(1, 40):
         assert X.row(d).is_zero()
 
@@ -53,7 +54,7 @@ def test_sandwich_X_random_lower_triangular():
                 if rng.random() < 0.6}
             for i in range(1, 15)}
     Y = mx.from_rows(GF5, {i: r for i, r in rows.items() if r})
-    X = tr.sandwich_X(Y, 14)
+    X = tr.sandwich_X(Y)
     axb = mx.compose(mx.compose(tr.sandwich_A(GF5), X), tr.sandwich_B(GF5))
     assert mx.equal_on_window(axb, Y, 14)
     assert all(X.row_support(d) <= {d} for d in range(1, tri(14) + 1))
@@ -73,7 +74,7 @@ def test_fast_rows_match_canonicalising_constructor(spec):
             if entries:
                 rows[i] = entries
         Y = mx.from_rows(ring, rows)
-        A, X = tr.sandwich_A(ring), tr.sandwich_X(Y, window)
+        A, X = tr.sandwich_A(ring), tr.sandwich_X(Y)
         for d in range(1, tri(window) + 1):
             i, k = tri_split(d)
             slow_a = FinVec(ring, {c: ring.one for c in tri_block(d)})
@@ -83,10 +84,22 @@ def test_fast_rows_match_canonicalising_constructor(spec):
                 assert fast.support() == slow.support(), (spec, d)
 
 
-def test_sandwich_X_rejects_upper_cell():
-    Y = mx.matrix_unit(Z, 1, 2)
-    with pytest.raises(tr.SandwichError):
-        tr.sandwich_X(Y, 5)
+def test_sandwich_report_fails_an_upper_cell_of_Y_at_its_row(monkeypatch):
+    # X reads only the cells (i, k <= i) of Y, so a cell above the diagonal
+    # leaves X diagonal and makes AXB differ from Y in that cell's row.
+    draw = cli._random_lower_triangular
+
+    def with_upper_cell(ring, rng, window):
+        return mx.add_maps(draw(ring, rng, window), mx.matrix_unit(ring, 2, 3))
+
+    monkeypatch.setattr(cli, "_random_lower_triangular", with_upper_cell)
+    report, _, _ = cli.run(["sandwich", "--count", "3", "--window", "8"])
+    checks = report.doc["checks"]
+    assert [c["name"] for c in checks] == [
+        f"trial {t} {what}" for t in range(3) for what in ("AXB=Y", "X diagonal")]
+    for axb, diagonal in zip(checks[::2], checks[1::2]):
+        assert axb["verdict"] == "fail" and axb["detail"].startswith("row 2:")
+        assert diagonal["verdict"] == "pass"
 
 
 def lower_embed(descriptor, ring, n):

@@ -124,10 +124,10 @@ def test_closed_form_class_7_rows_match_six_inverse_steps():
         k = tg._sigma1_index(alpha)
         assert k is not None and k == undo_f1_six_times(alpha)
     # f3's class-7 row is e_{7k-6}, read through the closed form.
-    witness = tg.build_two_generators(tg.build_g_family({}, GF3))
+    _, f3 = tg.build_two_generators(tg.build_g_family({}, GF3))
     for alpha in (7, 448, 7 * 2 ** 40 * 3):
         k = undo_f1_six_times(alpha)
-        assert witness.f3.row(alpha) == FinVec.unit(GF3, 7 * k - 6)
+        assert f3.row(alpha) == FinVec.unit(GF3, 7 * k - 6)
 
 
 def enumerated_index_maps(n):
@@ -154,7 +154,7 @@ def test_index_maps_match_enumerated_pieces():
         assert tg._phi(k) == phi[k]
         assert phi_inv(k) == enumerated_inv.get(k)
     fam = tg.build_g_family(random_family(GF3, 4), GF3)
-    witness = tg.build_two_generators(fam)
+    _, f3 = tg.build_two_generators(fam)
     gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
     for alpha in range(1, n + 1):
         c = part.class_of(alpha)
@@ -170,7 +170,7 @@ def test_index_maps_match_enumerated_pieces():
                     break
             expected = (FinVec.zero(GF3) if k is None
                         else FinVec.unit(GF3, pieces[1][k - 1]))
-        assert witness.f3.row(alpha) == expected
+        assert f3.row(alpha) == expected
 
 
 def test_word_shapes():
@@ -194,40 +194,32 @@ def test_u_word_texts_match_the_formatted_words():
 
 def test_two_generator_words_units_family():
     fam = tg.build_g_family(units_family(GF3), GF3)
-    witness = tg.build_two_generators(fam)
-    env = witness.env()
+    f1, f3 = tg.build_two_generators(fam)
+    env = {"f1": f1, "f3": f3}
     gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
     for i in range(1, 6):
         got = eval_word(tg.g_word(i), env, GF3)
         assert mx.equal_on_window(got, gmaps[i], 32)
     for i, u in fam.source.items():
-        got = eval_word(witness.word_for_u(i), env, GF3)
+        got = eval_word(tg.u_word(i), env, GF3)
         assert mx.equal_on_window(got, u, 32)
 
 
 def test_two_generator_words_random_family():
     fam = tg.build_g_family(random_family(Z6, seed=4), Z6)
-    witness = tg.build_two_generators(fam)
-    env = witness.env()
+    f1, f3 = tg.build_two_generators(fam)
+    env = {"f1": f1, "f3": f3}
     for i, u in fam.source.items():
-        got = eval_word(witness.word_for_u(i), env, Z6)
+        got = eval_word(tg.u_word(i), env, Z6)
         assert mx.equal_on_window(got, u, 32)
 
 
 def test_corrupted_f3_detected():
     fam = tg.build_g_family(units_family(GF3), GF3)
-    witness = tg.build_two_generators(fam)
-    bad_env = {"f1": witness.f1,
-               "f3": mx.add_maps(witness.f3, mx.matrix_unit(GF3, 2, 1))}
+    f1, f3 = tg.build_two_generators(fam)
+    bad_env = {"f1": f1, "f3": mx.add_maps(f3, mx.matrix_unit(GF3, 2, 1))}
     got = eval_word(tg.g_word(1), bad_env, GF3)
     assert not mx.equal_on_window(got, fam.g1, 28)
-
-
-def test_word_for_u_requires_materialized_index():
-    fam = tg.build_g_family(units_family(GF3), GF3)
-    witness = tg.build_two_generators(fam)
-    with pytest.raises(tg.ConstructionError):
-        witness.word_for_u(9)
 
 
 def test_maltsev_embed_zmod6():
@@ -251,8 +243,8 @@ def test_u_word_verifies_at_layer_1000():
     source = {1000: mx.from_rows(GF3, {1: {2: 1, 5: 2}, 3: {1: 1}}),
               -3: mx.matrix_unit(GF3, 2, 2)}
     fam = tg.build_g_family(source, GF3)
-    witness = tg.build_two_generators(fam)
-    _, umaps = tg.word_maps(witness.env(), GF3, sorted(source))
+    f1, f3 = tg.build_two_generators(fam)
+    _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, sorted(source))
     for i, u in source.items():
         assert mx.equal_on_window(umaps[i], u, 6)
 
@@ -269,8 +261,8 @@ def test_shared_u_rows_match_the_flat_chain(spec):
             rows.setdefault(rng.randint(1, 8), {})[rng.randint(1, 8)] = \
                 ring.random_payload(rng)
         source[k] = mx.from_rows(ring, rows)
-    witness = tg.build_two_generators(tg.build_g_family(source, ring))
-    env = witness.env()
+    f1, f3 = tg.build_two_generators(tg.build_g_family(source, ring))
+    env = {"f1": f1, "f3": f3}
     _, umaps = tg.word_maps(env, ring, indices)
     for k in indices:
         flat = eval_word(tg.u_word(k), env, ring)
@@ -284,10 +276,9 @@ def test_shared_u_rows_match_the_flat_chain_under_a_spread_f3():
     indices = [0, 1, 2, 3, -1, -2]
     source = random_family(GF3, seed=9, count=len(indices), corner=8)
     source = {k: source[n] for n, k in enumerate(indices)}
-    witness = tg.build_two_generators(tg.build_g_family(source, GF3))
+    f1, f3 = tg.build_two_generators(tg.build_g_family(source, GF3))
     shift = mx.from_index_map(GF3, lambda a: a + 1)
-    env = {"f1": witness.f1,
-           "f3": mx.add_maps(witness.f3, mx.compose(witness.f3, shift))}
+    env = {"f1": f1, "f3": mx.add_maps(f3, mx.compose(f3, shift))}
     _, umaps = tg.word_maps(env, GF3, indices)
     spread = 0
     for k in indices:
