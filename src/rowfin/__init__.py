@@ -1,13 +1,13 @@
 """Exact arithmetic for row-finite infinite matrices over pluggable base rings."""
 
-from .matrices import (FinVec, RowFiniteMap, add_maps, compose, equal_on_window,
+from .matrices import (FinVec, RowFiniteMap, add_maps, compose, first_mismatch,
                        from_rows, from_sparse, identity_map, matrix_unit,
                        projection, scalar_map, to_sparse, zero_map)
 from .rings import BaseRing, parse_ring_spec
 
 __all__ = [
     "BaseRing", "FinVec", "RowFiniteMap", "add_maps", "compose",
-    "equal_on_window", "from_rows", "from_sparse", "identity_map",
+    "first_mismatch", "from_rows", "from_sparse", "identity_map",
     "matrix_unit", "parse_ring_spec", "projection", "scalar_map",
     "to_sparse", "zero_map",
 ]

@@ -108,9 +108,9 @@ class EquivWitness:
         lifted that g reads (one per anchor) respects the preorder; else
         the first failure."""
         sandwich = mx.compose(mx.compose(self.g, lifted), self.h)
-        check = mx.equal_on_window(sandwich, target, window)
-        if not check:
-            return f"sandwich mismatch: {check.describe()}"
+        mismatch = mx.first_mismatch(sandwich, target, window)
+        if mismatch:
+            return f"sandwich mismatch: {mismatch}"
         violations = preorder_membership(
             lifted, self.rho, (self.anchor(j) for j in range(1, window + 1)))
         if violations:

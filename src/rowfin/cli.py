@@ -42,6 +42,13 @@ class Report:
             entry["detail"] = detail
         self.doc["checks"].append(entry)
 
+    def holds(self, name: str, failure):
+        """PASS if failure is None, else FAIL with the failure as its detail."""
+        if failure is None:
+            self.check(name, PASS)
+        else:
+            self.check(name, FAIL, failure)
+
     def witness(self, name: str, value):
         self.doc["witnesses"][name] = value
 
@@ -68,17 +75,6 @@ def _config(args) -> dict:
     """A report's config: every parsed option but the output path."""
     return {key: val for key, val in vars(args).items()
             if key not in ("command", "func", "out")}
-
-
-def _window_check(report: Report, name: str, check: mx.WindowCheck):
-    if check:
-        report.check(name, PASS)
-    else:
-        report.check(name, FAIL, check.describe())
-
-
-def _sparse_witness(f, window):
-    return [[r, c, t] for r, c, t in mx.to_sparse(f, window)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +110,21 @@ def _word_checks(report: Report, fam, env: dict, targets: dict, window: int):
     The four g-family identities as one `construction` check, each
     g-word under env against g1..g5, and each u-word against its target.
     """
-    failure = next((f"{name} failed: {check.describe()}"
-                    for name, check in fam.identity_checks(window)
-                    if not check), None)
-    report.check("construction", FAIL if failure else PASS, failure)
+    report.holds("construction", fam.identity_failure(window))
     indices = sorted(targets)
     gwords, umaps = tg.word_maps(env, fam.ring, indices)
     for i, g in fam.gmaps().items():
-        _window_check(report, f"g{i} word",
-                      mx.equal_on_window(gwords[i], g, window))
+        report.holds(f"g{i} word", mx.first_mismatch(gwords[i], g, window))
     for i in indices:
-        _window_check(report, f"u{i} word",
-                      mx.equal_on_window(umaps[i], targets[i], window))
+        report.holds(f"u{i} word", mx.first_mismatch(umaps[i], targets[i], window))
 
 
 def _all_hold(report: Report, name: str, checks):
-    """One check for a run of (what, WindowCheck): its count, or the first failure."""
+    """One check for a run of (what, mismatch): its count, or the first failure."""
     count = 0
-    for what, check in checks:
-        if not check:
-            report.check(name, FAIL, f"{what} failed: {check.describe()}")
+    for what, mismatch in checks:
+        if mismatch is not None:
+            report.check(name, FAIL, f"{what} failed: {mismatch}")
             return
         count += 1
     report.check(name, PASS, f"{count} checks")
@@ -149,8 +140,8 @@ def cmd_two_gen(args) -> Report:
     if args.corrupt:
         env["f3"] = mx.add_maps(f3, mx.matrix_unit(ring, 2, 1))
     _word_checks(report, fam, env, fam.source, args.window)
-    report.witness("f1", _sparse_witness(f1, args.window))
-    report.witness("f3", _sparse_witness(f3, args.window))
+    report.witness("f1", mx.to_sparse(f1, args.window))
+    report.witness("f3", mx.to_sparse(f3, args.window))
     report.witness("words", {str(i): text for i, text
                              in tg.u_word_texts(sorted(fam.source)).items()})
     return report
@@ -160,10 +151,10 @@ def _hom_checks(ring, images: dict, payloads: list, window: int):
     """Image of a*b = image a * image b, and likewise for a+b, for every pair."""
     for i, a in enumerate(payloads):
         for j, b in enumerate(payloads):
-            yield f"mul ({i},{j})", mx.equal_on_window(
+            yield f"mul ({i},{j})", mx.first_mismatch(
                 mx.compose(images[i], images[j]),
                 mx.scalar_map(ring, ring.mul(a, b)), window)
-            yield f"add ({i},{j})", mx.equal_on_window(
+            yield f"add ({i},{j})", mx.first_mismatch(
                 mx.add_maps(images[i], images[j]),
                 mx.scalar_map(ring, ring.add(a, b)), window)
 
@@ -174,8 +165,8 @@ def _centre_checks(ring, centre: list, samples: dict, window: int):
         delta = mx.scalar_map(ring, s)
         for label, m in samples.items():
             yield (f"{ring.format_payload(s)} commutes with {label}",
-                   mx.equal_on_window(mx.compose(delta, m), mx.compose(m, delta),
-                                      window))
+                   mx.first_mismatch(mx.compose(delta, m), mx.compose(m, delta),
+                                     window))
 
 
 def cmd_maltsev(args) -> Report:
@@ -255,11 +246,10 @@ def cmd_sandwich(args) -> Report:
         # The one AXB = Y check of the trial. Row i of A spans X's rows
         # tri_block(i), so X's diagonality is checked on all of 1..T(window).
         axb = mx.compose(mx.compose(A, X), B)
-        _window_check(report, f"trial {trial} AXB=Y",
-                      mx.equal_on_window(axb, Y, args.window))
+        report.holds(f"trial {trial} AXB=Y", mx.first_mismatch(axb, Y, args.window))
         violations = cl.preorder_membership(X, diag,
                                             range(1, tri(args.window) + 1))
-        report.check(f"trial {trial} X diagonal", FAIL if violations else PASS,
+        report.holds(f"trial {trial} X diagonal",
                      str(violations[0]) if violations else None)
     return report
 
@@ -307,8 +297,7 @@ def cmd_witness(args) -> Report:
         lifted = witness.lift(target, args.window)
         if args.corrupt:
             lifted = mx.add_maps(lifted, extra)
-        failure = witness.verify(target, lifted, args.window)
-        report.check(f"trial {trial}", FAIL if failure else PASS, failure)
+        report.holds(f"trial {trial}", witness.verify(target, lifted, args.window))
     return report
 
 

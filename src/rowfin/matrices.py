@@ -428,39 +428,20 @@ def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
 # Window verification and serialization
 
 
-class WindowCheck:
-    """Result of comparing two maps on rows 1..n; rows compared in full.
+def first_mismatch(f: RowFiniteMap, g: RowFiniteMap, n: int) -> str | None:
+    """None if the computed map f and the expected map g agree on rows 1..n.
 
-    On a mismatch, `got` is the first map's row and `expected` the second's.
+    Otherwise the first differing row a, as `row a: got <f's row>,
+    expected <g's row>`; rows are compared in full.
     """
-
-    __slots__ = ("ok", "row", "got", "expected")
-
-    def __init__(self, ok, row=None, got=None, expected=None):
-        self.ok = ok
-        self.row = row
-        self.got = got
-        self.expected = expected
-
-    def __bool__(self):
-        return self.ok
-
-    def describe(self) -> str:
-        if self.ok:
-            return "equal"
-        return f"row {self.row}: got {self.got!r}, expected {self.expected!r}"
-
-
-def equal_on_window(f: RowFiniteMap, g: RowFiniteMap, n: int) -> WindowCheck:
-    """Compare rows 1..n of the computed map f with the expected map g."""
     _common_ring(f, g)
     if n < 1:
         raise MatrixError(f"window must be >= 1, got {n}")
     for a in range(1, n + 1):
         rf, rg = f.row(a), g.row(a)
         if rf != rg:
-            return WindowCheck(False, a, rf, rg)
-    return WindowCheck(True)
+            return f"row {a}: got {rf!r}, expected {rg!r}"
+    return None
 
 
 def from_sparse(ring: BaseRing, triples) -> RowFiniteMap:
@@ -486,12 +467,6 @@ def to_sparse(f: RowFiniteMap, n: int) -> list:
         for c, v in sorted(f.row(a).entries.items()):
             out.append((a, c, f.ring.format_payload(v)))
     return out
-
-
-def dump_sparse(f: RowFiniteMap, n: int) -> str:
-    lines = [f"ring {f.ring.spec}"]
-    lines += [f"{r} {c} {t}" for r, c, t in to_sparse(f, n)]
-    return "\n".join(lines) + "\n"
 
 
 def load_sparse(text: str):

@@ -284,12 +284,7 @@ class MatrixRing(BaseRing):
         return tuple(zip(*[cells] * k))
 
     def format_payload(self, a):
-        def unpack(x, ring):
-            if isinstance(ring, MatrixRing):
-                return [[unpack(v, ring.base) for v in row] for row in x]
-            return x
-
-        return json.dumps(unpack(a, self), separators=(",", ":"))
+        return json.dumps(a, separators=(",", ":"))
 
     def parse_payload(self, text):
         try:

@@ -107,7 +107,3 @@ def fear_lower_embed(descriptor,
 
     seq = _TargetSequence(supp_fn)
     return mx.from_index_map(ring, seq.get), mx.from_index_map(ring, seq.invert)
-
-
-def is_lower_triangular_on_window(f: RowFiniteMap, n: int) -> bool:
-    return all(max(f.row(a).entries, default=0) <= a for a in range(1, n + 1))

@@ -49,16 +49,20 @@ class GFamily:
     def gmaps(self) -> dict:
         return {1: self.g1, 2: self.g2, 3: self.g3, 4: self.g4, 5: self.g5}
 
-    def identity_checks(self, window: int) -> list:
-        """(name, WindowCheck) for g2 g1 = pi_sigma, g1 g2 = 1, g4 g5 = 1, g5 g4 = 1."""
+    def identity_failure(self, window: int) -> str | None:
+        """None if g2 g1 = pi_sigma, g1 g2 = 1, g4 g5 = 1 and g5 g4 = 1 on
+        the window; else the first identity that fails, and its mismatch."""
         ident = mx.identity_map(self.ring)
         g1, g2, g4, g5 = self.g1, self.g2, self.g4, self.g5
-        return [(name, mx.equal_on_window(got, expected, window))
-                for name, got, expected in (
-                    ("g2*g1 = pi_sigma", mx.compose(g2, g1), self.pi_sigma()),
-                    ("g1*g2 = 1", mx.compose(g1, g2), ident),
-                    ("g4*g5 = 1", mx.compose(g4, g5), ident),
-                    ("g5*g4 = 1", mx.compose(g5, g4), ident))]
+        for name, got, expected in (
+                ("g2*g1 = pi_sigma", mx.compose(g2, g1), self.pi_sigma()),
+                ("g1*g2 = 1", mx.compose(g1, g2), ident),
+                ("g4*g5 = 1", mx.compose(g4, g5), ident),
+                ("g5*g4 = 1", mx.compose(g5, g4), ident)):
+            mismatch = mx.first_mismatch(got, expected, window)
+            if mismatch:
+                return f"{name} failed: {mismatch}"
+        return None
 
 
 def _shift_layer(enc, dec, step: int, alpha: int) -> int:
@@ -73,7 +77,7 @@ def build_g_family(source: dict, ring: BaseRing) -> GFamily:
     g1 embeds the base coordinates into Sigma, g2 is its right inverse
     (zero off Sigma), g4/g5 shift the integer layer, and g3 carries each
     u_i on the i-th layer, so that u_i = g1 g4^i g3 g5^i g2.  Nothing is
-    verified here: `GFamily.identity_checks` and the word checks of a
+    verified here: `GFamily.identity_failure` and the word checks of a
     report are the verification.
     """
     pairing = ZPairing()

@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+from rowfin import matrices as mx
+
 _ONE_CLASS = {
     "diag": lambda a, b: a == b,
     "le": lambda a, b: a <= b,
@@ -37,3 +39,15 @@ def brute_force_relation(spec: str, n: int) -> set:
 @pytest.fixture
 def reference_relation():
     return brute_force_relation
+
+
+def dump_sparse(f, n: int) -> str:
+    """Rows 1..n of f in the `--in` file format that `load_sparse` reads."""
+    lines = [f"ring {f.ring.spec}"]
+    lines += [f"{r} {c} {t}" for r, c, t in mx.to_sparse(f, n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def sparse_text():
+    return dump_sparse

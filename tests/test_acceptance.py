@@ -66,7 +66,7 @@ def test_criterion_01_two_generator_words():
         for i, u in source.items():
             got = eval_word(tg.u_word(i), env, ring)
             for window in (32, 64):
-                if not mx.equal_on_window(got, u, window):
+                if mx.first_mismatch(got, u, window) is not None:
                     ok = False
     elapsed = time.monotonic() - start
     report(1, f"two-generator words, 50 families ({elapsed:.1f}s)",
@@ -76,11 +76,11 @@ def test_criterion_01_two_generator_words():
 def test_criterion_02_g_family_identities_window_128():
     fam = tg.build_g_family({}, GF3)
     ident = mx.identity_map(GF3)
-    ok = (bool(mx.equal_on_window(mx.compose(fam.g2, fam.g1),
-                                  fam.pi_sigma(), 128))
-          and bool(mx.equal_on_window(mx.compose(fam.g1, fam.g2), ident, 128))
-          and bool(mx.equal_on_window(mx.compose(fam.g4, fam.g5), ident, 128))
-          and bool(mx.equal_on_window(mx.compose(fam.g5, fam.g4), ident, 128)))
+    ok = (mx.first_mismatch(mx.compose(fam.g2, fam.g1),
+                            fam.pi_sigma(), 128) is None
+          and mx.first_mismatch(mx.compose(fam.g1, fam.g2), ident, 128) is None
+          and mx.first_mismatch(mx.compose(fam.g4, fam.g5), ident, 128) is None
+          and mx.first_mismatch(mx.compose(fam.g5, fam.g4), ident, 128) is None)
     report(2, "g-family identities on window 128", ok)
 
 
@@ -117,7 +117,7 @@ def test_criterion_04_sandwich():
             Y = mx.from_rows(ring, rows)
             X = tr.sandwich_X(Y)
             axb = mx.compose(mx.compose(A, X), B)
-            if not mx.equal_on_window(axb, Y, 20):
+            if mx.first_mismatch(axb, Y, 20) is not None:
                 ok = False
             if cl.preorder_membership(X, diag, range(1, tri(20) + 1)):
                 ok = False
@@ -232,12 +232,12 @@ def test_criterion_10_lower_embedding():
                  fr.paired_fearing):
         descriptor = make()
         g, f = tr.fear_lower_embed(descriptor, GF5)
-        if not mx.equal_on_window(mx.compose(g, f), mx.identity_map(GF5), 64):
+        if mx.first_mismatch(mx.compose(g, f), mx.identity_map(GF5), 64) is not None:
             ok = False
         for seed in range(20):
             h = descriptor.sample(GF5, seed)
             fh = mx.compose(f, h)
-            if not tr.is_lower_triangular_on_window(fh, 64):
+            if cl.preorder_membership(fh, parse_preorder("ge"), range(1, 65)):
                 ok = False
     report(10, "lower embedding: g*f = 1 and f*h lower-triangular", ok)
 

@@ -688,6 +688,55 @@ def test_sandwich_corrupt_report_bytes():
     assert report.to_json() == SANDWICH_CORRUPT
 
 
+TWO_GEN_EMPTY_CORRUPT = (
+    '{"checks":[{"name":"construction","verdict":"pass"},{"detail":"row 1: '
+    'got FinVec(1:2), expected FinVec(1:1)","name":"g1 word",'
+    '"verdict":"fail"},{"name":"g2 word","verdict":"pass"},{"name":"g3 '
+    'word","verdict":"pass"},{"name":"g4 word","verdict":"pass"},'
+    '{"name":"g5 word","verdict":"pass"}],"config":{"corrupt":true,'
+    '"count":5,"family":"empty","ring":"GF:3","seed":0,"window":3},'
+    '"subcommand":"two-gen","witnesses":{"f1":[[1,2,"1"],[2,3,"1"],[3,4,'
+    '"1"]],"f3":[[2,1,"1"],[3,1,"1"]],"words":{}}}\n'
+)
+
+
+def test_two_gen_corrupt_report_bytes():
+    """A g1-word mismatch text, and the f1/f3 witnesses as triple arrays."""
+    report, _, _ = cli.run(["two-gen", "--family", "empty", "--window", "3",
+                            "--corrupt"])
+    assert report.to_json() == TWO_GEN_EMPTY_CORRUPT
+
+
+MALTSEV_MATRIX_CORRUPT = (
+    '{"checks":[{"name":"construction","verdict":"pass"},{"name":"g1 word",'
+    '"verdict":"pass"},{"name":"g2 word","verdict":"pass"},{"name":"g3 '
+    'word","verdict":"pass"},{"name":"g4 word","verdict":"pass"},'
+    '{"name":"g5 word","verdict":"pass"},{"detail":"row 1: got FinVec(), '
+    'expected FinVec(2:[[1,0],[0,1]])","name":"u0 word","verdict":"fail"},'
+    '{"name":"u1 word","verdict":"pass"},{"detail":"8 checks","name":"hom",'
+    '"verdict":"pass"},{"detail":"22 checks","name":"centre",'
+    '"verdict":"pass"}],"config":{"corrupt":true,"count":2,'
+    '"ring":"Mat:2:GF:2","seed":0,"window":3},"subcommand":"maltsev",'
+    '"witnesses":{"words":{"0":"((((((((((f1 * f1) * f1) * f1) * f1) * f1) '
+    '* f3) * f1) * f3) * ((((((((((f1 * f1) * f1) * f1) * f1) * f1) * f3) '
+    '* f1) * f1) * f1) * f3)) * (((((((((f1 * f1) * f1) * f1) * f1) * f1) '
+    '* f3) * f1) * f1) * f3))","1":"((((((((((((f1 * f1) * f1) * f1) * f1) '
+    '* f1) * f3) * f1) * f3) * (((((((((((f1 * f1) * f1) * f1) * f1) * f1) '
+    '* f3) * f1) * f1) * f1) * f1) * f3)) * ((((((((((f1 * f1) * f1) * f1) '
+    '* f1) * f1) * f3) * f1) * f1) * f1) * f3)) * ((((((((((((f1 * f1) * '
+    'f1) * f1) * f1) * f1) * f3) * f1) * f1) * f1) * f1) * f1) * f3)) * '
+    '(((((((((f1 * f1) * f1) * f1) * f1) * f1) * f3) * f1) * f1) * '
+    'f3))"}}}\n'
+)
+
+
+def test_maltsev_matrix_corrupt_report_bytes():
+    """A u0-word mismatch text with matrix payloads, and the hom and centre counts."""
+    report, _, _ = cli.run(["maltsev", "--ring", "Mat:2:GF:2", "--count", "2",
+                            "--window", "3", "--corrupt"])
+    assert report.to_json() == MALTSEV_MATRIX_CORRUPT
+
+
 def test_simple_full_three_by_three_and_infeasible_scales():
     report, doc = run_json(["simple-full", "--n", "3", "--p", "2"])
     assert not report.failed
@@ -719,10 +768,10 @@ def test_oracle_subcommand():
     assert doc["witnesses"]["cover"] == [1, 2, 3, 4]
 
 
-def test_oracle_infile(tmp_path):
+def test_oracle_infile(tmp_path, sparse_text):
     ring = parse_ring_spec("GF:2")
     path = tmp_path / "m.sparse"
-    path.write_text(mx.dump_sparse(mx.matrix_unit(ring, 1, 5), 5))
+    path.write_text(sparse_text(mx.matrix_unit(ring, 1, 5), 5))
     _, doc = run_json(["oracle", "--ring", "GF:2", "--x1", "1:1",
                        "--x2", "5:1", "--r-max", "1", "--in", str(path)])
     assert doc["witnesses"]["found"] is True

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from rowfin import classify as cl
 from rowfin import cli
 from rowfin import fearing as fr
 from rowfin import matrices as mx
 from rowfin import triangular as tr
-from rowfin.indexing import tri, tri_block, tri_split
+from rowfin.indexing import parse_preorder, tri, tri_block, tri_split
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, parse_ring_spec
 
@@ -39,7 +40,7 @@ def test_sandwich_X_identity():
     for i in range(1, 13):
         assert X.row(tri(i)) == FinVec.unit(Z, tri(i))
     axb = mx.compose(mx.compose(tr.sandwich_A(Z), X), tr.sandwich_B(Z))
-    assert mx.equal_on_window(axb, mx.identity_map(Z), 12)
+    assert mx.first_mismatch(axb, mx.identity_map(Z), 12) is None
 
 
 def test_sandwich_X_zero():
@@ -56,7 +57,7 @@ def test_sandwich_X_random_lower_triangular():
     Y = mx.from_rows(GF5, {i: r for i, r in rows.items() if r})
     X = tr.sandwich_X(Y)
     axb = mx.compose(mx.compose(tr.sandwich_A(GF5), X), tr.sandwich_B(GF5))
-    assert mx.equal_on_window(axb, Y, 14)
+    assert mx.first_mismatch(axb, Y, 14) is None
     assert all(X.row_support(d) <= {d} for d in range(1, tri(14) + 1))
 
 
@@ -105,7 +106,7 @@ def test_sandwich_report_fails_an_upper_cell_of_Y_at_its_row(monkeypatch):
 def lower_embed(descriptor, ring, n):
     """g, f and l'_1..l'_n read off g's rows, after checking g f = 1 on 1..n."""
     g, f = tr.fear_lower_embed(descriptor, ring)
-    assert mx.equal_on_window(mx.compose(g, f), mx.identity_map(ring), n)
+    assert mx.first_mismatch(mx.compose(g, f), mx.identity_map(ring), n) is None
     targets = []
     for k in range(1, n + 1):
         [(target, coeff)] = g.row(k).entries.items()
@@ -117,8 +118,8 @@ def lower_embed(descriptor, ring, n):
 def test_lower_embed_diagonal_is_identity():
     g, f, targets = lower_embed(fr.diagonal_fearing(), Z, 20)
     assert targets == list(range(1, 21))
-    assert mx.equal_on_window(f, mx.identity_map(Z), 20)
-    assert mx.equal_on_window(g, mx.identity_map(Z), 20)
+    assert mx.first_mismatch(f, mx.identity_map(Z), 20) is None
+    assert mx.first_mismatch(g, mx.identity_map(Z), 20) is None
 
 
 def test_lower_embed_stretch():
@@ -146,4 +147,4 @@ def test_lower_embed_triangularizes_members(make):
         for a in range(1, 25):
             assert h.row_support(a) <= descriptor.supp(a)
         fh = mx.compose(f, h)
-        assert tr.is_lower_triangular_on_window(fh, 24)
+        assert cl.preorder_membership(fh, parse_preorder("ge"), range(1, 25)) == []

@@ -37,10 +37,10 @@ def random_family(ring, seed, count=5, corner=24):
 def test_g_family_identities():
     fam = tg.build_g_family(units_family(GF3), GF3)
     ident = mx.identity_map(GF3)
-    assert mx.equal_on_window(mx.compose(fam.g2, fam.g1), fam.pi_sigma(), 128)
-    assert mx.equal_on_window(mx.compose(fam.g1, fam.g2), ident, 128)
-    assert mx.equal_on_window(mx.compose(fam.g4, fam.g5), ident, 128)
-    assert mx.equal_on_window(mx.compose(fam.g5, fam.g4), ident, 128)
+    assert mx.first_mismatch(mx.compose(fam.g2, fam.g1), fam.pi_sigma(), 128) is None
+    assert mx.first_mismatch(mx.compose(fam.g1, fam.g2), ident, 128) is None
+    assert mx.first_mismatch(mx.compose(fam.g4, fam.g5), ident, 128) is None
+    assert mx.first_mismatch(mx.compose(fam.g5, fam.g4), ident, 128) is None
 
 
 def test_g_family_empty_source():
@@ -52,16 +52,16 @@ def test_g_family_empty_source():
 def test_g_family_single_identity_source():
     fam = tg.build_g_family({0: mx.identity_map(GF3)}, GF3)
     prod = product([fam.g1, fam.g3, fam.g2])
-    assert mx.equal_on_window(prod, mx.identity_map(GF3), 20)
+    assert mx.first_mismatch(prod, mx.identity_map(GF3), 20) is None
 
 
 def test_g_family_single_unit_source():
     fam = tg.build_g_family({1: mx.matrix_unit(GF3, 1, 2)}, GF3)
     prod = product([fam.g1, fam.g4, fam.g3, fam.g5, fam.g2])
-    assert mx.equal_on_window(prod, mx.matrix_unit(GF3, 1, 2), 20)
+    assert mx.first_mismatch(prod, mx.matrix_unit(GF3, 1, 2), 20) is None
     # The 0-layer is empty, so the undressed product is zero.
-    assert mx.equal_on_window(product([fam.g1, fam.g3, fam.g2]),
-                              mx.zero_map(GF3), 20)
+    assert mx.first_mismatch(product([fam.g1, fam.g3, fam.g2]),
+                             mx.zero_map(GF3), 20) is None
 
 
 def test_g_family_rejects_mismatched_ring():
@@ -73,7 +73,7 @@ def test_corrupted_g3_breaks_recovery():
     fam = tg.build_g_family(units_family(GF3), GF3)
     broken = mx.add_maps(fam.g3, mx.matrix_unit(GF3, 1, 1))
     got = product([fam.g1, broken, fam.g2])
-    assert not mx.equal_on_window(got, fam.source[0], 20)
+    assert mx.first_mismatch(got, fam.source[0], 20) is not None
 
 
 def phi_inv(beta):
@@ -199,10 +199,10 @@ def test_two_generator_words_units_family():
     gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
     for i in range(1, 6):
         got = eval_word(tg.g_word(i), env, GF3)
-        assert mx.equal_on_window(got, gmaps[i], 32)
+        assert mx.first_mismatch(got, gmaps[i], 32) is None
     for i, u in fam.source.items():
         got = eval_word(tg.u_word(i), env, GF3)
-        assert mx.equal_on_window(got, u, 32)
+        assert mx.first_mismatch(got, u, 32) is None
 
 
 def test_two_generator_words_random_family():
@@ -211,7 +211,7 @@ def test_two_generator_words_random_family():
     env = {"f1": f1, "f3": f3}
     for i, u in fam.source.items():
         got = eval_word(tg.u_word(i), env, Z6)
-        assert mx.equal_on_window(got, u, 32)
+        assert mx.first_mismatch(got, u, 32) is None
 
 
 def test_corrupted_f3_detected():
@@ -219,14 +219,15 @@ def test_corrupted_f3_detected():
     f1, f3 = tg.build_two_generators(fam)
     bad_env = {"f1": f1, "f3": mx.add_maps(f3, mx.matrix_unit(GF3, 2, 1))}
     got = eval_word(tg.g_word(1), bad_env, GF3)
-    assert not mx.equal_on_window(got, fam.g1, 28)
+    assert mx.first_mismatch(got, fam.g1, 28) is not None
 
 
 def test_maltsev_embed_zmod6():
     images = tg.maltsev_embed(Z6, 6)
     assert sorted(images) == [0, 1, 2, 3, 4, 5]
     for i, image in images.items():
-        assert mx.equal_on_window(image, mx.scalar_map(Z6, Z6.nth_element(i)), 16)
+        expected = mx.scalar_map(Z6, Z6.nth_element(i))
+        assert mx.first_mismatch(image, expected, 16) is None
     with pytest.raises(RingError, match="count 7 exceeds the 6 elements of Zmod:6"):
         tg.maltsev_embed(Z6, 7)
 
@@ -246,7 +247,7 @@ def test_u_word_verifies_at_layer_1000():
     f1, f3 = tg.build_two_generators(fam)
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, sorted(source))
     for i, u in source.items():
-        assert mx.equal_on_window(umaps[i], u, 6)
+        assert mx.first_mismatch(umaps[i], u, 6) is None
 
 
 @pytest.mark.parametrize("spec", ["Int", "GF:5", "Mat:2:GF:2"])
@@ -266,8 +267,8 @@ def test_shared_u_rows_match_the_flat_chain(spec):
     _, umaps = tg.word_maps(env, ring, indices)
     for k in indices:
         flat = eval_word(tg.u_word(k), env, ring)
-        assert mx.equal_on_window(umaps[k], flat, 8)
-        assert mx.equal_on_window(umaps[k], source[k], 8)
+        assert mx.first_mismatch(umaps[k], flat, 8) is None
+        assert mx.first_mismatch(umaps[k], source[k], 8) is None
 
 
 def test_shared_u_rows_match_the_flat_chain_under_a_spread_f3():
@@ -283,7 +284,7 @@ def test_shared_u_rows_match_the_flat_chain_under_a_spread_f3():
     spread = 0
     for k in indices:
         flat = eval_word(tg.u_word(k), env, GF3)
-        assert mx.equal_on_window(umaps[k], flat, 8)
+        assert mx.first_mismatch(umaps[k], flat, 8) is None
         spread = max(spread, max(len(umaps[k].row(a).entries)
                                  for a in range(1, 9)))
     assert spread > 1
