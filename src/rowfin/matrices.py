@@ -1,4 +1,4 @@
-"""Finitely supported vectors and row-finite matrices of three kinds.
+"""Finitely supported vectors and row-finite matrices of four kinds.
 
 Vectors model elements of the direct sum; matrices act on the right and
 memoize computed rows.  A map is one of
@@ -6,11 +6,14 @@ memoize computed rows.  A map is one of
 * general (`RowFiniteMap`): an arbitrary row function;
 * `Monomial`: row a is coeff * e_{index(a)}, or zero where the partial
   index function is undefined;
+* `Piecewise`: row a is row reindex_c(a) of the map m_c of a's class
+  c = classify(a), or zero where the class has no piece;
 * `Chain`: a flat product of factors, evaluated by a loop over flat
   steps built once: a monomial factor becomes its primitive index parts
-  and its scale, which the loop walks itself.  A chain row carries a
-  single term as (index, coefficient) across the steps and builds a
-  vector only when it has several terms.
+  and its scale, which the loop walks itself, and a piecewise factor
+  becomes its classifier and one such step per piece.  A chain row
+  carries a single term as (index, coefficient) across the steps and
+  builds a vector only when it has several terms.
 
 Zero entries are pruned at every arithmetic step so supports are exact.
 """
@@ -283,31 +286,80 @@ class Monomial(RowFiniteMap):
                         parts=self.parts + g.parts)
 
 
+def _piecewise_row(classify, pieces: dict, zero: FinVec, alpha: int) -> FinVec:
+    piece = pieces[classify(alpha)]
+    if piece is None:
+        return zero
+    reindex, m = piece
+    return m.row(reindex(alpha))
+
+
+def _walk(f: RowFiniteMap) -> tuple:
+    """(f, parts, scale): a monomial's (memo, part) pairs, or None for a map read by row."""
+    if isinstance(f, Monomial):
+        return f, tuple((part.memo, part) for part in f.parts), f._scale
+    return f, None, None
+
+
+class Piecewise(RowFiniteMap):
+    """Row a is row reindex_c(a) of m_c, where c = classify(a).
+
+    `pieces` maps every class that `classify` returns to (reindex_c,
+    m_c), or to None for a class whose rows are zero.  `cases` is the
+    flat form a chain walks: the classifier and, per class, None or
+    (reindex_c, m_c, parts, scale) with m_c's walk from `_walk`.
+    """
+
+    __slots__ = ("classify", "pieces", "cases")
+
+    def __init__(self, ring: BaseRing, classify, pieces: dict):
+        for piece in pieces.values():
+            if piece is not None:
+                _same_ring(ring, piece[1].ring)
+        pieces = dict(pieces)
+        super().__init__(ring, partial(_piecewise_row, classify, pieces,
+                                       FinVec._of(ring, {})), primitive=False)
+        self.classify = classify
+        self.pieces = pieces
+        self.cases = (classify, {c: None if piece is None
+                                 else (piece[0],) + _walk(piece[1])
+                                 for c, piece in pieces.items()})
+
+
 def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
     """Row alpha of the product: e_alpha pushed through the steps in turn.
 
-    A step is (factor, parts, scale).  While the running vector is one
-    term c * e_t it travels as the pair (t, c): a monomial step sends t
-    through its primitive parts (memo first) and c to c * scale, a general
-    step gives c * row t.  A FinVec is carried only while it has several
-    terms, and then each step applies its whole factor.
+    A step is (factor, cases, parts, scale).  While the running vector is
+    one term c * e_t it travels as the pair (t, c): a piecewise step sends
+    t through its classifier and the piece's reindex, and then acts as the
+    piece's step; a monomial step sends t through its primitive parts
+    (memo first) and c to c * scale; a general step gives c * row t.  A
+    FinVec is carried only while it has several terms, and then each step
+    applies its whole factor.
     """
     one, mul, is_zero = ring.one, ring.mul, ring.is_zero
     t, c, vec = alpha, one, None
-    for f, parts, scale in steps:
+    for f, cases, parts, scale in steps:
         if vec is not None:
             vec = vec.apply(f)
-        elif parts is not None:
-            for memo, part in parts:
-                t = memo.get(t) or part(t)  # a memo hit skips the call
-                if t is None:
-                    return FinVec._of(ring, {})
-            if scale is not None:
-                c = mul(c, scale)
-                if is_zero(c):
-                    return FinVec._of(ring, {})
-            continue
         else:
+            if cases is not None:
+                classify, table = cases
+                piece = table[classify(t)]
+                if piece is None:
+                    return FinVec._of(ring, {})
+                reindex, f, parts, scale = piece
+                t = reindex(t)
+            if parts is not None:
+                for memo, part in parts:
+                    t = memo.get(t) or part(t)  # a memo hit skips the call
+                    if t is None:
+                        return FinVec._of(ring, {})
+                if scale is not None:
+                    c = mul(c, scale)
+                    if is_zero(c):
+                        return FinVec._of(ring, {})
+                continue
             vec = f._memo.get(t) or f.row(t)
             if c != one:
                 vec = vec.scale_left(c)
@@ -321,10 +373,9 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
 
 
 def _chain_step(f: RowFiniteMap) -> tuple:
-    """(f, parts, scale): a monomial's (memo, part) pairs, or None for a general f."""
-    if isinstance(f, Monomial):
-        return f, tuple((part.memo, part) for part in f.parts), f._scale
-    return f, None, None
+    """(f, cases, parts, scale): a piecewise f's cases, then its walk from `_walk`."""
+    f, parts, scale = _walk(f)
+    return f, f.cases if isinstance(f, Piecewise) else None, parts, scale
 
 
 class Chain(RowFiniteMap):
@@ -333,7 +384,9 @@ class Chain(RowFiniteMap):
     Row a is e_a pushed through the factors' flat steps in a loop; only
     the chain's own rows are memoized.  A single-term row walks a
     monomial's primitive parts, so it neither reads nor fills a composite
-    monomial's index memo.  Every factor's ring is checked once, here.
+    monomial's index memo, and walks a piecewise factor's pieces, so it
+    neither reads nor fills that factor's row memo.  Every factor's ring
+    is checked once, here.
     """
 
     __slots__ = ("factors", "steps")

@@ -8,7 +8,6 @@ hashable and canonical, so payload equality is ring equality.
 from __future__ import annotations
 
 import json
-from itertools import repeat
 
 
 class RingError(Exception):
@@ -69,6 +68,10 @@ class BaseRing:
     def random_payload(self, rng):
         raise NotImplementedError
 
+    def random_payloads(self, rng, count: int) -> list:
+        """The payloads of `count` calls of `random_payload(rng)`, in order."""
+        return [self.random_payload(rng) for _ in range(count)]
+
     def format_payload(self, a) -> str:
         raise NotImplementedError
 
@@ -88,10 +91,40 @@ class BaseRing:
         return f"<ring {self.spec}>"
 
 
-class IntegerRing(BaseRing):
+class _UniformDraws:
+    """Payloads low + r, r uniform in [0, width), drawn from raw bits.
+
+    r is `width.bit_length()` bits from `rng.getrandbits`, drawn again
+    while r >= width: CPython's own `randrange` algorithm, so the draws
+    and the generator's state match `rng.randrange(low, low + width)`.
+    """
+
+    _low: int
+    _width: int
+    _bits: int
+
+    def random_payload(self, rng):
+        return self.random_payloads(rng, 1)[0]
+
+    def random_payloads(self, rng, count: int) -> list:
+        low, width, k, bits = self._low, self._width, self._bits, rng.getrandbits
+        out = []
+        for _ in range(count):
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            out.append(low + r)
+        return out
+
+
+class IntegerRing(_UniformDraws, BaseRing):
     spec = "Int"
     zero = 0
     one = 1
+    # Random payloads: rng.randint(-10**6, 10**6).
+    _low = -(10**6)
+    _width = 2 * 10**6 + 1
+    _bits = _width.bit_length()
 
     def add(self, a, b):
         return a + b
@@ -114,9 +147,6 @@ class IntegerRing(BaseRing):
         half, odd = divmod(index + 1, 2)
         return half if odd else -half
 
-    def random_payload(self, rng):
-        return rng.randint(-(10**6), 10**6)
-
     def format_payload(self, a):
         return str(a)
 
@@ -124,13 +154,20 @@ class IntegerRing(BaseRing):
         return self.canon(int(text))
 
 
-class ModularRing(BaseRing):
-    """Integers mod n for n >= 2; residues canonicalized into [0, n)."""
+class ModularRing(_UniformDraws, BaseRing):
+    """Integers mod n for n >= 2; residues canonicalized into [0, n).
+
+    Random payloads are the draws of rng.randrange(n).
+    """
+
+    _low = 0
 
     def __init__(self, n: int):
         if n < 2:
             raise RingSpecError(f"modulus must be >= 2, got {n}")
         self.n = n
+        self._width = n
+        self._bits = n.bit_length()
         self.spec = f"Zmod:{n}"
         self.zero = 0
         self.one = 1 % n
@@ -157,9 +194,6 @@ class ModularRing(BaseRing):
 
     def nth_element(self, index):
         return index % self.n
-
-    def random_payload(self, rng):
-        return rng.randrange(self.n)
 
     def format_payload(self, a):
         return str(a)
@@ -275,12 +309,9 @@ class MatrixRing(BaseRing):
         return tuple(tuple(next(it) for _ in range(self.k)) for _ in range(self.k))
 
     def random_payload(self, rng):
-        """k*k base-ring draws from rng, in row-major order.
-
-        One `map` makes every draw; `zip` cuts them into rows of k.
-        """
+        """k*k base-ring draws from rng, in row-major order, in one bulk call."""
         k = self.k
-        cells = map(self.base.random_payload, repeat(rng, k * k))
+        cells = iter(self.base.random_payloads(rng, k * k))
         return tuple(zip(*[cells] * k))
 
     def format_payload(self, a):

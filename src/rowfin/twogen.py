@@ -96,11 +96,13 @@ def build_g_family(source: dict, ring: BaseRing) -> GFamily:
     g4 = mx.from_index_map(ring, partial(_shift_layer, enc, dec, 1))
     g5 = mx.from_index_map(ring, partial(_shift_layer, enc, dec, -1))
 
+    zero = FinVec._of(ring, {})
+
     def g3_row(alpha):
         i, gamma = dec(alpha)
         u = source.get(i)
         if u is None:
-            return FinVec.zero(ring)
+            return zero
         # Row gamma of u_i transported onto layer i: u's entries are
         # canonical and nonzero, and every encoded index is >= 1.
         return FinVec._of(ring, {enc(i, c): v for c, v in u.row(gamma).entries.items()})
@@ -177,32 +179,39 @@ def _sigma1_index(alpha: int) -> int:
     return 7 * j if e == 6 else 7 * (j - 1) // 2 + 1 + e
 
 
+def _position(alpha: int) -> int:
+    """alpha's position j in its mod-7 piece: alpha = 7(j - 1) + class."""
+    return (alpha - 1) // 7 + 1
+
+
+def _sigma1_row(alpha: int) -> int:
+    """For alpha in class 7, the k-th element 7k - 6 of Sigma_1 = {1, 8, 15, ...},
+    where f1^6 sends it to alpha."""
+    return 7 * _sigma1_index(alpha) - 6
+
+
 def build_two_generators(fam: GFamily) -> tuple[RowFiniteMap, RowFiniteMap]:
     """(f1, f3), whose words reproduce g1..g5.
 
-    f1 advances the mod-7 pieces (merging the last two); f3 glues the
-    inverse transports so that g_i = f1^6 f3 f1^i f3 for i in 1..5.  The
-    g-word checks of a report verify those identities.
+    f1 advances the mod-7 pieces (merging the last two).  f3 is piecewise
+    over the mod-7 classes, so that g_i = f1^6 f3 f1^i f3 for i in 1..5:
+
+    * class 1 gives zero rows;
+    * on class c in 2..6, row alpha is row `_position(alpha)` of g_{c-1}:
+      the row of t_{c-1}^{-1} f2^{-1} g_{c-1} collapses to a plain row of
+      g_{c-1}, indexed by alpha's position in its piece;
+    * on class 7, row alpha is the unit row e_{7k-6} (`_sigma1_row`):
+      t6^{-1} f2 undoes six f1-steps and lands in the k-th row of
+      Sigma_1.
+
+    The g-word checks of a report verify those identities.
     """
     ring = fam.ring
-    part = SevenPartition()
-
-    f1 = mx.from_index_map(ring, _phi)
     gmaps = fam.gmaps()
-
-    def f3_row(alpha):
-        c = part.class_of(alpha)
-        if c == 1:
-            return FinVec.zero(ring)
-        if c <= 6:
-            # Row of t_i^{-1} f2^{-1} g_i collapses to a plain row of g_i,
-            # indexed by alpha's position in its piece.
-            return gmaps[c - 1].row((alpha - 1) // 7 + 1)
-        # Class 7: t6^{-1} f2, i.e. undo six f1-steps then land in the
-        # k-th row of Sigma_1 = {1, 8, 15, ...}.
-        return FinVec._of(ring, {7 * _sigma1_index(alpha) - 6: ring.one})
-
-    return f1, RowFiniteMap(ring, f3_row)
+    pieces = {1: None, 7: (_sigma1_row, mx.identity_map(ring))}
+    pieces.update((c, (_position, gmaps[c - 1])) for c in range(2, 7))
+    f1 = mx.from_index_map(ring, _phi)
+    return f1, mx.Piecewise(ring, SevenPartition().class_of, pieces)
 
 
 # ---------------------------------------------------------------------------

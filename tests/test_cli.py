@@ -433,6 +433,25 @@ def test_maltsev_perturbed_f3_fails_only_a_g_word_check(monkeypatch):
     assert check["detail"].startswith("row 1:")
 
 
+@pytest.mark.parametrize("argv", [["two-gen", "--family", "random", "--seed", "7"],
+                                  MALTSEV])
+def test_shifted_f3_piece_fails_the_g4_word_check(monkeypatch, argv):
+    """f3's class-5 piece reads row j + 1 of g4 for row j: the g4 word,
+    whose chains walk that piece, fails, and no other g-word does."""
+    build = tg.build_two_generators
+
+    def shifted(fam):
+        f1, f3 = build(fam)
+        pieces = dict(f3.pieces)
+        reindex, g4 = pieces[5]
+        pieces[5] = (lambda a: reindex(a) + 1, g4)
+        return f1, mx.Piecewise(fam.ring, f3.classify, pieces)
+
+    monkeypatch.setattr(tg, "build_two_generators", shifted)
+    failed = [c["name"] for c in failing_checks(argv)]
+    assert [name for name in failed if not name.startswith("u")] == ["g4 word"]
+
+
 def test_maltsev_non_additive_image_fails_only_the_hom_check(monkeypatch):
     embed = tg.maltsev_embed
 

@@ -433,6 +433,54 @@ def test_chain_steps_walk_the_parts_of_composite_monomials():
     assert f1_6.index.memo == {100: a}
 
 
+def piecewise_mod_4(ring, rng):
+    """Classes a mod 4: a zero class, a scaled composite monomial with
+    holes, a general map and a scalar, each behind its own reindex."""
+    c = mx.scalar_map(ring, ((1, 1), (0, 1)))
+    holes = mx.from_index_map(ring, lambda a: None if a % 3 == 0 else a)
+    pieces = {0: None,
+              1: (lambda a: a // 4 + 1, product([c, shift_map(ring), holes])),
+              2: (lambda a: a, random_map(ring, rng, window=64, density=0.05)),
+              3: (lambda a: 2 * a, mx.scalar_map(ring, ((0, 1), (1, 1))))}
+    return mx.Piecewise(ring, lambda a: a % 4, pieces), pieces
+
+
+def test_piecewise_rows_are_the_pieces_rows():
+    pw, pieces = piecewise_mod_4(MAT2, random.Random(29))
+    assert isinstance(pieces[1][1], mx.Monomial) and pieces[1][1].coeff != MAT2.one
+    for a in range(1, 129):
+        piece = pieces[a % 4]
+        expected = FinVec.zero(MAT2) if piece is None else piece[1].row(piece[0](a))
+        assert pw.row(a) == expected
+
+
+def test_chains_walk_piecewise_factors():
+    """Chains through piecewise factors against the general row path.  A
+    single-term row walks the pieces, so a leading piecewise factor's row
+    memo stays empty."""
+    ring = MAT2
+    rng = random.Random(30)
+    for _ in range(5):
+        g, h = (random_map(ring, rng, window=64, density=0.05) for _ in range(2))
+        pw, _ = piecewise_mod_4(ring, rng)
+        c = mx.scalar_map(ring, ring.random_payload(rng))
+        for factors in ((pw, g), (g, pw, h), (shift_map(ring), pw, pw, h),
+                        (pw, c, pw), (h, c, pw)):
+            pw._memo.clear()
+            chain = product(factors)
+            assert isinstance(chain, mx.Chain)
+            for a in range(1, 17):
+                chain.row(a)
+            if factors == (pw, g):
+                assert not pw._memo
+            assert mx.first_mismatch(chain, slow_product(list(factors)), 16) is None
+
+
+def test_piecewise_rejects_a_piece_in_another_ring():
+    with pytest.raises(RingError, match="ring mismatch: GF:5 vs Zmod:6"):
+        mx.Piecewise(GF5, lambda a: 1, {1: (lambda a: a, mx.identity_map(Z6))})
+
+
 def test_chain_rejects_mixed_rings_at_construction():
     gf3 = random_map(parse_ring_spec("GF:3"), random.Random(26))
     with pytest.raises(RingError, match="ring mismatch: GF:5 vs GF:3"):

@@ -140,23 +140,52 @@ def test_canonicalization_idempotent(spec):
         assert ring.canon(ring.canon(x)) == ring.canon(x)
 
 
-def nested_draw(ring, rng):
-    """The replaced `MatrixRing.random_payload`: one call per cell, row by row."""
+def randrange_draw(ring, rng):
+    """The oracle for `random_payload`: `randrange` per cell, row by row."""
     if isinstance(ring, MatrixRing):
-        return tuple(tuple(nested_draw(ring.base, rng) for _ in range(ring.k))
+        return tuple(tuple(randrange_draw(ring.base, rng) for _ in range(ring.k))
                      for _ in range(ring.k))
-    return ring.random_payload(rng)
+    if isinstance(ring, IntegerRing):
+        return rng.randint(-(10**6), 10**6)
+    return rng.randrange(ring.n)
 
 
-@pytest.mark.parametrize("spec", ["Mat:2:GF:2", "Mat:3:Zmod:6", "Mat:2:Int",
-                                  "Mat:2:Mat:2:GF:2"])
-def test_random_payload_matches_the_per_cell_draw(spec):
-    ring = parse_ring_spec(spec)
+SCALAR_DRAW_SPECS = [f"Zmod:{n}" for n in (2, 3, 5, 6, 7, 8, 9)] + ["GF:2", "GF:7", "Int"]
+MATRIX_DRAW_SPECS = ["Mat:2:GF:2", "Mat:3:Zmod:6", "Mat:2:Int", "Mat:2:Mat:2:GF:2"]
+DRAW_SPECS = SCALAR_DRAW_SPECS + MATRIX_DRAW_SPECS
+
+
+def assert_draws_match_randrange(ring):
+    """10**4 raw-bit draws equal the randrange draws, and leave the
+    generator in the same state (after each of the first 50 of a seed,
+    and at the end)."""
     for seed in (0, 1, 7, 4242):
         fast, slow = random.Random(seed), random.Random(seed)
-        for _ in range(50):
-            assert ring.random_payload(fast) == nested_draw(ring, slow)
-            assert fast.getstate() == slow.getstate()
+        for i in range(2500):
+            assert ring.random_payload(fast) == randrange_draw(ring, slow)
+            if i < 50:
+                assert fast.getstate() == slow.getstate()
+        assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("spec", SCALAR_DRAW_SPECS)
+def test_random_payload_matches_randrange(spec):
+    assert_draws_match_randrange(parse_ring_spec(spec))
+
+
+@pytest.mark.parametrize("spec", MATRIX_DRAW_SPECS)
+def test_random_payload_matches_the_per_cell_draw(spec):
+    assert_draws_match_randrange(parse_ring_spec(spec))
+
+
+@pytest.mark.parametrize("spec", DRAW_SPECS)
+def test_bulk_random_payloads_match_single_draws(spec):
+    ring = parse_ring_spec(spec)
+    fast, slow = random.Random(7), random.Random(7)
+    for count in (0, 1, 2, 5, 40):
+        assert ring.random_payloads(fast, count) == [
+            randrange_draw(ring, slow) for _ in range(count)]
+    assert fast.getstate() == slow.getstate()
 
 
 def test_finite_enumeration_lists_each_element_once():

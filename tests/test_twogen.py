@@ -130,6 +130,58 @@ def test_closed_form_class_7_rows_match_six_inverse_steps():
         assert f3.row(alpha) == FinVec.unit(GF3, 7 * k - 6)
 
 
+def f3_row(fam, alpha):
+    """The oracle for f3's rows: one hand-written row function over the
+    mod-7 classes."""
+    ring = fam.ring
+    c = SevenPartition().class_of(alpha)
+    if c == 1:
+        return FinVec.zero(ring)
+    if c <= 6:
+        # Row of t_i^{-1} f2^{-1} g_i collapses to a plain row of g_i,
+        # indexed by alpha's position in its piece.
+        return fam.gmaps()[c - 1].row((alpha - 1) // 7 + 1)
+    # Class 7: t6^{-1} f2, i.e. undo six f1-steps then land in the
+    # k-th row of Sigma_1 = {1, 8, 15, ...}.
+    return FinVec.unit(ring, 7 * tg._sigma1_index(alpha) - 6)
+
+
+PIECEWISE_CASES = [(spec, family) for spec in ("Zmod:6", "GF:5", "Mat:2:GF:2")
+                   for family in ("random", "units")]
+
+
+def family_of(spec, family):
+    ring = parse_ring_spec(spec)
+    source = random_family(ring, seed=4) if family == "random" else units_family(ring)
+    return tg.build_g_family(source, ring)
+
+
+@pytest.mark.parametrize("spec,family", PIECEWISE_CASES)
+def test_piecewise_f3_rows_match_the_row_function(spec, family):
+    fam = family_of(spec, family)
+    _, f3 = tg.build_two_generators(fam)
+    assert isinstance(f3, mx.Piecewise)
+    rng = random.Random(23)
+    far = [top + rng.randrange(-10 ** 4, 10 ** 4) for top in (10 ** 9, 10 ** 12)
+           for _ in range(200)]
+    for alpha in list(range(1, 10 ** 4 + 1)) + far:
+        assert f3.row(alpha) == f3_row(fam, alpha), alpha
+
+
+@pytest.mark.parametrize("spec,family", PIECEWISE_CASES)
+def test_g_word_chains_walk_f3_as_its_rows_give_it(spec, family):
+    """Each g-word chain walks f3's pieces on its single-term rows; the
+    same chain with f3 read only by its rows is the reference."""
+    fam = family_of(spec, family)
+    f1, f3 = tg.build_two_generators(fam)
+    by_rows = mx.RowFiniteMap(fam.ring, f3.row)
+    for i in range(1, 6):
+        walked = eval_word(tg.g_word(i), {"f1": f1, "f3": f3}, fam.ring)
+        assert f3 in walked.factors
+        read = eval_word(tg.g_word(i), {"f1": f1, "f3": by_rows}, fam.ring)
+        assert mx.first_mismatch(walked, read, 512) is None
+
+
 def enumerated_index_maps(n):
     """f1's index map and its inverse on 1..n, read off enumerations of the
     pieces {c, c+7, ...}: the j-th element of piece c goes to the j-th of
