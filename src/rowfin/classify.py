@@ -149,7 +149,8 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 1000) -> SubringCen
     also its dedup key.  Each subring S is extended by one line of E/S at
     a time, represented by a vector on S's non-pivot cells whose first
     nonzero entry is 1.  The cap bounds the candidate lines at the
-    diagonal, (p^(n*n-n) - 1)/(p - 1).
+    diagonal, (p^(n*n-n) - 1)/(p - 1) = 1 + p + ... + p^(n*n-n-1), which
+    is summed only until it passes the cap.
 
     Each subring must equal the incidence subring of its own nonzero-cell
     relation, and that relation must be a preorder; the census is returned
@@ -161,10 +162,13 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 1000) -> SubringCen
         field = PrimeField(p)
     except RingError as exc:
         raise ClassifyError(str(exc)) from None
-    lines = (p ** (n * n - n) - 1) // (p - 1)
-    if lines > feasibility_cap:
-        raise ClassifyError(f"{lines} candidate lines at the diagonal exceed "
-                            f"the feasibility cap {feasibility_cap}")
+    lines, power = 0, 1
+    for _ in range(n * n - n):
+        lines += power
+        if lines > feasibility_cap:
+            raise ClassifyError("the candidate lines at the diagonal exceed "
+                                f"the feasibility cap {feasibility_cap}")
+        power *= p
     algebra = _CellAlgebra(field, n)
     diagonal = [algebra.unit(i, i) for i in range(n)]
     base = algebra.close({}, [], diagonal)

@@ -4,16 +4,20 @@ Vectors model elements of the direct sum; matrices act on the right and
 memoize computed rows.  A map is one of
 
 * general (`RowFiniteMap`): an arbitrary row function;
-* `Monomial`: row a is coeff * e_{index(a)}, or zero where the partial
-  index function is undefined;
+* `Monomial`: row a is coeff * e_t, where the map's walk sends a to t
+  through its primitive partial index functions, or zero where one of
+  them is undefined;
 * `Piecewise`: row a is row reindex_c(a) of the map m_c of a's class
   c = classify(a), or zero where the class has no piece;
-* `Chain`: a flat product of factors, evaluated by a loop over flat
-  steps built once: a monomial factor becomes its primitive index parts
-  and its scale, which the loop walks itself, and a piecewise factor
-  becomes its classifier and one such step per piece.  A chain row
-  carries a single term as (index, coefficient) across the steps and
-  builds a vector only when it has several terms.
+* `Chain`: a flat product of factors.
+
+Each structured kind is stored once, as the steps a chain walks: a
+monomial as its walk and coefficient, a piecewise map as its cases
+(the classifier and one reindex and step per piece), a chain as the
+steps of its factors.  `_chain_row` reads the rows of all three; a
+monomial or piecewise map is the chain of its single step.  A chain row
+carries a single term as (index, coefficient) across the steps and
+builds a vector only when it has several terms.
 
 Zero entries are pruned at every arithmetic step so supports are exact.
 """
@@ -201,158 +205,52 @@ class RowFiniteMap:
         return self.row(alpha).support()
 
 
-def _memoized_index(fn, parts: tuple):
-    """Partial index function a -> int | None, computed once per a.
-
-    A primitive one calls `fn`; a composite one (fn None) applies the flat
-    tuple `parts` of primitives in turn, reading each part's memo (its
-    `memo` attribute) before calling it, and no parts is the identity.
-    """
+def _memoized_index(fn) -> tuple:
+    """(memo, index): the partial index function fn, a -> int | None,
+    computed once per a and kept in memo."""
     memo = {}
-    steps = tuple((part.memo, part) for part in parts)
 
     def index(alpha):
         t = memo.get(alpha, 0)  # 0 is never an index: not computed yet
         if t == 0:
-            if fn is not None:
-                row_evals.count += 1
-                t = fn(alpha)
-                if t is not None and t < 1:
-                    raise MatrixError(f"index must be >= 1, got {t}")
-            else:
-                t = alpha
-                for part_memo, part in steps:
-                    t = part_memo.get(t) or part(t)
-                    if t is None:
-                        break
+            row_evals.count += 1
+            t = fn(alpha)
+            if t is not None and t < 1:
+                raise MatrixError(f"index must be >= 1, got {t}")
             memo[alpha] = t
         return t
 
-    index.memo = memo
-    return index
-
-
-# The kinds bind these module functions with `partial` rather than pass a
-# bound method: a map whose row function refers to the map is a reference
-# cycle, freed only by the cyclic GC, and short-lived maps then pile up.
-def _monomial_row(ring: BaseRing, index, coeff, alpha: int) -> FinVec:
-    t = index(alpha)
-    return FinVec._of(ring, {} if t is None or ring.is_zero(coeff) else {t: coeff})
-
-
-class Monomial(RowFiniteMap):
-    """Row a is coeff * e_{index(a)}, or zero where the index is None.
-
-    The index is a primitive partial function `fn`, or the flat tuple
-    `parts` of primitive ones that a product of monomials applies in turn.
-    """
-
-    __slots__ = ("index", "parts", "coeff", "_scale")
-
-    def __init__(self, ring: BaseRing, fn=None, coeff=None, parts: tuple = ()):
-        index = _memoized_index(fn, parts)
-        coeff = ring.one if coeff is None else ring.canon(coeff)
-        super().__init__(ring, partial(_monomial_row, ring, index, coeff),
-                         primitive=False)
-        self.index = index
-        self.parts = (index,) if fn is not None else parts
-        self.coeff = coeff
-        self._scale = None if coeff == ring.one else coeff
-
-    def remap(self, vec: FinVec) -> FinVec:
-        """vec . self: move each entry to its target, scaled on the right."""
-        ring, index, scale = self.ring, self.index, self._scale
-        out = {}
-        for idx, val in vec.entries.items():
-            t = index(idx)
-            if t is None:
-                continue
-            if scale is not None:
-                val = ring.mul(val, scale)
-            if t in out:
-                val = ring.add(out[t], val)
-            elif scale is None:
-                out[t] = val
-                continue
-            if ring.is_zero(val):
-                out.pop(t, None)
-            else:
-                out[t] = val
-        return FinVec._of(ring, out)
-
-    def then(self, g: "Monomial") -> "Monomial":
-        """The product self g: indices chain, coefficients multiply."""
-        return Monomial(self.ring, coeff=self.ring.mul(self.coeff, g.coeff),
-                        parts=self.parts + g.parts)
-
-
-def _piecewise_row(classify, pieces: dict, zero: FinVec, alpha: int) -> FinVec:
-    piece = pieces[classify(alpha)]
-    if piece is None:
-        return zero
-    reindex, m = piece
-    return m.row(reindex(alpha))
-
-
-def _walk(f: RowFiniteMap) -> tuple:
-    """(f, parts, scale): a monomial's (memo, part) pairs, or None for a map read by row."""
-    if isinstance(f, Monomial):
-        return f, tuple((part.memo, part) for part in f.parts), f._scale
-    return f, None, None
-
-
-class Piecewise(RowFiniteMap):
-    """Row a is row reindex_c(a) of m_c, where c = classify(a).
-
-    `pieces` maps every class that `classify` returns to (reindex_c,
-    m_c), or to None for a class whose rows are zero.  `cases` is the
-    flat form a chain walks: the classifier and, per class, None or
-    (reindex_c, m_c, parts, scale) with m_c's walk from `_walk`.
-    """
-
-    __slots__ = ("classify", "pieces", "cases")
-
-    def __init__(self, ring: BaseRing, classify, pieces: dict):
-        for piece in pieces.values():
-            if piece is not None:
-                _same_ring(ring, piece[1].ring)
-        pieces = dict(pieces)
-        super().__init__(ring, partial(_piecewise_row, classify, pieces,
-                                       FinVec._of(ring, {})), primitive=False)
-        self.classify = classify
-        self.pieces = pieces
-        self.cases = (classify, {c: None if piece is None
-                                 else (piece[0],) + _walk(piece[1])
-                                 for c, piece in pieces.items()})
+    return memo, index
 
 
 def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
     """Row alpha of the product: e_alpha pushed through the steps in turn.
 
-    A step is (factor, cases, parts, scale).  While the running vector is
-    one term c * e_t it travels as the pair (t, c): a piecewise step sends
-    t through its classifier and the piece's reindex, and then acts as the
-    piece's step; a monomial step sends t through its primitive parts
-    (memo first) and c to c * scale; a general step gives c * row t.  A
-    FinVec is carried only while it has several terms, and then each step
-    applies its whole factor.
+    A step is (factor, cases, walk, scale), as `_step` builds it.  While
+    the running vector is one term c * e_t it travels as the pair (t, c):
+    a piecewise step sends t through its classifier and the piece's
+    reindex, and then acts as the piece's step; a monomial step sends t
+    through its walk of primitive index functions (memo first) and c to
+    c * scale; a general step gives c * row t.  A FinVec is carried only
+    while it has several terms, and then each step applies its whole
+    factor.
     """
     one, mul, is_zero = ring.one, ring.mul, ring.is_zero
     t, c, vec = alpha, one, None
-    for f, cases, parts, scale in steps:
+    for f, cases, walk, scale in steps:
         if vec is not None:
             vec = vec.apply(f)
         else:
-            if cases is not None:
+            while cases is not None:
                 classify, table = cases
                 piece = table[classify(t)]
                 if piece is None:
                     return FinVec._of(ring, {})
-                reindex, f, parts, scale = piece
+                reindex, f, cases, walk, scale = piece
                 t = reindex(t)
-            if parts is not None:
-                for memo, part in parts:
-                    t = memo.get(t) or part(t)  # a memo hit skips the call
+            if walk is not None:
+                for memo, index in walk:
+                    t = memo.get(t) or index(t)  # a memo hit skips the call
                     if t is None:
                         return FinVec._of(ring, {})
                 if scale is not None:
@@ -372,34 +270,116 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
     return FinVec._of(ring, {t: c}) if vec is None else vec
 
 
-def _chain_step(f: RowFiniteMap) -> tuple:
-    """(f, cases, parts, scale): a piecewise f's cases, then its walk from `_walk`."""
-    f, parts, scale = _walk(f)
-    return f, f.cases if isinstance(f, Piecewise) else None, parts, scale
+# Each kind reads its own rows with `_chain_row`, bound with `partial` to
+# its single step with the factor left out (None), rather than pass a
+# bound method: a map whose row function refers to the map is a reference
+# cycle, freed only by the cyclic GC, and short-lived maps then pile up.
+class Monomial(RowFiniteMap):
+    """Row a is coeff * e_t, where `walk`, a tuple of (memo, index)
+    pairs from `_memoized_index`, sends a to t one primitive partial index
+    function at a time; the row is zero where one of them is None.  No
+    walk is the identity.
+    """
+
+    __slots__ = ("walk", "coeff")
+
+    def __init__(self, ring: BaseRing, walk: tuple = (), coeff=None):
+        coeff = ring.one if coeff is None else ring.canon(coeff)
+        scale = None if coeff == ring.one else coeff
+        super().__init__(ring, partial(_chain_row, ring, ((None, None, walk, scale),)),
+                         primitive=False)
+        self.walk = walk
+        self.coeff = coeff
+
+    def remap(self, vec: FinVec) -> FinVec:
+        """vec . self: move each entry to its target, scaled on the right."""
+        ring, walk, coeff = self.ring, self.walk, self.coeff
+        scale = None if coeff == ring.one else coeff
+        out = {}
+        for t, val in vec.entries.items():
+            for memo, index in walk:
+                t = memo.get(t) or index(t)
+                if t is None:
+                    break
+            if t is None:
+                continue
+            if scale is not None:
+                val = ring.mul(val, scale)
+            if t in out:
+                val = ring.add(out[t], val)
+            elif scale is None:
+                out[t] = val
+                continue
+            if ring.is_zero(val):
+                out.pop(t, None)
+            else:
+                out[t] = val
+        return FinVec._of(ring, out)
+
+    def then(self, g: "Monomial") -> "Monomial":
+        """The product self g: walks chain, coefficients multiply."""
+        return Monomial(self.ring, self.walk + g.walk,
+                        self.ring.mul(self.coeff, g.coeff))
+
+
+class Piecewise(RowFiniteMap):
+    """Row a is row reindex_c(a) of m_c, where c = classify(a).
+
+    `pieces` maps every class that `classify` returns to (reindex_c,
+    m_c), or to None for a class whose rows are zero.  The map keeps only
+    `cases`: the classifier and, per class, None or (reindex_c,) + the
+    step of m_c.
+    """
+
+    __slots__ = ("cases",)
+
+    def __init__(self, ring: BaseRing, classify, pieces: dict):
+        table = {}
+        for c, piece in pieces.items():
+            if piece is not None:
+                reindex, m = piece
+                _same_ring(ring, m.ring)
+                piece = (reindex,) + _step(m)
+            table[c] = piece
+        cases = (classify, table)
+        super().__init__(ring, partial(_chain_row, ring, ((None, cases, None, None),)),
+                         primitive=False)
+        self.cases = cases
 
 
 class Chain(RowFiniteMap):
     """The product factors[0] factors[1] ... of two or more factors.
 
-    Row a is e_a pushed through the factors' flat steps in a loop; only
-    the chain's own rows are memoized.  A single-term row walks a
-    monomial's primitive parts, so it neither reads nor fills a composite
-    monomial's index memo, and walks a piecewise factor's pieces, so it
-    neither reads nor fills that factor's row memo.  Every factor's ring
-    is checked once, here.
+    The chain keeps only its factors' steps, and row a is e_a pushed
+    through them by `_chain_row`; only the chain's own rows are memoized.
+    A single-term row walks a monomial's primitive index functions and a
+    piecewise factor's pieces, so it neither reads nor fills that
+    factor's row memo.  Every factor's ring is checked once, here.
     """
 
-    __slots__ = ("factors", "steps")
+    __slots__ = ("steps",)
 
-    def __init__(self, ring: BaseRing, factors: tuple, steps: tuple = None):
-        # `compose` passes the steps of factors whose rings it has checked.
+    def __init__(self, ring: BaseRing, factors: tuple = (), steps: tuple = None):
+        # `compose` passes steps in place of factors whose rings it has checked.
         if steps is None:
             for f in factors:
                 _same_ring(ring, f.ring)
-            steps = tuple(_chain_step(f) for f in factors)
+            steps = tuple(_step(f) for f in factors)
         super().__init__(ring, partial(_chain_row, ring, steps), primitive=False)
-        self.factors = factors
         self.steps = steps
+
+
+def _step(f: RowFiniteMap) -> tuple:
+    """(f, cases, walk, scale): how `_chain_row` walks the factor f.
+
+    A monomial gives its walk and its coefficient, or None for one; a
+    piecewise map gives its cases; a general map, read by row, neither.
+    """
+    if isinstance(f, Monomial):
+        return f, None, f.walk, None if f.coeff == f.ring.one else f.coeff
+    if isinstance(f, Piecewise):
+        return f, f.cases, None, None
+    return f, None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +388,7 @@ class Chain(RowFiniteMap):
 
 def scalar_map(ring: BaseRing, payload) -> Monomial:
     """Diagonal map with a constant entry."""
-    return Monomial(ring, coeff=payload)
+    return Monomial(ring, (), payload)
 
 
 def zero_map(ring: BaseRing) -> Monomial:
@@ -420,17 +400,17 @@ def identity_map(ring: BaseRing) -> Monomial:
 
 
 def matrix_unit(ring: BaseRing, i: int, j: int) -> Monomial:
-    return Monomial(ring, {i: j}.get)
+    return from_index_map(ring, {i: j}.get)
 
 
 def projection(ring: BaseRing, member) -> Monomial:
     """Projection onto the coordinates where the predicate `member` holds."""
-    return Monomial(ring, lambda a: a if member(a) else None)
+    return from_index_map(ring, lambda a: a if member(a) else None)
 
 
 def from_index_map(ring: BaseRing, fn) -> Monomial:
     """Map sending e_a to e_{fn(a)}; fn returning None gives a zero row."""
-    return Monomial(ring, fn)
+    return Monomial(ring, (_memoized_index(fn),))
 
 
 def from_rows(ring: BaseRing, rows: dict) -> RowFiniteMap:
@@ -449,12 +429,8 @@ def add_maps(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
                         primitive=False)
 
 
-def _factors(f: RowFiniteMap) -> tuple:
-    return f.factors if isinstance(f, Chain) else (f,)
-
-
 def _steps(f: RowFiniteMap) -> tuple:
-    return f.steps if isinstance(f, Chain) else (_chain_step(f),)
+    return f.steps if isinstance(f, Chain) else (_step(f),)
 
 
 def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
@@ -464,17 +440,15 @@ def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
     compose into one monomial; two monomials give a monomial.
     """
     ring = _common_ring(f, g)
-    left, right = _factors(f), _factors(g)
-    lsteps, rsteps = _steps(f), _steps(g)
-    if isinstance(left[-1], Monomial) and isinstance(right[0], Monomial):
-        seam = left[-1].then(right[0])
-        left, lsteps = left[:-1] + (seam,), lsteps[:-1] + (_chain_step(seam),)
-        right, rsteps = right[1:], rsteps[1:]
-    factors = left + right
-    if len(factors) == 1:
-        return factors[0]
+    left, right = _steps(f), _steps(g)
+    last, first = left[-1][0], right[0][0]
+    if isinstance(last, Monomial) and isinstance(first, Monomial):
+        left, right = left[:-1] + (_step(last.then(first)),), right[1:]
+    steps = left + right
+    if len(steps) == 1:
+        return steps[0][0]
     # Every factor of f and of g is in the ring of f and g, checked above.
-    return Chain(ring, factors, lsteps + rsteps)
+    return Chain(ring, steps=steps)
 
 
 # ---------------------------------------------------------------------------

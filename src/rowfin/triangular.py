@@ -7,6 +7,8 @@ finite-support-per-row subring under the lower-triangular matrices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from . import matrices as mx
 from .indexing import tri_block, tri_split
 from .matrices import FinVec, RowFiniteMap
@@ -76,14 +78,13 @@ class _TargetSequence:
         return self._vals[k - 1]
 
     def invert(self, alpha: int):
-        k = 1
-        while True:
-            v = self.get(k)
-            if v == alpha:
-                return k
-            if v > alpha:
-                return None
-            k += 1
+        """The k with l'_k = alpha, or None: a bisection of the targets,
+        extended first until they reach alpha."""
+        vals = self._vals
+        while not vals or vals[-1] < alpha:
+            self.get(len(vals) + 1)
+        k = bisect_left(vals, alpha)
+        return k + 1 if vals[k] == alpha else None
 
 
 def fear_lower_embed(descriptor,

@@ -4,6 +4,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -442,10 +443,11 @@ def test_shifted_f3_piece_fails_the_g4_word_check(monkeypatch, argv):
 
     def shifted(fam):
         f1, f3 = build(fam)
-        pieces = dict(f3.pieces)
+        classify, table = f3.cases
+        pieces = {c: None if case is None else case[:2] for c, case in table.items()}
         reindex, g4 = pieces[5]
         pieces[5] = (lambda a: reindex(a) + 1, g4)
-        return f1, mx.Piecewise(fam.ring, f3.classify, pieces)
+        return f1, mx.Piecewise(fam.ring, classify, pieces)
 
     monkeypatch.setattr(tg, "build_two_generators", shifted)
     failed = [c["name"] for c in failing_checks(argv)]
@@ -765,6 +767,19 @@ def test_simple_full_three_by_three_and_infeasible_scales():
         assert not report.failed
         assert [c["verdict"] for c in doc["checks"]] == ["warn"]
         assert "feasibility" in doc["checks"][0]["detail"]
+
+
+@pytest.mark.parametrize("n, p", [("130", "2"), ("100000", "3")])
+def test_oversized_census_is_a_quick_warning(tmp_path, n, p):
+    """The candidate-line count is summed only until it passes the cap,
+    so no huge power is computed or formatted."""
+    path = tmp_path / "census.json"
+    start = time.perf_counter()
+    assert cli.main(["simple-full", "--n", n, "--p", p, "--out", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    [check] = json.loads(path.read_text())["checks"]
+    assert check["name"] == "census" and check["verdict"] == "warn"
+    assert "feasibility" in check["detail"]
 
 
 def test_simple_full_non_prime_is_a_structured_failure():

@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import reduce
 
@@ -23,6 +24,11 @@ def shift_map(ring, offset=1):
 def product(maps):
     """maps[0] maps[1] ... through `compose`."""
     return reduce(mx.compose, maps)
+
+
+def factors_of(f):
+    """The factors a chain's steps walk; any other map is its own factor."""
+    return [step[0] for step in f.steps] if isinstance(f, mx.Chain) else [f]
 
 
 def random_map(ring, rng, window=16, density=0.3):
@@ -365,7 +371,7 @@ def test_chain_matches_general_rows(ring):
         split = rng.randint(1, len(factors) - 1)
         again = mx.compose(product(factors[:split]),
                            product(factors[split:]))
-        assert not any(isinstance(f, mx.Chain) for f in mx._factors(again))
+        assert not any(isinstance(f, mx.Chain) for f in factors_of(again))
         assert mx.first_mismatch(again, prod, 16) is None
     # Edges of the single-term path, built as direct chains so that
     # monomials stay apart.  Coefficients are random payloads, so over
@@ -389,7 +395,8 @@ def test_chain_matches_general_rows(ring):
 
 def test_chain_steps_walk_the_parts_of_composite_monomials():
     """Chains holding products of monomials against the general row path.
-    A single-term row neither reads nor fills a composite's index memo."""
+    A chain walks a monomial factor's primitive index functions, so it
+    never reads or fills that factor's row memo."""
     ring = MAT2
     rng = random.Random(28)
     f1 = mx.from_index_map(ring, tg._phi)
@@ -402,7 +409,7 @@ def test_chain_steps_walk_the_parts_of_composite_monomials():
     run1 = product([c, s, f1, mx.scalar_map(ring, ((0, 1), (1, 1)))])
     run2 = product([s, c, s])
     composites = (f1_6, hole_in_middle, zero_coeff, run1, run2)
-    assert all(isinstance(m, mx.Monomial) and len(m.parts) > 1 for m in composites)
+    assert all(isinstance(m, mx.Monomial) and len(m.walk) > 1 for m in composites)
     assert f1_6.coeff == c.coeff and hole_in_middle.coeff == ring.one
     assert zero_coeff.coeff == ring.zero
     for _ in range(5):
@@ -418,19 +425,16 @@ def test_chain_steps_walk_the_parts_of_composite_monomials():
             chain = mx.Chain(ring, factors)
             for a in range(1, 17):
                 chain.row(a)
-            # A multi-term row remaps through the composite index, so only
-            # a leading monomial's memo is sure to stay empty.
-            if isinstance(factors[0], mx.Monomial):
-                assert not factors[0].index.memo
+            assert not any(m._memo for m in composites)
             assert mx.first_mismatch(chain, slow_product(list(factors)), 16) is None
-            for m in composites:
-                m.index.memo.clear()
-    # One row of f1_6: c times e_{phi^6(a)}, from the composite's own memo.
+            for m in composites:    # the reference read their rows
+                m._memo.clear()
+    # One row of f1_6: c times e_{phi^6(a)}, kept in the monomial's row memo.
     a = 100
     for _ in range(6):
         a = tg._phi(a)
     assert f1_6.row(100) == FinVec(ring, {a: c.coeff})
-    assert f1_6.index.memo == {100: a}
+    assert list(f1_6._memo) == [100]
 
 
 def piecewise_mod_4(ring, rng):
@@ -492,17 +496,48 @@ def test_monomials_meeting_in_a_chain_merge():
     s = shift_map(GF5)
     chain = product([s, s, g, s, s, s, g])
     assert isinstance(chain, mx.Chain)
-    assert [type(f) for f in chain.factors] == [mx.Monomial, RowFiniteMap,
-                                                mx.Monomial, RowFiniteMap]
+    assert [type(f) for f in factors_of(chain)] == [mx.Monomial, RowFiniteMap,
+                                                    mx.Monomial, RowFiniteMap]
 
 
 def test_long_chain_row_needs_no_recursion():
     rng = random.Random(25)
     g = random_map(Z6, rng, density=0.2)
     chain = product([shift_map(Z6, 0), g] * 3000)
-    assert isinstance(chain, mx.Chain) and len(chain.factors) == 6000
+    assert isinstance(chain, mx.Chain) and len(chain.steps) == 6000
     for a in range(1, 5):
         chain.row(a)
+
+
+KINDS = {
+    "primitive-monomial": lambda: shift_map(GF5),
+    "composite-monomial": lambda: product([shift_map(GF5), mx.scalar_map(GF5, 2),
+                                           shift_map(GF5, 3)]),
+    "scalar": lambda: mx.scalar_map(GF5, 3),
+    "piecewise": lambda: mx.Piecewise(
+        GF5, lambda a: a % 2,
+        {0: None, 1: (lambda a: a // 2 + 1, random_map(GF5, random.Random(1)))}),
+    "chain": lambda: mx.Chain(GF5, (shift_map(GF5), random_map(GF5, random.Random(2)),
+                                    mx.scalar_map(GF5, 4))),
+    "add_maps": lambda: mx.add_maps(shift_map(GF5), random_map(GF5, random.Random(3))),
+    "from_rows": lambda: mx.from_rows(GF5, {1: {2: 1}, 3: {1: 4, 5: 2}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_no_map_kind_makes_a_reference_cycle(kind):
+    """A map's row function never refers to the map, so a dropped map is
+    freed by reference counting, with nothing left for the cyclic GC."""
+    gc.collect()
+    gc.disable()
+    try:
+        f = KINDS[kind]()
+        for a in range(1, 9):
+            f.row(a)
+        del f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_star_import_resolves_every_exported_name():

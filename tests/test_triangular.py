@@ -136,6 +136,30 @@ def test_lower_embed_repeated_maxima():
         assert a < b
 
 
+def scan_invert(seq, alpha):
+    """The k with l'_k = alpha, or None, by walking k = 1, 2, ...: the
+    slow reference for `_TargetSequence.invert`."""
+    k = 1
+    while True:
+        v = seq.get(k)
+        if v == alpha:
+            return k
+        if v > alpha:
+            return None
+        k += 1
+
+
+@pytest.mark.parametrize("name", sorted(cli._DESCRIPTORS))
+def test_lower_embed_inverse_matches_the_scan(name):
+    descriptor = cli._DESCRIPTORS[name]()
+    _, f = tr.fear_lower_embed(descriptor, Z)
+    seq = tr._TargetSequence(descriptor.supp)
+    for alpha in range(1, 2001):
+        k = scan_invert(seq, alpha)
+        expected = FinVec.zero(Z) if k is None else FinVec.unit(Z, k)
+        assert f.row(alpha) == expected, alpha
+
+
 @pytest.mark.parametrize("make", [lambda: fr.banded_fearing(1),
                                   lambda: fr.stretch_fearing(2),
                                   fr.paired_fearing])
