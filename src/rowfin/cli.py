@@ -89,15 +89,17 @@ def builtin_family(kind: str, ring, seed: int, count: int) -> dict:
         # Shifted so every column index stays positive.
         return {i: mx.matrix_unit(ring, 1, i + 3) for i in range(-2, 3)}
     if kind == "random":
-        out = {}
-        for i in range(count):
-            rows = {}
-            for _ in range(rng.randint(1, 5)):
-                r, c = rng.randint(1, 24), rng.randint(1, 24)
-                rows.setdefault(r, {})[c] = ring.random_payload(rng)
-            out[i] = mx.from_rows(ring, rows)
-        return out
+        return {i: _random_cells(ring, rng, 5, 24) for i in range(count)}
     raise ValueError(f"unknown family {kind!r}")
+
+
+def _random_cells(ring, rng, k: int, n: int) -> mx.RowFiniteMap:
+    """A seeded map with 1..k cells drawn in rows and columns 1..n."""
+    rows = {}
+    for _ in range(rng.randint(1, k)):
+        r, c = rng.randint(1, n), rng.randint(1, n)
+        rows.setdefault(r, {})[c] = ring.random_payload(rng)
+    return mx.from_rows(ring, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +201,7 @@ def cmd_maltsev(args) -> Report:
         rng = random.Random(args.seed)
         samples = {"f1": f1, "f3": f3}
         for k in range(20):
-            entries = {}
-            for _ in range(rng.randint(1, 6)):
-                r, c = rng.randint(1, args.window), rng.randint(1, args.window)
-                entries.setdefault(r, {})[c] = ring.random_payload(rng)
-            samples[f"sample {k}"] = mx.from_rows(ring, entries)
+            samples[f"sample {k}"] = _random_cells(ring, rng, 6, args.window)
         _all_hold(report, "centre",
                   _centre_checks(ring, centre, samples, args.window))
     report.witness("words", {str(i): text for i, text

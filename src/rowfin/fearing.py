@@ -20,8 +20,7 @@ class FearingDescriptor:
     """The subring S of all maps whose row a lies in supp(a).
 
     supp(a) must be a finite set of columns.  A row the support closure
-    reaches whose bound is not one raises `WordError` there.  Descriptors
-    compare and hash by name and supp function.
+    reaches whose bound is not one raises `WordError` there.
     """
 
     __slots__ = ("name", "supp")
@@ -29,14 +28,6 @@ class FearingDescriptor:
     def __init__(self, name: str, supp):
         self.name = name
         self.supp = supp            # a -> frozenset
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.supp) == (other.name, other.supp)
-
-    def __hash__(self):
-        return hash((self.name, self.supp))
 
     def sample(self, ring: BaseRing, seed: int) -> RowFiniteMap:
         """A seeded member of S with up to three entries in each of rows 1..24."""

@@ -18,14 +18,38 @@ class RingSpecError(RingError):
     pass
 
 
+# The primes up to 41, and the least number that is a strong pseudoprime
+# to all of them as bases (Sorenson and Webster, 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime: trial division by the bases, then Miller-Rabin
+    on them, which is exact below PRIME_BOUND.  An n at or above the bound
+    with no factor up to 41 raises RingSpecError.
+    """
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_BOUND:
+        raise RingSpecError(f"cannot certify {n} prime: a prime modulus "
+                            f"must be below {PRIME_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,11 +1,13 @@
 """Ring words over named generators.
 
 Words are binary trees with leaves 0, 1, -1, or a generator name; length
-is additive over sums and products.  Includes evaluation into row-finite
-maps, the support-closure over-approximation of proximity balls, and the
-proximity oracle, an exact least-length word search that builds longer
-words only from the first word of each class of words with equal rows
-on the support-closure cover, classes taken across all lengths so far.
+is additive over sums and products.  A word is its printed form, such as
+`((1 + s) * -1)`: words compare, hash and print by it, and no word is
+read back from text.  Includes evaluation into row-finite maps, the
+support-closure over-approximation of proximity balls, and the proximity
+oracle, an exact least-length word search that builds longer words only
+from the first word of each class of words with equal rows on the
+support-closure cover, classes taken across all lengths so far.
 """
 
 from __future__ import annotations
@@ -29,28 +31,32 @@ class OracleBudgetExceeded(WordError):
 class Word:
     """A word: a leaf `Gen` or `Const`, or a `Sum` or `Prod` node.
 
-    Words compare and hash by value; the repr is the printed form.
+    A word is its printed form: words of one class compare, hash and
+    print by their `format_word` text.  Generator names are identifiers,
+    so distinct words print differently.
     """
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return format_word(self) == format_word(other)
+
+    def __hash__(self):
+        return hash(format_word(self))
+
     def __repr__(self):
-        return f"parse_word({format_word(self)!r})"
+        return format_word(self)
 
 
 class Gen(Word):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
+        if not name.isidentifier():
+            raise WordError(f"generator name must be an identifier, got {name!r}")
         self.name = name
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
 
 
 class Const(Word):
@@ -59,14 +65,6 @@ class Const(Word):
     def __init__(self, value: int):
         self.value = value  # one of -1, 0, 1
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 ZERO = Const(0)
 ONE = Const(1)
@@ -74,36 +72,11 @@ NEG_ONE = Const(-1)
 
 
 class _Binary(Word):
-    """Sum or product node.  Equality walks both trees with an explicit
-    stack, and the hash and repr use the printed form, so a word of any
-    depth compares, hashes and prints without recursion.
-    """
-
     __slots__ = ("left", "right")
 
     def __init__(self, left: Word, right: Word):
         self.left = left
         self.right = right
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            if isinstance(a, _Binary):
-                stack.append((a.right, b.right))
-                stack.append((a.left, b.left))
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        return hash(format_word(self))
 
 
 class Sum(_Binary):
@@ -176,70 +149,6 @@ def format_word(w: Word) -> str:
 
 def _format_leaf(w: Word) -> str:
     return w.name if w.__class__ is Gen else str(w.value)
-
-
-def parse_word(text: str) -> Word:
-    """Parse `0 | 1 | -1 | <name> | (w + w) | (w * w)`; round-trips with format_word.
-
-    Open parentheses wait on an explicit stack as [left, op], so nesting
-    depth costs no recursion.
-    """
-    pos = 0
-    end = len(text)
-    open_nodes = []
-
-    def skip_ws():
-        nonlocal pos
-        while pos < end and text[pos].isspace():
-            pos += 1
-
-    while True:
-        skip_ws()
-        if pos >= end:
-            raise WordError("unexpected end of word")
-        ch = text[pos]
-        if ch == "(":
-            pos += 1
-            open_nodes.append([None, None])
-            continue
-        if ch == "-" and text[pos:pos + 2] == "-1":
-            pos += 2
-            w = NEG_ONE
-        elif ch.isdigit():
-            start = pos
-            while pos < end and text[pos].isdigit():
-                pos += 1
-            val = int(text[start:pos])
-            if val not in (0, 1):
-                raise WordError(f"constant must be 0, 1 or -1, got {val}")
-            w = Const(val)
-        elif ch.isalpha() or ch == "_":
-            start = pos
-            while pos < end and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            w = Gen(text[start:pos])
-        else:
-            raise WordError(f"unexpected character {ch!r} at position {pos}")
-        # Close every parenthesis that w completes as a right operand.
-        while open_nodes and open_nodes[-1][0] is not None:
-            left, op = open_nodes.pop()
-            skip_ws()
-            if pos >= end or text[pos] != ")":
-                raise WordError(f"expected ) at position {pos}")
-            pos += 1
-            w = Sum(left, w) if op == "+" else Prod(left, w)
-        if not open_nodes:
-            break
-        skip_ws()
-        if pos >= end or text[pos] not in "+*":
-            raise WordError(f"expected + or * at position {pos}")
-        open_nodes[-1][0] = w
-        open_nodes[-1][1] = text[pos]
-        pos += 1
-    skip_ws()
-    if pos != end:
-        raise WordError(f"trailing input at position {pos}")
-    return w
 
 
 # ---------------------------------------------------------------------------

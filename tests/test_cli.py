@@ -782,6 +782,28 @@ def test_oversized_census_is_a_quick_warning(tmp_path, n, p):
     assert "feasibility" in check["detail"]
 
 
+@pytest.mark.parametrize("argv, status, name", [
+    (["two-gen", "--ring", "GF:100000000000000000039", "--window", "4"], 0, None),
+    (["simple-full", "--n", "1", "--p", "100000000000000000039"], 0, None),
+    (["two-gen", "--ring", f"GF:{2**89 - 1}", "--window", "4"], 1, "input"),
+    (["simple-full", "--n", "1", "--p", f"{2**89 - 1}"], 1, "census"),
+], ids=["two-gen-prime", "simple-full-prime", "two-gen-over", "simple-full-over"])
+def test_large_prime_moduli_answer_at_once(tmp_path, argv, status, name):
+    """A 21-digit prime is certified without trial division up to its root,
+    and a prime modulus above the certified bound is a structured failure."""
+    path = tmp_path / "large.json"
+    start = time.perf_counter()
+    assert cli.main(argv + ["--out", str(path)]) == status
+    assert time.perf_counter() - start < 1
+    checks = json.loads(path.read_text())["checks"]
+    failed = [c for c in checks if c["verdict"] == "fail"]
+    if name is None:
+        assert not failed
+    else:
+        assert [c["name"] for c in failed] == [name]
+        assert "must be below 3317044064679887385961981" in failed[0]["detail"]
+
+
 def test_simple_full_non_prime_is_a_structured_failure():
     report, doc = run_json(["simple-full", "--n", "2", "--p", "4"])
     assert report.failed

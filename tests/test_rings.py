@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from rowfin.rings import (IntegerRing, MatrixRing, ModularRing, PrimeField,
-                          RingError, RingSpecError, central_payloads,
-                          parse_ring_spec)
+from rowfin.rings import (PRIME_BOUND, IntegerRing, MatrixRing, ModularRing,
+                          PrimeField, RingError, RingSpecError, _is_prime,
+                          central_payloads, parse_ring_spec)
 
 
 def test_parse_ring_spec_grammar():
@@ -206,6 +206,45 @@ def test_prime_field_requires_prime():
     with pytest.raises(RingSpecError):
         PrimeField(4)
     assert PrimeField(7).spec == "GF:7"
+
+
+def trial_division(n: int) -> bool:
+    """Primality by trial division up to sqrt(n): the slow test that
+    Miller-Rabin replaced, kept as its oracle."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 200_000) if _is_prime(n) != trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,            # strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,   # strong pseudoprime to every prime base up to 23
+])
+def test_strong_pseudoprimes_are_not_prime(n):
+    assert not _is_prime(n) and not trial_division(n)
+
+
+def test_large_prime_moduli_below_the_bound_are_exact():
+    assert _is_prime(2**61 - 1) and _is_prime(100000000000000000039)
+    assert not _is_prime(1000003 * (2**61 - 1))
+    assert parse_ring_spec("GF:100000000000000000039").n == 100000000000000000039
+    # At or above the bound a factor up to 41 still answers exactly.
+    assert not _is_prime(PRIME_BOUND + 1) and not _is_prime(41 * 2**89)
+
+
+@pytest.mark.parametrize("p", [PRIME_BOUND, 2**89 - 1])
+def test_moduli_above_the_bound_are_refused(p):
+    with pytest.raises(RingSpecError, match=str(PRIME_BOUND)):
+        parse_ring_spec(f"GF:{p}")
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])

@@ -10,10 +10,9 @@ from rowfin import twogen as tg
 from rowfin import words as wd
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, parse_ring_spec
-from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, Sum, WordError,
-                          eval_word, format_word, parse_word, prod_chain,
-                          proximity_oracle, support_closure, word_generators,
-                          word_length)
+from rowfin.words import (NEG_ONE, ONE, ZERO, Const, Gen, Prod, Sum, WordError,
+                          eval_word, format_word, prod_chain, proximity_oracle,
+                          support_closure, word_generators, word_length)
 
 Z = IntegerRing()
 GF2 = parse_ring_spec("GF:2")
@@ -46,18 +45,36 @@ def test_prod_chain_left_associated():
         prod_chain([])
 
 
-def test_format_parse_roundtrip():
+def tree(w):
+    """w as nested tuples read off its fields, with no use of its printed form."""
+    if isinstance(w, (Sum, Prod)):
+        return (w.__class__.__name__, tree(w.left), tree(w.right))
+    return (w.__class__.__name__, w.name if isinstance(w, Gen) else w.value)
+
+
+def test_printed_form_is_injective():
     rng = random.Random(2)
+    # Fresh leaf objects, so equal words are never one object.
+    leaves = [lambda: Const(0), lambda: Const(1), lambda: Const(-1),
+              lambda: Gen("f1"), lambda: Gen("s")]
 
     def random_word(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice([ZERO, ONE, NEG_ONE, Gen("f1"), Gen("s")])
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(leaves)()
         ctor = rng.choice([Sum, Prod])
         return ctor(random_word(depth - 1), random_word(depth - 1))
 
-    for _ in range(100):
-        w = random_word(4)
-        assert parse_word(format_word(w)) == w
+    equal = 0
+    for _ in range(2000):
+        a, b = random_word(rng.randint(0, 3)), random_word(rng.randint(0, 3))
+        same = tree(a) == tree(b)
+        equal += same
+        assert (format_word(a) == format_word(b)) is same
+        assert (a == b) is same and (a != b) is not same
+        assert repr(a) == format_word(a)
+        if same:
+            assert hash(a) == hash(b)
+    assert 100 < equal < 1900
     assert format_word(Prod(Sum(ONE, Gen("s")), NEG_ONE)) == "((1 + s) * -1)"
 
 
@@ -69,7 +86,7 @@ def test_deep_word_helpers_do_not_recurse():
     # 2003 factors chained left, the first of them eight products deep.
     assert text.startswith("(" * (2002 + 8) + "f1 * f1)")
     assert text.count("(") == length - 1
-    back = parse_word(text)
+    back = tg.u_word(1000)
     assert back == w and back is not w
     assert hash(back) == hash(w)
     assert word_length(back) == word_length(w) == length
@@ -78,7 +95,7 @@ def test_deep_word_helpers_do_not_recurse():
     assert back != tg.u_word(999)
     assert Prod(w, ONE) != Sum(w, ONE)
     assert Prod(w, ONE) != Prod(back, ZERO)
-    assert repr(w) == f"parse_word({text!r})"
+    assert repr(w) == text
 
 
 def test_sum_and_prod_equality_and_hash():
@@ -91,10 +108,12 @@ def test_sum_and_prod_equality_and_hash():
     assert len({Sum(a, b), Sum(a, b), Prod(a, b), a}) == 3
 
 
-def test_parse_word_errors():
-    for bad in ["", "(a +", "2", "(a ? b)", "a b"]:
-        with pytest.raises(WordError):
-            parse_word(bad)
+def test_generator_names_are_identifiers():
+    # Otherwise Sum(Gen("1"), ONE) would print, and so compare, as Sum(ONE, ONE).
+    for bad in ["1", "a b", "", "-1", "(s * s)"]:
+        with pytest.raises(WordError, match="identifier"):
+            Gen(bad)
+    assert Gen("f1").name == "f1" and Gen("_s2").name == "_s2"
 
 
 def test_eval_word_basics():
