@@ -11,7 +11,7 @@ sandwich witness are read off the normal form's table: a triple
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 from . import matrices as mx
 from .indexing import PreorderDescriptor, cantor_pair, cantor_unpair
@@ -141,7 +141,7 @@ class SubringCensus:
         self.sizes = sizes
 
 
-def simple_full_check(n: int, p: int, feasibility_cap: int = 1000) -> SubringCensus:
+def simple_full_check(n: int, p: int, feasibility_cap: int = 20000) -> SubringCensus:
     """Enumerate diagonal-containing subrings of the n x n matrices over GF(p).
 
     Over GF(p) an additive subgroup is a subspace, so a subring is held as
@@ -151,6 +151,11 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 1000) -> SubringCen
     nonzero entry is 1.  The cap bounds the candidate lines at the
     diagonal, (p^(n*n-n) - 1)/(p - 1) = 1 + p + ... + p^(n*n-n-1), which
     is summed only until it passes the cap.
+
+    Conjugating by a permutation matrix, (i, j) -> (s(i), s(j)) on cells,
+    fixes the diagonal and maps the extensions of S onto those of its
+    image.  So a newly closed subring enters `found` with its whole
+    orbit, and only the orbit member with the least key is extended.
 
     Each subring must equal the incidence subring of its own nonzero-cell
     relation, and that relation must be a preorder; the census is returned
@@ -181,8 +186,9 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 1000) -> SubringCen
             bigger = algebra.close(s, gens, [x])
             key = algebra.key(bigger)
             if key not in found:
-                found[key] = bigger
-                queue.append(bigger)
+                orbit = algebra.orbit(key, bigger)
+                found.update(orbit)
+                queue.append(orbit[min(orbit)])
 
     subrings = []
     for s in found.values():
@@ -222,6 +228,11 @@ class _CellAlgebra:
         self.field = field
         self.n = n
         self.cells = n * n
+        # Each non-identity permutation s as its cell map: entry c of the
+        # permuted vector is entry sources[c] of the original.
+        self.sources = [
+            tuple(s[c // n] * n + s[c % n] for c in range(self.cells))
+            for s in permutations(range(n))][1:]
 
     def unit(self, i: int, j: int) -> tuple:
         v = [0] * self.cells
@@ -275,14 +286,29 @@ class _CellAlgebra:
         for v in new:
             if self.insert(basis, v):
                 gens.append(v)
-        while done < len(gens):
+        # A span of all n*n cells is the whole ring, which is closed.
+        while done < len(gens) and len(basis) < self.cells:
             v = gens[done]
             for u in gens[:done + 1]:
                 for w in (self.mul(v, u), self.mul(u, v)):
                     if self.insert(basis, w):
+                        if len(basis) == self.cells:
+                            return basis
                         gens.append(w)
             done += 1
         return basis
+
+    def orbit(self, key: tuple, basis: dict) -> dict:
+        """The key -> basis map of every permuted image of a subring."""
+        orbit = {key: basis}
+        if len(basis) == self.cells:
+            return orbit  # the whole ring is fixed by every permutation
+        for sources in self.sources:
+            image = {}
+            for row in basis.values():
+                self.insert(image, tuple(row[c] for c in sources))
+            orbit.setdefault(self.key(image), image)
+        return orbit
 
     def key(self, basis: dict) -> tuple:
         return tuple(basis[q] for q in sorted(basis))

@@ -26,7 +26,7 @@ from . import triangular as tr
 from . import twogen as tg
 from . import words as wd
 from .indexing import PreorderSpecError, parse_preorder, tri
-from .rings import RingError, central_payloads, parse_ring_spec
+from .rings import RingError, parse_ring_spec
 
 PASS, FAIL, WARN = "pass", "fail", "warn"
 
@@ -86,8 +86,11 @@ def builtin_family(kind: str, ring, seed: int, count: int) -> dict:
     if kind == "empty":
         return {}
     if kind == "units":
-        # Shifted so every column index stays positive.
-        return {i: mx.matrix_unit(ring, 1, i + 3) for i in range(-2, 3)}
+        # u_i = e_(1, i + half + 1) for i in -half..count - half - 1, so
+        # every column index stays positive; -2..2 at count 5.
+        half = count // 2
+        return {i: mx.matrix_unit(ring, 1, i + half + 1)
+                for i in range(-half, count - half)}
     if kind == "random":
         return {i: _random_cells(ring, rng, 5, 24) for i in range(count)}
     raise ValueError(f"unknown family {kind!r}")
@@ -134,7 +137,10 @@ def _all_hold(report: Report, name: str, checks):
 
 def cmd_two_gen(args) -> Report:
     ring = parse_ring_spec(args.ring)
-    report = Report(args.command, _config(args))
+    config = _config(args)
+    if args.family == "empty":
+        del config["count"]  # the empty family has no members to count
+    report = Report(args.command, config)
     source = builtin_family(args.family, ring, args.seed, args.count)
     fam = tg.build_g_family(source, ring)
     f1, f3 = tg.build_two_generators(fam)
@@ -188,22 +194,17 @@ def cmd_maltsev(args) -> Report:
     _word_checks(report, fam, {"f1": f1, "f3": f3}, targets, args.window)
     payloads = [ring.nth_element(i) for i in range(args.count)]
     _all_hold(report, "hom", _hom_checks(ring, images, payloads, args.window))
-    try:
-        centre = central_payloads(ring)
-    except RingError as exc:
-        report.check("centre", WARN, str(exc))
-    else:
-        # Int is commutative: every element is central.
-        centre = payloads if centre is None else [
-            s for s in centre if s in payloads]
-        # f1, f3 and 20 seeded maps with 1..6 cells in rows and columns
-        # 1..window.
-        rng = random.Random(args.seed)
-        samples = {"f1": f1, "f3": f3}
-        for k in range(20):
-            samples[f"sample {k}"] = _random_cells(ring, rng, 6, args.window)
-        _all_hold(report, "centre",
-                  _centre_checks(ring, centre, samples, args.window))
+    # The central payloads in enumeration order, decided by the ring's
+    # structure, so no ring is enumerated.
+    centre = [s for s in payloads if ring.is_central(s)]
+    # f1, f3 and 20 seeded maps with 1..6 cells in rows and columns
+    # 1..window.
+    rng = random.Random(args.seed)
+    samples = {"f1": f1, "f3": f3}
+    for k in range(20):
+        samples[f"sample {k}"] = _random_cells(ring, rng, 6, args.window)
+    _all_hold(report, "centre",
+              _centre_checks(ring, centre, samples, args.window))
     report.witness("words", {str(i): text for i, text
                              in tg.u_word_texts(range(args.count)).items()})
     return report

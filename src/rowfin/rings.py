@@ -105,6 +105,10 @@ class BaseRing:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
+    def is_central(self, a) -> bool:
+        """Whether a commutes with every payload of the ring."""
+        raise NotImplementedError
+
     def __eq__(self, other):
         return isinstance(other, BaseRing) and self.spec == other.spec
 
@@ -159,6 +163,9 @@ class IntegerRing(_UniformDraws, BaseRing):
     def neg(self, a):
         return -a
 
+    def is_central(self, a):
+        return True  # commutative
+
     def canon(self, a):
         if not isinstance(a, int):
             raise RingError(f"not an integer payload: {a!r}")
@@ -204,6 +211,9 @@ class ModularRing(_UniformDraws, BaseRing):
 
     def neg(self, a):
         return (-a) % self.n
+
+    def is_central(self, a):
+        return True  # commutative
 
     def canon(self, a):
         if not isinstance(a, int):
@@ -286,6 +296,13 @@ class MatrixRing(BaseRing):
 
     def neg(self, a):
         return tuple(tuple(self.base.neg(x) for x in row) for row in a)
+
+    def is_central(self, a):
+        """The centre of M_k(R) is Z(R)·I: a is z·I with z central in R."""
+        z, zero = a[0][0], self.base.zero
+        return self.base.is_central(z) and all(
+            x == (z if i == j else zero)
+            for i, row in enumerate(a) for j, x in enumerate(row))
 
     def canon(self, a):
         if not isinstance(a, (list, tuple)):
@@ -377,13 +394,3 @@ def _parse_int(piece: str, full: str) -> int:
     except ValueError as exc:
         raise RingSpecError(f"malformed ring spec: {full!r}") from exc
 
-
-def central_payloads(ring: BaseRing):
-    """The center of a finite ring by enumeration; for Int, the whole ring is central."""
-    if isinstance(ring, IntegerRing):
-        return None  # commutative: everything is central
-    n = ring.size()
-    if n is None:
-        raise RingError(f"cannot enumerate center of infinite ring {ring.spec}")
-    elems = list(ring.elements())
-    return [s for s in elems if all(ring.mul(s, t) == ring.mul(t, s) for t in elems)]

@@ -115,16 +115,14 @@ simple-full --n 2 --p 4
 """
 
 
-def _argvs() -> list:
-    lines = "\n".join([_DETERMINISM, _CONSOLE, _CORRUPT_AND_MALFORMED, _FEAR,
-                       _RINGS, _FAMILIES, _CENSUS]).splitlines()
-    return list(dict.fromkeys(line for line in lines if line))
+# Each argv once, in first-listed order.
+ARGVS = list(dict.fromkeys(
+    line for block in (_DETERMINISM, _CONSOLE, _CORRUPT_AND_MALFORMED, _FEAR,
+                       _RINGS, _FAMILIES, _CENSUS)
+    for line in block.splitlines() if line))
 
 
-ARGVS = _argvs()
-
-
-def digests(lines=ARGVS) -> dict:
+def digests() -> dict:
     """{line: {"sha256": ..., "status": ...}} for each argv line, run in
     one process in a fresh directory that holds FILES."""
     from rowfin import cli
@@ -133,7 +131,7 @@ def digests(lines=ARGVS) -> dict:
     with tempfile.TemporaryDirectory() as tmp, _chdir(tmp):
         for name, text in FILES.items():
             Path(name).write_text(text)
-        for line in lines:
+        for line in ARGVS:
             report, _, _ = cli.run(line.split())
             out[line] = {
                 "sha256": hashlib.sha256(report.to_json().encode()).hexdigest(),

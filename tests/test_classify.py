@@ -279,13 +279,50 @@ def test_simple_full_matches_element_set_census(n, p):
     assert sorted(census.sizes) == sizes
 
 
+def orbit_free_census(n, p):
+    """The census search with no permutation orbits: every closed subring
+    is extended by every line of E/S.  The reference for
+    `simple_full_check`, built from the same cell algebra and read out in
+    the same order."""
+    algebra = cl._CellAlgebra(PrimeField(p), n)
+    base = algebra.close({}, [], [algebra.unit(i, i) for i in range(n)])
+    found = {algebra.key(base): base}
+    queue = [base]
+    while queue:
+        s = queue.pop()
+        gens = list(s.values())
+        for x in algebra.line_representatives(s):
+            bigger = algebra.close(s, gens, [x])
+            key = algebra.key(bigger)
+            if key not in found:
+                found[key] = bigger
+                queue.append(bigger)
+    subrings = []
+    for s in found.values():
+        rel = {(c // n + 1, c % n + 1)
+               for row in s.values() for c, v in enumerate(row) if v}
+        subrings.append((len(s), sorted((b, a) for a, b in rel),
+                         tuple(sorted(rel))))
+    subrings.sort()
+    return (len(found), [rel for _, _, rel in subrings],
+            [p ** dim for dim, _, _ in subrings])
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_orbit_search_matches_the_orbit_free_search(n, p):
+    census = cl.simple_full_check(n, p)
+    count, preorders, sizes = orbit_free_census(n, p)
+    assert (census.count, census.preorders, census.sizes) == (count, preorders,
+                                                               sizes)
+
+
 def is_preorder(rel, n):
     rel = set(rel)
     return (all((a, a) in rel for a in range(1, n + 1))
             and all((a, d) in rel for a, b in rel for c, d in rel if b == c))
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_simple_full_three_by_three(p):
     census = cl.simple_full_check(3, p)
     assert census.count == 29  # preorders on three points (OEIS A000798)
@@ -312,5 +349,5 @@ def test_simple_full_rejects_bad_parameters():
 def test_simple_full_trivial_and_cap():
     assert cl.simple_full_check(1, 3).count == 1
     with pytest.raises(cl.ClassifyError):
-        cl.simple_full_check(3, 5)
+        cl.simple_full_check(3, 11)
 

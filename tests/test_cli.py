@@ -44,6 +44,28 @@ def test_two_gen_empty_family():
         "construction", "g1 word", "g2 word", "g3 word", "g4 word", "g5 word"}
 
 
+@pytest.mark.parametrize("count, indices", [
+    (1, [0]), (2, [-1, 0]), (3, [-1, 0, 1]), (5, [-2, -1, 0, 1, 2]),
+    (8, [-4, -3, -2, -1, 0, 1, 2, 3])])
+def test_two_gen_units_count(count, indices):
+    """--count sets the units family: u_i = e_(1, i + count // 2 + 1)."""
+    report, doc = run_json(["two-gen", "--count", str(count), "--window", "12"])
+    assert not report.failed
+    assert [c["name"] for c in doc["checks"]][6:] == [f"u{i} word"
+                                                     for i in indices]
+    assert sorted(doc["witnesses"]["words"], key=int) == [str(i) for i in indices]
+    source = cli.builtin_family("units", parse_ring_spec("GF:3"), 0, count)
+    assert {i: sorted(f.row(1).entries) for i, f in source.items()} == {
+        i: [i + count // 2 + 1] for i in indices}
+
+
+def test_two_gen_empty_family_records_no_count():
+    _, doc = run_json(["two-gen", "--family", "empty", "--count", "9",
+                       "--window", "4"])
+    assert "count" not in doc["config"]
+    assert doc == run_json(["two-gen", "--family", "empty", "--window", "4"])[1]
+
+
 def test_two_gen_corrupt_fails():
     report, doc = run_json(["two-gen", "--window", "20", "--corrupt"])
     assert report.failed
@@ -322,17 +344,17 @@ def test_fear_oracle_max_confirms_blocks_1_to_k():
     assert oracle_checks == ["block 1 oracle", "block 2 oracle", "block 3 oracle"]
 
 
-def test_maltsev_infinite_matrix_ring_is_a_structured_warning(capsys):
+def test_maltsev_infinite_matrix_ring_checks_its_centre(capsys):
     report, doc = run_json(["maltsev", "--ring", "Mat:2:Int", "--count", "3",
                             "--window", "8"])
     assert not report.failed
-    *checked, centre = doc["checks"]
-    assert [c["name"] for c in checked] == [
+    assert [c["name"] for c in doc["checks"]] == [
         "construction", "g1 word", "g2 word", "g3 word", "g4 word", "g5 word",
-        "u0 word", "u1 word", "u2 word", "hom"]
-    assert {c["verdict"] for c in checked} == {"pass"}
-    assert (centre["name"], centre["verdict"]) == ("centre", "warn")
-    assert "center" in centre["detail"]
+        "u0 word", "u1 word", "u2 word", "hom", "centre"]
+    assert {c["verdict"] for c in doc["checks"]} == {"pass"}
+    # Of the first three payloads only the zero matrix is central: one
+    # element against f1, f3 and 20 samples.
+    assert doc["checks"][-1]["detail"] == "22 checks"
     assert cli.main(["maltsev", "--ring", "Mat:2:Int", "--count", "3",
                      "--window", "8"]) == 0
     json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -473,7 +495,7 @@ def test_maltsev_non_additive_image_fails_only_the_hom_check(monkeypatch):
 def test_maltsev_non_central_payload_fails_only_the_centre_check(monkeypatch):
     ring = parse_ring_spec("Mat:2:GF:2")
     unit = ring.parse_payload("[[0,1],[0,0]]")
-    monkeypatch.setattr(cli, "central_payloads", lambda r: [ring.zero, unit])
+    monkeypatch.setattr(ring, "is_central", lambda a: a in (ring.zero, unit))
     [check] = failing_checks(["maltsev", "--ring", "Mat:2:GF:2", "--count", "16",
                               "--window", "32"])
     assert check["name"] == "centre"
@@ -653,7 +675,7 @@ def test_simple_full_subcommand():
     report, doc = run_json(["simple-full", "--n", "2", "--p", "2"])
     assert not report.failed
     assert doc["witnesses"]["count"] == 4
-    report, doc = run_json(["simple-full", "--n", "3", "--p", "5"])
+    report, doc = run_json(["simple-full", "--n", "3", "--p", "11"])
     assert not report.failed  # infeasible scale is a warning, not a failure
     assert doc["checks"][0]["verdict"] == "warn"
 
@@ -715,7 +737,7 @@ TWO_GEN_EMPTY_CORRUPT = (
     '"verdict":"fail"},{"name":"g2 word","verdict":"pass"},{"name":"g3 '
     'word","verdict":"pass"},{"name":"g4 word","verdict":"pass"},'
     '{"name":"g5 word","verdict":"pass"}],"config":{"corrupt":true,'
-    '"count":5,"family":"empty","ring":"GF:3","seed":0,"window":3},'
+    '"family":"empty","ring":"GF:3","seed":0,"window":3},'
     '"subcommand":"two-gen","witnesses":{"f1":[[1,2,"1"],[2,3,"1"],[3,4,'
     '"1"]],"f3":[[2,1,"1"],[3,1,"1"]],"words":{}}}\n'
 )
@@ -762,7 +784,7 @@ def test_simple_full_three_by_three_and_infeasible_scales():
     report, doc = run_json(["simple-full", "--n", "3", "--p", "2"])
     assert not report.failed
     assert doc["witnesses"]["count"] == 29
-    for n, p in (("3", "5"), ("4", "2")):
+    for n, p in (("3", "11"), ("4", "3")):
         report, doc = run_json(["simple-full", "--n", n, "--p", p])
         assert not report.failed
         assert [c["verdict"] for c in doc["checks"]] == ["warn"]

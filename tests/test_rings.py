@@ -4,7 +4,7 @@ import pytest
 
 from rowfin.rings import (PRIME_BOUND, IntegerRing, MatrixRing, ModularRing,
                           PrimeField, RingError, RingSpecError, _is_prime,
-                          central_payloads, parse_ring_spec)
+                          parse_ring_spec)
 
 
 def test_parse_ring_spec_grammar():
@@ -256,13 +256,59 @@ def test_prime_field_inverse(p):
         field.inv(0)
 
 
+def central_payloads(ring):
+    """The centre of a finite ring by enumeration: every payload that
+    commutes with every payload, in enumeration order.  The oracle for
+    `is_central`."""
+    elems = list(ring.elements())
+    return [s for s in elems
+            if all(ring.mul(s, t) == ring.mul(t, s) for t in elems)]
+
+
+# Every finite ring the tests build with at most 4,096 elements, plus a
+# nested one.
+SMALL_RING_SPECS = ["GF:2", "GF:3", "GF:5", "GF:7", "Zmod:2", "Zmod:3",
+                    "Zmod:5", "Zmod:6", "Zmod:36", "Mat:1:GF:2", "Mat:1:GF:3",
+                    "Mat:1:GF:5", "Mat:2:GF:2", "Mat:2:GF:3", "Mat:2:Zmod:3",
+                    "Mat:2:Zmod:6", "Mat:3:GF:2", "Mat:1:Mat:2:GF:2"]
+
+
+@pytest.mark.parametrize("spec", SMALL_RING_SPECS)
+def test_is_central_matches_the_enumerated_centre(spec):
+    ring = parse_ring_spec(spec)
+    assert ring.size() <= 4096
+    assert [s for s in ring.elements() if ring.is_central(s)] == \
+        central_payloads(ring)
+
+
 def test_central_payloads():
-    assert central_payloads(IntegerRing()) is None
     z6 = ModularRing(6)
     assert sorted(central_payloads(z6)) == [0, 1, 2, 3, 4, 5]
     mat = parse_ring_spec("Mat:2:GF:2")
-    centre = central_payloads(mat)
-    assert sorted(centre) == [mat.zero, mat.one]
+    assert central_payloads(mat) == [mat.zero, mat.one]
+
+
+@pytest.mark.parametrize("spec", ["Mat:1:Int", "Mat:2:Int", "Mat:2:Mat:2:GF:2"])
+def test_is_central_on_rings_too_large_to_enumerate(spec):
+    """M_k(R) is generated by its matrix units and the scalars r·I, so a
+    payload is central iff it commutes with all of them.  Checked on the
+    first 300 payloads, with r over R's first 16 elements (all of
+    Mat:2:GF:2; over Int every r·I is central anyway)."""
+    ring = parse_ring_spec(spec)
+    k, base = ring.k, ring.base
+
+    def placed(cells):
+        return tuple(tuple(cells.get((i, j), base.zero) for j in range(k))
+                     for i in range(k))
+
+    gens = [placed({(i, j): base.one}) for i in range(k) for j in range(k)]
+    gens += [placed({(i, i): base.nth_element(r) for i in range(k)})
+             for r in range(16)]
+    for index in range(300):
+        a = ring.nth_element(index)
+        assert ring.is_central(a) == all(
+            ring.mul(a, g) == ring.mul(g, a) for g in gens)
+    assert ring.is_central(ring.zero) and ring.is_central(ring.one)
 
 
 def test_matrix_payload_text_roundtrip():
