@@ -23,6 +23,10 @@ class ClassifyError(Exception):
     pass
 
 
+class CensusInfeasible(ClassifyError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Membership
 
@@ -150,7 +154,8 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 20000) -> SubringCe
     a time, represented by a vector on S's non-pivot cells whose first
     nonzero entry is 1.  The cap bounds the candidate lines at the
     diagonal, (p^(n*n-n) - 1)/(p - 1) = 1 + p + ... + p^(n*n-n-1), which
-    is summed only until it passes the cap.
+    is summed only until it passes the cap; past it, `CensusInfeasible`
+    is raised.
 
     Conjugating by a permutation matrix, (i, j) -> (s(i), s(j)) on cells,
     fixes the diagonal and maps the extensions of S onto those of its
@@ -171,8 +176,8 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 20000) -> SubringCe
     for _ in range(n * n - n):
         lines += power
         if lines > feasibility_cap:
-            raise ClassifyError("the candidate lines at the diagonal exceed "
-                                f"the feasibility cap {feasibility_cap}")
+            raise CensusInfeasible("the candidate lines at the diagonal exceed "
+                                   f"the feasibility cap {feasibility_cap}")
         power *= p
     algebra = _CellAlgebra(field, n)
     diagonal = [algebra.unit(i, i) for i in range(n)]

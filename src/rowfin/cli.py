@@ -353,7 +353,8 @@ def cmd_simple_full(args) -> Report:
     try:
         census = cl.simple_full_check(args.n, args.p)
     except cl.ClassifyError as exc:
-        report.check("census", WARN if "feasibility" in str(exc) else FAIL,
+        report.check("census",
+                     WARN if isinstance(exc, cl.CensusInfeasible) else FAIL,
                      str(exc))
         return report
     report.check("census", PASS, f"count={census.count}")
@@ -406,7 +407,7 @@ def cmd_oracle(args) -> Report:
         except (OSError, ValueError, mx.MatrixError, RingError) as exc:
             report.check("input", FAIL, f"--in {args.infile}: {exc}")
             return report
-        if file_ring != ring:
+        if file_ring is not ring:
             report.check("input", FAIL, "ring mismatch in input file")
             return report
         env["m"] = m
@@ -547,14 +548,19 @@ def run(argv=None) -> tuple[Report, float, object]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and print its report; 1 if it failed or stdout closed."""
+    """Run one subcommand and print its report; 1 if it failed, stdout
+    closed or the --out file could not be written."""
     report, elapsed, args = run(argv)
     out = getattr(args, "out", None)
     text = report.pretty(elapsed) + ("" if out else report.to_json())
     printed = _write_stdout(text)
     if out:
-        with open(out, "w") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(out, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            print(f"rowfin: cannot write {out}: {exc.strerror}", file=sys.stderr)
+            return 1
     return 1 if report.failed or not printed else 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .rings import BaseRing, RingError
+from .rings import BaseRing, parse_ring_spec, same_ring
 
 
 class MatrixError(Exception):
@@ -44,18 +44,6 @@ class _RowEvalCounter:
 
 
 row_evals = _RowEvalCounter()
-
-
-def _same_ring(ring: BaseRing, other: BaseRing) -> BaseRing:
-    """ring, if other is the same ring: identity first (rings are interned), then spec."""
-    if other is not ring and other != ring:
-        raise RingError(f"ring mismatch: {ring.spec} vs {other.spec}")
-    return ring
-
-
-def _common_ring(x, y) -> BaseRing:
-    """The ring shared by x and y."""
-    return _same_ring(x.ring, y.ring)
 
 
 class FinVec:
@@ -100,7 +88,7 @@ class FinVec:
     def add(self, other: "FinVec") -> "FinVec":
         ring = self.ring
         if other.ring is not ring:
-            _common_ring(self, other)
+            same_ring(ring, other.ring)
         add, is_zero, zero = ring.add, ring.is_zero, ring.zero
         out = dict(self.entries)
         for idx, val in other.entries.items():
@@ -128,15 +116,16 @@ class FinVec:
     def apply(self, f: "RowFiniteMap") -> "FinVec":
         """Right action: self . f = sum_a self[a] * row_a(f)."""
         if f.ring is not self.ring:
-            _common_ring(self, f)
+            same_ring(self.ring, f.ring)
         if isinstance(f, Monomial):
             return f.remap(self)
         return push(self, f.row)
 
     def __eq__(self, other):
-        # Entries first, so rings are compared only for equal entries.  No
-        # identity shortcut on the rings: perfbench's self-test needs the
-        # ring comparisons counted on the sandwich and oracle workloads.
+        # Entries first, so rings are compared only for equal entries.  Ring
+        # == is identity (rings are interned), but is written as ==:
+        # perfbench's self-test needs the ring comparisons counted on the
+        # twogen, sandwich and oracle workloads.
         return (isinstance(other, FinVec) and self.entries == other.entries
                 and self.ring == other.ring)
 
@@ -197,7 +186,7 @@ class RowFiniteMap:
                 row_evals.count += 1
             cached = self._rowfn(alpha)
             if cached.ring is not self.ring:
-                _common_ring(self, cached)
+                same_ring(self.ring, cached.ring)
             self._memo[alpha] = cached
         return cached
 
@@ -338,7 +327,7 @@ class Piecewise(RowFiniteMap):
         for c, piece in pieces.items():
             if piece is not None:
                 reindex, m = piece
-                _same_ring(ring, m.ring)
+                same_ring(ring, m.ring)
                 piece = (reindex,) + _step(m)
             table[c] = piece
         cases = (classify, table)
@@ -363,7 +352,7 @@ class Chain(RowFiniteMap):
         # `compose` passes steps in place of factors whose rings it has checked.
         if steps is None:
             for f in factors:
-                _same_ring(ring, f.ring)
+                same_ring(ring, f.ring)
             steps = tuple(_step(f) for f in factors)
         super().__init__(ring, partial(_chain_row, ring, steps), primitive=False)
         self.steps = steps
@@ -425,8 +414,8 @@ def from_rows(ring: BaseRing, rows: dict) -> RowFiniteMap:
 
 
 def add_maps(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
-    return RowFiniteMap(_common_ring(f, g), lambda a: f.row(a).add(g.row(a)),
-                        primitive=False)
+    return RowFiniteMap(same_ring(f.ring, g.ring),
+                        lambda a: f.row(a).add(g.row(a)), primitive=False)
 
 
 def _steps(f: RowFiniteMap) -> tuple:
@@ -439,7 +428,7 @@ def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
     Products flatten into one Chain, and monomials meeting at the seam
     compose into one monomial; two monomials give a monomial.
     """
-    ring = _common_ring(f, g)
+    ring = same_ring(f.ring, g.ring)
     left, right = _steps(f), _steps(g)
     last, first = left[-1][0], right[0][0]
     if isinstance(last, Monomial) and isinstance(first, Monomial):
@@ -461,7 +450,7 @@ def first_mismatch(f: RowFiniteMap, g: RowFiniteMap, n: int) -> str | None:
     Otherwise the first differing row a, as `row a: got <f's row>,
     expected <g's row>`; rows are compared in full.
     """
-    _common_ring(f, g)
+    same_ring(f.ring, g.ring)
     if n < 1:
         raise MatrixError(f"window must be >= 1, got {n}")
     for a in range(1, n + 1):
@@ -498,8 +487,6 @@ def to_sparse(f: RowFiniteMap, n: int) -> list:
 
 def load_sparse(text: str):
     """Parse the sparse triple format; returns (ring, RowFiniteMap)."""
-    from .rings import parse_ring_spec
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("ring "):
         raise MatrixError("missing `ring <spec>` header")

@@ -53,12 +53,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class BaseRing:
+_INTERNED: dict[str, BaseRing] = {}
+
+
+class _Interned(type):
+    """Construction returns the one ring object of its spec, and a
+    constructor that raises interns nothing."""
+
+    def __call__(cls, *args, **kwargs):
+        ring = super().__call__(*args, **kwargs)
+        return _INTERNED.setdefault(ring.spec, ring)
+
+
+def same_ring(ring: BaseRing, other: BaseRing) -> BaseRing:
+    """ring, if other is the same object, else RingError: rings are
+    interned, so this identity test is the only ring check."""
+    if other is not ring:
+        raise RingError(f"ring mismatch: {ring.spec} vs {other.spec}")
+    return ring
+
+
+class BaseRing(metaclass=_Interned):
     """Abstract ring operating on canonical payloads.
 
-    Instances are immutable and compare equal iff their spec strings match.
-    `parse_ring_spec` interns them, so rings from parsed specs are equal
-    exactly when they are identical; hot paths test identity first.
+    Instances are immutable and interned at construction: each spec
+    string has exactly one ring object, however it is built, so ring
+    equality and hashing are identity.
     """
 
     spec: str
@@ -80,10 +100,6 @@ class BaseRing:
     def size(self):
         """Number of elements, or None when infinite."""
         return None
-
-    def elements(self):
-        """Iterate every payload once (finite rings only)."""
-        raise RingError(f"{self.spec} is not finite")
 
     def nth_element(self, index: int):
         """Deterministic enumeration; surjective for finite rings, injective otherwise."""
@@ -108,12 +124,6 @@ class BaseRing:
     def is_central(self, a) -> bool:
         """Whether a commutes with every payload of the ring."""
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, BaseRing) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
 
     def __repr__(self):
         return f"<ring {self.spec}>"
@@ -223,9 +233,6 @@ class ModularRing(_UniformDraws, BaseRing):
     def size(self):
         return self.n
 
-    def elements(self):
-        return iter(range(self.n))
-
     def nth_element(self, index):
         return index % self.n
 
@@ -322,13 +329,6 @@ class MatrixRing(BaseRing):
         b = self.base.size()
         return None if b is None else b ** (self.k * self.k)
 
-    def elements(self):
-        total = self.size()
-        if total is None:
-            raise RingError(f"{self.spec} is not finite")
-        for index in range(total):
-            yield self.nth_element(index)
-
     def nth_element(self, index):
         b = self.base.size()
         cells = self.k * self.k
@@ -366,11 +366,9 @@ class MatrixRing(BaseRing):
         return self.canon(data)
 
 
-_INTERNED: dict[str, BaseRing] = {}
-
-
 def parse_ring_spec(text: str) -> BaseRing:
-    """Parse `Int | Zmod:<n> | GF:<p> | Mat:<k>:<inner-spec>`; one ring object per spec."""
+    """Parse `Int | Zmod:<n> | GF:<p> | Mat:<k>:<inner-spec>` into the
+    ring object of the spec, which its constructor interns."""
     text = text.strip()
     if text == "Int":
         ring = IntegerRing()
@@ -385,7 +383,7 @@ def parse_ring_spec(text: str) -> BaseRing:
         ring = MatrixRing(parse_ring_spec(inner), _parse_int(head, text))
     else:
         raise RingSpecError(f"malformed ring spec: {text!r}")
-    return _INTERNED.setdefault(ring.spec, ring)
+    return ring
 
 
 def _parse_int(piece: str, full: str) -> int:

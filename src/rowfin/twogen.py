@@ -14,7 +14,7 @@ from functools import partial
 from . import matrices as mx
 from .indexing import SevenPartition, ZPairing
 from .matrices import RowFiniteMap, FinVec
-from .rings import BaseRing, RingError
+from .rings import BaseRing, RingError, same_ring
 from .words import Gen, Word, eval_word, format_word, prod_chain
 
 
@@ -83,8 +83,7 @@ def build_g_family(source: dict, ring: BaseRing) -> GFamily:
     pairing = ZPairing()
     enc, dec = pairing.encode, pairing.decode
     for u in source.values():
-        if u.ring != ring:
-            raise mx.MatrixError(f"source map in {u.ring.spec}, expected {ring.spec}")
+        same_ring(ring, u.ring)
 
     g1 = mx.from_index_map(ring, lambda k: enc(0, k))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .matrices import (FinVec, RowFiniteMap, add_maps, compose, identity_map,
                        scalar_map, zero_map)
+from .rings import same_ring
 
 
 class WordError(Exception):
@@ -183,8 +184,7 @@ def _eval_leaf(w: Word, env: dict, ring) -> RowFiniteMap:
         m = env[w.name]
     except KeyError:
         raise WordError(f"unbound generator {w.name!r}") from None
-    if m.ring is not ring and m.ring != ring:
-        raise WordError(f"generator {w.name!r} lives in {m.ring.spec}, not {ring.spec}")
+    same_ring(ring, m.ring)
     return m
 
 

@@ -28,6 +28,7 @@ FILES = {
     "m2.sparse": "ring GF:3\n1 2 1\n2 4 2\n3 1 1\n4 6 1\n5 3 2\n6 8 1\n",
     "row0.sparse": "ring GF:2\n0 5 1\n",
     "bad.sparse": "ring Mat:2:GF:2\n1 2 1\n",
+    "gf02.sparse": "ring GF:02\n1 5 1\n",
 }
 
 _DETERMINISM = """
@@ -80,6 +81,8 @@ maltsev --ring Mat:2:GF:2 --count 16 --window 32 --corrupt
 fear --descriptor paired --blocks 4 --corrupt
 oracle --ring Mat:2:Zmod:3 --x1 1:1 --x2 2:1 --r-max 2
 oracle --ring Mat:2:GF:2 --x1 1:[[1,0],[0,1]] --x2 2:[[1,0],[0,1]] --r-max 1 --in bad.sparse
+oracle --ring GF:3 --x1 1:1 --x2 5:1 --r-max 1 --in m.sparse
+oracle --ring GF:2 --x1 1:1 --x2 5:1 --r-max 1 --in gf02.sparse
 """
 
 _FEAR = "\n".join(f"fear --descriptor {d} --blocks 4{c}"

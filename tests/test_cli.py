@@ -158,6 +158,18 @@ def test_out_file(tmp_path, capsys):
     assert "subcommand" not in out
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_1_without_a_traceback(target, reason, tmp_path):
+    proc = run_child(["-m", "rowfin.cli", "classify", "--preorder", "le",
+                      "--out", target], cwd=tmp_path, capture_output=True)
+    assert proc.returncode == 1
+    assert b"EClass" in proc.stdout  # the report is still printed
+    assert proc.stderr.decode() == f"rowfin: cannot write {target}: {reason}\n"
+
+
 def test_classify_verdicts():
     _, doc = run_json(["classify", "--preorder", "le"])
     assert doc["witnesses"]["verdict"] == "EClass"

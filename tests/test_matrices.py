@@ -154,11 +154,11 @@ def test_ring_mismatch_rejected():
         FinVec.unit(GF5, 1).add(FinVec.unit(parse_ring_spec("Zmod:5"), 1))
 
 
-def test_vectors_over_equal_distinct_rings_agree():
-    # classify builds PrimeField(p) directly, so a ring equal to an
-    # interned one need not be the same object.
+def test_vectors_over_directly_built_rings_agree():
+    # classify builds PrimeField(p) directly; construction interns it, so
+    # it is the parsed ring itself.
     twin = PrimeField(5)
-    assert twin is not GF5 and twin == GF5
+    assert twin is GF5
     v, w = FinVec(GF5, {1: 2, 4: 3}), FinVec(twin, {1: 2, 4: 3})
     assert v == w and w == v and hash(v) == hash(w)
     assert v != FinVec(twin, {1: 2})
@@ -170,7 +170,7 @@ def test_vector_hash_and_equality_read_entries_then_ring():
     twin = PrimeField(3)
     gf3 = parse_ring_spec("GF:3")
     v, w = FinVec(twin, {1: 2, 5: 1}), FinVec(gf3, {5: 1, 1: 2})
-    assert twin is not gf3
+    assert twin is gf3
     assert v == w and hash(v) == hash(w) and len({v, w}) == 1
     # Equal entries over unequal rings: unequal vectors, both kept.
     z = FinVec(parse_ring_spec("Zmod:3"), {1: 2, 5: 1})

@@ -2,9 +2,14 @@ import random
 
 import pytest
 
-from rowfin.rings import (PRIME_BOUND, IntegerRing, MatrixRing, ModularRing,
-                          PrimeField, RingError, RingSpecError, _is_prime,
-                          parse_ring_spec)
+from rowfin.rings import (_INTERNED, PRIME_BOUND, BaseRing, IntegerRing,
+                          MatrixRing, ModularRing, PrimeField, RingError,
+                          RingSpecError, _is_prime, parse_ring_spec, same_ring)
+
+
+def elements(ring) -> list:
+    """Every payload of a finite ring once, in enumeration order."""
+    return [ring.nth_element(i) for i in range(ring.size())]
 
 
 def test_parse_ring_spec_grammar():
@@ -28,7 +33,7 @@ def test_parse_ring_spec_rejects_bad_specs():
 
 def test_mat2_gf2_element_count_by_enumeration():
     ring = parse_ring_spec("Mat:2:GF:2")
-    elems = set(ring.elements())
+    elems = set(elements(ring))
     assert len(elems) == 16
 
 
@@ -69,7 +74,7 @@ def _ideal_closure(ring, elems, seed):
 
 def _two_sided_ideals(ring):
     """Brute-force ideal enumeration."""
-    elems = list(ring.elements())
+    elems = elements(ring)
     found = {_ideal_closure(ring, elems, {ring.zero})}
     queue = list(found)
     while queue:
@@ -102,7 +107,7 @@ RINGS_SMALL = ["Zmod:2", "Zmod:6", "GF:5", "Mat:2:GF:2", "Zmod:36"]
 @pytest.mark.parametrize("spec", RINGS_SMALL)
 def test_ring_axioms_exhaustive(spec):
     ring = parse_ring_spec(spec)
-    elems = list(ring.elements())
+    elems = elements(ring)
     assert len(elems) <= 36
     for a in elems:
         assert ring.add(a, ring.zero) == a
@@ -260,7 +265,7 @@ def central_payloads(ring):
     """The centre of a finite ring by enumeration: every payload that
     commutes with every payload, in enumeration order.  The oracle for
     `is_central`."""
-    elems = list(ring.elements())
+    elems = elements(ring)
     return [s for s in elems
             if all(ring.mul(s, t) == ring.mul(t, s) for t in elems)]
 
@@ -277,7 +282,7 @@ SMALL_RING_SPECS = ["GF:2", "GF:3", "GF:5", "GF:7", "Zmod:2", "Zmod:3",
 def test_is_central_matches_the_enumerated_centre(spec):
     ring = parse_ring_spec(spec)
     assert ring.size() <= 4096
-    assert [s for s in ring.elements() if ring.is_central(s)] == \
+    assert [s for s in elements(ring) if ring.is_central(s)] == \
         central_payloads(ring)
 
 
@@ -313,7 +318,7 @@ def test_is_central_on_rings_too_large_to_enumerate(spec):
 
 def test_matrix_payload_text_roundtrip():
     ring = parse_ring_spec("Mat:2:GF:2")
-    for elem in ring.elements():
+    for elem in elements(ring):
         assert ring.parse_payload(ring.format_payload(elem)) == elem
 
 
@@ -332,8 +337,38 @@ def test_parsed_rings_are_interned():
     assert parse_ring_spec("GF:5") is parse_ring_spec(" GF:5")
     mat = parse_ring_spec("Mat:2:Zmod:6")
     assert mat.base is parse_ring_spec("Zmod:6")
-    # Rings built directly are equal by spec, not identical.
-    assert ModularRing(6) == mat.base and ModularRing(6) is not mat.base
+    # Rings built directly are the same objects as parsed ones.
+    assert ModularRing(6) is mat.base
+
+
+def test_constructed_rings_are_interned():
+    assert PrimeField(5) is parse_ring_spec("GF:5")
+    assert ModularRing(6) is parse_ring_spec("Mat:2:Zmod:6").base
+    assert MatrixRing(PrimeField(2), 2) is parse_ring_spec("Mat:2:GF:2")
+    assert IntegerRing() is parse_ring_spec("Int")
+    # One spec, one object: a prime field is not the ring of its residues.
+    assert ModularRing(5) is not PrimeField(5)
+    # Equality and hashing are identity.
+    assert "__eq__" not in vars(BaseRing) and "__hash__" not in vars(BaseRing)
+    assert len({PrimeField(7), parse_ring_spec("GF:07")}) == 1
+
+
+def test_failed_construction_interns_nothing():
+    gf3 = PrimeField(3)
+    before = dict(_INTERNED)
+    for build in (lambda: PrimeField(4), lambda: ModularRing(1),
+                  lambda: MatrixRing(gf3, 0)):
+        with pytest.raises(RingSpecError):
+            build()
+    assert _INTERNED == before
+    assert "GF:4" not in _INTERNED and "Zmod:1" not in _INTERNED
+
+
+def test_ring_mismatch_is_one_identity_check():
+    gf5 = parse_ring_spec("GF:5")
+    assert same_ring(gf5, PrimeField(5)) is gf5
+    with pytest.raises(RingError, match=r"^ring mismatch: GF:5 vs Zmod:5$"):
+        same_ring(gf5, ModularRing(5))
 
 
 def _reference_matrix_ops(ring):
@@ -377,7 +412,7 @@ def _fresh_copy(ring, payload):
 def test_matrix_ops_match_the_reference_on_every_mat2_gf2_pair():
     ring = parse_ring_spec("Mat:2:GF:2")
     add, mul = _reference_matrix_ops(ring)
-    elems = list(ring.elements())
+    elems = elements(ring)
     # The enumeration builds its own tuples: its one and zero are equal
     # to the ring's, but not the same objects.
     assert ring.one in elems and ring.zero in elems

@@ -65,7 +65,7 @@ def test_g_family_single_unit_source():
 
 
 def test_g_family_rejects_mismatched_ring():
-    with pytest.raises(mx.MatrixError):
+    with pytest.raises(RingError, match="^ring mismatch: GF:3 vs Zmod:6$"):
         tg.build_g_family({0: mx.identity_map(Z6)}, GF3)
 
 

@@ -9,7 +9,7 @@ from rowfin import matrices as mx
 from rowfin import twogen as tg
 from rowfin import words as wd
 from rowfin.matrices import FinVec
-from rowfin.rings import IntegerRing, parse_ring_spec
+from rowfin.rings import IntegerRing, RingError, parse_ring_spec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Const, Gen, Prod, Sum, WordError,
                           eval_word, format_word, prod_chain, proximity_oracle,
                           support_closure, word_generators, word_length)
@@ -125,6 +125,8 @@ def test_eval_word_basics():
     assert got.row(3) == FinVec(Z, {4: 1, 3: -1})
     with pytest.raises(WordError):
         eval_word(Gen("t"), env, Z)
+    with pytest.raises(RingError, match="^ring mismatch: GF:2 vs Int$"):
+        eval_word(Prod(ONE, Gen("s")), env, GF2)
 
 
 def test_support_closure_examples():
