@@ -85,18 +85,20 @@ class FinVec:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def add(self, other: "FinVec") -> "FinVec":
+    def add(self, *others: "FinVec") -> "FinVec":
+        """self + each of others, summed into one new dict."""
         ring = self.ring
-        if other.ring is not ring:
-            same_ring(ring, other.ring)
         add, is_zero, zero = ring.add, ring.is_zero, ring.zero
         out = dict(self.entries)
-        for idx, val in other.entries.items():
-            s = add(out.get(idx, zero), val)
-            if is_zero(s):
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+        for other in others:
+            if other.ring is not ring:
+                same_ring(ring, other.ring)
+            for idx, val in other.entries.items():
+                s = add(out.get(idx, zero), val)
+                if is_zero(s):
+                    out.pop(idx, None)
+                else:
+                    out[idx] = s
         return FinVec._of(ring, out)
 
     def neg(self) -> "FinVec":
@@ -142,23 +144,23 @@ class FinVec:
 def push(vec: FinVec, row) -> FinVec:
     """vec . M = sum_a vec[a] * row(a), where row(a) gives row a of M.
 
-    A term whose row is zero is skipped before it is scaled, and the first
-    nonzero term starts the sum.  Every other term is scaled with
-    `scale_left`, even by one, and added with `FinVec.add`.
+    A term whose row is zero is skipped before it is scaled.  With several
+    terms, every nonzero one is scaled with `scale_left`, even by one, and
+    one `FinVec.add` call sums them into a single accumulator.
     """
     if len(vec.entries) == 1:
         [(idx, val)] = vec.entries.items()
         out = row(idx)
         return out if val == vec.ring.one or not out.entries else out.scale_left(val)
-    acc = None
+    terms = []
     for idx, val in vec.entries.items():
         out = row(idx)
         if out.entries:
-            term = out.scale_left(val)
-            acc = term if acc is None else acc.add(term)
-    if acc is None:  # vec is zero, or every row it meets is
+            terms.append(out.scale_left(val))
+    if not terms:  # vec is zero, or every row it meets is
         return vec if not vec.entries else FinVec._of(vec.ring, {})
-    return acc
+    first, *rest = terms
+    return first.add(*rest) if rest else first
 
 
 class RowFiniteMap:

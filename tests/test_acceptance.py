@@ -60,8 +60,8 @@ def test_criterion_01_two_generator_words():
     for seed in range(50):
         ring = Z6 if seed % 2 == 0 else GF5
         source = random_family(ring, seed)
-        fam = tg.build_g_family(source, ring)
-        f1, f3 = tg.build_two_generators(fam)
+        gmaps = tg.build_g_family(source, ring)
+        f1, f3 = tg.build_two_generators(gmaps)
         env = {"f1": f1, "f3": f3}
         for i, u in source.items():
             got = eval_word(tg.u_word(i), env, ring)
@@ -74,13 +74,13 @@ def test_criterion_01_two_generator_words():
 
 
 def test_criterion_02_g_family_identities_window_128():
-    fam = tg.build_g_family({}, GF3)
+    gmaps = tg.build_g_family({}, GF3)
     ident = mx.identity_map(GF3)
-    ok = (mx.first_mismatch(mx.compose(fam.g2, fam.g1),
-                            fam.pi_sigma(), 128) is None
-          and mx.first_mismatch(mx.compose(fam.g1, fam.g2), ident, 128) is None
-          and mx.first_mismatch(mx.compose(fam.g4, fam.g5), ident, 128) is None
-          and mx.first_mismatch(mx.compose(fam.g5, fam.g4), ident, 128) is None)
+    ok = (mx.first_mismatch(mx.compose(gmaps[2], gmaps[1]),
+                            tg.pi_sigma(GF3), 128) is None
+          and mx.first_mismatch(mx.compose(gmaps[1], gmaps[2]), ident, 128) is None
+          and mx.first_mismatch(mx.compose(gmaps[4], gmaps[5]), ident, 128) is None
+          and mx.first_mismatch(mx.compose(gmaps[5], gmaps[4]), ident, 128) is None)
     report(2, "g-family identities on window 128", ok)
 
 

@@ -77,9 +77,7 @@ def test_a_broken_g_family_fails_the_construction_check(monkeypatch):
     build = tg.build_g_family
 
     def broken(source, ring):
-        fam = build(source, ring)
-        return tg.GFamily(fam.ring, fam.pairing, fam.source, fam.g1, fam.g2,
-                          fam.g3, fam.g4, mx.identity_map(ring))
+        return {**build(source, ring), 5: mx.identity_map(ring)}
 
     monkeypatch.setattr(tg, "build_g_family", broken)
     report, doc = run_json(["two-gen", "--window", "16"])
@@ -439,28 +437,43 @@ def test_fear_reports_an_escape_outside_y_as_a_failed_certificate(
 MALTSEV = ["maltsev", "--ring", "Zmod:6", "--count", "6"]
 
 
-def test_maltsev_broken_g5_fails_only_the_construction_check(monkeypatch):
+# The g-map swapped for the identity, and the construction check's detail.
+# g4 and g5 both break g4*g5 = 1 first.
+IDENTITY_SWAPS = {
+    1: "g2*g1 = pi_sigma failed: row 4: got FinVec(3:1), expected FinVec(4:1)",
+    2: "g2*g1 = pi_sigma failed: row 3: got FinVec(4:1), expected FinVec()",
+    4: "g4*g5 = 1 failed: row 1: got FinVec(3:1), expected FinVec(1:1)",
+    5: "g4*g5 = 1 failed: row 1: got FinVec(6:1), expected FinVec(1:1)",
+}
+
+
+@pytest.mark.parametrize("argv", [["two-gen", "--family", "empty", "--window", "16"],
+                                  ["maltsev", "--count", "1"]],
+                         ids=["two-gen", "maltsev"])
+@pytest.mark.parametrize("swapped", sorted(IDENTITY_SWAPS))
+def test_an_identity_g_map_fails_only_the_construction_check(monkeypatch, argv,
+                                                             swapped):
+    """f1 and f3 are built from the broken g-maps, so their g-words still
+    match them.  The empty family has no u-words, and maltsev's u0 sends
+    the zero image through g3, so it stays zero."""
     build = tg.build_g_family
 
     def broken(source, ring):
-        fam = build(source, ring)
-        return tg.GFamily(fam.ring, fam.pairing, fam.source, fam.g1, fam.g2,
-                          fam.g3, fam.g4, mx.identity_map(ring))
+        return {**build(source, ring), swapped: mx.identity_map(ring)}
 
     monkeypatch.setattr(tg, "build_g_family", broken)
-    # u0 = g1 g3 g2 reads no g5; every longer u-word would fail too.
-    [check] = failing_checks(["maltsev", "--count", "1"])
-    assert check["name"] == "construction"
-    assert check["detail"].startswith("g4*g5 = 1 failed: row 1:")
+    [check] = failing_checks(argv)
+    assert check == {"name": "construction", "verdict": "fail",
+                     "detail": IDENTITY_SWAPS[swapped]}
 
 
 def test_maltsev_perturbed_f3_fails_only_a_g_word_check(monkeypatch):
     build = tg.build_two_generators
 
-    def broken(fam):
-        f1, f3 = build(fam)
+    def broken(gmaps):
+        f1, f3 = build(gmaps)
         # f3's row 5 is row 1 of g4; no u-word reads it on the window.
-        return f1, mx.add_maps(f3, mx.matrix_unit(fam.ring, 5, 1))
+        return f1, mx.add_maps(f3, mx.matrix_unit(f3.ring, 5, 1))
 
     monkeypatch.setattr(tg, "build_two_generators", broken)
     [check] = failing_checks(MALTSEV)
@@ -475,13 +488,13 @@ def test_shifted_f3_piece_fails_the_g4_word_check(monkeypatch, argv):
     whose chains walk that piece, fails, and no other g-word does."""
     build = tg.build_two_generators
 
-    def shifted(fam):
-        f1, f3 = build(fam)
+    def shifted(gmaps):
+        f1, f3 = build(gmaps)
         classify, table = f3.cases
         pieces = {c: None if case is None else case[:2] for c, case in table.items()}
         reindex, g4 = pieces[5]
         pieces[5] = (lambda a: reindex(a) + 1, g4)
-        return f1, mx.Piecewise(fam.ring, classify, pieces)
+        return f1, mx.Piecewise(f3.ring, classify, pieces)
 
     monkeypatch.setattr(tg, "build_two_generators", shifted)
     failed = [c["name"] for c in failing_checks(argv)]

@@ -61,6 +61,16 @@ def test_finvec_add_neg():
     assert v.add(FinVec(Z, {3: 1})).support() == {1}
 
 
+def test_finvec_add_sums_several_vectors_into_one():
+    u, v, w = FinVec(Z, {1: 2, 3: -1}), FinVec(Z, {1: -2, 4: 5}), FinVec(Z, {1: 7})
+    assert u.add(v, w) == u.add(v).add(w) == FinVec(Z, {1: 7, 3: -1, 4: 5})
+    assert u.add(u.neg(), w, w.neg()).is_zero()
+    assert u.add() == u and u.add().entries is not u.entries
+    # Every summand's ring is checked, not only the first one's.
+    with pytest.raises(RingError, match="ring mismatch: Int vs GF:5"):
+        u.add(v, FinVec.unit(GF5, 1))
+
+
 def test_projection_and_matrix_unit_rows():
     proj = mx.projection(Z, lambda a: a % 2 == 0)
     assert proj.row(3).is_zero()

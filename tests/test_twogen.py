@@ -5,7 +5,7 @@ import pytest
 
 from rowfin import matrices as mx
 from rowfin import twogen as tg
-from rowfin.indexing import SevenPartition
+from rowfin.indexing import SevenPartition, ZPairing
 from rowfin.matrices import FinVec
 from rowfin.rings import RingError, parse_ring_spec
 from rowfin.words import eval_word, format_word, word_generators, word_length
@@ -35,32 +35,33 @@ def random_family(ring, seed, count=5, corner=24):
 
 
 def test_g_family_identities():
-    fam = tg.build_g_family(units_family(GF3), GF3)
+    g = tg.build_g_family(units_family(GF3), GF3)
+    assert sorted(g) == [1, 2, 3, 4, 5]
     ident = mx.identity_map(GF3)
-    assert mx.first_mismatch(mx.compose(fam.g2, fam.g1), fam.pi_sigma(), 128) is None
-    assert mx.first_mismatch(mx.compose(fam.g1, fam.g2), ident, 128) is None
-    assert mx.first_mismatch(mx.compose(fam.g4, fam.g5), ident, 128) is None
-    assert mx.first_mismatch(mx.compose(fam.g5, fam.g4), ident, 128) is None
+    assert mx.first_mismatch(mx.compose(g[2], g[1]), tg.pi_sigma(GF3), 128) is None
+    assert mx.first_mismatch(mx.compose(g[1], g[2]), ident, 128) is None
+    assert mx.first_mismatch(mx.compose(g[4], g[5]), ident, 128) is None
+    assert mx.first_mismatch(mx.compose(g[5], g[4]), ident, 128) is None
 
 
 def test_g_family_empty_source():
-    fam = tg.build_g_family({}, GF3)
+    g = tg.build_g_family({}, GF3)
     for a in range(1, 30):
-        assert fam.g3.row(a).is_zero()
+        assert g[3].row(a).is_zero()
 
 
 def test_g_family_single_identity_source():
-    fam = tg.build_g_family({0: mx.identity_map(GF3)}, GF3)
-    prod = product([fam.g1, fam.g3, fam.g2])
+    g = tg.build_g_family({0: mx.identity_map(GF3)}, GF3)
+    prod = product([g[1], g[3], g[2]])
     assert mx.first_mismatch(prod, mx.identity_map(GF3), 20) is None
 
 
 def test_g_family_single_unit_source():
-    fam = tg.build_g_family({1: mx.matrix_unit(GF3, 1, 2)}, GF3)
-    prod = product([fam.g1, fam.g4, fam.g3, fam.g5, fam.g2])
+    g = tg.build_g_family({1: mx.matrix_unit(GF3, 1, 2)}, GF3)
+    prod = product([g[1], g[4], g[3], g[5], g[2]])
     assert mx.first_mismatch(prod, mx.matrix_unit(GF3, 1, 2), 20) is None
     # The 0-layer is empty, so the undressed product is zero.
-    assert mx.first_mismatch(product([fam.g1, fam.g3, fam.g2]),
+    assert mx.first_mismatch(product([g[1], g[3], g[2]]),
                              mx.zero_map(GF3), 20) is None
 
 
@@ -70,10 +71,11 @@ def test_g_family_rejects_mismatched_ring():
 
 
 def test_corrupted_g3_breaks_recovery():
-    fam = tg.build_g_family(units_family(GF3), GF3)
-    broken = mx.add_maps(fam.g3, mx.matrix_unit(GF3, 1, 1))
-    got = product([fam.g1, broken, fam.g2])
-    assert mx.first_mismatch(got, fam.source[0], 20) is not None
+    source = units_family(GF3)
+    g = tg.build_g_family(source, GF3)
+    broken = mx.add_maps(g[3], mx.matrix_unit(GF3, 1, 1))
+    got = product([g[1], broken, g[2]])
+    assert mx.first_mismatch(got, source[0], 20) is not None
 
 
 def phi_inv(beta):
@@ -130,17 +132,17 @@ def test_closed_form_class_7_rows_match_six_inverse_steps():
         assert f3.row(alpha) == FinVec.unit(GF3, 7 * k - 6)
 
 
-def f3_row(fam, alpha):
+def f3_row(gmaps, alpha):
     """The oracle for f3's rows: one hand-written row function over the
     mod-7 classes."""
-    ring = fam.ring
+    ring = gmaps[1].ring
     c = SevenPartition().class_of(alpha)
     if c == 1:
         return FinVec.zero(ring)
     if c <= 6:
         # Row of t_i^{-1} f2^{-1} g_i collapses to a plain row of g_i,
         # indexed by alpha's position in its piece.
-        return fam.gmaps()[c - 1].row((alpha - 1) // 7 + 1)
+        return gmaps[c - 1].row((alpha - 1) // 7 + 1)
     # Class 7: t6^{-1} f2, i.e. undo six f1-steps then land in the
     # k-th row of Sigma_1 = {1, 8, 15, ...}.
     return FinVec.unit(ring, 7 * tg._sigma1_index(alpha) - 6)
@@ -158,27 +160,28 @@ def family_of(spec, family):
 
 @pytest.mark.parametrize("spec,family", PIECEWISE_CASES)
 def test_piecewise_f3_rows_match_the_row_function(spec, family):
-    fam = family_of(spec, family)
-    _, f3 = tg.build_two_generators(fam)
+    gmaps = family_of(spec, family)
+    _, f3 = tg.build_two_generators(gmaps)
     assert isinstance(f3, mx.Piecewise)
     rng = random.Random(23)
     far = [top + rng.randrange(-10 ** 4, 10 ** 4) for top in (10 ** 9, 10 ** 12)
            for _ in range(200)]
     for alpha in list(range(1, 10 ** 4 + 1)) + far:
-        assert f3.row(alpha) == f3_row(fam, alpha), alpha
+        assert f3.row(alpha) == f3_row(gmaps, alpha), alpha
 
 
 @pytest.mark.parametrize("spec,family", PIECEWISE_CASES)
 def test_g_word_chains_walk_f3_as_its_rows_give_it(spec, family):
     """Each g-word chain walks f3's pieces on its single-term rows; the
     same chain with f3 read only by its rows is the reference."""
-    fam = family_of(spec, family)
-    f1, f3 = tg.build_two_generators(fam)
-    by_rows = mx.RowFiniteMap(fam.ring, f3.row)
+    gmaps = family_of(spec, family)
+    f1, f3 = tg.build_two_generators(gmaps)
+    ring = f1.ring
+    by_rows = mx.RowFiniteMap(ring, f3.row)
     for i in range(1, 6):
-        walked = eval_word(tg.g_word(i), {"f1": f1, "f3": f3}, fam.ring)
+        walked = eval_word(tg.g_word(i), {"f1": f1, "f3": f3}, ring)
         assert f3 in [step[0] for step in walked.steps]
-        read = eval_word(tg.g_word(i), {"f1": f1, "f3": by_rows}, fam.ring)
+        read = eval_word(tg.g_word(i), {"f1": f1, "f3": by_rows}, ring)
         assert mx.first_mismatch(walked, read, 512) is None
 
 
@@ -205,9 +208,8 @@ def test_index_maps_match_enumerated_pieces():
     for k in range(1, n + 1):
         assert tg._phi(k) == phi[k]
         assert phi_inv(k) == enumerated_inv.get(k)
-    fam = tg.build_g_family(random_family(GF3, 4), GF3)
-    _, f3 = tg.build_two_generators(fam)
-    gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
+    gmaps = tg.build_g_family(random_family(GF3, 4), GF3)
+    _, f3 = tg.build_two_generators(gmaps)
     for alpha in range(1, n + 1):
         c = part.class_of(alpha)
         if c == 1:
@@ -245,33 +247,33 @@ def test_u_word_texts_match_the_formatted_words():
 
 
 def test_two_generator_words_units_family():
-    fam = tg.build_g_family(units_family(GF3), GF3)
-    f1, f3 = tg.build_two_generators(fam)
+    source = units_family(GF3)
+    gmaps = tg.build_g_family(source, GF3)
+    f1, f3 = tg.build_two_generators(gmaps)
     env = {"f1": f1, "f3": f3}
-    gmaps = {1: fam.g1, 2: fam.g2, 3: fam.g3, 4: fam.g4, 5: fam.g5}
     for i in range(1, 6):
         got = eval_word(tg.g_word(i), env, GF3)
         assert mx.first_mismatch(got, gmaps[i], 32) is None
-    for i, u in fam.source.items():
+    for i, u in source.items():
         got = eval_word(tg.u_word(i), env, GF3)
         assert mx.first_mismatch(got, u, 32) is None
 
 
 def test_two_generator_words_random_family():
-    fam = tg.build_g_family(random_family(Z6, seed=4), Z6)
-    f1, f3 = tg.build_two_generators(fam)
+    source = random_family(Z6, seed=4)
+    f1, f3 = tg.build_two_generators(tg.build_g_family(source, Z6))
     env = {"f1": f1, "f3": f3}
-    for i, u in fam.source.items():
+    for i, u in source.items():
         got = eval_word(tg.u_word(i), env, Z6)
         assert mx.first_mismatch(got, u, 32) is None
 
 
 def test_corrupted_f3_detected():
-    fam = tg.build_g_family(units_family(GF3), GF3)
-    f1, f3 = tg.build_two_generators(fam)
+    gmaps = tg.build_g_family(units_family(GF3), GF3)
+    f1, f3 = tg.build_two_generators(gmaps)
     bad_env = {"f1": f1, "f3": mx.add_maps(f3, mx.matrix_unit(GF3, 2, 1))}
     got = eval_word(tg.g_word(1), bad_env, GF3)
-    assert mx.first_mismatch(got, fam.g1, 28) is not None
+    assert mx.first_mismatch(got, gmaps[1], 28) is not None
 
 
 def test_maltsev_embed_zmod6():
@@ -285,18 +287,16 @@ def test_maltsev_embed_zmod6():
 
 
 def test_maltsev_embed_sigma_rows():
-    fam = tg.build_g_family({0: mx.scalar_map(GF3, 2)}, GF3)
+    g = tg.build_g_family({0: mx.scalar_map(GF3, 2)}, GF3)
     # The diagonal image of 2 sits on layer 0.
-    enc = fam.pairing.encode
-    alpha = enc(0, 4)
-    assert fam.g3.row(alpha) == FinVec(GF3, {alpha: 2})
+    alpha = ZPairing().encode(0, 4)
+    assert g[3].row(alpha) == FinVec(GF3, {alpha: 2})
 
 
 def test_u_word_verifies_at_layer_1000():
     source = {1000: mx.from_rows(GF3, {1: {2: 1, 5: 2}, 3: {1: 1}}),
               -3: mx.matrix_unit(GF3, 2, 2)}
-    fam = tg.build_g_family(source, GF3)
-    f1, f3 = tg.build_two_generators(fam)
+    f1, f3 = tg.build_two_generators(tg.build_g_family(source, GF3))
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, sorted(source))
     for i, u in source.items():
         assert mx.first_mismatch(umaps[i], u, 6) is None
