@@ -135,24 +135,25 @@ def eclass_witness(rho: PreorderDescriptor, ring: BaseRing) -> EquivWitness:
 
 
 class SubringCensus:
-    __slots__ = ("n", "p", "count", "preorders", "sizes")
+    __slots__ = ("count", "preorders", "sizes")
 
-    def __init__(self, n: int, p: int, count: int, preorders: list, sizes: list):
-        self.n = n
-        self.p = p
+    def __init__(self, count: int, preorders: list, sizes: list):
         self.count = count
         self.preorders = preorders  # sorted pair tuples, one per subring
         self.sizes = sizes
 
 
-def simple_full_check(n: int, p: int, feasibility_cap: int = 20000) -> SubringCensus:
+CENSUS_CAP = 20_000
+
+
+def simple_full_check(n: int, p: int) -> SubringCensus:
     """Enumerate diagonal-containing subrings of the n x n matrices over GF(p).
 
     Over GF(p) an additive subgroup is a subspace, so a subring is held as
     the reduced row-echelon basis of a subspace of F_p^(n*n), which is
     also its dedup key.  Each subring S is extended by one line of E/S at
     a time, represented by a vector on S's non-pivot cells whose first
-    nonzero entry is 1.  The cap bounds the candidate lines at the
+    nonzero entry is 1.  CENSUS_CAP bounds the candidate lines at the
     diagonal, (p^(n*n-n) - 1)/(p - 1) = 1 + p + ... + p^(n*n-n-1), which
     is summed only until it passes the cap; past it, `CensusInfeasible`
     is raised.
@@ -175,9 +176,9 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 20000) -> SubringCe
     lines, power = 0, 1
     for _ in range(n * n - n):
         lines += power
-        if lines > feasibility_cap:
+        if lines > CENSUS_CAP:
             raise CensusInfeasible("the candidate lines at the diagonal exceed "
-                                   f"the feasibility cap {feasibility_cap}")
+                                   f"the feasibility cap {CENSUS_CAP}")
         power *= p
     algebra = _CellAlgebra(field, n)
     diagonal = [algebra.unit(i, i) for i in range(n)]
@@ -216,7 +217,7 @@ def simple_full_check(n: int, p: int, feasibility_cap: int = 20000) -> SubringCe
         subrings.append((len(s), sorted((b, a) for a, b in rel),
                          tuple(sorted(rel))))
     subrings.sort()
-    return SubringCensus(n=n, p=p, count=len(found),
+    return SubringCensus(count=len(found),
                          preorders=[rel for _, _, rel in subrings],
                          sizes=[p ** dim for dim, _, _ in subrings])
 

@@ -115,11 +115,16 @@ class PreorderDescriptor:
     full-class sandwich witness are both read off `table`.
 
     The constructor rejects a relation that is not reflexive and
-    transitive, deciding both exactly on rows 1..K+3*period: each of the
-    three blocks of `period` rows above K holds one row of every class, so
-    any three rows have copies there whose pairs relate alike (the same
-    rows up to K, the same classes and order above it).  Descriptors
-    compare and hash by all five fields.
+    transitive.  Rows above K take every class on either side of any row,
+    so with out(c, s) = {d : (c, d, s) in table} it is a preorder iff
+    - every (c, c, 0) is in the table;
+    - for (c, d, s) in the table with s != 0, out(d, s) lies in out(c, s)
+      and out(d, -s) in out(c, s) & out(c, -s);
+    - for (a, b) in `finite`, a reaches the rows up to K and the classes
+      above K that b reaches, and each class reaching a from above reaches b;
+    - rows a != x up to K with a ~ b ~ x for a b above K relate in `finite`.
+    Each split of a ~ b ~ x about K is covered; only the last scans rows <= K.
+    Descriptors compare and hash by all five fields.
     """
 
     __slots__ = ("name", "period", "table", "K", "finite")
@@ -165,60 +170,53 @@ class PreorderDescriptor:
 
 
 def _check_preorder(rho: PreorderDescriptor) -> None:
-    """Raise unless rho is reflexive and transitive on rows 1..K+3*period.
+    """Raise unless rho is a preorder, naming a failure on rows 1..K+3m."""
+    def above(r: int, c: int) -> int:   # the first row of class c above r
+        return r + 1 + (c - 1 - r) % m
 
-    Each row's up-set among those rows is a bitset, bit b for row b.
-    """
-    m, K = rho.period, rho.K
-    n = K + 3 * m
-    succ = {}
+    def fail(a: int, b: int, x: int):
+        raise PreorderSpecError(f"{rho.name}: not transitive: "
+                                f"{a} ~ {b} ~ {x} but not {a} ~ {x}")
+
+    m, K, table, none = rho.period, rho.K, rho.table, frozenset()
+    out, into, up = {}, {}, {}  # into(d, s) = {c : (c, d, s) in table}
+    for c, d, s in table:
+        out.setdefault((c, s), set()).add(d)
+        into.setdefault((d, s), set()).add(c)
+    bad = [above(K, c) for c in range(1, m + 1) if (c, c, 0) not in table]
+    if bad:
+        raise PreorderSpecError(f"{rho.name}: not reflexive at {min(bad)}")
+    for c in range(1, m + 1):
+        for s in (1, -1):
+            for d in out.get((c, s), ()):
+                # b - a, x - b, x - a have signs s, s2, t; `at` orders a, b, x.
+                for s2, t in ((s, s), (-s, s), (-s, -s)):
+                    got, want = out.get((d, s2), none), out.get((c, t), none)
+                    if not got <= want:
+                        at = (0, 2 * s, t * (3 if s2 == s else 1))
+                        rows, r = {}, K
+                        for p, e in sorted(zip(at, (c, d, min(got - want)))):
+                            r = rows[p] = above(r, e)
+                        fail(*map(rows.get, at))
     for a, b in rho.finite:
-        succ.setdefault(a, []).append(b)
-    below, above, itself = ([0] * (m + 1) for _ in range(3))
-    # Rows 1, 1+m, 1+2m, ... up to n (a geometric series in 2^m); the rows
-    # of class d are this mask shifted by d - 1 and cut at n.
-    every_mth = ((1 << m * ((n - 1) // m + 1)) - 1) // ((1 << m) - 1) << 1
-    rows_to_n = (1 << n + 1) - 1
-    for c, d, s in rho.table:
-        if s == 0:
-            itself[c] = 1
-            continue
-        rows = every_mth << d - 1 & rows_to_n
-        if s < 0:
-            below[c] |= rows
-        else:
-            above[c] |= rows
-
-    def up(a: int) -> int:
-        c = (a - 1) % m + 1
-        if a <= K:
-            return (sum(1 << b for b in succ.get(a, ())) | 1 << a
-                    | above[c] >> (K + 1) << (K + 1))
-        return ((below[c] & (1 << a) - 1) | itself[c] << a
-                | above[c] >> (a + 1) << (a + 1))
-
-    # Up-sets are kept only for rows that another row reaches, and a row up
-    # to K related only to itself is passed over, so a long stretch of such
-    # rows costs neither memory nor big-integer work.
-    reached = {}
-    for a in range(1, n + 1):
-        if a <= K and a not in succ and not above[(a - 1) % m + 1]:
-            continue
-        ua = up(a)
-        if not ua >> a & 1:
-            raise PreorderSpecError(f"{rho.name}: not reflexive at {a}")
-        rest = ua ^ 1 << a
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            rest ^= 1 << b
-            ub = reached.get(b)
-            if ub is None:
-                ub = reached[b] = up(b)
-            missing = ub & ~ua
-            if missing:
-                c = (missing & -missing).bit_length() - 1
-                raise PreorderSpecError(f"{rho.name}: not transitive: "
-                                        f"{a} ~ {b} ~ {c} but not {a} ~ {c}")
+        up.setdefault(a, {a}).add(b)
+    for a, b in rho.finite:
+        ca, cb = (a - 1) % m + 1, (b - 1) % m + 1
+        if not up.get(b, none) <= up[a]:
+            fail(a, b, min(up[b] - up[a]))
+        got, want = out.get((cb, 1), none), out.get((ca, 1), none)
+        if not got <= want:
+            fail(a, b, above(K, min(got - want)))
+        got, want = into.get((ca, -1), none), into.get((cb, -1), none)
+        if not got <= want:
+            fail(above(K, min(got - want)), a, b)
+    for c in range(1, min(K, m) + 1):   # a ~ b ~ x with a, x <= K < b
+        for d in out.get((c, 1), ()):
+            for e in out.get((d, -1), ()):
+                for a in range(c, K + 1, m):
+                    for x in range(e, K + 1, m):
+                        if x != a and (a, x) not in rho.finite:
+                            fail(a, above(K, d), x)
 
 
 def _closure(pairs) -> set:

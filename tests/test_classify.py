@@ -66,10 +66,15 @@ def test_normal_form_rejects_a_relation_that_is_not_reflexive():
 
 def test_normal_form_rejects_a_relation_that_is_not_transitive():
     # Row 1 reaches row 2 and row 2 reaches row 3, but class 1 does not
-    # reach class 1 upwards.
+    # reach class 1 upwards.  The message names the nearest such rows.
     table = frozenset({(1, 1, 0), (2, 2, 0), (1, 2, 1), (2, 1, 1)})
     with pytest.raises(PreorderSpecError, match="1 ~ 2 ~ 3 but not 1 ~ 3"):
         PreorderDescriptor("skew", 2, table)
+    # The same form, built without the constructor's check.
+    rho = object.__new__(PreorderDescriptor)
+    rho.name, rho.period, rho.table, rho.K, rho.finite = \
+        "skew", 2, table, 0, frozenset()
+    assert rho.rel(1, 2) and rho.rel(2, 3) and not rho.rel(1, 3)
 
 
 CHAIN_300 = "union-finite:" + ",".join(f"({a},{a + 1})" for a in range(1, 300))
@@ -335,15 +340,17 @@ def test_simple_full_three_by_three(p):
     assert keys == sorted(keys)
 
 
-def test_simple_full_rejects_bad_parameters():
+def test_simple_full_rejects_bad_parameters(monkeypatch):
     for n, p, match in ((2, 4, "prime"), (0, 2, ">= 1")):
         with pytest.raises(cl.ClassifyError, match=match) as info:
             cl.simple_full_check(n, p)
         assert not isinstance(info.value, cl.CensusInfeasible)
     # 63 candidate lines at the 3x3 diagonal over GF(2).
-    with pytest.raises(cl.CensusInfeasible, match="feasibility"):
-        cl.simple_full_check(3, 2, feasibility_cap=62)
-    assert cl.simple_full_check(3, 2, feasibility_cap=63).count == 29
+    monkeypatch.setattr(cl, "CENSUS_CAP", 62)
+    with pytest.raises(cl.CensusInfeasible, match="feasibility cap 62"):
+        cl.simple_full_check(3, 2)
+    monkeypatch.setattr(cl, "CENSUS_CAP", 63)
+    assert cl.simple_full_check(3, 2).count == 29
 
 
 def test_simple_full_trivial_and_cap():

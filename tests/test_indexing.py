@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -158,42 +159,97 @@ def test_union_finite_stores_only_off_diagonal_pairs():
                            frozenset({(1, 1)}))
 
 
-def _brute_force_is_preorder(m, table, K, finite, n):
-    """Reflexivity and transitivity of a normal form on rows 1..n, by brute
-    force over the form's definition."""
+def _relation(m, table, K, finite):
+    """The relation of a normal form, read off its definition."""
     def rel(a, b):
         if a <= K and b <= K:
             return a == b or (a, b) in finite
         return ((a - 1) % m + 1, (b - 1) % m + 1, (b > a) - (b < a)) in table
+    return rel
 
+
+def _brute_force_is_preorder(m, table, K, finite, n):
+    """Reflexivity and transitivity of a normal form on rows 1..n, by brute
+    force over the form's definition."""
+    rel = _relation(m, table, K, finite)
     rows = range(1, n + 1)
     up = {a: {b for b in rows if rel(a, b)} for a in rows}
     return (all(a in up[a] for a in rows)
             and all(up[b] <= up[a] for a in rows for b in up[a]))
 
 
+def _random_form(rng, m, K, density):
+    table = {(c, c, 0) for c in range(1, m + 1)}
+    table |= {(c, d, s) for c in range(1, m + 1) for d in range(1, m + 1)
+              for s in (-1, 1) if rng.random() < density}
+    finite = {(a, b) for a in range(1, K + 1) for b in range(1, K + 1)
+              if a != b and rng.random() < density}
+    return table, finite
+
+
+def _closed_form(rng, m, K):
+    """A random form closed up: every a ~ c implied on rows 1..K+5m by a
+    chain a ~ b ~ c is added to `finite` or the table, until none is."""
+    table, finite = _random_form(rng, m, K, 0.15)
+    rows = range(1, K + 5 * m + 1)
+    while True:
+        rel = _relation(m, table, K, finite)
+        up = {a: {b for b in rows if rel(a, b)} for a in rows}
+        implied = {(a, c) for a in rows for b in up[a] for c in up[b]} - {
+            (a, b) for a in rows for b in up[a]}
+        if not implied:
+            return table, finite
+        for a, c in implied:
+            if a <= K and c <= K:
+                finite.add((a, c))
+            else:
+                table.add(((a - 1) % m + 1, (c - 1) % m + 1,
+                           (c > a) - (c < a)))
+
+
+def _flip(rng, m, K, table, finite):
+    """Toggle one table triple, or one pair of `finite` when K > 1."""
+    if K > 1 and rng.random() < 0.5:
+        finite ^= {tuple(rng.sample(range(1, K + 1), 2))}
+    else:
+        c, d = rng.randint(1, m), rng.randint(1, m)
+        table ^= {(c, d, rng.choice((-1, 0, 1) if c == d else (-1, 1)))}
+
+
 def test_exact_decision_matches_brute_force_on_random_forms():
-    # The constructor decides on rows 1..K+3m; brute force looks at
-    # 1..K+5m.  Tables and exceptions are random, so most are rejected.
+    # The constructor decides on the table's classes; brute force looks
+    # at rows 1..K+5m.  Half the forms are random, so most of those are
+    # rejected; half are closed forms with up to two entries toggled.
+    # A rejection must name rows in 1..K+3m that really break the rule.
     rng = random.Random(7)
     verdicts = {True: 0, False: 0}
-    for _ in range(300):
-        m, K = rng.randint(1, 3), rng.randint(0, 4)
-        table = {(c, c, 0) for c in range(1, m + 1)}
-        table |= {(c, d, s) for c in range(1, m + 1) for d in range(1, m + 1)
-                  for s in (-1, 1) if rng.random() < 0.3}
-        finite = {(a, b) for a in range(1, K + 1) for b in range(1, K + 1)
-                  if a != b and rng.random() < 0.2}
+    for n in range(2000):
+        m, K = rng.randint(1, 4), rng.randint(0, 6)
+        if n % 2:
+            table, finite = _closed_form(rng, m, K)
+            for _ in range(rng.randint(0, 2)):
+                _flip(rng, m, K, table, finite)
+        else:
+            table, finite = _random_form(rng, m, K, 0.3)
         try:
             PreorderDescriptor("random", m, frozenset(table), K,
                                frozenset(finite))
             accepted = True
-        except PreorderSpecError:
+        except PreorderSpecError as exc:
             accepted = False
+            rel = _relation(m, table, K, finite)
+            rows = [int(r) for r in re.findall(r"\d+", str(exc))]
+            assert 1 <= min(rows) and max(rows) <= K + 3 * m, exc
+            if "not reflexive" in str(exc):
+                assert not rel(rows[0], rows[0]), exc
+            else:
+                a, b, c, a2, c2 = rows
+                assert (a, c) == (a2, c2), exc
+                assert rel(a, b) and rel(b, c) and not rel(a, c), exc
         assert accepted == _brute_force_is_preorder(m, table, K, finite,
                                                     K + 5 * m)
         verdicts[accepted] += 1
-    assert min(verdicts.values()) >= 30
+    assert min(verdicts.values()) >= 400
 
 
 def test_preorder_spec_errors():

@@ -196,6 +196,20 @@ def test_every_argv_answers(argv, inputs_dir, monkeypatch):
     check(argv)
 
 
+# Valid specs whose normal forms are large: 20,000 classes, or exceptions
+# reaching row 10^9.  They stay out of PREORDERS, whose list length sets
+# every later draw of a seed.
+LARGE_PREORDERS = ["mod:20000:", "union-finite:(1,1000000000)"]
+
+
+@pytest.mark.parametrize("spec", LARGE_PREORDERS)
+@pytest.mark.parametrize("command", [["classify"], ["witness", "--count", "2"]],
+                         ids=["classify", "witness"])
+def test_large_preorder_specs_answer(spec, command, inputs_dir, monkeypatch):
+    monkeypatch.chdir(inputs_dir)
+    check(command + ["--preorder", spec])
+
+
 def test_the_argvs_cover_every_subcommand_and_option():
     drawn = argvs(SEED)
     assert len(drawn) >= 300

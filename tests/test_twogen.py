@@ -340,3 +340,34 @@ def test_shared_u_rows_match_the_flat_chain_under_a_spread_f3():
         spread = max(spread, max(len(umaps[k].row(a).entries)
                                  for a in range(1, 9)))
     assert spread > 1
+
+
+def _u_row_pushes(monkeypatch, count):
+    """`matrices.push` calls made reading rows 1..8 of u_0..u_{count-1} for
+    the Maltsev images of the first `count` integers."""
+    calls = [0]
+    push = mx.push
+
+    def counted(vec, row):
+        calls[0] += 1
+        return push(vec, row)
+
+    monkeypatch.setattr(mx, "push", counted)
+    Z = parse_ring_spec("Int")
+    f1, f3 = tg.build_two_generators(
+        tg.build_g_family(tg.maltsev_embed(Z, count), Z))
+    _, umaps = tg.word_maps({"f1": f1, "f3": f3}, Z, range(count))
+    calls[0] = 0
+    for k in range(count):
+        for a in range(1, 9):
+            umaps[k].row(a)
+    return calls[0]
+
+
+def test_u_rows_share_suffix_rows_across_k(monkeypatch):
+    # The suffix rows of G_down^k G2 are shared across k, so twice the
+    # u-words cost about twice the pushes (2.0x); a suffix rebuilt from
+    # the identity for each k costs about 3.6x.
+    small = _u_row_pushes(monkeypatch, 30)
+    large = _u_row_pushes(monkeypatch, 60)
+    assert large <= 2.5 * small
