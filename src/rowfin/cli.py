@@ -111,7 +111,8 @@ def _random_cells(ring, rng, k: int, n: int) -> mx.RowFiniteMap:
 
 def _word_checks(report: Report, gmaps: dict, env: dict, targets: dict,
                  window: int):
-    """The checks two-gen and maltsev share, on rows 1..window.
+    """The checks two-gen and maltsev share, on rows 1..window, and the
+    `words` witness.
 
     The four g-family identities as one `construction` check (its first
     failing identity, if any), each g-word under env against g1..g5, and
@@ -136,6 +137,8 @@ def _word_checks(report: Report, gmaps: dict, env: dict, targets: dict,
         report.holds(f"g{i} word", mx.first_mismatch(gwords[i], g, window))
     for i in indices:
         report.holds(f"u{i} word", mx.first_mismatch(umaps[i], targets[i], window))
+    report.witness("words", {str(i): text for i, text
+                             in tg.u_word_texts(indices).items()})
 
 
 def _all_hold(report: Report, name: str, checks):
@@ -149,12 +152,11 @@ def _all_hold(report: Report, name: str, checks):
     report.check(name, PASS, f"{count} checks")
 
 
-def cmd_two_gen(args) -> Report:
+def cmd_two_gen(args, report: Report):
     ring = parse_ring_spec(args.ring)
-    config = _config(args)
     if args.family == "empty":
-        del config["count"]  # the empty family has no members to count
-    report = Report(args.command, config)
+        # The empty family has no members to count.
+        del report.doc["config"]["count"]
     source = builtin_family(args.family, ring, args.seed, args.count)
     gmaps = tg.build_g_family(source, ring)
     f1, f3 = tg.build_two_generators(gmaps)
@@ -164,9 +166,6 @@ def cmd_two_gen(args) -> Report:
     _word_checks(report, gmaps, env, source, args.window)
     report.witness("f1", mx.to_sparse(f1, args.window))
     report.witness("f3", mx.to_sparse(f3, args.window))
-    report.witness("words", {str(i): text for i, text
-                             in tg.u_word_texts(sorted(source)).items()})
-    return report
 
 
 def _hom_checks(ring, images: dict, payloads: list, window: int):
@@ -191,14 +190,13 @@ def _centre_checks(ring, centre: list, samples: dict, window: int):
                                      window))
 
 
-def cmd_maltsev(args) -> Report:
+def cmd_maltsev(args, report: Report):
     ring = parse_ring_spec(args.ring)
-    report = Report(args.command, _config(args))
     try:
         images = tg.maltsev_embed(ring, args.count)
     except RingError as exc:
         report.check("embedding", WARN, str(exc))
-        return report
+        return
     gmaps = tg.build_g_family(images, ring)
     f1, f3 = tg.build_two_generators(gmaps)
     targets = dict(images)
@@ -219,9 +217,6 @@ def cmd_maltsev(args) -> Report:
         samples[f"sample {k}"] = _random_cells(ring, rng, 6, args.window)
     _all_hold(report, "centre",
               _centre_checks(ring, centre, samples, args.window))
-    report.witness("words", {str(i): text for i, text
-                             in tg.u_word_texts(range(args.count)).items()})
-    return report
 
 
 def _random_lower_triangular(ring, rng, window: int) -> mx.RowFiniteMap:
@@ -245,9 +240,8 @@ def _random_lower_triangular(ring, rng, window: int) -> mx.RowFiniteMap:
     return mx.RowFiniteMap(ring, lambda a: rows.get(a, zero))
 
 
-def cmd_sandwich(args) -> Report:
+def cmd_sandwich(args, report: Report):
     ring = parse_ring_spec(args.ring)
-    report = Report(args.command, _config(args))
     rng = random.Random(args.seed)
     A, B = tr.sandwich_A(ring), tr.sandwich_B(ring)
     diag = parse_preorder("diag")
@@ -264,35 +258,31 @@ def cmd_sandwich(args) -> Report:
                                             range(1, tri(args.window) + 1))
         report.holds(f"trial {trial} X diagonal",
                      str(violations[0]) if violations else None)
-    return report
 
 
-def cmd_classify(args) -> Report:
-    report = Report(args.command, _config(args))
+def cmd_classify(args, report: Report):
     try:
         rho = parse_preorder(args.preorder)
     except PreorderSpecError as exc:
         report.check("classification", FAIL, str(exc))
-        return report
+        return
     verdict = cl.classify_preorder(rho)
     report.check("classification", PASS, verdict)
     report.witness("verdict", verdict)
     if verdict == cl.D_CLASS:
         # The rows with infinite up-sets: a DClass preorder has none.
         report.witness("exceptional_rows", [])
-    return report
 
 
-def cmd_witness(args) -> Report:
+def cmd_witness(args, report: Report):
     ring = parse_ring_spec(args.ring)
-    report = Report(args.command, _config(args))
     rng = random.Random(args.seed)
     try:
         rho = parse_preorder(args.preorder)
         witness = cl.eclass_witness(rho, ring)
     except (cl.ClassifyError, PreorderSpecError) as exc:
         report.check("witness construction", FAIL, str(exc))
-        return report
+        return
     report.check("witness construction", PASS,
                  f"anchors in class {witness.anchor_class}, "
                  f"bars in class {witness.bar_class}")
@@ -311,71 +301,64 @@ def cmd_witness(args) -> Report:
         if args.corrupt:
             lifted = mx.add_maps(lifted, extra)
         report.holds(f"trial {trial}", witness.verify(target, lifted, args.window))
-    return report
 
 
-_DESCRIPTORS = {
-    "diagonal": fr.diagonal_fearing,
-    "band1": lambda: fr.banded_fearing(1),
-    "band2": lambda: fr.banded_fearing(2),
-    "stretch2": lambda: fr.stretch_fearing(2),
-    "paired": fr.paired_fearing,
-}
+# Descriptors hold no state, so one of each serves every run.
+_DESCRIPTORS = {d.name: d for d in (
+    fr.diagonal_fearing(), fr.banded_fearing(1), fr.banded_fearing(2),
+    fr.stretch_fearing(2), fr.paired_fearing())}
 
 
-def cmd_fear(args) -> Report:
+def _shift(ring) -> mx.RowFiniteMap:
+    """The shift e_a -> e_(a+1), the extra generator of fear and oracle."""
+    return mx.from_index_map(ring, lambda a: a + 1)
+
+
+def cmd_fear(args, report: Report):
     ring = parse_ring_spec(args.ring)
-    report = Report(args.command, _config(args))
-    descriptor = _DESCRIPTORS[args.descriptor]()
-    shift = mx.from_index_map(ring, lambda a: a + 1)
-    witness = fr.fear_witness(descriptor, {"s": shift}, args.blocks, ring)
+    env = {"s": _shift(ring)}
+    witness = fr.fear_witness(_DESCRIPTORS[args.descriptor], env, args.blocks,
+                              ring)
     pairs = list(witness.pairs)
     if args.corrupt and pairs:
         # Negative control: block 1's cover now holds its escape index.
         first = pairs[0]
-        pairs[0] = fr.FearPair(first.j, first.x, first.y,
-                               first.cover | {first.escape}, first.escape,
-                               first.block)
+        pairs[0] = fr.FearPair(first.j, first.start, first.escape,
+                               first.cover | {first.escape})
+    # x_j = e_start and y_j = e_escape; x_j g = y_j puts the escape in
+    # supp(x_j g).
+    unit = functools.partial(mx.FinVec.unit, ring)
     for p in pairs:
-        image = p.x.apply(witness.g)
+        image, y = unit(p.start).apply(witness.g), unit(p.escape)
         detail = f"escape={p.escape} cover_size={len(p.cover)}"
-        reaches = p.escape in image.support()
-        if image != p.y:
-            detail += f"; x_j g: got {image!r}, expected {p.y!r}"
-        elif not reaches:
-            detail += "; escape not in supp(x_j g)"
-        ok = image == p.y and reaches and p.escape not in p.cover
+        if image != y:
+            detail += f"; x_j g: got {image!r}, expected {y!r}"
+        ok = image == y and p.escape not in p.cover
         report.check(f"block {p.j} escape certificate", PASS if ok else FAIL,
                      detail)
-    if args.oracle_max:
-        env = {"s": shift}
-        for p in pairs[: args.oracle_max]:
-            try:
-                res = wd.proximity_oracle(p.x, p.y, env, p.j)
-            except wd.OracleBudgetExceeded as exc:
-                report.check(f"block {p.j} oracle", WARN, str(exc))
-                continue
-            report.check(f"block {p.j} oracle",
-                         FAIL if res.found else PASS,
-                         f"words_tried={res.words_tried}")
-    report.witness("blocks", [[p.j, sorted(p.block)] for p in pairs])
-    return report
+    for p in pairs[: args.oracle_max]:
+        try:
+            res = wd.proximity_oracle(unit(p.start), unit(p.escape), env, p.j)
+        except wd.OracleBudgetExceeded as exc:
+            report.check(f"block {p.j} oracle", WARN, str(exc))
+            continue
+        report.check(f"block {p.j} oracle", FAIL if res.found else PASS,
+                     f"words_tried={res.words_tried}")
+    report.witness("blocks", [[p.j, [p.start, p.escape]] for p in pairs])
 
 
-def cmd_simple_full(args) -> Report:
-    report = Report(args.command, _config(args))
+def cmd_simple_full(args, report: Report):
     try:
         census = cl.simple_full_check(args.n, args.p)
     except cl.ClassifyError as exc:
         report.check("census",
                      WARN if isinstance(exc, cl.CensusInfeasible) else FAIL,
                      str(exc))
-        return report
+        return
     report.check("census", PASS, f"count={census.count}")
     report.witness("count", census.count)
     report.witness("preorders", [[list(p) for p in rel]
                                  for rel in census.preorders])
-    return report
 
 
 def _split_entries(text: str) -> list:
@@ -409,33 +392,32 @@ def _parse_vec(text: str, ring):
     return mx.FinVec(ring, entries)
 
 
-def cmd_oracle(args) -> Report:
+def cmd_oracle(args, report: Report):
     ring = parse_ring_spec(args.ring)
-    report = Report(args.command, _config(args))
     x1 = _parse_vec(args.x1, ring)
-    env = {"s": mx.from_index_map(ring, lambda a: a + 1)}
+    env = {"s": _shift(ring)}
     if args.infile:
         try:
             with open(args.infile) as fh:
                 file_ring, m = mx.load_sparse(fh.read())
         except (OSError, ValueError, mx.MatrixError, RingError) as exc:
             report.check("input", FAIL, f"--in {args.infile}: {exc}")
-            return report
+            return
         if file_ring is not ring:
             report.check("input", FAIL, "ring mismatch in input file")
-            return report
+            return
         env["m"] = m
     if args.mode == "closure":
         rep = wd.support_closure(x1, lambda a: {a}, env, args.r_max)
         report.check("closure", PASS, f"cover_size={len(rep.cover)}")
         report.witness("cover", sorted(rep.cover))
-        return report
+        return
     x2 = _parse_vec(args.x2, ring)
     try:
         res = wd.proximity_oracle(x1, x2, env, args.r_max)
     except wd.OracleBudgetExceeded as exc:
         report.check("proximity", WARN, str(exc))
-        return report
+        return
     if res.found:
         report.check("proximity", PASS, f"found at length {res.r}")
         report.witness("word", wd.format_word(res.witness))
@@ -443,7 +425,6 @@ def cmd_oracle(args) -> Report:
         report.check("proximity", PASS, f"not within {res.r}")
         report.witness("word", None)
     report.witness("found", res.found)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 _MINIMUMS = {"window": 1, "count": 1, "blocks": 1, "r_max": 0, "oracle_max": 0}
 
 
-def _input_failure(args, message: str) -> Report:
-    report = Report(args.command, _config(args))
-    report.check("input", FAIL, message)
-    return report
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on first use, not at import; parse_args fills a fresh
@@ -542,22 +517,26 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> tuple[Report, float, object]:
     """Parse argv and run one subcommand: (report, seconds, parsed args).
 
-    Every call in a process reuses one parser, built on the first call.
-    Argparse errors raise SystemExit as usual.
+    The subcommand fills the report built here.  A `RingError` it raises
+    replaces whatever it filled with one `input` failure.  Every call in
+    a process reuses one parser, built on the first call.  Argparse
+    errors raise SystemExit as usual.
     """
     args = _parser().parse_args(argv)
     start = time.monotonic()
+    report = Report(args.command, _config(args))
     too_small = next((f"--{dest.replace('_', '-')} must be >= {low}, "
                       f"got {getattr(args, dest)}"
                       for dest, low in _MINIMUMS.items()
                       if getattr(args, dest, low) < low), None)
     if too_small:
-        report = _input_failure(args, too_small)
+        report.check("input", FAIL, too_small)
     else:
         try:
-            report = args.func(args)
+            args.func(args, report)
         except RingError as exc:
-            report = _input_failure(args, str(exc))
+            report = Report(args.command, _config(args))
+            report.check("input", FAIL, str(exc))
     return report, time.monotonic() - start, args
 
 

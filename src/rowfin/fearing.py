@@ -72,16 +72,15 @@ def paired_fearing() -> FearingDescriptor:
 
 
 class FearPair:
-    __slots__ = ("j", "x", "y", "cover", "escape", "block")
+    """Block j: x_j = e_start, y_j = e_escape, and x_j's radius-j cover."""
 
-    def __init__(self, j: int, x: FinVec, y: FinVec, cover: frozenset,
-                 escape: int, block: frozenset):
+    __slots__ = ("j", "start", "escape", "cover")
+
+    def __init__(self, j: int, start: int, escape: int, cover: frozenset):
         self.j = j
-        self.x = x
-        self.y = y
-        self.cover = cover
+        self.start = start
         self.escape = escape
-        self.block = block
+        self.cover = cover
 
 
 class FearWitness:
@@ -96,25 +95,23 @@ def fear_witness(descriptor: FearingDescriptor, u_maps: dict, J: int,
                  ring: BaseRing) -> FearWitness:
     """Build J escape certificates and the block map g realizing them.
 
-    x_j is a unit vector beyond all prior blocks; its radius-j closure
-    cover is finite (every support bound is a finite set, and
+    x_j = e_start is a unit vector beyond all prior blocks; its radius-j
+    closure cover is finite (every support bound is a finite set, and
     `support_closure` raises `WordError` at a reached row whose bound is
-    not), so a coordinate outside it exists; y_j is the unit vector
-    there.  g sends x_j to y_j, which lies outside the radius-j ball
-    around x_j.  Nothing is verified here: the `fear` report checks
-    x_j g = y_j and escape not in cover for each block.
+    not), so a coordinate outside it exists: the escape, and y_j is the
+    unit vector there.  g sends x_j to y_j, which lies outside the
+    radius-j ball around x_j.  Nothing is verified here: the `fear`
+    report checks x_j g = y_j and escape not in cover for each block.
     """
     pairs = []
     used = 0  # largest index consumed by any block so far
     g_rows = {}
     for j in range(1, J + 1):
-        m = used + 1
-        x = FinVec.unit(ring, m)
-        report = support_closure(x, descriptor.supp, u_maps, j)
-        escape = max(report.cover | {used}) + 1
-        y = FinVec.unit(ring, escape)
-        pairs.append(FearPair(j=j, x=x, y=y, cover=report.cover,
-                              escape=escape, block=frozenset({m, escape})))
-        g_rows[m] = {escape: ring.one}
+        start = used + 1
+        cover = support_closure(FinVec.unit(ring, start), descriptor.supp,
+                                u_maps, j).cover
+        escape = max(cover | {used}) + 1
+        pairs.append(FearPair(j, start, escape, cover))
+        g_rows[start] = {escape: ring.one}
         used = escape
     return FearWitness(pairs=pairs, g=mx.from_rows(ring, g_rows))

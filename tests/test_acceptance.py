@@ -175,14 +175,16 @@ def test_criterion_07_fear_witness():
     ok = (not run.failed and len(run.doc["checks"]) == 8
           and all(c["verdict"] == "pass" for c in run.doc["checks"]))
     witness = fr.fear_witness(descriptor, {"s": shift(GF3)}, 8, GF3)
+    # x_j = e_start and y_j = e_escape.
     ok = ok and len(witness.pairs) == 8 and all(
-        p.x.apply(witness.g) == p.y and p.escape not in p.cover
-        and p.escape in p.y.support() for p in witness.pairs)
+        FinVec.unit(GF3, p.start).apply(witness.g) == FinVec.unit(GF3, p.escape)
+        and p.escape not in p.cover for p in witness.pairs)
     start = time.monotonic()
     env2 = {"s": shift(GF2)}
     witness2 = fr.fear_witness(descriptor, env2, 2, GF2)
     for p in witness2.pairs:
-        res = proximity_oracle(p.x, p.y, env2, p.j)
+        res = proximity_oracle(FinVec.unit(GF2, p.start),
+                               FinVec.unit(GF2, p.escape), env2, p.j)
         if res.found:
             ok = False
     elapsed = time.monotonic() - start

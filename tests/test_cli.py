@@ -401,7 +401,7 @@ def test_fear_reports_a_wrong_block_map_as_a_failed_certificate(monkeypatch,
 
     def broken(descriptor, u_maps, J, ring):
         witness = build(descriptor, u_maps, J, ring)
-        first = min(witness.pairs[0].block)
+        first = witness.pairs[0].start
         stray = mx.matrix_unit(ring, first, first)
         return fr.FearWitness(witness.pairs, mx.add_maps(witness.g, stray))
 
@@ -417,21 +417,21 @@ def test_fear_reports_a_wrong_block_map_as_a_failed_certificate(monkeypatch,
 
 def test_fear_reports_an_escape_outside_y_as_a_failed_certificate(
         monkeypatch):
-    """x_1 g = y_1 and escape not in cover, but y_1 misses the escape."""
+    """The escape moved past g's target: x_1 g = e_3 misses y_1 = e_4."""
     build = fr.fear_witness
 
     def broken(descriptor, u_maps, J, ring):
         witness = build(descriptor, u_maps, J, ring)
         first = witness.pairs[0]
-        moved = fr.FearPair(first.j, first.x, first.y, first.cover,
-                            first.escape + 1, first.block)
+        moved = fr.FearPair(first.j, first.start, first.escape + 1,
+                            first.cover)
         return fr.FearWitness([moved, *witness.pairs[1:]], witness.g)
 
     monkeypatch.setattr(fr, "fear_witness", broken)
     [check] = failing_checks(["fear", "--blocks", "3"])
     assert check["name"] == "block 1 escape certificate"
-    assert check["detail"] == ("escape=4 cover_size=2; "
-                               "escape not in supp(x_j g)")
+    assert check["detail"] == ("escape=4 cover_size=2; x_j g: got "
+                               "FinVec(3:1), expected FinVec(4:1)")
 
 
 MALTSEV = ["maltsev", "--ring", "Zmod:6", "--count", "6"]

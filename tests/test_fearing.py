@@ -17,6 +17,11 @@ def shift(ring):
     return mx.from_index_map(ring, lambda a: a + 1)
 
 
+def certified(p, g, ring):
+    """x_j g = y_j for block p, with x_j = e_start and y_j = e_escape."""
+    return FinVec.unit(ring, p.start).apply(g) == FinVec.unit(ring, p.escape)
+
+
 def test_descriptor_supports():
     assert fr.diagonal_fearing().supp(5) == {5}
     assert fr.banded_fearing(2).supp(5) == {3, 4, 5, 6, 7}
@@ -38,29 +43,28 @@ def test_descriptor_membership_and_samples():
 def test_fear_witness_first_block_geometry():
     witness = fr.fear_witness(fr.diagonal_fearing(), {"s": shift(GF3)}, 3, GF3)
     first = witness.pairs[0]
-    assert first.x == FinVec.unit(GF3, 1)
+    assert first.start == 1
     assert first.cover == {1, 2}
     assert first.escape == 3
-    assert first.block == {1, 3}
 
 
 def test_fear_witness_no_extra_maps():
     witness = fr.fear_witness(fr.diagonal_fearing(), {}, 4, GF3)
     for p in witness.pairs:
-        m = min(p.block)
-        assert p.cover == {m}
-        assert p.escape == m + 1
-        assert p.x.apply(witness.g) == p.y and p.escape in p.y.support()
+        assert p.cover == {p.start}
+        assert p.escape == p.start + 1
+        assert certified(p, witness.g, GF3)
 
 
 def test_fear_witness_blocks_disjoint_and_certified():
     witness = fr.fear_witness(fr.diagonal_fearing(), {"s": shift(GF3)}, 8, GF3)
     seen = set()
     for p in witness.pairs:
-        assert not (p.block & seen)
-        seen |= p.block
-        assert p.x.apply(witness.g) == p.y
-        assert p.escape not in p.cover and p.escape in p.y.support()
+        block = {p.start, p.escape}
+        assert p.start < p.escape and not (block & seen)
+        seen |= block
+        assert certified(p, witness.g, GF3)
+        assert p.escape not in p.cover
 
 
 def test_fear_witness_requires_pointwise_finiteness():
@@ -77,8 +81,8 @@ def test_closure_and_lower_embed_share_one_finiteness_test():
     setdiag = fr.FearingDescriptor("setdiag", lambda a: {a})
     witness = fr.fear_witness(setdiag, env, 4, GF3)
     for p in witness.pairs:
-        assert p.x.apply(witness.g) == p.y
-        assert p.escape not in p.cover and p.escape in p.y.support()
+        assert certified(p, witness.g, GF3)
+        assert p.escape not in p.cover
     g, f = tr.fear_lower_embed(setdiag, GF3)
     assert mx.first_mismatch(mx.compose(g, f), mx.identity_map(GF3), 8) is None
     assert [g.row(k) for k in range(1, 9)] == [FinVec.unit(GF3, k)
@@ -96,5 +100,6 @@ def test_fear_witness_oracle_confirms_certificates():
     env = {"s": shift(GF2)}
     witness = fr.fear_witness(fr.diagonal_fearing(), env, 2, GF2)
     for p in witness.pairs:
-        res = proximity_oracle(p.x, p.y, env, p.j)
+        res = proximity_oracle(FinVec.unit(GF2, p.start),
+                               FinVec.unit(GF2, p.escape), env, p.j)
         assert not res.found

@@ -2,14 +2,18 @@
 
 `argvs(seed)` draws argvs from fixed value lists per option: valid and
 malformed rings, preorders, vectors and `--in` files, and sizes that
-include 0 and negative values.  `check(argv)` runs one through
+include 0 and negative values.  Each option of each argv draws from its
+own seeded stream, so a value added to one list changes only that
+option's tokens.  `check(argv)` runs one through
 `cli.main` with its output captured, so the pretty text and `--out` are
 written too.  It must return 0 or 1 with a printed report, or exit
 through argparse with status 2, within `ALARM_S` seconds; any other
 exception fails it.
 
-Tier-1 runs one seed.  Further seeds run the same way, from the
-directory that `write_inputs` filled:
+Tier-1 runs seed 1, and the argvs in `golden/fuzz_argvs.txt`: those
+the fuzzer drew for seed 1 when every option shared one stream, kept so
+that the ids of their cases stay fixed.  Further seeds run the same way,
+from the directory that `write_inputs` filled:
 
     for argv in argvs(seed):
         if not known_slow(argv):
@@ -20,7 +24,9 @@ import io
 import random
 import shlex
 import signal
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -98,14 +104,19 @@ REQUIRED = {"classify": "--preorder", "witness": "--preorder"}
 
 def argvs(seed: int, count: int = COUNT) -> list:
     """`count` argvs, the subcommands in turn, each option drawn with
-    probability 1/2 (rarely with an unparsable value)."""
-    rng = random.Random(seed)
+    probability 1/2 (rarely with an unparsable value).
+
+    Option o of argv n draws from `random.Random(f"{seed}:{n}:{o}")`.  A
+    str seed is hashed with SHA-512, so the draws do not depend on
+    PYTHONHASHSEED.
+    """
     commands = sorted(OPTIONS)
     out = []
     for n in range(count):
         command = commands[n % len(commands)]
         argv = [command]
         for option, values in OPTIONS[command].items():
+            rng = random.Random(f"{seed}:{n}:{option}")
             # A required option is left out once in ten draws.
             if rng.random() < (0.9 if REQUIRED.get(command) == option else 0.5):
                 if values is FLAG:
@@ -121,6 +132,18 @@ def argvs(seed: int, count: int = COUNT) -> list:
                 argv.append(f"{option}={value}")
         out.append(argv)
     return out
+
+
+FROZEN = [shlex.split(line) for line in (
+    Path(__file__).resolve().parent / "golden" / "fuzz_argvs.txt"
+).read_text().splitlines()]
+
+
+def tier1_argvs() -> list:
+    """The frozen argvs, then each argv of seed 1 that is not among them."""
+    frozen = {shlex.join(argv) for argv in FROZEN}
+    return FROZEN + [argv for argv in argvs(SEED)
+                     if shlex.join(argv) not in frozen]
 
 
 def known_slow(argv) -> bool:
@@ -143,24 +166,34 @@ class Unanswered(Exception):
 
 
 def _expire(signum, frame):
-    raise Unanswered(f"no answer within {ALARM_S} s")
+    raise Unanswered
 
 
 def check(argv):
     """Run argv through `cli.main` with stdout and stderr captured: it must
-    print a report and return 0 or 1, or exit through argparse with 2."""
+    print a report and return 0 or 1, or exit through argparse with 2.
+
+    An argv that runs past `ALARM_S` raises `Unanswered` naming it, from
+    this frame, so no traceback reaches into the call it interrupted.
+    """
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, ALARM_S)
     stdout, stderr = io.StringIO(), io.StringIO()
+    expired = False
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
                 status = cli.main(argv)
             except SystemExit as exc:
                 status = exc.code
+    except Unanswered:
+        expired = True
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise Unanswered(
+            f"{shlex.join(argv)}: no answer within {ALARM_S} s") from None
     if status == 2:
         assert stderr.getvalue().startswith("usage: rowfin"), stderr.getvalue()
     else:
@@ -190,15 +223,14 @@ SLOW = pytest.mark.xfail(raises=Unanswered, strict=True,
 
 @pytest.mark.parametrize("argv", [
     pytest.param(argv, id=shlex.join(argv), marks=SLOW if known_slow(argv) else ())
-    for argv in argvs(SEED)])
+    for argv in tier1_argvs()])
 def test_every_argv_answers(argv, inputs_dir, monkeypatch):
     monkeypatch.chdir(inputs_dir)
     check(argv)
 
 
 # Valid specs whose normal forms are large: 20,000 classes, or exceptions
-# reaching row 10^9.  They stay out of PREORDERS, whose list length sets
-# every later draw of a seed.
+# reaching row 10^9.  Each runs once here, not in every seed's draws.
 LARGE_PREORDERS = ["mod:20000:", "union-finite:(1,1000000000)"]
 
 
@@ -217,3 +249,40 @@ def test_the_argvs_cover_every_subcommand_and_option():
         used = {token.partition("=")[0] for argv in drawn if argv[0] == command
                 for token in argv[1:]}
         assert used == set(options), command
+
+
+def test_a_value_added_to_one_list_moves_only_its_option(monkeypatch):
+    before = argvs(SEED)
+    grown = (PREORDERS[0] + ["mod:4:(1,3)"], PREORDERS[1])
+    for options in OPTIONS.values():
+        if options.get("--preorder") is PREORDERS:
+            monkeypatch.setitem(options, "--preorder", grown)
+    after = argvs(SEED)
+    assert len(after) == len(before)
+    moved = 0
+    for old, new in zip(before, after):
+        assert len(new) == len(old), old
+        for a, b in zip(old, new):
+            if a != b:
+                assert a.startswith("--preorder="), old
+                assert b.startswith("--preorder="), old
+                moved += 1
+    assert moved  # the grown list was drawn from
+
+
+def test_a_time_out_names_its_argv(monkeypatch):
+    def busy(argv):
+        while True:
+            pass
+
+    monkeypatch.setattr(sys.modules[__name__], "ALARM_S", 0.05)
+    monkeypatch.setattr(cli, "main", busy)
+    argv = ["classify", "--preorder", "mod:3:(1,2)"]
+    with pytest.raises(Unanswered) as info:
+        check(argv)
+    assert str(info.value) == f"{shlex.join(argv)}: no answer within 0.05 s"
+    assert info.value.__suppress_context__
+    tb = info.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code is check.__code__

@@ -151,7 +151,7 @@ def scan_invert(seq, alpha):
 
 @pytest.mark.parametrize("name", sorted(cli._DESCRIPTORS))
 def test_lower_embed_inverse_matches_the_scan(name):
-    descriptor = cli._DESCRIPTORS[name]()
+    descriptor = cli._DESCRIPTORS[name]
     _, f = tr.fear_lower_embed(descriptor, Z)
     seq = tr._TargetSequence(descriptor.supp)
     for alpha in range(1, 2001):
