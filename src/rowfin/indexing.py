@@ -124,7 +124,6 @@ class PreorderDescriptor:
       above K that b reaches, and each class reaching a from above reaches b;
     - rows a != x up to K with a ~ b ~ x for a b above K relate in `finite`.
     Each split of a ~ b ~ x about K is covered; only the last scans rows <= K.
-    Descriptors compare and hash by all five fields.
     """
 
     __slots__ = ("name", "period", "table", "K", "finite")
@@ -150,17 +149,6 @@ class PreorderDescriptor:
                 raise PreorderSpecError(
                     f"finite pair ({a},{b}) is not off-diagonal in 1..{K}")
         _check_preorder(self)
-
-    def _key(self) -> tuple:
-        return (self.name, self.period, self.table, self.K, self.finite)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def rel(self, a: int, b: int) -> bool:
         if a <= self.K and b <= self.K:

@@ -39,9 +39,6 @@ class _RowEvalCounter:
     def __init__(self):
         self.count = 0
 
-    def reset(self):
-        self.count = 0
-
 
 row_evals = _RowEvalCounter()
 
@@ -81,9 +78,6 @@ class FinVec:
 
     def support(self) -> frozenset:
         return frozenset(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def add(self, *others: "FinVec") -> "FinVec":
         """self + each of others, summed into one new dict."""

@@ -99,17 +99,12 @@ def _u_factors(i: int) -> list:
     return [1] + [up] * k + [3] + [down] * k + [2]
 
 
-def u_word(i: int) -> Word:
-    """g1 g4^i g3 g5^i g2 with every factor replaced by its two-generator word."""
-    g = {j: g_word(j) for j in range(1, 6)}
-    return prod_chain(g[j] for j in _u_factors(i))
-
-
 def u_word_texts(indices) -> dict:
-    """k -> format_word(u_word(k)), joined from the five g-word texts.
+    """k -> the printed word of u_k, joined from the five g-word texts.
 
-    u_word(k) is a left-associated product, so its text opens one bracket
-    per factor after the first and closes one after each of them.
+    u_k's word is the left-associated product of the g-words
+    `_u_factors(k)`, so its text opens one bracket per factor after the
+    first and closes one after each of them.
     """
     closing = {j: f" * {format_word(g_word(j))})" for j in range(1, 6)}
     first = format_word(g_word(1))
@@ -246,13 +241,14 @@ def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: _Suffix, k: int,
 
 
 def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
-    """The maps of g_word(1..5) and of u_word(k) for k in `indices` under env.
+    """The maps of g_word(1..5) and of u_k for k in `indices` under env.
 
     Each g-word is evaluated once, as G_i.  u_k = G1 G_up^k G3 G_down^k G2,
     with (up, down) = (4, 5) for k >= 0 and (5, 4) below, is read through
     the prefix rows of G1 G_up^k and the suffix rows of G_down^k G2, both
     shared across k.  Products are associative, so every row equals the
-    row of the flat `eval_word(u_word(k), env, ring)`.
+    row of `eval_word` on the flat left-associated product of u_k's
+    g-words.
     """
     g = {i: eval_word(g_word(i), env, ring) for i in range(1, 6)}
     sides = {up: (_Prefix(g[1], g[up]), _Suffix(g[down], g[2]))

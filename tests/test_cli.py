@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from oracle_reference import u_word
 
 from rowfin import classify as cl
 from rowfin import cli
@@ -182,7 +183,7 @@ def test_maltsev_subcommand():
                             "--window", "16"])
     assert not report.failed
     # The formatted word trees are the oracle for the joined texts.
-    assert doc["witnesses"]["words"] == {str(i): wd.format_word(tg.u_word(i))
+    assert doc["witnesses"]["words"] == {str(i): wd.format_word(u_word(i))
                                          for i in range(6)}
     report, _ = run_json(["maltsev", "--count", "4", "--window", "12",
                           "--corrupt"])

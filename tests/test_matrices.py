@@ -52,19 +52,19 @@ def test_finvec_prunes_zero_entries():
 
 def test_finvec_char2_cancellation():
     v = FinVec.unit(GF2, 1)
-    assert v.add(v).is_zero()
+    assert not v.add(v).entries
 
 
 def test_finvec_add_neg():
     v = FinVec(Z, {1: 2, 3: -1})
-    assert v.add(v.neg()).is_zero()
+    assert not v.add(v.neg()).entries
     assert v.add(FinVec(Z, {3: 1})).support() == {1}
 
 
 def test_finvec_add_sums_several_vectors_into_one():
     u, v, w = FinVec(Z, {1: 2, 3: -1}), FinVec(Z, {1: -2, 4: 5}), FinVec(Z, {1: 7})
     assert u.add(v, w) == u.add(v).add(w) == FinVec(Z, {1: 7, 3: -1, 4: 5})
-    assert u.add(u.neg(), w, w.neg()).is_zero()
+    assert not u.add(u.neg(), w, w.neg()).entries
     assert u.add() == u and u.add().entries is not u.entries
     # Every summand's ring is checked, not only the first one's.
     with pytest.raises(RingError, match="ring mismatch: Int vs GF:5"):
@@ -73,11 +73,11 @@ def test_finvec_add_sums_several_vectors_into_one():
 
 def test_projection_and_matrix_unit_rows():
     proj = mx.projection(Z, lambda a: a % 2 == 0)
-    assert proj.row(3).is_zero()
+    assert not proj.row(3).entries
     assert proj.row(4) == FinVec.unit(Z, 4)
     e25 = mx.matrix_unit(Z, 2, 5)
     assert e25.row(2) == FinVec.unit(Z, 5)
-    assert e25.row(1).is_zero()
+    assert not e25.row(1).entries
 
 
 def test_add_maps_inverse():
@@ -85,7 +85,7 @@ def test_add_maps_inverse():
     f = random_map(Z6, rng)
     total = mx.add_maps(f, mx.compose(f, mx.scalar_map(Z6, -1)))
     for a in range(1, 21):
-        assert total.row(a).is_zero()
+        assert not total.row(a).entries
 
 
 def test_matrix_unit_composition():
@@ -99,7 +99,7 @@ def test_matrix_unit_composition():
 def test_vector_application():
     A = sandwich_A(Z)
     assert FinVec.unit(Z, 2).apply(A) == FinVec(Z, {2: 1, 3: 1})
-    assert FinVec.zero(Z).apply(A).is_zero()
+    assert not FinVec.zero(Z).apply(A).entries
     e23 = mx.matrix_unit(Z, 2, 3)
     v = FinVec(Z, {1: 1, 2: 1})
     assert v.apply(e23) == FinVec.unit(Z, 3)
@@ -173,7 +173,7 @@ def test_vectors_over_directly_built_rings_agree():
     assert v == w and w == v and hash(v) == hash(w)
     assert v != FinVec(twin, {1: 2})
     assert v.add(w) == FinVec(GF5, {1: 4, 4: 1})
-    assert w.add(v.neg()).is_zero()
+    assert not w.add(v.neg()).entries
 
 
 def test_vector_hash_and_equality_read_entries_then_ring():
@@ -224,9 +224,9 @@ def test_composition_is_lazy():
     k = 12
     shifts = [shift_map(Z) for _ in range(k)]
     chain = product(shifts)
-    row_evals.reset()
+    before = row_evals.count
     assert chain.row(1) == FinVec.unit(Z, k + 1)
-    assert row_evals.count <= k + 1
+    assert row_evals.count - before == k
 
 
 def test_rows_below_1_raise_after_the_memo_holds_rows():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -327,6 +328,12 @@ def test_infinite_matrix_enumeration_injective(spec):
     ring = parse_ring_spec(spec)
     elems = [ring.nth_element(i) for i in range(500)]
     assert len(set(elems)) == 500
+    # Index bits are dealt round-robin, one to each cell in turn, so the
+    # first 2**cells indices are the matrices over Int's elements 0, -1.
+    k = ring.k
+    assert set(elems[:2 ** (k * k)]) == {
+        tuple(zip(*[iter(cells)] * k))
+        for cells in itertools.product((0, -1), repeat=k * k)}
 
 
 def test_integer_enumeration_order():

@@ -2,17 +2,16 @@ import itertools
 import random
 
 import pytest
-from oracle_reference import brute_oracle, first_words, words_up_to
+from oracle_reference import brute_oracle, first_words, u_word, words_up_to
 
 from rowfin import fearing as fr
 from rowfin import matrices as mx
-from rowfin import twogen as tg
 from rowfin import words as wd
 from rowfin.matrices import FinVec
 from rowfin.rings import IntegerRing, RingError, parse_ring_spec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Const, Gen, Prod, Sum, WordError,
                           eval_word, format_word, prod_chain, proximity_oracle,
-                          support_closure, word_generators, word_length)
+                          support_closure)
 
 Z = IntegerRing()
 GF2 = parse_ring_spec("GF:2")
@@ -23,24 +22,10 @@ def shift(ring):
     return mx.from_index_map(ring, lambda a: a + 1)
 
 
-def test_word_length_examples():
-    a, b = Gen("a"), Gen("b")
-    assert word_length(a) == 1
-    assert word_length(ONE) == 1
-    assert word_length(Sum(a, b)) == 2
-    assert word_length(Prod(Sum(ONE, a), b)) == 3
-
-
-def test_word_generators():
-    w = Prod(Sum(Gen("a"), ONE), Gen("b"))
-    assert word_generators(w) == {"a", "b"}
-    assert word_generators(NEG_ONE) == frozenset()
-
-
 def test_prod_chain_left_associated():
     a, b, c = Gen("a"), Gen("b"), Gen("c")
-    assert prod_chain([a, b, c]) == Prod(Prod(a, b), c)
-    assert prod_chain([a]) == a
+    assert format_word(prod_chain([a, b, c])) == "((a * b) * c)"
+    assert prod_chain([a]) is a
     with pytest.raises(WordError):
         prod_chain([])
 
@@ -70,42 +55,19 @@ def test_printed_form_is_injective():
         same = tree(a) == tree(b)
         equal += same
         assert (format_word(a) == format_word(b)) is same
-        assert (a == b) is same and (a != b) is not same
-        assert repr(a) == format_word(a)
-        if same:
-            assert hash(a) == hash(b)
     assert 100 < equal < 1900
     assert format_word(Prod(Sum(ONE, Gen("s")), NEG_ONE)) == "((1 + s) * -1)"
 
 
 def test_deep_word_helpers_do_not_recurse():
-    w = tg.u_word(1000)
+    w = u_word(1000)
     # g_i = f1^6 f3 f1^i f3 has 8 + i leaves; u_1000 = g1 g4^1000 g3 g5^1000 g2.
     length = 9 + 1000 * 12 + 11 + 1000 * 13 + 10
     text = format_word(w)
     # 2003 factors chained left, the first of them eight products deep.
     assert text.startswith("(" * (2002 + 8) + "f1 * f1)")
     assert text.count("(") == length - 1
-    back = tg.u_word(1000)
-    assert back == w and back is not w
-    assert hash(back) == hash(w)
-    assert word_length(back) == word_length(w) == length
-    assert word_generators(w) == {"f1", "f3"}
-    assert format_word(back) == text
-    assert back != tg.u_word(999)
-    assert Prod(w, ONE) != Sum(w, ONE)
-    assert Prod(w, ONE) != Prod(back, ZERO)
-    assert repr(w) == text
-
-
-def test_sum_and_prod_equality_and_hash():
-    a, b = Gen("a"), Gen("b")
-    assert Sum(a, b) == Sum(Gen("a"), Gen("b"))
-    assert hash(Sum(a, b)) == hash(Sum(Gen("a"), Gen("b")))
-    assert Sum(a, b) != Prod(a, b)
-    assert Sum(a, b) != Sum(b, a)
-    assert Prod(a, b) != a and a != Prod(a, b)
-    assert len({Sum(a, b), Sum(a, b), Prod(a, b), a}) == 3
+    assert format_word(Prod(w, ONE)) == "(" + text + " * 1)"
 
 
 def test_generator_names_are_identifiers():
@@ -208,7 +170,7 @@ def test_oracle_trivial_cases():
     res = proximity_oracle(x1, x1, env, 2)
     assert res.found and res.r == 1
     res = proximity_oracle(x1, FinVec.unit(Z, 2), env, 2)
-    assert res.found and res.r == 1 and res.witness == Gen("s")
+    assert res.found and res.r == 1 and format_word(res.witness) == "s"
 
 
 def test_oracle_length_three_example():
@@ -219,7 +181,7 @@ def test_oracle_length_three_example():
     assert not proximity_oracle(x1, x2, env, 2).found
     res = proximity_oracle(x1, x2, env, 3)
     assert res.found and res.r == 3
-    assert word_length(res.witness) == 3
+    assert format_word(res.witness) == "(s * (s + s))"
     # Re-evaluating the witness reproduces the target exactly.
     assert x1.apply(eval_word(res.witness, env, Z5)) == x2
 
@@ -231,7 +193,7 @@ def test_oracle_minimizes_over_larger_bounds():
     r3 = proximity_oracle(x1, x2, env, 3)
     r5 = proximity_oracle(x1, x2, env, 5)
     assert r3.r == r5.r == 3
-    assert r3.witness == r5.witness
+    assert format_word(r3.witness) == format_word(r5.witness)
 
 
 def test_oracle_budget(monkeypatch):
@@ -322,6 +284,11 @@ def test_oracle_builds_maps_for_representatives_only(monkeypatch):
     assert kept > 0
 
 
+def _answer(res):
+    """found, r and the witness's printed form of an oracle result."""
+    return res.found, res.r, res.witness and format_word(res.witness)
+
+
 def _random_vec(rng, ring, top, entries):
     return FinVec(ring, {rng.randint(1, top): ring.random_payload(rng)
                          for _ in range(entries)})
@@ -360,15 +327,14 @@ def test_merged_oracle_matches_brute_force():
             skipped += 1
             continue
         got = proximity_oracle(x1, x2, env, r_max)
-        assert (got.found, got.r, got.witness) == (ref.found, ref.r, ref.witness), (
-            ring.spec, sorted(env), r_max, x1, x2)
+        assert _answer(got) == _answer(ref), (ring.spec, sorted(env), r_max, x1, x2)
         assert got.words_tried <= ref.words_tried
         if not ref.found:
             assert ref.words_tried == words_up_to(env, r_max)
         reachable = list(first)
         for x2 in rng.sample(reachable, min(10, len(reachable))):
             got, ref = proximity_oracle(x1, x2, env, r_max), first[x2]
-            assert (got.found, got.r, got.witness) == (True, ref.r, ref.witness), (
+            assert _answer(got) == _answer(ref), (
                 ring.spec, sorted(env), r_max, x1, x2)
             assert got.words_tried <= ref.words_tried
         checked += 1
@@ -385,8 +351,7 @@ def test_merged_oracle_matches_brute_force():
     for x2, ref in first.items():
         for r_max in (5, 6):
             got = proximity_oracle(x1, x2, env, r_max)
-            assert (got.found, got.r, got.witness) == (True, ref.r, ref.witness), (
-                r_max, x2)
+            assert _answer(got) == _answer(ref), (r_max, x2)
             assert got.words_tried <= ref.words_tried
     assert {ref.r for ref in first.values()} == {1, 2, 3, 4, 5}
     # Out of reach, brute force tries every word up to length 5.
@@ -405,7 +370,8 @@ def test_merged_oracle_matches_brute_force():
         assert (got.found, got.r) == ((True, least[bits]) if bits in least
                                       else (False, 6)), bits
         if got.found:
-            assert word_length(got.witness) == got.r
+            # One bracket pair per sum or product: r leaves, r - 1 pairs.
+            assert format_word(got.witness).count("(") == got.r - 1
             assert FinVec.unit(GF2, 1).apply(eval_word(got.witness, env, GF2)) == x2
         outcomes.add((got.found, got.r))
     assert {(True, 6), (False, 6)} <= outcomes
@@ -445,14 +411,16 @@ def test_ball_containment_property():
     env = {"s": shift(GF2), "d": mx.scalar_map(GF2, 1)}
 
     def random_word(depth):
+        """A random word and its length."""
         if depth == 0 or rng.random() < 0.4:
-            return rng.choice([ZERO, ONE, NEG_ONE, Gen("s"), Gen("d")])
+            return rng.choice([ZERO, ONE, NEG_ONE, Gen("s"), Gen("d")]), 1
         ctor = rng.choice([Sum, Prod])
-        return ctor(random_word(depth - 1), random_word(depth - 1))
+        (left, m), (right, n) = random_word(depth - 1), random_word(depth - 1)
+        return ctor(left, right), m + n
 
     for _ in range(60):
-        w = random_word(3)
+        w, length = random_word(3)
         x = FinVec(GF2, {rng.randint(1, 12): 1 for _ in range(rng.randint(1, 3))})
         val = x.apply(eval_word(w, env, GF2))
-        rep = support_closure(x, lambda a: {a}, env, word_length(w))
+        rep = support_closure(x, lambda a: {a}, env, length)
         assert val.support() <= rep.cover
