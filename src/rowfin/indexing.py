@@ -77,6 +77,66 @@ class SevenPartition:
 
 
 # ---------------------------------------------------------------------------
+# Exact affine index tables
+
+
+class AffineTable:
+    """A partial index map N+ -> N+ that is affine on each residue class.
+
+    `entries[r]` is None, where the map is undefined on t = r mod
+    `modulus`, or integers (num, den, off) with t -> (num t + off) // den.
+    The constructor checks that every entry is exact on its class: den
+    divides num t + off for every t in it, and the image of its least
+    member (so of every member, num being >= 0) is at least 1.
+    """
+
+    __slots__ = ("modulus", "entries")
+
+    def __init__(self, modulus: int, entries):
+        entries = tuple(entries)
+        if modulus < 1 or len(entries) != modulus:
+            raise IndexError_(f"a table of modulus {modulus} needs that many "
+                              f"entries, got {len(entries)}")
+        for r, entry in enumerate(entries):
+            if entry is None:
+                continue
+            num, den, off = entry
+            least = r or modulus
+            if not (num >= 0 and den >= 1 and (num * modulus) % den == 0
+                    and (num * least + off) % den == 0
+                    and num * least + off >= den):
+                raise IndexError_(f"entry {entry} is not an exact index map "
+                                  f"on the residue {r} mod {modulus}")
+        self.modulus = modulus
+        self.entries = entries
+
+    def __call__(self, t: int):
+        entry = self.entries[t % self.modulus]
+        if entry is None:
+            return None
+        num, den, off = entry
+        return (num * t + off) // den
+
+    def then(self, other: "AffineTable"):
+        """The table of self followed by other, or None unless both have
+        denominator 1 and one modulus: (a t + b) mod M then depends only
+        on t mod M."""
+        m = self.modulus
+        if other.modulus != m or any(e is not None and e[1] != 1
+                                     for e in self.entries + other.entries):
+            return None
+        merged = []
+        for r, entry in enumerate(self.entries):
+            if entry is not None:
+                a, _, b = entry
+                second = other.entries[(a * r + b) % m]
+                entry = None if second is None else (second[0] * a, 1,
+                                                     second[0] * b + second[2])
+            merged.append(entry)
+        return AffineTable(m, merged)
+
+
+# ---------------------------------------------------------------------------
 # Triangular block indexing
 
 

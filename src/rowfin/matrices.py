@@ -5,8 +5,10 @@ memoize computed rows.  A map is one of
 
 * general (`RowFiniteMap`): an arbitrary row function;
 * `Monomial`: row a is coeff * e_t, where the map's walk sends a to t
-  through its primitive partial index functions, or zero where one of
-  them is undefined;
+  one step at a time, or zero where a step is undefined.  A step is a
+  primitive partial index function, memoized, or an exact
+  `AffineTable`, evaluated in place with no memo; adjacent tables of
+  one modulus with integer entries merge into one step;
 * `Piecewise`: row a is row reindex_c(a) of the map m_c of a's class
   c = classify(a), or zero where the class has no piece;
 * `Chain`: a flat product of factors.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from .indexing import AffineTable
 from .rings import BaseRing, parse_ring_spec, same_ring
 
 
@@ -34,7 +37,8 @@ class MatrixError(Exception):
 
 
 class _RowEvalCounter:
-    """Counts evaluations of primitive rows and index functions; test hook."""
+    """Counts evaluations of primitive rows and of memoized index
+    functions; test hook.  An `AffineTable` walk step is not counted."""
 
     def __init__(self):
         self.count = 0
@@ -192,7 +196,7 @@ class RowFiniteMap:
 
 def _memoized_index(fn) -> tuple:
     """(memo, index): the partial index function fn, a -> int | None,
-    computed once per a and kept in memo."""
+    computed once per a and kept in memo; one walk step."""
     memo = {}
 
     def index(alpha):
@@ -208,6 +212,19 @@ def _memoized_index(fn) -> tuple:
     return memo, index
 
 
+def _walk(walk: tuple, t: int):
+    """t sent through a monomial's walk, or None where a step is undefined."""
+    for step in walk:
+        if step.__class__ is AffineTable:
+            t = step(t)
+        else:
+            memo, index = step
+            t = memo.get(t) or index(t)
+        if t is None:
+            return None
+    return t
+
+
 def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
     """Row alpha of the product: e_alpha pushed through the steps in turn.
 
@@ -215,10 +232,10 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
     the running vector is one term c * e_t it travels as the pair (t, c):
     a piecewise step sends t through its classifier and the piece's
     reindex, and then acts as the piece's step; a monomial step sends t
-    through its walk of primitive index functions (memo first) and c to
-    c * scale; a general step gives c * row t.  A FinVec is carried only
-    while it has several terms, and then each step applies its whole
-    factor.
+    through its walk as `_walk` does, with an affine table evaluated in
+    place and an index function's memo read first, and c to c * scale;
+    a general step gives c * row t.  A FinVec is carried only while it
+    has several terms, and then each step applies its whole factor.
     """
     one, mul, is_zero = ring.one, ring.mul, ring.is_zero
     t, c, vec = alpha, one, None
@@ -234,7 +251,15 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
                 reindex, f, cases, walk, scale = piece
                 t = reindex(t)
             if walk is not None:
-                for memo, index in walk:
+                for step in walk:
+                    if step.__class__ is AffineTable:
+                        entry = step.entries[t % step.modulus]
+                        if entry is None:
+                            return FinVec._of(ring, {})
+                        num, den, off = entry
+                        t = (num * t + off) // den
+                        continue
+                    memo, index = step
                     t = memo.get(t) or index(t)  # a memo hit skips the call
                     if t is None:
                         return FinVec._of(ring, {})
@@ -260,10 +285,10 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
 # bound method: a map whose row function refers to the map is a reference
 # cycle, freed only by the cyclic GC, and short-lived maps then pile up.
 class Monomial(RowFiniteMap):
-    """Row a is coeff * e_t, where `walk`, a tuple of (memo, index)
-    pairs from `_memoized_index`, sends a to t one primitive partial index
-    function at a time; the row is zero where one of them is None.  No
-    walk is the identity.
+    """Row a is coeff * e_t, where `walk` sends a to t one step at a
+    time; the row is zero where a step gives None.  A step is a (memo,
+    index) pair from `_memoized_index` or an `AffineTable`.  No walk is
+    the identity.
     """
 
     __slots__ = ("walk", "coeff")
@@ -282,10 +307,7 @@ class Monomial(RowFiniteMap):
         scale = None if coeff == ring.one else coeff
         out = {}
         for t, val in vec.entries.items():
-            for memo, index in walk:
-                t = memo.get(t) or index(t)
-                if t is None:
-                    break
+            t = _walk(walk, t)
             if t is None:
                 continue
             if scale is not None:
@@ -302,9 +324,15 @@ class Monomial(RowFiniteMap):
         return FinVec._of(ring, out)
 
     def then(self, g: "Monomial") -> "Monomial":
-        """The product self g: walks chain, coefficients multiply."""
-        return Monomial(self.ring, self.walk + g.walk,
-                        self.ring.mul(self.coeff, g.coeff))
+        """The product self g: walks chain, coefficients multiply.  Where
+        the walks meet, two tables merge into one step if they can."""
+        left, right = self.walk, g.walk
+        if (left and right and isinstance(left[-1], AffineTable)
+                and isinstance(right[0], AffineTable)):
+            merged = left[-1].then(right[0])
+            if merged is not None:
+                left, right = left[:-1] + (merged,), right[1:]
+        return Monomial(self.ring, left + right, self.ring.mul(self.coeff, g.coeff))
 
 
 class Piecewise(RowFiniteMap):
@@ -337,9 +365,9 @@ class Chain(RowFiniteMap):
 
     The chain keeps only its factors' steps, and row a is e_a pushed
     through them by `_chain_row`; only the chain's own rows are memoized.
-    A single-term row walks a monomial's primitive index functions and a
-    piecewise factor's pieces, so it neither reads nor fills that
-    factor's row memo.  Every factor's ring is checked once, here.
+    A single-term row walks a monomial's steps and a piecewise factor's
+    pieces, so it neither reads nor fills that factor's row memo.  Every
+    factor's ring is checked once, here.
     """
 
     __slots__ = ("steps",)
@@ -394,8 +422,12 @@ def projection(ring: BaseRing, member) -> Monomial:
 
 
 def from_index_map(ring: BaseRing, fn) -> Monomial:
-    """Map sending e_a to e_{fn(a)}; fn returning None gives a zero row."""
-    return Monomial(ring, (_memoized_index(fn),))
+    """Map sending e_a to e_{fn(a)}; fn returning None gives a zero row.
+
+    fn is a function, memoized, or an `AffineTable`, read as it stands.
+    """
+    step = fn if isinstance(fn, AffineTable) else _memoized_index(fn)
+    return Monomial(ring, (step,))
 
 
 def from_rows(ring: BaseRing, rows: dict) -> RowFiniteMap:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 
 from . import matrices as mx
-from .indexing import SevenPartition, ZPairing
+from .indexing import AffineTable, SevenPartition, ZPairing
 from .matrices import RowFiniteMap, FinVec
 from .rings import BaseRing, RingError, same_ring
 from .words import Gen, Word, eval_word, format_word, prod_chain
@@ -115,60 +115,61 @@ def u_word_texts(indices) -> dict:
     return out
 
 
-def _phi(k: int) -> int:
-    """The index action of f1: classes 1..5 advance; classes 6,7 merge into 7."""
-    q, r = divmod(k - 1, 7)     # k is in class r + 1
-    if r <= 4:
-        return k + 1
-    # Position of k among {6,7, 13,14, 20,21, ...}.
-    return 7 * (2 * q + (1 if r == 5 else 2))
+# The index maps of f1 and f3, as exact tables over residues (7 plays 0).
+
+# f1: classes 1..5 advance one class; the j-th rows of classes 6 and 7,
+# 7j - 1 and 7j, merge into class 7 as 7(2j - 1) and 7(2j).
+PHI = AffineTable(7, [(2, 1, 0)] + [(1, 1, 1)] * 5 + [(2, 1, -5)])
+
+# alpha's position j in its mod-7 piece: alpha = 7(j - 1) + class.
+POSITION = AffineTable(7, [(1, 7, -r % 7) for r in range(7)])
 
 
-def _sigma1_index(alpha: int) -> int:
-    """For alpha in class 7, the k with f1^6 sending 7k - 6 (k-th of Sigma_1) to alpha.
+def _sigma1_entry(r: int):
+    """SIGMA1_ROW's entry for alpha = r mod 448, where alpha = 7j.
 
     Undoing f1 on 7j halves j while j is even (class 7 from class 7) and
     leaves class 7 for class 6 once j is odd; every later step goes down
-    one class.  After e <= 6 halvings that gives k in closed form, and it
-    never runs below class 1.
+    one class.  After e <= 6 halvings, e fixed by j mod 64, f1^6 sends
+    the k-th row 7k - 6 of Sigma_1 to alpha, where k = 7(j / 2^e - 1)/2
+    + 1 + e below e = 6 and k = 7j / 64 at e = 6.  So 7k - 6 is
+    (7 alpha + 2^e (14e - 47)) / 2^(e+1), or (7 alpha - 384) / 64.
     """
-    j = alpha // 7
-    e = min(6, (j & -j).bit_length() - 1)   # trailing zero bits of j
-    j >>= e
-    return 7 * j if e == 6 else 7 * (j - 1) // 2 + 1 + e
+    if r % 7:
+        return None
+    j = r // 7
+    if j == 0:
+        return 7, 64, -384
+    e = (j & -j).bit_length() - 1   # trailing zero bits of j, below 6
+    return 7, 2 << e, (14 * e - 47) << e
 
 
-def _position(alpha: int) -> int:
-    """alpha's position j in its mod-7 piece: alpha = 7(j - 1) + class."""
-    return (alpha - 1) // 7 + 1
-
-
-def _sigma1_row(alpha: int) -> int:
-    """For alpha in class 7, the k-th element 7k - 6 of Sigma_1 = {1, 8, 15, ...},
-    where f1^6 sends it to alpha."""
-    return 7 * _sigma1_index(alpha) - 6
+# For alpha in class 7, the row 7k - 6 of Sigma_1 that f1^6 sends to alpha.
+SIGMA1_ROW = AffineTable(448, [_sigma1_entry(r) for r in range(448)])
 
 
 def build_two_generators(gmaps: dict) -> tuple[RowFiniteMap, RowFiniteMap]:
     """(f1, f3), whose words reproduce the g-maps {1: g1, ..., 5: g5}.
 
-    f1 advances the mod-7 pieces (merging the last two).  f3 is piecewise
-    over the mod-7 classes, so that g_i = f1^6 f3 f1^i f3 for i in 1..5:
+    f1 advances the mod-7 pieces (merging the last two); its index map
+    is the table `PHI`, so a product of f1's is one table step.  f3 is
+    piecewise over the mod-7 classes, so that g_i = f1^6 f3 f1^i f3 for
+    i in 1..5:
 
     * class 1 gives zero rows;
-    * on class c in 2..6, row alpha is row `_position(alpha)` of g_{c-1}:
+    * on class c in 2..6, row alpha is row `POSITION(alpha)` of g_{c-1}:
       the row of t_{c-1}^{-1} f2^{-1} g_{c-1} collapses to a plain row of
       g_{c-1}, indexed by alpha's position in its piece;
-    * on class 7, row alpha is the unit row e_{7k-6} (`_sigma1_row`):
+    * on class 7, row alpha is the unit row e_{7k-6} (`SIGMA1_ROW`):
       t6^{-1} f2 undoes six f1-steps and lands in the k-th row of
       Sigma_1.
 
     The g-word checks of a report verify those identities.
     """
     ring = gmaps[1].ring
-    pieces = {1: None, 7: (_sigma1_row, mx.identity_map(ring))}
-    pieces.update((c, (_position, gmaps[c - 1])) for c in range(2, 7))
-    f1 = mx.from_index_map(ring, _phi)
+    pieces = {1: None, 7: (SIGMA1_ROW, mx.identity_map(ring))}
+    pieces.update((c, (POSITION, gmaps[c - 1])) for c in range(2, 7))
+    f1 = mx.from_index_map(ring, PHI)
     return f1, mx.Piecewise(ring, SevenPartition().class_of, pieces)
 
 

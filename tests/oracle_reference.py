@@ -9,6 +9,10 @@ answer for every reachable target off one enumeration, and
 `u_word` is the two-generator word tree of u_i, the reference for the
 joined texts of `rowfin.twogen.u_word_texts` and, evaluated flat, for
 the shared rows of `rowfin.twogen.word_maps`.
+
+`phi`, `position`, `sigma1_index` and `sigma1_row` are the index maps of
+f1 and f3 written as functions, the references for the tables
+`rowfin.twogen.PHI`, `POSITION` and `SIGMA1_ROW`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,40 @@ def u_word(i: int) -> Word:
     """g1 g4^i g3 g5^i g2 with every factor replaced by its two-generator word."""
     g = {j: tg.g_word(j) for j in range(1, 6)}
     return prod_chain(g[j] for j in tg._u_factors(i))
+
+
+def phi(k: int) -> int:
+    """The index action of f1: classes 1..5 advance; classes 6,7 merge into 7."""
+    q, r = divmod(k - 1, 7)     # k is in class r + 1
+    if r <= 4:
+        return k + 1
+    # Position of k among {6,7, 13,14, 20,21, ...}.
+    return 7 * (2 * q + (1 if r == 5 else 2))
+
+
+def sigma1_index(alpha: int) -> int:
+    """For alpha in class 7, the k with f1^6 sending 7k - 6 (k-th of Sigma_1) to alpha.
+
+    Undoing f1 on 7j halves j while j is even (class 7 from class 7) and
+    leaves class 7 for class 6 once j is odd; every later step goes down
+    one class.  After e <= 6 halvings that gives k in closed form, and it
+    never runs below class 1.
+    """
+    j = alpha // 7
+    e = min(6, (j & -j).bit_length() - 1)   # trailing zero bits of j
+    j >>= e
+    return 7 * j if e == 6 else 7 * (j - 1) // 2 + 1 + e
+
+
+def position(alpha: int) -> int:
+    """alpha's position j in its mod-7 piece: alpha = 7(j - 1) + class."""
+    return (alpha - 1) // 7 + 1
+
+
+def sigma1_row(alpha: int) -> int:
+    """For alpha in class 7, the k-th element 7k - 6 of Sigma_1 = {1, 8, 15, ...},
+    where f1^6 sends it to alpha."""
+    return 7 * sigma1_index(alpha) - 6
 
 
 class _Cand:

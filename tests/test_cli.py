@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from oracle_reference import u_word
+from oracle_reference import phi, u_word
 
 from rowfin import classify as cl
 from rowfin import cli
@@ -17,6 +17,7 @@ from rowfin import matrices as mx
 from rowfin import triangular as tr
 from rowfin import twogen as tg
 from rowfin import words as wd
+from rowfin.indexing import AffineTable
 from rowfin.rings import parse_ring_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -91,9 +92,9 @@ def test_a_broken_g_family_fails_the_construction_check(monkeypatch):
 
 def test_a_wrong_f1_row_fails_both_reports(monkeypatch, capsys):
     """f1 wrong at row 3 only: the g-word checks must catch it, and each
-    report must end in FAIL, not a traceback."""
-    phi = tg._phi
-    monkeypatch.setattr(tg, "_phi", lambda k: phi(k) + 7 if k == 3 else phi(k))
+    report must end in FAIL, not a traceback.  f1's table is swapped for
+    the oracle function with that row edited."""
+    monkeypatch.setattr(tg, "PHI", lambda k: phi(k) + 7 if k == 3 else phi(k))
     report, doc = run_json(["two-gen", "--window", "16"])
     assert report.failed
     verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
@@ -109,6 +110,21 @@ def test_a_wrong_f1_row_fails_both_reports(monkeypatch, capsys):
     assert (g1["verdict"], g1["detail"][:6]) == ("fail", "row 1:")
     assert cli.main(["maltsev", "--count", "3"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("residue", range(7))
+def test_a_one_entry_edit_of_f1s_table_fails_both_reports(monkeypatch, residue):
+    """7 added to the offset of one residue's entry of f1's table: the
+    g-word checks of `two-gen` and `maltsev` must catch it."""
+    entries = list(tg.PHI.entries)
+    num, den, off = entries[residue]
+    entries[residue] = (num, den, off + 7)
+    monkeypatch.setattr(tg, "PHI", AffineTable(7, entries))
+    for argv in (["two-gen"], ["maltsev", "--ring", "Zmod:6", "--count", "6"]):
+        report, doc = run_json(argv)
+        verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+        assert report.failed and verdicts["construction"] == "pass"
+        assert {verdicts[f"g{i} word"] for i in range(1, 6)} == {"fail"}, argv
 
 
 @pytest.mark.parametrize("argv", [

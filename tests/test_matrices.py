@@ -1,12 +1,14 @@
 import gc
+import math
 import random
 from functools import reduce
 
 import pytest
+from oracle_reference import phi
 
 import rowfin
 from rowfin import matrices as mx
-from rowfin import twogen as tg
+from rowfin.indexing import AffineTable, IndexError_
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
 from rowfin.rings import IntegerRing, PrimeField, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
@@ -409,7 +411,7 @@ def test_chain_steps_walk_the_parts_of_composite_monomials():
     never reads or fills that factor's row memo."""
     ring = MAT2
     rng = random.Random(28)
-    f1 = mx.from_index_map(ring, tg._phi)
+    f1 = mx.from_index_map(ring, phi)
     c = mx.scalar_map(ring, ((1, 1), (0, 1)))        # a non-unit coefficient
     f1_6 = product([f1] * 3 + [c] + [f1] * 3)
     holes = mx.from_index_map(ring, lambda a: None if a % 3 == 0 else a)
@@ -442,9 +444,85 @@ def test_chain_steps_walk_the_parts_of_composite_monomials():
     # One row of f1_6: c times e_{phi^6(a)}, kept in the monomial's row memo.
     a = 100
     for _ in range(6):
-        a = tg._phi(a)
+        a = phi(a)
     assert f1_6.row(100) == FinVec(ring, {a: c.coeff})
     assert list(f1_6._memo) == [100]
+
+
+def random_table(rng, moduli=range(1, 7), dens=(1, 2, 3)):
+    """A random exact AffineTable: some residues undefined, some entries
+    constant (so entries collide), some with a denominator above 1."""
+    m = rng.choice(moduli)
+    entries = []
+    for r in range(m):
+        if rng.random() < 0.2:
+            entries.append(None)
+            continue
+        den = rng.choice(dens)
+        num = rng.randint(0, 3) * den // math.gcd(den, m)
+        least = r or m
+        # The least member of the class goes to q >= 1, exactly.
+        entries.append((num, den, den * rng.randint(1, 4) - num * least))
+    return AffineTable(m, entries)
+
+
+def test_affine_tables_are_exact_or_rejected():
+    assert AffineTable(3, [(2, 3, 0), (2, 3, 1), (2, 3, 2)])(10) == 7
+    for m, entries in ((3, [(1, 2, 0)] * 3),          # t / 2 with t = 1 mod 3
+                       (2, [(1, 2, 0), (1, 2, 0)]),   # t / 2 with t odd
+                       (1, [(3, 2, 1)]),              # 3t + 1 odd at t = 2
+                       (7, [(1, 1, 1)] * 6 + [(1, 1, -7)]),  # 6 -> -1
+                       (1, [(-1, 1, 9)]),             # falls below 1
+                       (1, [(0, 1, 0)]),              # constant 0
+                       (2, [(1, 1, 0)])):             # one entry short
+        with pytest.raises(IndexError_):
+            AffineTable(m, entries)
+
+
+def test_integer_tables_of_one_modulus_merge_into_one_step():
+    rng = random.Random(34)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        a, b = (random_table(rng, moduli=[m], dens=[1]) for _ in range(2))
+        merged = mx.compose(mx.from_index_map(GF5, a), mx.from_index_map(GF5, b))
+        assert len(merged.walk) == 1
+        for t in range(1, 40):
+            first = a(t)
+            assert merged.walk[0](t) == (None if first is None else b(first))
+    # A denominator above 1, or two moduli, keeps two steps.
+    for a, b in ((AffineTable(7, [(1, 7, -r % 7) for r in range(7)]),
+                  AffineTable(7, [(1, 1, 1)] * 7)),
+                 (AffineTable(2, [(1, 1, 2)] * 2), AffineTable(3, [(1, 1, 3)] * 3))):
+        for f, g in ((a, b), (b, a)):
+            both = mx.compose(mx.from_index_map(GF5, f), mx.from_index_map(GF5, g))
+            assert both.walk == (f, g)
+
+
+@pytest.mark.parametrize("ring", [Z6, GF5, MAT2])
+def test_table_steps_match_general_rows(ring):
+    """Monomials with table steps, alone and among index functions and
+    scalars: vectors of several terms apply through `remap`, and products
+    and chains against the general row path.  A table step is not
+    counted in `row_evals`."""
+    rng = random.Random(35)
+    tables = [random_table(rng) for _ in range(30)]
+    before = row_evals.count
+    for table in tables:
+        m = mx.from_index_map(ring, table)
+        for a in range(1, 17):
+            m.row(a)
+    assert row_evals.count == before
+    for _ in range(40):
+        parts = [mx.from_index_map(ring, rng.choice(tables)) if rng.random() < 0.6
+                 else random_monomial(ring, rng) for _ in range(rng.randint(1, 4))]
+        m = product(parts)
+        assert isinstance(m, mx.Monomial)
+        for _ in range(5):
+            v = random_vec(ring, rng)
+            assert v.apply(m) == slow_apply(v, generic(m)) == slow_apply(v, slow_product(parts))
+        g = random_map(ring, rng, density=0.15)
+        chain = mx.Chain(ring, (g, m, g))
+        assert mx.first_mismatch(chain, slow_product([g] + parts + [g]), 16) is None
 
 
 def piecewise_mod_4(ring, rng):

@@ -2,6 +2,7 @@ import random
 from functools import reduce
 
 import pytest
+import oracle_reference as ref
 from oracle_reference import u_word
 
 from rowfin import matrices as mx
@@ -104,33 +105,83 @@ def undo_f1_six_times(alpha):
 def test_phi_round_trip():
     part = SevenPartition()
     for k in range(1, 300):
-        beta = tg._phi(k)
+        beta = tg.PHI(k)
         assert part.class_of(beta) == min(part.class_of(k) + 1, 7)
         assert phi_inv(beta) == k or part.class_of(k) >= 6
     # Classes 6 and 7 merge injectively into class 7.
-    images = [tg._phi(k) for k in range(1, 400)
+    images = [tg.PHI(k) for k in range(1, 400)
               if part.class_of(k) >= 6]
     assert len(images) == len(set(images))
     for beta in images:
         assert part.class_of(beta) == 7
         k = phi_inv(beta)
-        assert tg._phi(k) == beta
+        assert tg.PHI(k) == beta
 
 
 def test_closed_form_class_7_rows_match_six_inverse_steps():
     for j in range(1, 10 ** 5):
-        assert tg._sigma1_index(7 * j) == undo_f1_six_times(7 * j)
+        assert ref.sigma1_index(7 * j) == undo_f1_six_times(7 * j)
+        assert tg.SIGMA1_ROW(7 * j) == 7 * undo_f1_six_times(7 * j) - 6
     rng = random.Random(17)
     alphas = [7 * rng.randrange(1, 10 ** 12 // 7) for _ in range(20000)]
     alphas += [7 * 2 ** s * m for s in range(30) for m in (1, 3, 5, 7, 9, 99)]
     for alpha in alphas:
-        k = tg._sigma1_index(alpha)
+        k = ref.sigma1_index(alpha)
         assert k is not None and k == undo_f1_six_times(alpha)
+        assert tg.SIGMA1_ROW(alpha) == 7 * k - 6
     # f3's class-7 row is e_{7k-6}, read through the closed form.
     _, f3 = tg.build_two_generators(tg.build_g_family({}, GF3))
     for alpha in (7, 448, 7 * 2 ** 40 * 3):
         k = undo_f1_six_times(alpha)
         assert f3.row(alpha) == FinVec.unit(GF3, 7 * k - 6)
+
+
+def cross_check_rows(modulus):
+    """Rows 1..10^5, and a run of `modulus` rows (one of each residue)
+    from 10^9, 10^12 and 10^18."""
+    far = [top + d for top in (10 ** 9, 10 ** 12, 10 ** 18) for d in range(modulus)]
+    return list(range(1, 10 ** 5 + 1)) + far
+
+
+@pytest.mark.parametrize("table, oracle, domain", [
+    (tg.PHI, ref.phi, range(7)),
+    (tg.POSITION, ref.position, range(7)),
+    (tg.SIGMA1_ROW, ref.sigma1_row, range(0, 448, 7)),   # class 7
+], ids=["PHI", "POSITION", "SIGMA1_ROW"])
+def test_index_tables_match_their_oracles(table, oracle, domain):
+    m = table.modulus
+    assert [r for r in range(m) if table.entries[r] is not None] == list(domain)
+    for t in cross_check_rows(m):
+        if table.entries[t % m] is not None:
+            assert table(t) == oracle(t), t
+
+
+F1_POWER_6 = ((64, 0), (2, 5), (4, 6), (8, 4), (16, -8), (32, -48), (64, -160))
+
+
+def test_f1_powers_are_one_merged_table_step():
+    """f1^n composes into a monomial with one table step, which agrees
+    with n steps of the oracle; f1^6 is the literal table below, and
+    SIGMA1_ROW undoes it onto Sigma_1 on every row checked."""
+    f1 = mx.from_index_map(GF3, tg.PHI)
+    powers = {}
+    for n in range(1, 13):
+        power = product([f1] * n)
+        assert isinstance(power, mx.Monomial) and len(power.walk) == 1
+        powers[n] = power.walk[0]
+    assert powers[6].entries == tuple((num, 1, off) for num, off in F1_POWER_6)
+    rows = cross_check_rows(7)
+    for t in rows:
+        k = t
+        for n in range(1, 13):
+            k = ref.phi(k)
+            assert powers[n](t) == k, (n, t)
+        assert tg.SIGMA1_ROW(powers[6](t)) == 7 * t - 6, t
+    # Each g-word chain opens with f1^6 as one table step.
+    f1, f3 = tg.build_two_generators(tg.build_g_family({}, GF3))
+    for i in range(1, 6):
+        first = eval_word(tg.g_word(i), {"f1": f1, "f3": f3}, GF3).steps[0][0]
+        assert [step.entries for step in first.walk] == [powers[6].entries]
 
 
 def f3_row(gmaps, alpha):
@@ -146,7 +197,7 @@ def f3_row(gmaps, alpha):
         return gmaps[c - 1].row((alpha - 1) // 7 + 1)
     # Class 7: t6^{-1} f2, i.e. undo six f1-steps then land in the
     # k-th row of Sigma_1 = {1, 8, 15, ...}.
-    return FinVec.unit(ring, 7 * tg._sigma1_index(alpha) - 6)
+    return FinVec.unit(ring, ref.sigma1_row(alpha))
 
 
 PIECEWISE_CASES = [(spec, family) for spec in ("Zmod:6", "GF:5", "Mat:2:GF:2")
@@ -207,7 +258,7 @@ def test_index_maps_match_enumerated_pieces():
     n = 5000
     phi, enumerated_inv, pieces = enumerated_index_maps(n)
     for k in range(1, n + 1):
-        assert tg._phi(k) == phi[k]
+        assert tg.PHI(k) == phi[k]
         assert phi_inv(k) == enumerated_inv.get(k)
     gmaps = tg.build_g_family(random_family(GF3, 4), GF3)
     _, f3 = tg.build_two_generators(gmaps)
