@@ -70,7 +70,13 @@ class ZPairing:
 
 
 class SevenPartition:
-    """N+ split into seven infinite pieces by residue mod 7 (7 plays 0)."""
+    """N+ split into seven infinite pieces by residue mod 7 (7 plays 0).
+
+    `class_of(k)` depends only on k mod `period`; a `Piecewise` map over
+    it reads that to reduce products (`matrices.compose`).
+    """
+
+    period = 7
 
     def class_of(self, k: int) -> int:
         return (k - 1) % 7 + 1
@@ -117,23 +123,49 @@ class AffineTable:
         num, den, off = entry
         return (num * t + off) // den
 
-    def then(self, other: "AffineTable"):
-        """The table of self followed by other, or None unless both have
-        denominator 1 and one modulus: (a t + b) mod M then depends only
-        on t mod M."""
-        m = self.modulus
-        if other.modulus != m or any(e is not None and e[1] != 1
-                                     for e in self.entries + other.entries):
-            return None
-        merged = []
-        for r, entry in enumerate(self.entries):
+    def then(self, other: "AffineTable") -> "AffineTable":
+        """The table of self followed by other, exact on every residue.
+
+        On the class t = m s + r of self's modulus m, the entry (num,
+        den, off) sends t to k s + c with k = num m / den, so other's
+        residue mod M repeats in s with period M / gcd(k, M).  The
+        composite has modulus m times the lcm of those periods, and its
+        classes that share one affine map merge, down to the least
+        modulus (`_least_table`).
+        """
+        m, big = self.modulus, other.modulus
+        period = 1
+        for entry in self.entries:
             if entry is not None:
-                a, _, b = entry
-                second = other.entries[(a * r + b) % m]
-                entry = None if second is None else (second[0] * a, 1,
-                                                     second[0] * b + second[2])
-            merged.append(entry)
-        return AffineTable(m, merged)
+                num, den, _ = entry
+                period = math.lcm(period, big // math.gcd(num * m // den, big))
+        first, second = self.entries, other.entries
+        entries = []
+        for t in range(m * period):
+            entry = first[t % m]
+            if entry is not None:
+                num, den, off = entry
+                # Exact: den divides num t + off on all of t's class mod m.
+                image = second[(num * t + off) // den % big]
+                if image is None:
+                    entry = None
+                else:
+                    a, b, c = image
+                    num, den, off = a * num, b * den, a * off + c * den
+                    g = math.gcd(num, den, off)
+                    entry = (num // g, den // g, off // g)
+            entries.append(entry)
+        return _least_table(entries)
+
+
+def _least_table(entries: list) -> AffineTable:
+    """The table of the least modulus d whose residues give `entries`:
+    entries[t] equals entries[t % d] for every t.  An entry in lowest
+    terms names its affine map uniquely, so equal maps merge."""
+    n = len(entries)
+    for d in range(1, n + 1):
+        if n % d == 0 and all(entries[t] == entries[t - d] for t in range(d, n)):
+            return AffineTable(d, entries[:d])
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,17 @@ memoize computed rows.  A map is one of
 * `Monomial`: row a is coeff * e_t, where the map's walk sends a to t
   one step at a time, or zero where a step is undefined.  A step is a
   primitive partial index function, memoized, or an exact
-  `AffineTable`, evaluated in place with no memo; adjacent tables of
-  one modulus with integer entries merge into one step;
+  `AffineTable`, evaluated in place with no memo; adjacent tables
+  merge into their exact composite, and an identity table drops out;
 * `Piecewise`: row a is row reindex_c(a) of the map m_c of a's class
   c = classify(a), or zero where the class has no piece;
 * `Chain`: a flat product of factors.
+
+`compose` reduces a product where its factors meet: an identity
+monomial drops out, two monomials become one, and a one-table monomial
+whose rows all land on one piece of a piecewise map whose classifier
+declares its period becomes that piece's product.  So a word over
+exact tables and such piecewise maps can reduce to the map it names.
 
 Each structured kind is stored once, as the steps a chain walks: a
 monomial as its walk and coefficient, a piecewise map as its cases
@@ -26,6 +32,7 @@ Zero entries are pruned at every arithmetic step so supports are exact.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 from .indexing import AffineTable
@@ -325,13 +332,18 @@ class Monomial(RowFiniteMap):
 
     def then(self, g: "Monomial") -> "Monomial":
         """The product self g: walks chain, coefficients multiply.  Where
-        the walks meet, two tables merge into one step if they can."""
+        the walks meet, two tables merge into their exact composite
+        (`AffineTable.then`), dropped if it is the identity, unless it
+        has more entries than the two together."""
         left, right = self.walk, g.walk
-        if (left and right and isinstance(left[-1], AffineTable)
-                and isinstance(right[0], AffineTable)):
-            merged = left[-1].then(right[0])
-            if merged is not None:
-                left, right = left[:-1] + (merged,), right[1:]
+        if (left and right and left[-1].__class__ is AffineTable
+                and right[0].__class__ is AffineTable):
+            a, b = left[-1], right[0]
+            merged = a.then(b)
+            if merged.modulus <= a.modulus + b.modulus:
+                left, right = left[:-1], right[1:]
+                if merged.entries != ((1, 1, 0),):   # not the identity
+                    left += (merged,)
         return Monomial(self.ring, left + right, self.ring.mul(self.coeff, g.coeff))
 
 
@@ -341,7 +353,11 @@ class Piecewise(RowFiniteMap):
     `pieces` maps every class that `classify` returns to (reindex_c,
     m_c), or to None for a class whose rows are zero.  The map keeps only
     `cases`: the classifier and, per class, None or (reindex_c,) + the
-    step of m_c.
+    step of m_c.  A classifier bound to an object with a `period` (as
+    `SevenPartition.class_of` is) declares that its class depends only
+    on a mod period; `compose` then reduces a one-table monomial
+    followed by this map where all its rows land on one piece whose
+    reindex is a table.
     """
 
     __slots__ = ("cases",)
@@ -453,19 +469,89 @@ def _steps(f: RowFiniteMap) -> tuple:
 def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
     """Right-action composition: row_a(fg) = row_a(f) . g.
 
-    Products flatten into one Chain, and monomials meeting at the seam
-    compose into one monomial; two monomials give a monomial.
+    Products flatten into one Chain, reduced where f's steps meet g's
+    (`_join`): an identity monomial drops out, monomials compose into one
+    monomial, and a monomial of one table meeting a piecewise map whose
+    rows it all sends to one piece becomes that piece's product.  Two
+    monomials give a monomial.
     """
     ring = same_ring(f.ring, g.ring)
-    left, right = _steps(f), _steps(g)
-    last, first = left[-1][0], right[0][0]
-    if isinstance(last, Monomial) and isinstance(first, Monomial):
-        left, right = left[:-1] + (_step(last.then(first)),), right[1:]
-    steps = left + right
+    *steps, last = _steps(f)
+    _join(steps, last)
+    right = _steps(g)
+    for n, step in enumerate(right):
+        if not _join(steps, step):
+            steps += right[n + 1:]
+            break
     if len(steps) == 1:
         return steps[0][0]
+    if not steps:
+        return identity_map(ring)
     # Every factor of f and of g is in the ring of f and g, checked above.
-    return Chain(ring, steps=steps)
+    return Chain(ring, steps=tuple(steps))
+
+
+def _is_one(f: RowFiniteMap) -> bool:
+    return f.__class__ is Monomial and not f.walk and f.coeff == f.ring.one
+
+
+def _join(steps: list, step: tuple) -> bool:
+    """Append `step` to the product `steps`, reduced where they meet;
+    False if it is appended as it stands."""
+    f = step[0]
+    if f.__class__ is Monomial:
+        if _is_one(f):
+            return True
+        if steps and steps[-1][0].__class__ is Monomial:
+            _join(steps, _step(steps.pop()[0].then(f)))
+            return True
+    elif f.__class__ is Piecewise and steps and steps[-1][0].__class__ is Monomial:
+        landed = _land(steps[-1][0], f)
+        if landed is not None:
+            steps.pop()
+            for piece_step in landed:
+                _join(steps, piece_step)
+            return True
+    steps.append(step)
+    return False
+
+
+def _land(mono: Monomial, pw: Piecewise):
+    """The steps of mono pw as the product of one piece, or None.
+
+    That needs mono's walk to be one table T and pw's classifier to
+    declare a period p.  On T's class r mod M, t = M s + r goes to
+    k s + c with k = num M / den, whose class mod p repeats in s with
+    period p / gcd(k, p); the classifier is called on one row of each.
+    If every defined class of T lands on one class whose piece (reindex,
+    m) reindexes by a table, row a of mono pw is coeff times row
+    reindex(T(a)) of m, so mono pw is (T then reindex, coeff) times m.
+    """
+    walk = mono.walk
+    if len(walk) != 1 or walk[0].__class__ is not AffineTable:
+        return None
+    classify, pieces = pw.cases
+    # A bound method's object may declare a period: classify(t) then
+    # depends only on t mod period.
+    period = getattr(getattr(classify, "__self__", None), "period", None)
+    if period is None:
+        return None
+    [t] = walk
+    m = t.modulus
+    landed = set()
+    for r, entry in enumerate(t.entries):
+        if entry is not None:
+            num, den, _ = entry
+            least = r or m
+            for s in range(period // math.gcd(num * m // den, period)):
+                landed.add(classify(t(least + m * s)))
+    if len(landed) != 1:
+        return None
+    piece = pieces.get(landed.pop())
+    if piece is None or piece[0].__class__ is not AffineTable:
+        return None
+    reindex, m = piece[0], piece[1]
+    return (_step(mono.then(Monomial(mono.ring, (reindex,)))),) + _steps(m)
 
 
 # ---------------------------------------------------------------------------

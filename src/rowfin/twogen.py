@@ -9,7 +9,7 @@ first elements.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 
 from . import matrices as mx
 from .indexing import AffineTable, SevenPartition, ZPairing
@@ -164,6 +164,9 @@ def build_two_generators(gmaps: dict) -> tuple[RowFiniteMap, RowFiniteMap]:
       t6^{-1} f2 undoes six f1-steps and lands in the k-th row of
       Sigma_1.
 
+    The classifier declares its period 7, so `compose` reduces each
+    g-word: f1^6 f3 is the table 7t - 6, f1^i sends it into class i + 1
+    on every row, and POSITION takes it back to t, leaving g_i itself.
     The g-word checks of a report verify those identities.
     """
     ring = gmaps[1].ring
@@ -244,14 +247,20 @@ def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: _Suffix, k: int,
 def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     """The maps of g_word(1..5) and of u_k for k in `indices` under env.
 
-    Each g-word is evaluated once, as G_i.  u_k = G1 G_up^k G3 G_down^k G2,
+    Each g-word is evaluated once, as G_i, from the prefix f1^6 f3 that
+    all five open with, evaluated once: g_word(i) is left-associated, so
+    G_i is that prefix times f1 i times, times f3.  Under the f1 and f3
+    of `build_two_generators`, `compose` reduces each G_i to the g-map
+    g_i itself.  u_k = G1 G_up^k G3 G_down^k G2,
     with (up, down) = (4, 5) for k >= 0 and (5, 4) below, is read through
     the prefix rows of G1 G_up^k and the suffix rows of G_down^k G2, both
     shared across k.  Products are associative, so every row equals the
     row of `eval_word` on the flat left-associated product of u_k's
     g-words.
     """
-    g = {i: eval_word(g_word(i), env, ring) for i in range(1, 6)}
+    prefix = eval_word(prod_chain([F1] * 6 + [F3]), env, ring)
+    f1, f3 = eval_word(F1, env, ring), eval_word(F3, env, ring)
+    g = {i: reduce(mx.compose, [f1] * i + [f3], prefix) for i in range(1, 6)}
     sides = {up: (_Prefix(g[1], g[up]), _Suffix(g[down], g[2]))
              for up, down in ((4, 5), (5, 4))}
     u = {}

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,51 @@ def test_a_one_entry_edit_of_f1s_table_fails_both_reports(monkeypatch, residue):
         verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
         assert report.failed and verdicts["construction"] == "pass"
         assert {verdicts[f"g{i} word"] for i in range(1, 6)} == {"fail"}, argv
+
+
+def edit_one_entry(table, residue, rows):
+    """`table` with the entry at `residue` sending each row `rows` further."""
+    entries = list(table.entries)
+    num, den, off = entries[residue]
+    entries[residue] = (num, den, off + rows * den)
+    return AffineTable(table.modulus, entries)
+
+
+TWO_REPORTS = (["two-gen"], ["maltsev", "--ring", "Zmod:6", "--count", "6"])
+
+
+@pytest.mark.parametrize("residue", random.Random(40).sample(range(2, 7), 3))
+def test_a_one_entry_edit_of_position_fails_its_g_word(monkeypatch, residue):
+    """f3's class-c piece reads row POSITION(alpha) + 1 of g_{c-1}: the
+    word of g_{c-1} reduces to a shift of g_{c-1}, not to g_{c-1}, and
+    fails; the other g-words still reduce to their g-maps."""
+    monkeypatch.setattr(tg, "POSITION", edit_one_entry(tg.POSITION, residue, 1))
+    for argv in TWO_REPORTS:
+        report, doc = run_json(argv)
+        failed = [c["name"] for c in doc["checks"] if c["verdict"] == "fail"]
+        assert report.failed and failed[0] == f"g{residue - 1} word", argv
+        assert [name for name in failed if not name.startswith("u")] == failed[:1]
+
+
+# The class-7 residues of SIGMA1_ROW that maltsev's window reads: f1^6
+# sends rows 1..16 to them.
+SEEN_CLASS_7 = sorted({reduce(lambda t, _: phi(t), range(6), a) % 448
+                       for a in range(1, 17)})
+
+
+@pytest.mark.parametrize("residue", random.Random(41).sample(SEEN_CLASS_7, 3))
+def test_a_one_entry_edit_of_sigma1_row_fails_both_reports(monkeypatch, residue):
+    """f3's class-7 piece lands one row of Sigma_1 further on one residue
+    mod 448: the prefix f1^6 f3 that all g-words share is no longer
+    7t - 6, so each g-word reads row t + 1 of its g-map on some rows of
+    the window.  No two rows of g1, g4 or g5 are equal, so their word
+    checks fail; g2 and g3 have equal (zero) rows, and theirs may pass."""
+    monkeypatch.setattr(tg, "SIGMA1_ROW", edit_one_entry(tg.SIGMA1_ROW, residue, 7))
+    for argv in TWO_REPORTS:
+        report, doc = run_json(argv)
+        verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+        assert report.failed and verdicts["construction"] == "pass"
+        assert {verdicts[f"g{i} word"] for i in (1, 4, 5)} == {"fail"}, argv
 
 
 @pytest.mark.parametrize("argv", [

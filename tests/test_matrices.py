@@ -489,13 +489,50 @@ def test_integer_tables_of_one_modulus_merge_into_one_step():
         for t in range(1, 40):
             first = a(t)
             assert merged.walk[0](t) == (None if first is None else b(first))
-    # A denominator above 1, or two moduli, keeps two steps.
-    for a, b in ((AffineTable(7, [(1, 7, -r % 7) for r in range(7)]),
-                  AffineTable(7, [(1, 1, 1)] * 7)),
-                 (AffineTable(2, [(1, 1, 2)] * 2), AffineTable(3, [(1, 1, 3)] * 3))):
-        for f, g in ((a, b), (b, a)):
-            both = mx.compose(mx.from_index_map(GF5, f), mx.from_index_map(GF5, g))
-            assert both.walk == (f, g)
+    # A denominator above 1, or two moduli, merge too, down to the
+    # least modulus; an identity merged table leaves the walk.
+    position = AffineTable(7, [(1, 7, -r % 7) for r in range(7)])
+    seven = AffineTable(1, [(7, 1, -6)])
+    for f, g, walk in ((position, AffineTable(7, [(1, 1, 1)] * 7),
+                        [[(1, 7, 7 + -r % 7) for r in range(7)]]),
+                       (AffineTable(7, [(1, 1, 1)] * 7), position,
+                        [[(1, 7, 1 + -(r + 1) % 7) for r in range(7)]]),
+                       (AffineTable(2, [(1, 1, 2)] * 2),
+                        AffineTable(3, [(1, 1, 3)] * 3), [[(1, 1, 5)]]),
+                       (seven, position, [])):
+        both = mx.compose(mx.from_index_map(GF5, f), mx.from_index_map(GF5, g))
+        assert [list(step.entries) for step in both.walk] == walk
+    # A merged table with more entries than the two together: two steps.
+    f = AffineTable(5, [(1, 1, r + 1) for r in range(5)])
+    g = AffineTable(7, [(1, 1, r + 1) for r in range(7)])
+    assert f.then(g).modulus == 35
+    both = mx.compose(mx.from_index_map(GF5, f), mx.from_index_map(GF5, g))
+    assert both.walk == (f, g)
+
+
+def far_rows(modulus):
+    """Rows 1..10^5, and one row of every residue mod `modulus` from
+    10^9, 10^12 and 10^18."""
+    far = [top + d for top in (10 ** 9, 10 ** 12, 10 ** 18) for d in range(modulus)]
+    return list(range(1, 10 ** 5 + 1)) + far
+
+
+def test_table_then_is_the_two_tables_in_turn():
+    """The exact composite of seeded random tables with denominators
+    against the two tables called in turn, and its modulus the least."""
+    rng = random.Random(36)
+    for _ in range(12):
+        a, b = (random_table(rng, moduli=range(1, 9)) for _ in range(2))
+        both = a.then(b)
+        m = both.modulus
+        assert m <= a.modulus * b.modulus
+        for d in range(1, m):
+            if m % d == 0:
+                assert any(both.entries[t] != both.entries[t % d] for t in range(m))
+        for t in far_rows(m):
+            first = a(t)
+            assert both(t) == (None if first is None else b(first)), (t, a.entries,
+                                                                       b.entries)
 
 
 @pytest.mark.parametrize("ring", [Z6, GF5, MAT2])
@@ -566,6 +603,74 @@ def test_chains_walk_piecewise_factors():
             if factors == (pw, g):
                 assert not pw._memo
             assert mx.first_mismatch(chain, slow_product(list(factors)), 16) is None
+
+
+class ModFour:
+    """A classifier that declares its period: a mod 4."""
+
+    period = 4
+
+    def class_of(self, a):
+        return a % 4
+
+
+def four_pieces(ring, rng):
+    g = random_map(ring, rng, window=64, density=0.05)
+    return {0: None,
+            1: (AffineTable(4, [(1, 4, 4 - r) for r in range(4)]), g),
+            2: (AffineTable(1, [(1, 1, 0)]), product([shift_map(ring), g])),
+            3: (lambda a: a, g)}
+
+
+def test_a_table_landing_on_one_piece_becomes_that_piece():
+    """t -> 4t - 3 lands every row in class 1, whose piece reads row
+    (t + 3) / 4 of g: the product is g.  Landing in class 2 gives the
+    coefficient times the piece's product, against the general rows."""
+    ring = MAT2
+    rng = random.Random(37)
+    for _ in range(5):
+        pieces = four_pieces(ring, rng)
+        pw = mx.Piecewise(ring, ModFour().class_of, pieces)
+        c = mx.scalar_map(ring, ring.random_payload(rng))
+        into_1 = mx.from_index_map(ring, AffineTable(1, [(4, 1, -3)]))
+        into_2 = product([c, mx.from_index_map(ring, AffineTable(2, [(4, 1, 2)] * 2))])
+        assert mx.compose(into_1, pw) is pieces[1][1]
+        both = mx.compose(into_2, pw)
+        assert isinstance(both, mx.Chain) and len(both.steps) == 2
+        assert mx.first_mismatch(both, slow_product([into_2, pw]), 64) is None
+
+
+def test_a_seam_the_pieces_do_not_decide_keeps_the_chain():
+    """A classifier with no period, a table landing on two pieces, on a
+    piece whose reindex is a function, or on a zero piece: the product
+    stays a chain of the two, and matches the general row path."""
+    ring = MAT2
+    rng = random.Random(38)
+    for _ in range(5):
+        pieces = four_pieces(ring, rng)
+        declared = mx.Piecewise(ring, ModFour().class_of, pieces)
+        undeclared = mx.Piecewise(ring, lambda a: a % 4, pieces)
+        cases = ((AffineTable(1, [(4, 1, 1)]), undeclared),
+                 (AffineTable(1, [(2, 1, 1)]), declared),    # classes 1 and 3
+                 (AffineTable(1, [(4, 1, 3)]), declared),    # the function piece
+                 (AffineTable(1, [(4, 1, 0)]), declared))    # the zero piece
+        for table, pw in cases:
+            mono = mx.from_index_map(ring, table)
+            both = mx.compose(mono, pw)
+            assert mx.first_mismatch(both, slow_product([mono, pw]), 64) is None
+            assert factors_of(both) == [mono, pw]
+
+
+def test_identity_monomials_drop_out_of_products():
+    g = random_map(GF5, random.Random(39))
+    one = mx.identity_map(GF5)
+    assert mx.compose(one, g) is g and mx.compose(g, one) is g
+    both = mx.compose(one, one)
+    assert isinstance(both, mx.Monomial) and not both.walk and both.coeff == GF5.one
+    s = shift_map(GF5)
+    chain = mx.compose(mx.compose(g, s), g)
+    for both in (mx.compose(chain, one), mx.compose(one, chain)):
+        assert factors_of(both) == factors_of(chain)
 
 
 def test_piecewise_rejects_a_piece_in_another_ring():

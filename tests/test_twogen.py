@@ -10,7 +10,7 @@ from rowfin import twogen as tg
 from rowfin.indexing import SevenPartition, ZPairing
 from rowfin.matrices import FinVec
 from rowfin.rings import RingError, parse_ring_spec
-from rowfin.words import eval_word, format_word
+from rowfin.words import eval_word, format_word, prod_chain
 
 GF3 = parse_ring_spec("GF:3")
 Z6 = parse_ring_spec("Zmod:6")
@@ -162,7 +162,9 @@ F1_POWER_6 = ((64, 0), (2, 5), (4, 6), (8, 4), (16, -8), (32, -48), (64, -160))
 def test_f1_powers_are_one_merged_table_step():
     """f1^n composes into a monomial with one table step, which agrees
     with n steps of the oracle; f1^6 is the literal table below, and
-    SIGMA1_ROW undoes it onto Sigma_1 on every row checked."""
+    SIGMA1_ROW undoes it onto Sigma_1 on every row checked.  Followed
+    by SIGMA1_ROW, f1^6 is the literal table 7t - 6 of modulus 1, and
+    that is the prefix f1^6 f3 of every g-word."""
     f1 = mx.from_index_map(GF3, tg.PHI)
     powers = {}
     for n in range(1, 13):
@@ -177,11 +179,15 @@ def test_f1_powers_are_one_merged_table_step():
             k = ref.phi(k)
             assert powers[n](t) == k, (n, t)
         assert tg.SIGMA1_ROW(powers[6](t)) == 7 * t - 6, t
-    # Each g-word chain opens with f1^6 as one table step.
+    undone = powers[6].then(tg.SIGMA1_ROW)
+    assert (undone.modulus, undone.entries) == (1, ((7, 1, -6),))
+    # The prefix f1^6 f3 of each g-word reduces to that table: f1^6
+    # sends every row to class 7, whose piece is SIGMA1_ROW and the
+    # identity.
     f1, f3 = tg.build_two_generators(tg.build_g_family({}, GF3))
-    for i in range(1, 6):
-        first = eval_word(tg.g_word(i), {"f1": f1, "f3": f3}, GF3).steps[0][0]
-        assert [step.entries for step in first.walk] == [powers[6].entries]
+    prefix = eval_word(prod_chain([tg.F1] * 6 + [tg.F3]), {"f1": f1, "f3": f3}, GF3)
+    assert isinstance(prefix, mx.Monomial) and prefix.coeff == GF3.one
+    assert [step.entries for step in prefix.walk] == [((7, 1, -6),)]
 
 
 def f3_row(gmaps, alpha):
@@ -224,17 +230,38 @@ def test_piecewise_f3_rows_match_the_row_function(spec, family):
 
 @pytest.mark.parametrize("spec,family", PIECEWISE_CASES)
 def test_g_word_chains_walk_f3_as_its_rows_give_it(spec, family):
-    """Each g-word chain walks f3's pieces on its single-term rows; the
-    same chain with f3 read only by its rows is the reference."""
+    """Each g-word reduces to its g-map: f1^6 f3 is the table 7t - 6,
+    which f1^i sends into class i + 1 on every row, and f3's piece there
+    reindexes by POSITION back to t.  The same word with f3 read only by
+    its rows is a chain and the reference, on rows 1..512 and far rows."""
     gmaps = family_of(spec, family)
     f1, f3 = tg.build_two_generators(gmaps)
     ring = f1.ring
     by_rows = mx.RowFiniteMap(ring, f3.row)
+    rng = random.Random(31)
+    far = [top + rng.randrange(10 ** 4) for top in (10 ** 9, 10 ** 12)
+           for _ in range(50)]
     for i in range(1, 6):
         walked = eval_word(tg.g_word(i), {"f1": f1, "f3": f3}, ring)
-        assert f3 in [step[0] for step in walked.steps]
+        assert walked is gmaps[i]
         read = eval_word(tg.g_word(i), {"f1": f1, "f3": by_rows}, ring)
+        assert isinstance(read, mx.Chain)
         assert mx.first_mismatch(walked, read, 512) is None
+        for alpha in far:
+            assert walked.row(alpha) == read.row(alpha), (i, alpha)
+
+
+@pytest.mark.parametrize("spec", ["GF:3", "Zmod:6", "Mat:2:GF:2"])
+@pytest.mark.parametrize("family", ["random", "units"])
+def test_word_maps_reduce_every_g_word(spec, family):
+    """A g-word left as a chain would only slow the reports, so no
+    report check would see it: `word_maps` gives each g-map itself."""
+    gmaps = family_of(spec, family)
+    f1, f3 = tg.build_two_generators(gmaps)
+    g, _ = tg.word_maps({"f1": f1, "f3": f3}, f1.ring, [])
+    for i in range(1, 6):
+        assert not isinstance(g[i], mx.Chain)
+        assert g[i] is gmaps[i]
 
 
 def enumerated_index_maps(n):
