@@ -9,7 +9,7 @@ first elements.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 
 from . import matrices as mx
 from .indexing import AffineTable, SevenPartition, ZPairing
@@ -44,8 +44,10 @@ def build_g_family(source: dict, ring: BaseRing) -> dict:
     g1 embeds the base coordinates into Sigma, g2 is its right inverse
     (zero off Sigma), g4/g5 shift the integer layer, and g3 carries each
     u_i on the i-th layer, so that u_i = g1 g4^i g3 g5^i g2.  g3 reads
-    `source` when its rows are read.  Nothing is verified here: a
-    report's `construction` and word checks are the verification.
+    `source` when its rows are read; every zero row of g3, off the
+    layers of `source` or over a zero row of u_i, is one shared vector.
+    Nothing is verified here: a report's `construction` and word checks
+    are the verification.
     """
     pairing = ZPairing()
     enc, dec = pairing.encode, pairing.decode
@@ -69,9 +71,12 @@ def build_g_family(source: dict, ring: BaseRing) -> dict:
         u = source.get(i)
         if u is None:
             return zero
+        entries = u.row(gamma).entries
+        if not entries:
+            return zero
         # Row gamma of u_i transported onto layer i: u's entries are
         # canonical and nonzero, and every encoded index is >= 1.
-        return FinVec._of(ring, {enc(i, c): v for c, v in u.row(gamma).entries.items()})
+        return FinVec._of(ring, {enc(i, c): v for c, v in entries.items()})
 
     g3 = RowFiniteMap(ring, g3_row)
     return {1: g1, 2: g2, 3: g3, 4: g4, 5: g5}
@@ -240,27 +245,34 @@ class _Suffix:
 
 def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: _Suffix, k: int,
            alpha: int) -> FinVec:
-    """Row alpha of u_k = P_k(alpha) . middle . S_k."""
-    return mx.push(prefix.row(k, alpha).apply(middle), partial(suffix.row, k))
+    """Row alpha of u_k = P_k(alpha) . middle . S_k; a zero middle row is
+    the row itself, with no suffix row read."""
+    row = prefix.row(k, alpha).apply(middle)
+    if not row.entries:
+        return row
+    return mx.push(row, partial(suffix.row, k))
 
 
 def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     """The maps of g_word(1..5) and of u_k for k in `indices` under env.
 
-    Each g-word is evaluated once, as G_i, from the prefix f1^6 f3 that
-    all five open with, evaluated once: g_word(i) is left-associated, so
-    G_i is that prefix times f1 i times, times f3.  Under the f1 and f3
-    of `build_two_generators`, `compose` reduces each G_i to the g-map
-    g_i itself.  u_k = G1 G_up^k G3 G_down^k G2,
+    The five g-words are evaluated along one chain from the prefix
+    P_0 = f1^6 f3 that all five open with: g_word(i) is left-associated,
+    so with P_i = P_{i-1} f1 it is G_i = P_i f3, ten `compose` calls in
+    all.  Under the f1 and f3 of `build_two_generators`, `compose`
+    reduces each G_i to the g-map g_i itself.  u_k = G1 G_up^k G3 G_down^k G2,
     with (up, down) = (4, 5) for k >= 0 and (5, 4) below, is read through
     the prefix rows of G1 G_up^k and the suffix rows of G_down^k G2, both
     shared across k.  Products are associative, so every row equals the
     row of `eval_word` on the flat left-associated product of u_k's
     g-words.
     """
-    prefix = eval_word(prod_chain([F1] * 6 + [F3]), env, ring)
+    head = eval_word(prod_chain([F1] * 6 + [F3]), env, ring)
     f1, f3 = eval_word(F1, env, ring), eval_word(F3, env, ring)
-    g = {i: reduce(mx.compose, [f1] * i + [f3], prefix) for i in range(1, 6)}
+    g = {}
+    for i in range(1, 6):
+        head = mx.compose(head, f1)
+        g[i] = mx.compose(head, f3)
     sides = {up: (_Prefix(g[1], g[up]), _Suffix(g[down], g[2]))
              for up, down in ((4, 5), (5, 4))}
     u = {}

@@ -173,6 +173,76 @@ def test_a_one_entry_edit_of_sigma1_row_fails_both_reports(monkeypatch, residue)
         assert {verdicts[f"g{i} word"] for i in (1, 4, 5)} == {"fail"}, argv
 
 
+EVERY_G = (1, 2, 3, 4, 5)
+G_WORDS = [f"g{i} word" for i in EVERY_G]
+
+# Each one-entry edit of f1's and f3's tables, with the g-words that
+# walk the edited entry: every g-word walks PHI and SIGMA1_ROW, and only
+# the g_{c-1} word walks class c of POSITION.
+TABLE_EDITS = ([("PHI", r, 7, EVERY_G) for r in range(7)]
+               + [("POSITION", c, 1, (c - 1,)) for c in range(2, 7)]
+               + [("SIGMA1_ROW", r, 7, EVERY_G) for r in range(0, 448, 7)])
+
+
+def g_words_reading_all_rows(doc) -> set:
+    """The i of each g<i> word check that passed on all rows."""
+    return {int(c["name"][1]) for c in doc["checks"]
+            if c["name"] in G_WORDS and c.get("detail") == "all rows"}
+
+
+@pytest.mark.parametrize("name, residue, rows, walked", TABLE_EDITS,
+                         ids=[f"{e[0]}-{e[1]}" for e in TABLE_EDITS])
+def test_an_edited_table_reduces_no_g_word_that_walks_it(monkeypatch, name,
+                                                         residue, rows, walked):
+    """A g-word whose walk meets the edited entry is not its g-map, so its
+    check cannot claim all rows; that holds for the class-7 residues of
+    SIGMA1_ROW that no window row reaches too.  The g-words that never
+    meet the edit reduce to their g-maps as before."""
+    monkeypatch.setattr(tg, name, edit_one_entry(getattr(tg, name), residue, rows))
+    ring = parse_ring_spec("GF:3")
+    gmaps = tg.build_g_family(cli.builtin_family("units", ring, 0, 5), ring)
+    f1, f3 = tg.build_two_generators(gmaps)
+    g, _ = tg.word_maps({"f1": f1, "f3": f3}, ring, [])
+    assert {i for i in g if g[i] is gmaps[i]} == set(EVERY_G) - set(walked)
+
+
+def _seeded_edits(rng, per_table=2):
+    return [edit for table in ("PHI", "POSITION", "SIGMA1_ROW")
+            for edit in rng.sample([e for e in TABLE_EDITS if e[0] == table],
+                                   per_table)]
+
+
+# Plus class-7 residue 161 of SIGMA1_ROW, which f1^6 sends no row of the
+# default window to: that edit passes the window checks.
+@pytest.mark.parametrize("name, residue, rows, walked",
+                         _seeded_edits(random.Random(42))
+                         + [("SIGMA1_ROW", 161, 7, EVERY_G)])
+def test_an_edited_table_gets_no_all_rows_detail(monkeypatch, name, residue,
+                                                 rows, walked):
+    monkeypatch.setattr(tg, name, edit_one_entry(getattr(tg, name), residue, rows))
+    _, doc = run_json(["two-gen"])
+    assert g_words_reading_all_rows(doc) == set(EVERY_G) - set(walked)
+
+
+@pytest.mark.parametrize("argv, reading", [
+    (["two-gen"], EVERY_G),
+    (["two-gen", "--family", "random", "--seed", "7"], EVERY_G),
+    (["two-gen", "--family", "empty"], EVERY_G),
+    (["two-gen", "--ring", "Mat:2:GF:2"], EVERY_G),
+    (["maltsev"], EVERY_G),
+    (["maltsev", "--ring", "Zmod:6", "--count", "6"], EVERY_G),
+    (["maltsev", "--corrupt"], EVERY_G),
+    # f3 plus a stray cell is a sum, so no g-word reduces.
+    (["two-gen", "--corrupt"], ()),
+    (["two-gen", "--family", "random", "--seed", "7", "--corrupt"], ())])
+def test_reduced_g_words_pass_on_all_rows(argv, reading):
+    """Under the built f1 and f3 every g-word reads all rows, also when a
+    u-word target is corrupt; a corrupt f3 leaves each to the window."""
+    report, doc = run_json(argv)
+    assert g_words_reading_all_rows(doc) == set(reading)
+    assert report.failed == ("--corrupt" in argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["two-gen", "--family", "random", "--seed", "7", "--corrupt"],
     ["maltsev", "--corrupt"],
@@ -839,10 +909,12 @@ def test_two_gen_corrupt_report_bytes():
 
 
 MALTSEV_MATRIX_CORRUPT = (
-    '{"checks":[{"name":"construction","verdict":"pass"},{"name":"g1 word",'
-    '"verdict":"pass"},{"name":"g2 word","verdict":"pass"},{"name":"g3 '
-    'word","verdict":"pass"},{"name":"g4 word","verdict":"pass"},'
-    '{"name":"g5 word","verdict":"pass"},{"detail":"row 1: got FinVec(), '
+    '{"checks":[{"name":"construction","verdict":"pass"},{"detail":"all '
+    'rows","name":"g1 word","verdict":"pass"},{"detail":"all rows","name":'
+    '"g2 word","verdict":"pass"},{"detail":"all rows","name":"g3 word",'
+    '"verdict":"pass"},{"detail":"all rows","name":"g4 word","verdict":'
+    '"pass"},{"detail":"all rows","name":"g5 word","verdict":"pass"},'
+    '{"detail":"row 1: got FinVec(), '
     'expected FinVec(2:[[1,0],[0,1]])","name":"u0 word","verdict":"fail"},'
     '{"name":"u1 word","verdict":"pass"},{"detail":"8 checks","name":"hom",'
     '"verdict":"pass"},{"detail":"22 checks","name":"centre",'

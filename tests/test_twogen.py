@@ -7,6 +7,7 @@ from oracle_reference import u_word
 
 from rowfin import matrices as mx
 from rowfin import twogen as tg
+from rowfin import words as wd
 from rowfin.indexing import SevenPartition, ZPairing
 from rowfin.matrices import FinVec
 from rowfin.rings import RingError, parse_ring_spec
@@ -264,6 +265,41 @@ def test_word_maps_reduce_every_g_word(spec, family):
         assert g[i] is gmaps[i]
 
 
+def test_word_maps_composes_the_g_words_along_one_chain(monkeypatch):
+    """P_i = P_{i-1} f1 and G_i = P_i f3: after the 6 `compose` calls of
+    the shared prefix P_0 = f1^6 f3, the five G_i take 10; one product
+    per g-word would take 20."""
+    calls = {"prefix": 0, "g": 0}
+
+    def counted(key, compose):
+        def wrapped(f, g):
+            calls[key] += 1
+            return compose(f, g)
+        return wrapped
+
+    monkeypatch.setattr(wd, "compose", counted("prefix", wd.compose))
+    monkeypatch.setattr(mx, "compose", counted("g", mx.compose))
+    gmaps = family_of("GF:5", "random")
+    f1, f3 = tg.build_two_generators(gmaps)
+    g, _ = tg.word_maps({"f1": f1, "f3": f3}, f1.ring, range(-2, 3))
+    assert calls == {"prefix": 6, "g": 10}
+    assert all(g[i] is gmaps[i] for i in range(1, 6))
+
+
+def test_zero_g3_rows_are_one_shared_vector():
+    """A row of g3 off the source's layers and one over a zero row of
+    u_i are the same zero vector; nonzero rows are u_i's, moved."""
+    enc = ZPairing().encode
+    source = {0: mx.from_rows(GF3, {1: {2: 1}}), 1: mx.matrix_unit(GF3, 3, 3)}
+    g3 = tg.build_g_family(source, GF3)[3]
+    zero = g3.row(enc(7, 1))
+    assert not zero.entries
+    for layer, gamma in ((0, 2), (0, 5), (1, 1), (1, 4), (-1, 3)):
+        assert g3.row(enc(layer, gamma)) is zero
+    assert g3.row(enc(0, 1)) == FinVec(GF3, {enc(0, 2): 1})
+    assert g3.row(enc(1, 3)) == FinVec(GF3, {enc(1, 3): 1})
+
+
 def enumerated_index_maps(n):
     """f1's index map and its inverse on 1..n, read off enumerations of the
     pieces {c, c+7, ...}: the j-th element of piece c goes to the j-th of
@@ -421,6 +457,36 @@ def test_shared_u_rows_match_the_flat_chain_under_a_spread_f3():
         spread = max(spread, max(len(umaps[k].row(a).entries)
                                  for a in range(1, 9)))
     assert spread > 1
+
+
+def test_u_rows_push_only_nonzero_middle_rows(monkeypatch):
+    """Row alpha of u_k is P_k(alpha) G3 S_k.  A zero middle row
+    P_k(alpha) G3 is the row itself: only a nonzero one is pushed through
+    the suffix rows S_k."""
+    indices = [-2, -1, 0, 1, 2]
+    drawn = random_family(GF3, seed=5, count=len(indices), corner=8)
+    source = {k: drawn[n] for n, k in enumerate(indices)}
+    gmaps = tg.build_g_family(source, GF3)
+    f1, f3 = tg.build_two_generators(gmaps)
+    _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, indices)
+    suffix_pushes = [0]
+    push = mx.push
+
+    def counted(vec, row):
+        if getattr(getattr(row, "func", None), "__func__", None) is tg._Suffix.row:
+            suffix_pushes[0] += 1
+        return push(vec, row)
+
+    monkeypatch.setattr(mx, "push", counted)
+    nonzero = 0
+    for k in indices:
+        up = 4 if k >= 0 else 5
+        middle = product([gmaps[1]] + [gmaps[up]] * abs(k) + [gmaps[3]])
+        for a in range(1, 9):
+            nonzero += bool(middle.row(a).entries)
+            assert umaps[k].row(a) == source[k].row(a), (k, a)
+    assert 0 < nonzero < 8 * len(indices)
+    assert suffix_pushes[0] == nonzero
 
 
 def _u_row_pushes(monkeypatch, count):
