@@ -204,53 +204,14 @@ class _Prefix:
         return rows[k]
 
 
-class _Suffix:
-    """Rows of S_k = step^k last; row b of S_k is row b of step . S_{k-1}.
-
-    A row is computed on an explicit work stack that stops at rows
-    already known, so depth k costs no recursion.
-    """
-
-    __slots__ = ("step", "last", "levels")
-
-    def __init__(self, step: RowFiniteMap, last: RowFiniteMap):
-        self.step = step
-        self.last = last
-        self.levels = []    # levels[j]: b -> row b of S_j
-
-    def row(self, k: int, beta: int) -> FinVec:
-        levels = self.levels
-        while len(levels) <= k:
-            levels.append({})
-        stack = [(k, beta)]
-        while stack:
-            j, b = stack[-1]
-            if b in levels[j]:
-                stack.pop()
-                continue
-            if j == 0:
-                levels[0][b] = self.last.row(b)
-                stack.pop()
-                continue
-            head = self.step.row(b)
-            below = levels[j - 1]
-            missing = [(j - 1, c) for c in head.entries if c not in below]
-            if missing:
-                stack.extend(missing)
-                continue
-            levels[j][b] = mx.push(head, below.__getitem__)
-            stack.pop()
-        return levels[k][beta]
-
-
-def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: _Suffix, k: int,
+def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: RowFiniteMap, k: int,
            alpha: int) -> FinVec:
     """Row alpha of u_k = P_k(alpha) . middle . S_k; a zero middle row is
-    the row itself, with no suffix row read."""
+    the row itself, with no row of the suffix S_k read."""
     row = prefix.row(k, alpha).apply(middle)
     if not row.entries:
         return row
-    return mx.push(row, partial(suffix.row, k))
+    return mx.push(row, suffix.row)
 
 
 def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
@@ -262,10 +223,14 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     all.  Under the f1 and f3 of `build_two_generators`, `compose`
     reduces each G_i to the g-map g_i itself.  u_k = G1 G_up^k G3 G_down^k G2,
     with (up, down) = (4, 5) for k >= 0 and (5, 4) below, is read through
-    the prefix rows of G1 G_up^k and the suffix rows of G_down^k G2, both
-    shared across k.  Products are associative, so every row equals the
-    row of `eval_word` on the flat left-associated product of u_k's
-    g-words.
+    the prefix rows of G1 G_up^k, shared across k, and the rows of the
+    suffix S_k = G_down^k G2.  Each sign's suffixes are built as |k|
+    rises, S_0 = G2 and S_k = G_down S_{k-1}, one `compose` call per
+    depth, so over monomial g-maps S_k is one monomial whose walk is
+    G_down's step k times and then G2's, and its rows share their index
+    evaluations across k through those steps' memos.  Products are
+    associative, so every row equals the row of `eval_word` on the flat
+    left-associated product of u_k's g-words.
     """
     head = eval_word(prod_chain([F1] * 6 + [F3]), env, ring)
     f1, f3 = eval_word(F1, env, ring), eval_word(F3, env, ring)
@@ -273,12 +238,18 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     for i in range(1, 6):
         head = mx.compose(head, f1)
         g[i] = mx.compose(head, f3)
-    sides = {up: (_Prefix(g[1], g[up]), _Suffix(g[down], g[2]))
-             for up, down in ((4, 5), (5, 4))}
+    suffixes = {}
+    for sign, down in ((1, 5), (-1, 4)):
+        suffix, depth = g[2], 0
+        for k in sorted({k for k in indices if k * sign >= 0}, key=abs):
+            while depth < abs(k):
+                suffix, depth = mx.compose(g[down], suffix), depth + 1
+            suffixes[k] = suffix
+    prefixes = {up: _Prefix(g[1], g[up]) for up in (4, 5)}
     u = {}
     for k in indices:
-        prefix, suffix = sides[4 if k >= 0 else 5]
-        u[k] = RowFiniteMap(ring, partial(_u_row, prefix, g[3], suffix, abs(k)),
+        prefix = prefixes[4 if k >= 0 else 5]
+        u[k] = RowFiniteMap(ring, partial(_u_row, prefix, g[3], suffixes[k], abs(k)),
                             primitive=False)
     return g, u
 

@@ -268,7 +268,8 @@ def test_word_maps_reduce_every_g_word(spec, family):
 def test_word_maps_composes_the_g_words_along_one_chain(monkeypatch):
     """P_i = P_{i-1} f1 and G_i = P_i f3: after the 6 `compose` calls of
     the shared prefix P_0 = f1^6 f3, the five G_i take 10; one product
-    per g-word would take 20."""
+    per g-word would take 20.  Each sign's suffixes S_k = G_down S_{k-1}
+    take one more per depth: 2 + 2 for k in -2..2."""
     calls = {"prefix": 0, "g": 0}
 
     def counted(key, compose):
@@ -282,7 +283,7 @@ def test_word_maps_composes_the_g_words_along_one_chain(monkeypatch):
     gmaps = family_of("GF:5", "random")
     f1, f3 = tg.build_two_generators(gmaps)
     g, _ = tg.word_maps({"f1": f1, "f3": f3}, f1.ring, range(-2, 3))
-    assert calls == {"prefix": 6, "g": 10}
+    assert calls == {"prefix": 6, "g": 14}
     assert all(g[i] is gmaps[i] for i in range(1, 6))
 
 
@@ -412,7 +413,8 @@ def test_maltsev_embed_sigma_rows():
 
 def test_u_word_verifies_at_layer_1000():
     source = {1000: mx.from_rows(GF3, {1: {2: 1, 5: 2}, 3: {1: 1}}),
-              -3: mx.matrix_unit(GF3, 2, 2)}
+              -3: mx.matrix_unit(GF3, 2, 2),
+              -1000: mx.from_rows(GF3, {2: {4: 2}, 6: {6: 1, 1: 1}})}
     f1, f3 = tg.build_two_generators(tg.build_g_family(source, GF3))
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, sorted(source))
     for i, u in source.items():
@@ -469,11 +471,12 @@ def test_u_rows_push_only_nonzero_middle_rows(monkeypatch):
     gmaps = tg.build_g_family(source, GF3)
     f1, f3 = tg.build_two_generators(gmaps)
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, indices)
+    suffixes = [_suffix(umaps[k]) for k in indices]
     suffix_pushes = [0]
     push = mx.push
 
     def counted(vec, row):
-        if getattr(getattr(row, "func", None), "__func__", None) is tg._Suffix.row:
+        if getattr(row, "__self__", None) in suffixes:
             suffix_pushes[0] += 1
         return push(vec, row)
 
@@ -489,32 +492,46 @@ def test_u_rows_push_only_nonzero_middle_rows(monkeypatch):
     assert suffix_pushes[0] == nonzero
 
 
-def _u_row_pushes(monkeypatch, count):
-    """`matrices.push` calls made reading rows 1..8 of u_0..u_{count-1} for
+def _suffix(u):
+    """The suffix map S_k that the u-word map u reads its rows through."""
+    return u._rowfn.args[2]
+
+
+def test_u_word_suffixes_are_monomials_over_the_g_maps_steps():
+    """S_k = G_down^k G2 is one monomial of k + 1 walk steps: G_down's own
+    (memo, index) step k times, then G2's."""
+    indices = range(-4, 5)
+    source = random_family(GF3, seed=5, count=len(indices), corner=8)
+    gmaps = tg.build_g_family(dict(zip(indices, source.values())), GF3)
+    f1, f3 = tg.build_two_generators(gmaps)
+    _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, indices)
+    [last] = gmaps[2].walk
+    for k in indices:
+        [down] = gmaps[5 if k >= 0 else 4].walk
+        suffix = _suffix(umaps[k])
+        assert suffix.__class__ is mx.Monomial
+        assert len(suffix.walk) == abs(k) + 1
+        assert all(step is down for step in suffix.walk[:-1])
+        assert suffix.walk[-1] is last
+
+
+def _u_row_evals(count):
+    """`matrices.row_evals` made reading rows 1..8 of u_0..u_{count-1} for
     the Maltsev images of the first `count` integers."""
-    calls = [0]
-    push = mx.push
-
-    def counted(vec, row):
-        calls[0] += 1
-        return push(vec, row)
-
-    monkeypatch.setattr(mx, "push", counted)
     Z = parse_ring_spec("Int")
     f1, f3 = tg.build_two_generators(
         tg.build_g_family(tg.maltsev_embed(Z, count), Z))
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, Z, range(count))
-    calls[0] = 0
+    before = mx.row_evals.count
     for k in range(count):
         for a in range(1, 9):
             umaps[k].row(a)
-    return calls[0]
+    return mx.row_evals.count - before
 
 
-def test_u_rows_share_suffix_rows_across_k(monkeypatch):
-    # The suffix rows of G_down^k G2 are shared across k, so twice the
-    # u-words cost about twice the pushes (2.0x); a suffix rebuilt from
-    # the identity for each k costs about 3.6x.
-    small = _u_row_pushes(monkeypatch, 30)
-    large = _u_row_pushes(monkeypatch, 60)
-    assert large <= 2.5 * small
+def test_u_rows_share_index_evaluations_across_k():
+    # The suffix walks share G_down's and G2's index memos across k, so
+    # twice the u-words cost exactly twice the row evaluations.
+    small = _u_row_evals(30)
+    assert small == 720
+    assert _u_row_evals(60) == 2 * small
