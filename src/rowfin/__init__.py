@@ -2,13 +2,13 @@
 
 from .matrices import (FinVec, RowFiniteMap, add_maps, compose, first_mismatch,
                        from_rows, from_sparse, identity_map, matrix_unit,
-                       projection, scalar_map, to_sparse, zero_map)
+                       same_map, scalar_map, to_sparse, zero_map)
 from .rings import BaseRing, parse_ring_spec
 
 __all__ = [
     "BaseRing", "FinVec", "RowFiniteMap", "add_maps", "compose",
     "first_mismatch", "from_rows", "from_sparse", "identity_map",
-    "matrix_unit", "parse_ring_spec", "projection", "scalar_map",
+    "matrix_unit", "parse_ring_spec", "same_map", "scalar_map",
     "to_sparse", "zero_map",
 ]
 

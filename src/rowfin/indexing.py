@@ -1,8 +1,8 @@
 """Index combinatorics over the positive integers.
 
-Houses the pairing bijection with Z x N+, the mod-7 partition,
-triangular block indexing, and preorder descriptors with the DSL that
-builds them.
+Houses the pairing bijection with Z x N+ and the layer steps over it,
+the mod-7 partition, exact affine index tables, triangular block
+indexing, and preorder descriptors with the DSL that builds them.
 """
 
 from __future__ import annotations
@@ -63,6 +63,67 @@ class ZPairing:
             raise IndexError_(f"index must be >= 1, got {n}")
         a, b = cantor_unpair(n)
         return zunfold(a), b
+
+
+class LayerStep:
+    """A partial index map N+ -> N+ acting on the integer layer i of
+    `ZPairing`'s enc(i, gamma), evaluated by the closed forms, no memo:
+
+    * embed(k): gamma -> enc(k, gamma);
+    * shift(d): enc(i, gamma) -> enc(i + d, gamma);
+    * project(k): enc(k, gamma) -> gamma, undefined off layer k;
+    * keep(k): the identity on layer k, undefined off it.
+
+    `then` composes two steps exactly where a rule applies.
+    """
+
+    __slots__ = ("kind", "k")
+
+    KINDS = ("embed", "shift", "project", "keep")
+
+    def __init__(self, kind: str, k: int):
+        if kind not in self.KINDS:
+            raise IndexError_(f"unknown layer step {kind!r}")
+        self.kind = kind
+        self.k = k
+
+    def __call__(self, t: int):
+        kind = self.kind
+        if kind == "embed":
+            return cantor_pair(zfold(self.k), t)
+        s = (math.isqrt(8 * t - 7) + 1) // 2    # `cantor_unpair`, inline
+        a = t - (s - 1) * s // 2
+        if kind == "shift":
+            a2 = zfold(zunfold(a) + self.k)
+            s2 = s + a2 - a
+            return (s2 - 1) * s2 // 2 + a2
+        if a != zfold(self.k):
+            return None
+        return s - a + 1 if kind == "project" else t
+
+    def then(self, other: "LayerStep"):
+        """The steps of self followed by other, or None to keep both:
+
+        embed(k) shift(d) = embed(k + d), shift(d) shift(e) = shift(d + e)
+        (none at all for d + e = 0), shift(d) project(k) = project(k - d),
+        embed(k) project(k) is the identity (no step) and project(k)
+        embed(k) = keep(k).
+        """
+        a, b = self.kind, other.kind
+        if b == "shift":
+            if a == "embed":
+                return (LayerStep("embed", self.k + other.k),)
+            if a == "shift":
+                d = self.k + other.k
+                return (LayerStep("shift", d),) if d else ()
+        elif b == "project":
+            if a == "shift":
+                return (LayerStep("project", other.k - self.k),)
+            if a == "embed" and self.k == other.k:
+                return ()
+        elif b == "embed" and a == "project" and self.k == other.k:
+            return (LayerStep("keep", self.k),)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@ memoize computed rows.  A map is one of
 
 * general (`RowFiniteMap`): an arbitrary row function;
 * `Monomial`: row a is coeff * e_t, where the map's walk sends a to t
-  one step at a time, or zero where a step is undefined.  A step is a
-  primitive partial index function, memoized, or an exact
-  `AffineTable`, evaluated in place with no memo; adjacent tables
-  merge into their exact composite, and an identity table drops out;
+  one step at a time, or zero where a step is undefined.  A step is one
+  of three kinds of partial index function:
+  - a primitive one, memoized;
+  - an exact `AffineTable`, evaluated in place with no memo;
+  - a `LayerStep` on the layers of the pairing Z x N+ -> N+, evaluated
+    by its closed form with no memo.
+  Adjacent tables merge into their exact composite, adjacent layer
+  steps by their composition rules, and a step that is the identity
+  drops out;
 * `Piecewise`: row a is row reindex_c(a) of the map m_c of a's class
   c = classify(a), or zero where the class has no piece;
 * `Chain`: a flat product of factors.
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .indexing import AffineTable
+from .indexing import AffineTable, LayerStep
 from .rings import BaseRing, parse_ring_spec, same_ring
 
 
@@ -222,11 +227,11 @@ def _memoized_index(fn) -> tuple:
 def _walk(walk: tuple, t: int):
     """t sent through a monomial's walk, or None where a step is undefined."""
     for step in walk:
-        if step.__class__ is AffineTable:
-            t = step(t)
-        else:
+        if step.__class__ is tuple:
             memo, index = step
             t = memo.get(t) or index(t)
+        else:
+            t = step(t)
         if t is None:
             return None
     return t
@@ -239,8 +244,9 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
     the running vector is one term c * e_t it travels as the pair (t, c):
     a piecewise step sends t through its classifier and the piece's
     reindex, and then acts as the piece's step; a monomial step sends t
-    through its walk as `_walk` does, with an affine table evaluated in
-    place and an index function's memo read first, and c to c * scale;
+    through its walk as `_walk` does, with an index function's memo read
+    first, an affine table evaluated in place and a layer step called,
+    and c to c * scale;
     a general step gives c * row t.  A FinVec is carried only while it
     has several terms, and then each step applies its whole factor.
     """
@@ -259,15 +265,19 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
                 t = reindex(t)
             if walk is not None:
                 for step in walk:
-                    if step.__class__ is AffineTable:
+                    cls = step.__class__
+                    if cls is tuple:
+                        memo, index = step
+                        t = memo.get(t) or index(t)  # a memo hit skips the call
+                    elif cls is AffineTable:
                         entry = step.entries[t % step.modulus]
                         if entry is None:
                             return FinVec._of(ring, {})
                         num, den, off = entry
                         t = (num * t + off) // den
                         continue
-                    memo, index = step
-                    t = memo.get(t) or index(t)  # a memo hit skips the call
+                    else:
+                        t = step(t)
                     if t is None:
                         return FinVec._of(ring, {})
                 if scale is not None:
@@ -294,8 +304,8 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
 class Monomial(RowFiniteMap):
     """Row a is coeff * e_t, where `walk` sends a to t one step at a
     time; the row is zero where a step gives None.  A step is a (memo,
-    index) pair from `_memoized_index` or an `AffineTable`.  No walk is
-    the identity.
+    index) pair from `_memoized_index`, an `AffineTable` or a
+    `LayerStep`.  No walk is the identity.
     """
 
     __slots__ = ("walk", "coeff")
@@ -332,19 +342,33 @@ class Monomial(RowFiniteMap):
 
     def then(self, g: "Monomial") -> "Monomial":
         """The product self g: walks chain, coefficients multiply.  Where
-        the walks meet, two tables merge into their exact composite
-        (`AffineTable.then`), dropped if it is the identity, unless it
-        has more entries than the two together."""
+        the walks meet, steps merge for as long as `_merged` reduces the
+        pair that meets."""
         left, right = self.walk, g.walk
-        if (left and right and left[-1].__class__ is AffineTable
-                and right[0].__class__ is AffineTable):
-            a, b = left[-1], right[0]
-            merged = a.then(b)
-            if merged.modulus <= a.modulus + b.modulus:
-                left, right = left[:-1], right[1:]
-                if merged.entries != ((1, 1, 0),):   # not the identity
-                    left += (merged,)
+        while left and right:
+            merged = _merged(left[-1], right[0])
+            if merged is None:
+                break
+            left, right = left[:-1] + merged, right[1:]
         return Monomial(self.ring, left + right, self.ring.mul(self.coeff, g.coeff))
+
+
+def _merged(a, b):
+    """The steps that replace the walk step a followed by b, or None to
+    keep both.  Two tables merge into their exact composite
+    (`AffineTable.then`), none if it is the identity, unless it has more
+    entries than the two together; two layer steps merge by their
+    composition rules (`LayerStep.then`)."""
+    cls = a.__class__
+    if cls is not b.__class__:
+        return None
+    if cls is LayerStep:
+        return a.then(b)
+    if cls is AffineTable:
+        merged = a.then(b)
+        if merged.modulus <= a.modulus + b.modulus:
+            return () if merged.entries == ((1, 1, 0),) else (merged,)
+    return None
 
 
 class Piecewise(RowFiniteMap):
@@ -432,17 +456,13 @@ def matrix_unit(ring: BaseRing, i: int, j: int) -> Monomial:
     return from_index_map(ring, {i: j}.get)
 
 
-def projection(ring: BaseRing, member) -> Monomial:
-    """Projection onto the coordinates where the predicate `member` holds."""
-    return from_index_map(ring, lambda a: a if member(a) else None)
-
-
 def from_index_map(ring: BaseRing, fn) -> Monomial:
     """Map sending e_a to e_{fn(a)}; fn returning None gives a zero row.
 
-    fn is a function, memoized, or an `AffineTable`, read as it stands.
+    fn is a function, memoized, or an `AffineTable` or a `LayerStep`,
+    read as it stands.
     """
-    step = fn if isinstance(fn, AffineTable) else _memoized_index(fn)
+    step = fn if isinstance(fn, (AffineTable, LayerStep)) else _memoized_index(fn)
     return Monomial(ring, (step,))
 
 
@@ -556,6 +576,36 @@ def _land(mono: Monomial, pw: Piecewise):
 
 # ---------------------------------------------------------------------------
 # Window verification and serialization
+
+
+def same_map(f: RowFiniteMap, g: RowFiniteMap):
+    """True when f and g are decided equal on every row, else None (not
+    decided); never False.
+
+    They are equal when they are one object, or two monomials whose
+    canonical coefficients are equal and whose walks match step for
+    step: the same step object, equal tables or equal layer steps.
+    """
+    same_ring(f.ring, g.ring)
+    if f is g:
+        return True
+    if (f.__class__ is Monomial and g.__class__ is Monomial and f.coeff == g.coeff
+            and len(f.walk) == len(g.walk) and all(map(_same_step, f.walk, g.walk))):
+        return True
+    return None
+
+
+def _same_step(a, b) -> bool:
+    """Whether the walk steps a and b are one object, equal tables or
+    equal layer steps; two memoized functions are not compared."""
+    if a is b:
+        return True
+    cls = a.__class__
+    if cls is not b.__class__ or cls is tuple:
+        return False
+    if cls is AffineTable:
+        return (a.modulus, a.entries) == (b.modulus, b.entries)
+    return (a.kind, a.k) == (b.kind, b.k)
 
 
 def first_mismatch(f: RowFiniteMap, g: RowFiniteMap, n: int) -> str | None:

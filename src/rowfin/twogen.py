@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 
 from . import matrices as mx
-from .indexing import AffineTable, SevenPartition, ZPairing
+from .indexing import AffineTable, LayerStep, SevenPartition, ZPairing
 from .matrices import RowFiniteMap, FinVec
 from .rings import BaseRing, RingError, same_ring
 from .words import Gen, Word, eval_word, format_word, prod_chain
@@ -27,23 +27,17 @@ class ConstructionError(Exception):
 
 
 def pi_sigma(ring: BaseRing) -> RowFiniteMap:
-    """Projection onto the central copy Sigma = {0} x N+."""
-    decode = ZPairing().decode
-    return mx.projection(ring, lambda alpha: decode(alpha)[0] == 0)
-
-
-def _shift_layer(enc, dec, step: int, alpha: int) -> int:
-    """The index of alpha's coordinate moved `step` layers up."""
-    i, gamma = dec(alpha)
-    return enc(i + step, gamma)
+    """Projection onto the central copy Sigma = {0} x N+: keep(0)."""
+    return mx.from_index_map(ring, LayerStep("keep", 0))
 
 
 def build_g_family(source: dict, ring: BaseRing) -> dict:
     """{1: g1, ..., 5: g5} for a finite materialized family {i: u_i}.
 
-    g1 embeds the base coordinates into Sigma, g2 is its right inverse
-    (zero off Sigma), g4/g5 shift the integer layer, and g3 carries each
-    u_i on the i-th layer, so that u_i = g1 g4^i g3 g5^i g2.  g3 reads
+    g1 = embed(0) embeds the base coordinates into Sigma, g2 =
+    project(0) is its right inverse (zero off Sigma), g4 = shift(1) and
+    g5 = shift(-1) shift the integer layer (`LayerStep`), and g3 carries
+    each u_i on the i-th layer, so that u_i = g1 g4^i g3 g5^i g2.  g3 reads
     `source` when its rows are read; every zero row of g3, off the
     layers of `source` or over a zero row of u_i, is one shared vector.
     Nothing is verified here: a report's `construction` and word checks
@@ -54,16 +48,8 @@ def build_g_family(source: dict, ring: BaseRing) -> dict:
     for u in source.values():
         same_ring(ring, u.ring)
 
-    g1 = mx.from_index_map(ring, lambda k: enc(0, k))
-
-    def g2_target(alpha):
-        i, gamma = dec(alpha)
-        return gamma if i == 0 else None
-
-    g2 = mx.from_index_map(ring, g2_target)
-    g4 = mx.from_index_map(ring, partial(_shift_layer, enc, dec, 1))
-    g5 = mx.from_index_map(ring, partial(_shift_layer, enc, dec, -1))
-
+    g1, g2, g4, g5 = (mx.from_index_map(ring, LayerStep(kind, k)) for kind, k in
+                      (("embed", 0), ("project", 0), ("shift", 1), ("shift", -1)))
     zero = FinVec._of(ring, {})
 
     def g3_row(alpha):
@@ -226,9 +212,8 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     the prefix rows of G1 G_up^k, shared across k, and the rows of the
     suffix S_k = G_down^k G2.  Each sign's suffixes are built as |k|
     rises, S_0 = G2 and S_k = G_down S_{k-1}, one `compose` call per
-    depth, so over monomial g-maps S_k is one monomial whose walk is
-    G_down's step k times and then G2's, and its rows share their index
-    evaluations across k through those steps' memos.  Products are
+    depth, so over the layer steps of the g-maps S_k is the one-step
+    monomial project(k).  Products are
     associative, so every row equals the row of `eval_word` on the flat
     left-associated product of u_k's g-words.
     """

@@ -13,11 +13,19 @@ the shared rows of `rowfin.twogen.word_maps`.
 `phi`, `position`, `sigma1_index` and `sigma1_row` are the index maps of
 f1 and f3 written as functions, the references for the tables
 `rowfin.twogen.PHI`, `POSITION` and `SIGMA1_ROW`.
+
+`layer_index` gives the index map of a `rowfin.indexing.LayerStep` as
+the g-family once wrote it, by decoding and re-encoding through
+`ZPairing`; it is the reference for the steps' closed forms and for
+their composition rules.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from rowfin import twogen as tg
+from rowfin.indexing import ZPairing
 from rowfin import words as wd
 from rowfin.matrices import FinVec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, ProximityResult, Prod, Sum,
@@ -28,6 +36,37 @@ def u_word(i: int) -> Word:
     """g1 g4^i g3 g5^i g2 with every factor replaced by its two-generator word."""
     g = {j: tg.g_word(j) for j in range(1, 6)}
     return prod_chain(g[j] for j in tg._u_factors(i))
+
+
+_ENC, _DEC = ZPairing().encode, ZPairing().decode
+
+
+def _embed(k: int, gamma: int) -> int:
+    return _ENC(k, gamma)
+
+
+def _shift_layer(step: int, alpha: int) -> int:
+    """The index of alpha's coordinate moved `step` layers up."""
+    i, gamma = _DEC(alpha)
+    return _ENC(i + step, gamma)
+
+
+def _project(k: int, alpha: int):
+    i, gamma = _DEC(alpha)
+    return gamma if i == k else None
+
+
+def _keep(k: int, alpha: int):
+    return alpha if _DEC(alpha)[0] == k else None
+
+
+_LAYER_INDEX = {"embed": _embed, "shift": _shift_layer, "project": _project,
+                "keep": _keep}
+
+
+def layer_index(kind: str, k: int):
+    """The index map of the layer step (kind, k), by decode and encode."""
+    return partial(_LAYER_INDEX[kind], k)
 
 
 def phi(k: int) -> int:

@@ -890,8 +890,8 @@ def test_sandwich_corrupt_report_bytes():
 
 
 TWO_GEN_EMPTY_CORRUPT = (
-    '{"checks":[{"name":"construction","verdict":"pass"},{"detail":"row 1: '
-    'got FinVec(1:2), expected FinVec(1:1)","name":"g1 word",'
+    '{"checks":[{"detail":"all rows","name":"construction","verdict":"pass"},'
+    '{"detail":"row 1: got FinVec(1:2), expected FinVec(1:1)","name":"g1 word",'
     '"verdict":"fail"},{"name":"g2 word","verdict":"pass"},{"name":"g3 '
     'word","verdict":"pass"},{"name":"g4 word","verdict":"pass"},'
     '{"name":"g5 word","verdict":"pass"}],"config":{"corrupt":true,'
@@ -909,11 +909,12 @@ def test_two_gen_corrupt_report_bytes():
 
 
 MALTSEV_MATRIX_CORRUPT = (
-    '{"checks":[{"name":"construction","verdict":"pass"},{"detail":"all '
-    'rows","name":"g1 word","verdict":"pass"},{"detail":"all rows","name":'
-    '"g2 word","verdict":"pass"},{"detail":"all rows","name":"g3 word",'
-    '"verdict":"pass"},{"detail":"all rows","name":"g4 word","verdict":'
-    '"pass"},{"detail":"all rows","name":"g5 word","verdict":"pass"},'
+    '{"checks":[{"detail":"all rows","name":"construction","verdict":"pass"},'
+    '{"detail":"all rows","name":"g1 word","verdict":"pass"},'
+    '{"detail":"all rows","name":"g2 word","verdict":"pass"},'
+    '{"detail":"all rows","name":"g3 word","verdict":"pass"},'
+    '{"detail":"all rows","name":"g4 word","verdict":"pass"},'
+    '{"detail":"all rows","name":"g5 word","verdict":"pass"},'
     '{"detail":"row 1: got FinVec(), '
     'expected FinVec(2:[[1,0],[0,1]])","name":"u0 word","verdict":"fail"},'
     '{"name":"u1 word","verdict":"pass"},{"detail":"8 checks","name":"hom",'

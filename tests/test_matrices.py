@@ -8,7 +8,7 @@ from oracle_reference import phi
 
 import rowfin
 from rowfin import matrices as mx
-from rowfin.indexing import AffineTable, IndexError_
+from rowfin.indexing import AffineTable, IndexError_, LayerStep
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
 from rowfin.rings import IntegerRing, PrimeField, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
@@ -74,7 +74,7 @@ def test_finvec_add_sums_several_vectors_into_one():
 
 
 def test_projection_and_matrix_unit_rows():
-    proj = mx.projection(Z, lambda a: a % 2 == 0)
+    proj = mx.from_index_map(Z, lambda a: a if a % 2 == 0 else None)
     assert not proj.row(3).entries
     assert proj.row(4) == FinVec.unit(Z, 4)
     e25 = mx.matrix_unit(Z, 2, 5)
@@ -121,7 +121,8 @@ def test_window_check_reads_the_first_map_as_got():
 
 
 def test_two_lazy_expressions_for_projection_agree():
-    p1 = mx.projection(Z, lambda a: a % 2 == 0)
+    p1 = mx.RowFiniteMap(Z, lambda a: FinVec.unit(Z, a) if a % 2 == 0
+                         else FinVec.zero(Z))
     p2 = mx.from_index_map(Z, lambda a: a if a % 2 == 0 else None)
     assert mx.first_mismatch(p1, p2, 50) is None
 
@@ -731,6 +732,92 @@ def test_no_map_kind_makes_a_reference_cycle(kind):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+SAME_MAP_RINGS = ["Int", "Zmod:6", "Mat:2:GF:2"]
+LAYER_KINDS = ("embed", "shift", "project", "keep")
+
+
+def step_recipe(rng, shared):
+    """A walk step drawn as a recipe that `cook` builds into a fresh step:
+    a memo step shared by every map, a memo step of the same function
+    made anew, a random table or a layer step."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ("shared", rng.choice(shared))
+    if kind == 1:
+        return ("fresh", rng.choice((1, 2)))
+    if kind == 2:
+        table = random_table(rng)
+        return ("table", table.modulus, table.entries)
+    return ("layer", rng.choice(LAYER_KINDS), rng.randint(-1, 1))
+
+
+def cook(recipe):
+    kind, *args = recipe
+    if kind == "shared":
+        return args[0]
+    if kind == "fresh":
+        return mx._memoized_index(lambda a, d=args[0]: a + d)
+    if kind == "table":
+        return AffineTable(*args)
+    return LayerStep(*args)
+
+
+def monomial_of(ring, recipes, coeff, by_compose):
+    """The monomial of the cooked steps times coeff: one `Monomial`, or
+    a product of one-step monomials through `compose`, which merges."""
+    steps = [cook(r) for r in recipes]
+    if not by_compose:
+        return mx.Monomial(ring, tuple(steps), coeff)
+    return product([mx.scalar_map(ring, coeff)]
+                   + [mx.Monomial(ring, (step,)) for step in steps])
+
+
+@pytest.mark.parametrize("spec", SAME_MAP_RINGS)
+def test_same_map_is_sound_on_random_monomial_pairs(spec):
+    """same_map never says False, and where it says True the two maps
+    agree on rows 1..32 and on rows near 10^9."""
+    ring = parse_ring_spec(spec)
+    rng = random.Random(sum(map(ord, spec)))
+    shared = [mx._memoized_index(lambda a: a + 1),
+              mx._memoized_index(lambda a: a if a % 2 else None)]
+    coeffs = [ring.one, ring.one, ring.zero] + [ring.random_payload(rng)
+                                                 for _ in range(2)]
+    answers = {True: 0, None: 0}
+    for _ in range(300):
+        recipes = [step_recipe(rng, shared) for _ in range(rng.randint(0, 3))]
+        other, coeff, other_coeff = list(recipes), rng.choice(coeffs), None
+        change = rng.randrange(4)
+        layers = [n for n, r in enumerate(other) if r[0] == "layer"]
+        if change == 1 and other:
+            other[rng.randrange(len(other))] = step_recipe(rng, shared)
+        elif change == 2:
+            other_coeff = rng.choice(coeffs)
+        elif change == 3 and layers:
+            n = rng.choice(layers)
+            other[n] = other[n][:2] + (other[n][2] + rng.choice((-1, 1)),)
+        f = monomial_of(ring, recipes, coeff, rng.random() < 0.5)
+        g = monomial_of(ring, other, coeff if other_coeff is None else other_coeff,
+                        rng.random() < 0.5)
+        answer = mx.same_map(f, g)
+        assert answer in answers
+        answers[answer] += 1
+        if answer:
+            assert mx.first_mismatch(f, g, 32) is None
+            for a in range(10 ** 9, 10 ** 9 + 32):
+                assert f.row(a) == g.row(a), a
+    assert min(answers.values()) > 50, answers
+
+
+def test_same_map_decides_one_object_and_no_other_kind():
+    f = random_map(GF5, random.Random(4))
+    assert mx.same_map(f, f) is True
+    assert mx.same_map(f, mx.from_rows(GF5, {})) is None
+    chain = mx.Chain(GF5, (shift_map(GF5), f))
+    assert mx.same_map(chain, mx.Chain(GF5, (shift_map(GF5), f))) is None
+    with pytest.raises(RingError, match="ring mismatch"):
+        mx.same_map(mx.identity_map(GF5), mx.identity_map(Z6))
 
 
 def test_star_import_resolves_every_exported_name():

@@ -497,22 +497,18 @@ def _suffix(u):
     return u._rowfn.args[2]
 
 
-def test_u_word_suffixes_are_monomials_over_the_g_maps_steps():
-    """S_k = G_down^k G2 is one monomial of k + 1 walk steps: G_down's own
-    (memo, index) step k times, then G2's."""
-    indices = range(-4, 5)
-    source = random_family(GF3, seed=5, count=len(indices), corner=8)
-    gmaps = tg.build_g_family(dict(zip(indices, source.values())), GF3)
+def test_u_word_suffixes_are_one_project_step():
+    """S_k = G_down^k G2 is the one-step monomial project(k): each
+    G_down step merges into the project step after it."""
+    indices = range(-1000, 1001)
+    source = random_family(GF3, seed=5, count=9, corner=8)
+    gmaps = tg.build_g_family(dict(zip(range(-4, 5), source.values())), GF3)
     f1, f3 = tg.build_two_generators(gmaps)
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, indices)
-    [last] = gmaps[2].walk
     for k in indices:
-        [down] = gmaps[5 if k >= 0 else 4].walk
         suffix = _suffix(umaps[k])
-        assert suffix.__class__ is mx.Monomial
-        assert len(suffix.walk) == abs(k) + 1
-        assert all(step is down for step in suffix.walk[:-1])
-        assert suffix.walk[-1] is last
+        assert suffix.__class__ is mx.Monomial and suffix.coeff == GF3.one
+        assert [(s.kind, s.k) for s in suffix.walk] == [("project", k)], k
 
 
 def _u_row_evals(count):
@@ -529,9 +525,10 @@ def _u_row_evals(count):
     return mx.row_evals.count - before
 
 
-def test_u_rows_share_index_evaluations_across_k():
-    # The suffix walks share G_down's and G2's index memos across k, so
-    # twice the u-words cost exactly twice the row evaluations.
+def test_u_row_evals_double_when_the_count_doubles():
+    # The g-maps other than g3 are layer steps, evaluated with no memo
+    # and not counted, so each u-row reads one primitive row, g3's: twice
+    # the u-words cost exactly twice the row evaluations.
     small = _u_row_evals(30)
-    assert small == 720
+    assert small == 8 * 30
     assert _u_row_evals(60) == 2 * small
