@@ -189,15 +189,16 @@ def cmd_two_gen(args, report: Report):
 
 
 def _hom_checks(ring, images: dict, payloads: list, window: int):
-    """Image of a*b = image a * image b, and likewise for a+b, for every pair."""
+    """Image of a*b = image a * image b, and likewise for a+b, for every
+    pair, by `_agreement`: scalar images reduce to scalar monomials."""
     for i, a in enumerate(payloads):
         for j, b in enumerate(payloads):
-            yield f"mul ({i},{j})", mx.first_mismatch(
+            yield f"mul ({i},{j})", _agreement(
                 mx.compose(images[i], images[j]),
-                mx.scalar_map(ring, ring.mul(a, b)), window)
-            yield f"add ({i},{j})", mx.first_mismatch(
+                mx.scalar_map(ring, ring.mul(a, b)), window)[0]
+            yield f"add ({i},{j})", _agreement(
                 mx.add_maps(images[i], images[j]),
-                mx.scalar_map(ring, ring.add(a, b)), window)
+                mx.scalar_map(ring, ring.add(a, b)), window)[0]
 
 
 def _centre_checks(ring, centre: list, samples: dict, window: int):

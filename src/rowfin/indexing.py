@@ -1,8 +1,8 @@
 """Index combinatorics over the positive integers.
 
-Houses the pairing bijection with Z x N+ and the layer steps over it,
-the mod-7 partition, exact affine index tables, triangular block
-indexing, and preorder descriptors with the DSL that builds them.
+Houses the pairing bijection with Z x N+ and the layer steps and layers
+over it, the mod-7 partition, exact affine index tables, triangular
+block indexing, and preorder descriptors with the DSL that builds them.
 """
 
 from __future__ import annotations
@@ -51,12 +51,8 @@ def cantor_unpair(n: int) -> tuple[int, int]:
 
 
 class ZPairing:
-    """Fixed bijection Z x N+ <-> N+ realizing Omega = Z x Gamma."""
-
-    def encode(self, i: int, gamma: int) -> int:
-        if gamma < 1:
-            raise IndexError_(f"gamma must be >= 1, got {gamma}")
-        return cantor_pair(zfold(i), gamma)
+    """Fixed bijection Z x N+ <-> N+ realizing Omega = Z x Gamma, (i,
+    gamma) <-> cantor_pair(zfold(i), gamma)."""
 
     def decode(self, n: int) -> tuple[int, int]:
         if n < 1:
@@ -126,6 +122,25 @@ class LayerStep:
         return None
 
 
+class LayerPartition:
+    """N+ split into the layers of the pairing: alpha's class is its
+    layer i, where `ZPairing.decode(alpha)` is (i, gamma).  A `Piecewise`
+    map over it reduces products by `landing` (`matrices.compose`).
+    """
+
+    pairing = ZPairing()
+
+    def class_of(self, alpha: int) -> int:
+        return self.pairing.decode(alpha)[0]
+
+    def landing(self, step):
+        """k for the step embed(k), whose every image is on layer k;
+        None for any other step."""
+        if step.__class__ is LayerStep and step.kind == "embed":
+            return step.k
+        return None
+
+
 # ---------------------------------------------------------------------------
 # The mod-7 partition
 
@@ -133,14 +148,32 @@ class LayerStep:
 class SevenPartition:
     """N+ split into seven infinite pieces by residue mod 7 (7 plays 0).
 
-    `class_of(k)` depends only on k mod `period`; a `Piecewise` map over
-    it reads that to reduce products (`matrices.compose`).
+    `class_of(k)` depends only on k mod `period`, so `landing` can name
+    the class of every image of a table step; a `Piecewise` map over it
+    reduces products by that (`matrices.compose`).
     """
 
     period = 7
 
     def class_of(self, k: int) -> int:
         return (k - 1) % 7 + 1
+
+    def landing(self, step):
+        """The one class of every image of the walk step, or None; only
+        a table is decided.  On its class r mod M, t = M s + r goes to
+        k s + c with k = num M / den, whose class mod p = `period` repeats
+        in s with period p / gcd(k, p): one row of each is classified."""
+        if step.__class__ is not AffineTable:
+            return None
+        m, p = step.modulus, self.period
+        landed = set()
+        for r, entry in enumerate(step.entries):
+            if entry is not None:
+                num, den, _ = entry
+                least = r or m
+                for s in range(p // math.gcd(num * m // den, p)):
+                    landed.add(self.class_of(step(least + m * s)))
+        return landed.pop() if len(landed) == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ memoize computed rows.  A map is one of
 * `Chain`: a flat product of factors.
 
 `compose` reduces a product where its factors meet: an identity
-monomial drops out, two monomials become one, and a one-table monomial
-whose rows all land on one piece of a piecewise map whose classifier
-declares its period becomes that piece's product.  So a word over
-exact tables and such piecewise maps can reduce to the map it names.
+monomial drops out, two monomials become one, and a monomial whose
+last walk step lands every row on one piece of a piecewise map (the
+classifier's partition says where: `landing`) becomes that piece's
+product.  So a word over exact tables, layer steps and such piecewise
+maps can reduce to the map it names.
 
 Each structured kind is stored once, as the steps a chain walks: a
 monomial as its walk and coefficient, a piecewise map as its cases
@@ -30,15 +31,15 @@ monomial as its walk and coefficient, a piecewise map as its cases
 steps of its factors.  `_chain_row` reads the rows of all three; a
 monomial or piecewise map is the chain of its single step.  A chain row
 carries a single term as (index, coefficient) across the steps and
-builds a vector only when it has several terms.
+builds a vector only when it has several terms, and a zero row is its
+ring's one shared zero vector.
 
 Zero entries are pruned at every arithmetic step so supports are exact.
 """
 
 from __future__ import annotations
 
-import math
-from functools import partial
+from functools import cache, partial
 
 from .indexing import AffineTable, LayerStep
 from .rings import BaseRing, parse_ring_spec, same_ring
@@ -237,16 +238,23 @@ def _walk(walk: tuple, t: int):
     return t
 
 
-def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
+@cache
+def _zero_row(ring: BaseRing) -> FinVec:
+    """The zero row of every structured map over the ring: rings are
+    interned, and no vector is changed once built."""
+    return FinVec._of(ring, {})
+
+
+def _chain_row(ring: BaseRing, zero: FinVec, steps: tuple, alpha: int) -> FinVec:
     """Row alpha of the product: e_alpha pushed through the steps in turn.
 
     A step is (factor, cases, walk, scale), as `_step` builds it.  While
     the running vector is one term c * e_t it travels as the pair (t, c):
     a piecewise step sends t through its classifier and the piece's
-    reindex, and then acts as the piece's step; a monomial step sends t
-    through its walk as `_walk` does, with an index function's memo read
-    first, an affine table evaluated in place and a layer step called,
-    and c to c * scale;
+    reindex, and then acts as the piece's step (`zero` where the class
+    has no piece); a monomial step sends t through its walk as `_walk`
+    does, with an index function's memo read first, an affine table
+    evaluated in place and a layer step called, and c to c * scale;
     a general step gives c * row t.  A FinVec is carried only while it
     has several terms, and then each step applies its whole factor.
     """
@@ -258,9 +266,9 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
         else:
             while cases is not None:
                 classify, table = cases
-                piece = table[classify(t)]
+                piece = table.get(classify(t))
                 if piece is None:
-                    return FinVec._of(ring, {})
+                    return zero
                 reindex, f, cases, walk, scale = piece
                 t = reindex(t)
             if walk is not None:
@@ -272,18 +280,18 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
                     elif cls is AffineTable:
                         entry = step.entries[t % step.modulus]
                         if entry is None:
-                            return FinVec._of(ring, {})
+                            return zero
                         num, den, off = entry
                         t = (num * t + off) // den
                         continue
                     else:
                         t = step(t)
                     if t is None:
-                        return FinVec._of(ring, {})
+                        return zero
                 if scale is not None:
                     c = mul(c, scale)
                     if is_zero(c):
-                        return FinVec._of(ring, {})
+                        return zero
                 continue
             vec = f._memo.get(t) or f.row(t)
             if c != one:
@@ -293,7 +301,7 @@ def _chain_row(ring: BaseRing, steps: tuple, alpha: int) -> FinVec:
             [(t, c)] = entries.items()
             vec = None
         elif not entries:
-            return vec
+            return zero
     return FinVec._of(ring, {t: c}) if vec is None else vec
 
 
@@ -313,8 +321,8 @@ class Monomial(RowFiniteMap):
     def __init__(self, ring: BaseRing, walk: tuple = (), coeff=None):
         coeff = ring.one if coeff is None else ring.canon(coeff)
         scale = None if coeff == ring.one else coeff
-        super().__init__(ring, partial(_chain_row, ring, ((None, None, walk, scale),)),
-                         primitive=False)
+        super().__init__(ring, partial(_chain_row, ring, _zero_row(ring),
+                                       ((None, None, walk, scale),)), primitive=False)
         self.walk = walk
         self.coeff = coeff
 
@@ -374,14 +382,13 @@ def _merged(a, b):
 class Piecewise(RowFiniteMap):
     """Row a is row reindex_c(a) of m_c, where c = classify(a).
 
-    `pieces` maps every class that `classify` returns to (reindex_c,
-    m_c), or to None for a class whose rows are zero.  The map keeps only
-    `cases`: the classifier and, per class, None or (reindex_c,) + the
-    step of m_c.  A classifier bound to an object with a `period` (as
-    `SevenPartition.class_of` is) declares that its class depends only
-    on a mod period; `compose` then reduces a one-table monomial
-    followed by this map where all its rows land on one piece whose
-    reindex is a table.
+    `pieces` maps a class to (reindex_c, m_c), or to None; the rows of a
+    class with no piece are zero.  The map keeps only `cases`: the
+    classifier and, per class, None or (reindex_c,) + the step of m_c.
+    A classifier bound to a partition with a `landing` method (as
+    `SevenPartition.class_of` and `LayerPartition.class_of` are) names
+    the class of every image of a walk step, so `compose` can reduce a
+    monomial followed by this map to one piece's product (`_land`).
     """
 
     __slots__ = ("cases",)
@@ -395,8 +402,8 @@ class Piecewise(RowFiniteMap):
                 piece = (reindex,) + _step(m)
             table[c] = piece
         cases = (classify, table)
-        super().__init__(ring, partial(_chain_row, ring, ((None, cases, None, None),)),
-                         primitive=False)
+        super().__init__(ring, partial(_chain_row, ring, _zero_row(ring),
+                                       ((None, cases, None, None),)), primitive=False)
         self.cases = cases
 
 
@@ -418,7 +425,8 @@ class Chain(RowFiniteMap):
             for f in factors:
                 same_ring(ring, f.ring)
             steps = tuple(_step(f) for f in factors)
-        super().__init__(ring, partial(_chain_row, ring, steps), primitive=False)
+        super().__init__(ring, partial(_chain_row, ring, _zero_row(ring), steps),
+                         primitive=False)
         self.steps = steps
 
 
@@ -478,8 +486,12 @@ def from_rows(ring: BaseRing, rows: dict) -> RowFiniteMap:
 
 
 def add_maps(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
-    return RowFiniteMap(same_ring(f.ring, g.ring),
-                        lambda a: f.row(a).add(g.row(a)), primitive=False)
+    """f + g, row by row; two monomials whose walks match step for step
+    (`_same_step`) give one monomial, the sum of their coefficients."""
+    ring = same_ring(f.ring, g.ring)
+    if f.__class__ is Monomial and g.__class__ is Monomial and _same_walk(f, g):
+        return Monomial(ring, f.walk, ring.add(f.coeff, g.coeff))
+    return RowFiniteMap(ring, lambda a: f.row(a).add(g.row(a)), primitive=False)
 
 
 def _steps(f: RowFiniteMap) -> tuple:
@@ -491,8 +503,8 @@ def compose(f: RowFiniteMap, g: RowFiniteMap) -> RowFiniteMap:
 
     Products flatten into one Chain, reduced where f's steps meet g's
     (`_join`): an identity monomial drops out, monomials compose into one
-    monomial, and a monomial of one table meeting a piecewise map whose
-    rows it all sends to one piece becomes that piece's product.  Two
+    monomial, and a monomial meeting a piecewise map whose rows it all
+    sends to one piece becomes that piece's product (`_land`).  Two
     monomials give a monomial.
     """
     ring = same_ring(f.ring, g.ring)
@@ -539,36 +551,20 @@ def _join(steps: list, step: tuple) -> bool:
 def _land(mono: Monomial, pw: Piecewise):
     """The steps of mono pw as the product of one piece, or None.
 
-    That needs mono's walk to be one table T and pw's classifier to
-    declare a period p.  On T's class r mod M, t = M s + r goes to
-    k s + c with k = num M / den, whose class mod p repeats in s with
-    period p / gcd(k, p); the classifier is called on one row of each.
-    If every defined class of T lands on one class whose piece (reindex,
-    m) reindexes by a table, row a of mono pw is coeff times row
-    reindex(T(a)) of m, so mono pw is (T then reindex, coeff) times m.
+    pw's classifier must be bound to a partition whose `landing` names
+    the class c of every image of mono's last walk step, so of every
+    row mono sends anywhere.  If c's piece (reindex, m) reindexes by a
+    table or a layer step, kinds that `Monomial.then` merges, row a of
+    mono pw is coeff times row reindex(mono(a)) of m: mono pw is (mono
+    then reindex) times m.
     """
-    walk = mono.walk
-    if len(walk) != 1 or walk[0].__class__ is not AffineTable:
-        return None
     classify, pieces = pw.cases
-    # A bound method's object may declare a period: classify(t) then
-    # depends only on t mod period.
-    period = getattr(getattr(classify, "__self__", None), "period", None)
-    if period is None:
+    landing = getattr(getattr(classify, "__self__", None), "landing", None)
+    if landing is None or not mono.walk:
         return None
-    [t] = walk
-    m = t.modulus
-    landed = set()
-    for r, entry in enumerate(t.entries):
-        if entry is not None:
-            num, den, _ = entry
-            least = r or m
-            for s in range(period // math.gcd(num * m // den, period)):
-                landed.add(classify(t(least + m * s)))
-    if len(landed) != 1:
-        return None
-    piece = pieces.get(landed.pop())
-    if piece is None or piece[0].__class__ is not AffineTable:
+    c = landing(mono.walk[-1])
+    piece = None if c is None else pieces.get(c)
+    if piece is None or piece[0].__class__ not in (AffineTable, LayerStep):
         return None
     reindex, m = piece[0], piece[1]
     return (_step(mono.then(Monomial(mono.ring, (reindex,)))),) + _steps(m)
@@ -590,9 +586,13 @@ def same_map(f: RowFiniteMap, g: RowFiniteMap):
     if f is g:
         return True
     if (f.__class__ is Monomial and g.__class__ is Monomial and f.coeff == g.coeff
-            and len(f.walk) == len(g.walk) and all(map(_same_step, f.walk, g.walk))):
+            and _same_walk(f, g)):
         return True
     return None
+
+
+def _same_walk(f: Monomial, g: Monomial) -> bool:
+    return len(f.walk) == len(g.walk) and all(map(_same_step, f.walk, g.walk))
 
 
 def _same_step(a, b) -> bool:

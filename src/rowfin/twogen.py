@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 
 from . import matrices as mx
-from .indexing import AffineTable, LayerStep, SevenPartition, ZPairing
+from .indexing import AffineTable, LayerPartition, LayerStep, SevenPartition
 from .matrices import RowFiniteMap, FinVec
 from .rings import BaseRing, RingError, same_ring
 from .words import Gen, Word, eval_word, format_word, prod_chain
@@ -37,34 +37,21 @@ def build_g_family(source: dict, ring: BaseRing) -> dict:
     g1 = embed(0) embeds the base coordinates into Sigma, g2 =
     project(0) is its right inverse (zero off Sigma), g4 = shift(1) and
     g5 = shift(-1) shift the integer layer (`LayerStep`), and g3 carries
-    each u_i on the i-th layer, so that u_i = g1 g4^i g3 g5^i g2.  g3 reads
-    `source` when its rows are read; every zero row of g3, off the
-    layers of `source` or over a zero row of u_i, is one shared vector.
-    Nothing is verified here: a report's `construction` and word checks
-    are the verification.
+    each u_i on the i-th layer, so that u_i = g1 g4^i g3 g5^i g2.  g3 is
+    piecewise over the layers (`LayerPartition`): layer i's piece is
+    (project(i), u_i embed(i)), so row enc(i, gamma) is row gamma of u_i
+    moved onto layer i, and the rows of a layer outside `source` are
+    zero.  Nothing is verified here: a report's `construction` and word
+    checks are the verification.
     """
-    pairing = ZPairing()
-    enc, dec = pairing.encode, pairing.decode
     for u in source.values():
         same_ring(ring, u.ring)
-
     g1, g2, g4, g5 = (mx.from_index_map(ring, LayerStep(kind, k)) for kind, k in
                       (("embed", 0), ("project", 0), ("shift", 1), ("shift", -1)))
-    zero = FinVec._of(ring, {})
-
-    def g3_row(alpha):
-        i, gamma = dec(alpha)
-        u = source.get(i)
-        if u is None:
-            return zero
-        entries = u.row(gamma).entries
-        if not entries:
-            return zero
-        # Row gamma of u_i transported onto layer i: u's entries are
-        # canonical and nonzero, and every encoded index is >= 1.
-        return FinVec._of(ring, {enc(i, c): v for c, v in entries.items()})
-
-    g3 = RowFiniteMap(ring, g3_row)
+    pieces = {i: (LayerStep("project", i),
+                  mx.compose(u, mx.from_index_map(ring, LayerStep("embed", i))))
+              for i, u in source.items()}
+    g3 = mx.Piecewise(ring, LayerPartition().class_of, pieces)
     return {1: g1, 2: g2, 3: g3, 4: g4, 5: g5}
 
 
@@ -155,10 +142,10 @@ def build_two_generators(gmaps: dict) -> tuple[RowFiniteMap, RowFiniteMap]:
       t6^{-1} f2 undoes six f1-steps and lands in the k-th row of
       Sigma_1.
 
-    The classifier declares its period 7, so `compose` reduces each
-    g-word: f1^6 f3 is the table 7t - 6, f1^i sends it into class i + 1
-    on every row, and POSITION takes it back to t, leaving g_i itself.
-    The g-word checks of a report verify those identities.
+    `SevenPartition.landing` names the class a table step lands on, so
+    `compose` reduces each g-word: f1^6 f3 is the table 7t - 6, f1^i
+    sends it into class i + 1 on every row, and POSITION takes it back to
+    t, leaving g_i itself.  The g-word checks of a report verify that.
     """
     ring = gmaps[1].ring
     pieces = {1: None, 7: (SIGMA1_ROW, mx.identity_map(ring))}
@@ -168,33 +155,13 @@ def build_two_generators(gmaps: dict) -> tuple[RowFiniteMap, RowFiniteMap]:
 
 
 # ---------------------------------------------------------------------------
-# A report's words, evaluated with shared row work
+# A report's words
 
 
-class _Prefix:
-    """Rows of P_k = first step^k; row a of P_k is row a of P_{k-1} . step."""
-
-    __slots__ = ("first", "step", "rows")
-
-    def __init__(self, first: RowFiniteMap, step: RowFiniteMap):
-        self.first = first
-        self.step = step
-        self.rows = {}      # a -> [row a of P_0, row a of P_1, ...]
-
-    def row(self, k: int, alpha: int) -> FinVec:
-        rows = self.rows.get(alpha)
-        if rows is None:
-            rows = self.rows[alpha] = [self.first.row(alpha)]
-        while len(rows) <= k:
-            rows.append(rows[-1].apply(self.step))
-        return rows[k]
-
-
-def _u_row(prefix: _Prefix, middle: RowFiniteMap, suffix: RowFiniteMap, k: int,
-           alpha: int) -> FinVec:
-    """Row alpha of u_k = P_k(alpha) . middle . S_k; a zero middle row is
-    the row itself, with no row of the suffix S_k read."""
-    row = prefix.row(k, alpha).apply(middle)
+def _u_row(middle: RowFiniteMap, suffix: RowFiniteMap, alpha: int) -> FinVec:
+    """Row alpha of u_k = (P_k G3) S_k: the middle row pushed through the
+    rows of the suffix S_k, or, when it is zero, that row itself."""
+    row = middle.row(alpha)
     if not row.entries:
         return row
     return mx.push(row, suffix.row)
@@ -206,16 +173,14 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     The five g-words are evaluated along one chain from the prefix
     P_0 = f1^6 f3 that all five open with: g_word(i) is left-associated,
     so with P_i = P_{i-1} f1 it is G_i = P_i f3, ten `compose` calls in
-    all.  Under the f1 and f3 of `build_two_generators`, `compose`
-    reduces each G_i to the g-map g_i itself.  u_k = G1 G_up^k G3 G_down^k G2,
-    with (up, down) = (4, 5) for k >= 0 and (5, 4) below, is read through
-    the prefix rows of G1 G_up^k, shared across k, and the rows of the
-    suffix S_k = G_down^k G2.  Each sign's suffixes are built as |k|
-    rises, S_0 = G2 and S_k = G_down S_{k-1}, one `compose` call per
-    depth, so over the layer steps of the g-maps S_k is the one-step
-    monomial project(k).  Products are
-    associative, so every row equals the row of `eval_word` on the flat
-    left-associated product of u_k's g-words.
+    all, which reduce each G_i to the g-map g_i itself under the f1 and
+    f3 of `build_two_generators`.  u_k = P_k G3 S_k, with P_k = G1
+    G_up^k and S_k = G_down^k G2, (up, down) = (4, 5) for k >= 0 and (5,
+    4) below; each sign's P_k and S_k are built as |k| rises, one
+    `compose` each per depth.  Over the g-maps' layer steps, P_k is
+    embed(k), S_k is project(k), and the middle map P_k G3 lands on g3's
+    piece k: it is u_k embed(k).  By associativity every row equals the
+    row of `eval_word` on u_k's flat left-associated word.
     """
     head = eval_word(prod_chain([F1] * 6 + [F3]), env, ring)
     f1, f3 = eval_word(F1, env, ring), eval_word(F3, env, ring)
@@ -223,19 +188,15 @@ def word_maps(env: dict, ring: BaseRing, indices) -> tuple[dict, dict]:
     for i in range(1, 6):
         head = mx.compose(head, f1)
         g[i] = mx.compose(head, f3)
-    suffixes = {}
-    for sign, down in ((1, 5), (-1, 4)):
-        suffix, depth = g[2], 0
-        for k in sorted({k for k in indices if k * sign >= 0}, key=abs):
-            while depth < abs(k):
-                suffix, depth = mx.compose(g[down], suffix), depth + 1
-            suffixes[k] = suffix
-    prefixes = {up: _Prefix(g[1], g[up]) for up in (4, 5)}
     u = {}
-    for k in indices:
-        prefix = prefixes[4 if k >= 0 else 5]
-        u[k] = RowFiniteMap(ring, partial(_u_row, prefix, g[3], suffixes[k], abs(k)),
-                            primitive=False)
+    for up, down, negative in ((4, 5, False), (5, 4, True)):
+        prefix, suffix, depth = g[1], g[2], 0
+        for k in sorted({k for k in indices if (k < 0) == negative}, key=abs):
+            while depth < abs(k):
+                prefix, suffix = mx.compose(prefix, g[up]), mx.compose(g[down], suffix)
+                depth += 1
+            u[k] = RowFiniteMap(ring, partial(_u_row, mx.compose(prefix, g[3]), suffix),
+                                primitive=False)
     return g, u
 
 

@@ -14,10 +14,11 @@ the shared rows of `rowfin.twogen.word_maps`.
 f1 and f3 written as functions, the references for the tables
 `rowfin.twogen.PHI`, `POSITION` and `SIGMA1_ROW`.
 
-`layer_index` gives the index map of a `rowfin.indexing.LayerStep` as
-the g-family once wrote it, by decoding and re-encoding through
-`ZPairing`; it is the reference for the steps' closed forms and for
-their composition rules.
+`encode` is the inverse of `rowfin.indexing.ZPairing.decode`: the index
+of the coordinate (i, gamma) of Z x N+.  `layer_index` gives the index
+map of a `rowfin.indexing.LayerStep` as the g-family once wrote it, by
+decoding and re-encoding; it is the reference for the steps' closed
+forms and for their composition rules.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from functools import partial
 
 from rowfin import twogen as tg
-from rowfin.indexing import ZPairing
+from rowfin.indexing import IndexError_, ZPairing, cantor_pair, zfold
 from rowfin import words as wd
 from rowfin.matrices import FinVec
 from rowfin.words import (NEG_ONE, ONE, ZERO, Gen, ProximityResult, Prod, Sum,
@@ -38,17 +39,24 @@ def u_word(i: int) -> Word:
     return prod_chain(g[j] for j in tg._u_factors(i))
 
 
-_ENC, _DEC = ZPairing().encode, ZPairing().decode
+def encode(i: int, gamma: int) -> int:
+    """The index whose `ZPairing.decode` is (i, gamma)."""
+    if gamma < 1:
+        raise IndexError_(f"gamma must be >= 1, got {gamma}")
+    return cantor_pair(zfold(i), gamma)
+
+
+_DEC = ZPairing().decode
 
 
 def _embed(k: int, gamma: int) -> int:
-    return _ENC(k, gamma)
+    return encode(k, gamma)
 
 
 def _shift_layer(step: int, alpha: int) -> int:
     """The index of alpha's coordinate moved `step` layers up."""
     i, gamma = _DEC(alpha)
-    return _ENC(i + step, gamma)
+    return encode(i + step, gamma)
 
 
 def _project(k: int, alpha: int):

@@ -650,6 +650,46 @@ def test_maltsev_non_additive_image_fails_only_the_hom_check(monkeypatch):
                                "got FinVec(1:1, 2:1), expected FinVec(1:1)")
 
 
+def test_hom_checks_are_decided_on_all_rows():
+    """Each product and sum of two scalar images is a scalar monomial, so
+    every hom check is decided with no row read, and the detail still
+    counts them."""
+    reads = [0]
+    row = mx.RowFiniteMap.row
+
+    def counted(f, a):
+        reads[0] += 1
+        return row(f, a)
+
+    ring = parse_ring_spec("Int")
+    images = tg.maltsev_embed(ring, 12)
+    payloads = [ring.nth_element(i) for i in range(12)]
+    checks = cli._hom_checks(ring, images, payloads, 20)
+    mx.RowFiniteMap.row = counted
+    try:
+        results = list(checks)
+    finally:
+        mx.RowFiniteMap.row = row
+    assert len(results) == 2 * 12 * 12 and reads[0] == 0
+    assert all(mismatch is None for _, mismatch in results)
+
+
+def test_maltsev_with_noncommuting_products_fails(monkeypatch):
+    """`Monomial.then` with its coefficients multiplied in the wrong
+    order gives b a for the image of a times the image of b; over 2 x 2
+    matrices that fails the hom check."""
+    then = mx.Monomial.then
+
+    def swapped(f, g):
+        product = then(f, g)
+        return mx.Monomial(f.ring, product.walk, f.ring.mul(g.coeff, f.coeff))
+
+    monkeypatch.setattr(mx.Monomial, "then", swapped)
+    failed = [c["name"] for c in failing_checks(
+        ["maltsev", "--ring", "Mat:2:GF:2", "--count", "16"])]
+    assert "hom" in failed
+
+
 def test_maltsev_non_central_payload_fails_only_the_centre_check(monkeypatch):
     ring = parse_ring_spec("Mat:2:GF:2")
     unit = ring.parse_payload("[[0,1],[0,0]]")

@@ -3,9 +3,11 @@ import random
 import re
 
 import pytest
+import oracle_reference as ref
 
 from rowfin import classify as cl
-from rowfin.indexing import (PreorderDescriptor, PreorderSpecError,
+from rowfin.indexing import (AffineTable, LayerPartition, LayerStep,
+                             PreorderDescriptor, PreorderSpecError,
                              SevenPartition, ZPairing, cantor_pair,
                              cantor_unpair, parse_preorder, tri, tri_block,
                              tri_split, zfold, zunfold)
@@ -33,13 +35,46 @@ def test_cantor_pairing_bijective_on_grid():
 
 def test_z_pairing_examples():
     zp = ZPairing()
-    assert zp.encode(0, 1) == 1
-    assert zp.decode(zp.encode(-2, 5)) == (-2, 5)
-    codes = {zp.encode(i, g) for i in range(-50, 51) for g in range(1, 51)}
+    assert ref.encode(0, 1) == 1
+    assert zp.decode(ref.encode(-2, 5)) == (-2, 5)
+    codes = {ref.encode(i, g) for i in range(-50, 51) for g in range(1, 51)}
     assert len(codes) == 101 * 50
     for n in range(1, 2000):
         i, g = zp.decode(n)
-        assert zp.encode(i, g) == n
+        assert ref.encode(i, g) == n
+
+
+def test_layer_partition_classes_and_landing():
+    part = LayerPartition()
+    for i in range(-20, 21):
+        for gamma in (1, 2, 7, 10 ** 9):
+            assert part.class_of(ref.encode(i, gamma)) == i
+    assert part.landing(LayerStep("embed", -4)) == -4
+    for step in (LayerStep("shift", 1), LayerStep("project", 0),
+                 LayerStep("keep", 2), AffineTable(1, [(1, 1, 0)])):
+        assert part.landing(step) is None
+
+
+def test_seven_partition_landing_names_the_class_of_every_image():
+    """A table lands on one class when every image it gives, read on
+    rows 1..10^4, is in that class; otherwise there is no answer."""
+    part = SevenPartition()
+    rng = random.Random(41)
+    tables = [AffineTable(1, [(7, 1, -6)]), AffineTable(1, [(7, 1, 0)]),
+              AffineTable(2, [(7, 2, 0), None]), AffineTable(1, [(1, 1, 0)]),
+              AffineTable(7, [(1, 7, -r % 7) for r in range(7)])]
+    tables += [AffineTable(m, [(7 * rng.randint(1, 3), 1, rng.randint(0, 6))
+                               if rng.random() < 0.7 else None for _ in range(m)])
+               for m in (1, 2, 3, 5) for _ in range(5)]
+    answers = set()
+    for table in tables:
+        classes = {part.class_of(table(t)) for t in range(1, 10 ** 4)
+                   if table(t) is not None}
+        landed = part.landing(table)
+        answers.add(landed is None)
+        assert landed == (classes.pop() if len(classes) == 1 else None), table.entries
+    assert answers == {True, False}
+    assert part.landing(LayerStep("embed", 0)) is None
 
 
 def test_seven_partition_examples():

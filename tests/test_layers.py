@@ -5,7 +5,8 @@ Each step kind, and each composition rule as `Monomial.then` applies
 it, is cross-checked on rows 1..10^5 and on runs of rows near 10^9,
 10^12 and 10^18.  A wrong result planted in each rule in turn must
 fail that cross-check, and, where a report composes layer steps by that
-rule, the default `two-gen` and `maltsev` reports too.
+rule, the default `two-gen` and `maltsev` reports too.  So must a
+partition that names the wrong landing class for a step.
 """
 
 import pytest
@@ -14,7 +15,7 @@ import oracle_reference as ref
 from rowfin import cli
 from rowfin import matrices as mx
 from rowfin import twogen as tg
-from rowfin.indexing import IndexError_, LayerStep
+from rowfin.indexing import IndexError_, LayerPartition, LayerStep, SevenPartition
 from rowfin.rings import parse_ring_spec
 
 Z = parse_ring_spec("Int")
@@ -70,8 +71,11 @@ RULES = {
 }
 
 # The rules a report reaches: the construction identities g2 g1, g1 g2,
-# g4 g5 and g5 g4, and the u-word suffixes g_down^k g2.
-REPORTED = ("shift shift", "shift project", "embed project", "project embed")
+# g4 g5 and g5 g4, the u-word prefixes g1 g_up^k, the middle maps
+# g1 g_up^k g3, where embed(k) meets the project(k) of g3's piece, and
+# the u-word suffixes g_down^k g2.
+REPORTED = ("embed shift", "shift shift", "shift project", "embed project",
+            "project embed")
 
 
 def rule_failures(rows):
@@ -164,3 +168,27 @@ def test_the_g_maps_are_layer_steps():
     assert steps == {1: [("embed", 0)], 2: [("project", 0)], 4: [("shift", 1)],
                      5: [("shift", -1)]}
     assert [(s.kind, s.k) for s in tg.pi_sigma(Z).walk] == [("keep", 0)]
+
+
+# A landing class one off: embed(k) said to land on layer k + 1, and a
+# table step on the mod-7 class before the one it lands on.  (One class
+# after sends f1^6 to class 1, which has no piece, so nothing reduces
+# and only the `all rows` details change.)
+LANDING_MUTANTS = {
+    "layer k + 1": (LayerPartition, lambda c: c + 1),
+    "seven one class down": (SevenPartition, lambda c: (c - 2) % 7 + 1),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(LANDING_MUTANTS))
+def test_a_wrong_landing_fails_the_reports(monkeypatch, mutant):
+    partition, wrong = LANDING_MUTANTS[mutant]
+    landing = partition.landing
+
+    def mutated(self, step):
+        c = landing(self, step)
+        return None if c is None else wrong(c)
+
+    monkeypatch.setattr(partition, "landing", mutated)
+    failed = [argv for argv in (["two-gen"], ["maltsev"]) if cli.run(argv)[0].failed]
+    assert failed == [["two-gen"], ["maltsev"]]

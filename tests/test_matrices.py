@@ -8,7 +8,7 @@ from oracle_reference import phi
 
 import rowfin
 from rowfin import matrices as mx
-from rowfin.indexing import AffineTable, IndexError_, LayerStep
+from rowfin.indexing import AffineTable, IndexError_, LayerStep, SevenPartition
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
 from rowfin.rings import IntegerRing, PrimeField, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
@@ -607,9 +607,11 @@ def test_chains_walk_piecewise_factors():
 
 
 class ModFour:
-    """A classifier that declares its period: a mod 4."""
+    """A classifier of period 4, a mod 4, that names where a table step
+    lands as the mod-7 partition does."""
 
     period = 4
+    landing = SevenPartition.landing
 
     def class_of(self, a):
         return a % 4
@@ -625,8 +627,9 @@ def four_pieces(ring, rng):
 
 def test_a_table_landing_on_one_piece_becomes_that_piece():
     """t -> 4t - 3 lands every row in class 1, whose piece reads row
-    (t + 3) / 4 of g: the product is g.  Landing in class 2 gives the
-    coefficient times the piece's product, against the general rows."""
+    (t + 3) / 4 of g: the product is g, and after a shift it is the
+    shift times g.  Landing in class 2 gives the coefficient times the
+    piece's product, against the general rows."""
     ring = MAT2
     rng = random.Random(37)
     for _ in range(5):
@@ -636,13 +639,18 @@ def test_a_table_landing_on_one_piece_becomes_that_piece():
         into_1 = mx.from_index_map(ring, AffineTable(1, [(4, 1, -3)]))
         into_2 = product([c, mx.from_index_map(ring, AffineTable(2, [(4, 1, 2)] * 2))])
         assert mx.compose(into_1, pw) is pieces[1][1]
+        shifted = product([shift_map(ring), into_1])
+        both = mx.compose(shifted, pw)
+        assert [f.__class__ for f in factors_of(both)] == [mx.Monomial, RowFiniteMap]
+        assert factors_of(both)[1] is pieces[1][1]
+        assert mx.first_mismatch(both, slow_product([shifted, pw]), 64) is None
         both = mx.compose(into_2, pw)
         assert isinstance(both, mx.Chain) and len(both.steps) == 2
         assert mx.first_mismatch(both, slow_product([into_2, pw]), 64) is None
 
 
 def test_a_seam_the_pieces_do_not_decide_keeps_the_chain():
-    """A classifier with no period, a table landing on two pieces, on a
+    """A classifier with no `landing`, a table landing on two pieces, on a
     piece whose reindex is a function, or on a zero piece: the product
     stays a chain of the two, and matches the general row path."""
     ring = MAT2
@@ -808,6 +816,50 @@ def test_same_map_is_sound_on_random_monomial_pairs(spec):
             for a in range(10 ** 9, 10 ** 9 + 32):
                 assert f.row(a) == g.row(a), a
     assert min(answers.values()) > 50, answers
+
+
+@pytest.mark.parametrize("spec", SAME_MAP_RINGS)
+def test_add_maps_of_random_monomial_pairs_agrees_with_the_row_sum(spec):
+    """Two monomials whose walks match step for step add to one monomial,
+    the sum of the coefficients; it agrees with the general row sum on
+    rows 1..32 and near 10^9.  Any other pair stays a general map."""
+    ring = parse_ring_spec(spec)
+    rng = random.Random(sum(map(ord, spec)) + 1)
+    shared = [mx._memoized_index(lambda a: a + 1),
+              mx._memoized_index(lambda a: a if a % 2 else None)]
+    coeffs = [ring.one, ring.zero] + [ring.random_payload(rng) for _ in range(3)]
+    reduced = 0
+    for _ in range(300):
+        recipes = [step_recipe(rng, shared) for _ in range(rng.randint(0, 3))]
+        other = list(recipes)
+        if other and rng.random() < 0.3:
+            other[rng.randrange(len(other))] = step_recipe(rng, shared)
+        f = monomial_of(ring, recipes, rng.choice(coeffs), rng.random() < 0.5)
+        g = monomial_of(ring, other, rng.choice(coeffs), rng.random() < 0.5)
+        total = mx.add_maps(f, g)
+        rows = RowFiniteMap(ring, lambda a: f.row(a).add(g.row(a)))
+        if isinstance(total, mx.Monomial):
+            reduced += 1
+            assert total.walk == f.walk
+            assert total.coeff == ring.add(f.coeff, g.coeff)
+        else:
+            assert not mx._same_walk(f, g)
+        assert mx.first_mismatch(total, rows, 32) is None
+        for a in range(10 ** 9, 10 ** 9 + 32):
+            assert total.row(a) == rows.row(a), a
+    assert 50 < reduced < 250, reduced
+
+
+def test_piecewise_rows_of_a_class_with_no_piece_are_one_zero():
+    """A class missing from `pieces` has zero rows, as a None piece does,
+    and every zero row of a map is the one zero vector of its ring."""
+    g = random_map(GF5, random.Random(6), density=0.5)
+    pw = mx.Piecewise(GF5, lambda a: a % 3, {1: None, 2: (lambda a: a, g)})
+    zeros = [pw.row(a) for a in range(1, 31) if a % 3 != 2]
+    assert all(z is zeros[0] for z in zeros) and not zeros[0].entries
+    assert mx.identity_map(GF5).then(mx.from_index_map(GF5, {}.get)).row(4) is zeros[0]
+    for a in range(2, 31, 3):
+        assert pw.row(a) == g.row(a)
 
 
 def test_same_map_decides_one_object_and_no_other_kind():

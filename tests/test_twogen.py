@@ -8,7 +8,7 @@ from oracle_reference import u_word
 from rowfin import matrices as mx
 from rowfin import twogen as tg
 from rowfin import words as wd
-from rowfin.indexing import SevenPartition, ZPairing
+from rowfin.indexing import LayerStep, SevenPartition
 from rowfin.matrices import FinVec
 from rowfin.rings import RingError, parse_ring_spec
 from rowfin.words import eval_word, format_word, prod_chain
@@ -268,8 +268,12 @@ def test_word_maps_reduce_every_g_word(spec, family):
 def test_word_maps_composes_the_g_words_along_one_chain(monkeypatch):
     """P_i = P_{i-1} f1 and G_i = P_i f3: after the 6 `compose` calls of
     the shared prefix P_0 = f1^6 f3, the five G_i take 10; one product
-    per g-word would take 20.  Each sign's suffixes S_k = G_down S_{k-1}
-    take one more per depth: 2 + 2 for k in -2..2."""
+    per g-word would take 20.  Each sign's u-word prefixes P_k =
+    P_{k-1} G_up and suffixes S_k = G_down S_{k-1} take two more per
+    depth, 2 * (2 + 2) for k in -2..2, and each u-word one for its
+    middle map P_k G3: 10 + 8 + 5."""
+    gmaps = family_of("GF:5", "random")
+    f1, f3 = tg.build_two_generators(gmaps)
     calls = {"prefix": 0, "g": 0}
 
     def counted(key, compose):
@@ -280,19 +284,21 @@ def test_word_maps_composes_the_g_words_along_one_chain(monkeypatch):
 
     monkeypatch.setattr(wd, "compose", counted("prefix", wd.compose))
     monkeypatch.setattr(mx, "compose", counted("g", mx.compose))
-    gmaps = family_of("GF:5", "random")
-    f1, f3 = tg.build_two_generators(gmaps)
     g, _ = tg.word_maps({"f1": f1, "f3": f3}, f1.ring, range(-2, 3))
-    assert calls == {"prefix": 6, "g": 14}
+    assert calls == {"prefix": 6, "g": 23}
     assert all(g[i] is gmaps[i] for i in range(1, 6))
 
 
 def test_zero_g3_rows_are_one_shared_vector():
-    """A row of g3 off the source's layers and one over a zero row of
-    u_i are the same zero vector; nonzero rows are u_i's, moved."""
-    enc = ZPairing().encode
+    """g3 is piecewise over the layers.  A row of g3 off the source's
+    layers, whose class has no piece, and one over a zero row of u_i are
+    the same zero vector; nonzero rows are u_i's, moved."""
+    enc = ref.encode
     source = {0: mx.from_rows(GF3, {1: {2: 1}}), 1: mx.matrix_unit(GF3, 3, 3)}
     g3 = tg.build_g_family(source, GF3)[3]
+    classify, pieces = g3.cases
+    assert isinstance(g3, mx.Piecewise) and sorted(pieces) == [0, 1]
+    assert [classify(enc(i, 5)) for i in (-3, 0, 1, 7)] == [-3, 0, 1, 7]
     zero = g3.row(enc(7, 1))
     assert not zero.entries
     for layer, gamma in ((0, 2), (0, 5), (1, 1), (1, 4), (-1, 3)):
@@ -407,7 +413,7 @@ def test_maltsev_embed_zmod6():
 def test_maltsev_embed_sigma_rows():
     g = tg.build_g_family({0: mx.scalar_map(GF3, 2)}, GF3)
     # The diagonal image of 2 sits on layer 0.
-    alpha = ZPairing().encode(0, 4)
+    alpha = ref.encode(0, 4)
     assert g[3].row(alpha) == FinVec(GF3, {alpha: 2})
 
 
@@ -471,7 +477,7 @@ def test_u_rows_push_only_nonzero_middle_rows(monkeypatch):
     gmaps = tg.build_g_family(source, GF3)
     f1, f3 = tg.build_two_generators(gmaps)
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, indices)
-    suffixes = [_suffix(umaps[k]) for k in indices]
+    suffixes = [_parts(umaps[k])[1] for k in indices]
     suffix_pushes = [0]
     push = mx.push
 
@@ -492,9 +498,10 @@ def test_u_rows_push_only_nonzero_middle_rows(monkeypatch):
     assert suffix_pushes[0] == nonzero
 
 
-def _suffix(u):
-    """The suffix map S_k that the u-word map u reads its rows through."""
-    return u._rowfn.args[2]
+def _parts(u):
+    """(P_k G3, S_k): the middle map whose rows the u-word map u reads
+    and the suffix it pushes them through."""
+    return u._rowfn.args
 
 
 def test_u_word_suffixes_are_one_project_step():
@@ -506,29 +513,89 @@ def test_u_word_suffixes_are_one_project_step():
     f1, f3 = tg.build_two_generators(gmaps)
     _, umaps = tg.word_maps({"f1": f1, "f3": f3}, GF3, indices)
     for k in indices:
-        suffix = _suffix(umaps[k])
+        suffix = _parts(umaps[k])[1]
         assert suffix.__class__ is mx.Monomial and suffix.coeff == GF3.one
         assert [(s.kind, s.k) for s in suffix.walk] == [("project", k)], k
 
 
-def _u_row_evals(count):
-    """`matrices.row_evals` made reading rows 1..8 of u_0..u_{count-1} for
-    the Maltsev images of the first `count` integers."""
+def _u_row_evals(source):
+    """`matrices.row_evals` made reading rows 1..8 of each u_k of the
+    family `source` over the integers."""
     Z = parse_ring_spec("Int")
-    f1, f3 = tg.build_two_generators(
-        tg.build_g_family(tg.maltsev_embed(Z, count), Z))
-    _, umaps = tg.word_maps({"f1": f1, "f3": f3}, Z, range(count))
+    f1, f3 = tg.build_two_generators(tg.build_g_family(source, Z))
+    _, umaps = tg.word_maps({"f1": f1, "f3": f3}, Z, sorted(source))
     before = mx.row_evals.count
-    for k in range(count):
+    for k in source:
         for a in range(1, 9):
             umaps[k].row(a)
     return mx.row_evals.count - before
 
 
 def test_u_row_evals_double_when_the_count_doubles():
-    # The g-maps other than g3 are layer steps, evaluated with no memo
-    # and not counted, so each u-row reads one primitive row, g3's: twice
-    # the u-words cost exactly twice the row evaluations.
-    small = _u_row_evals(30)
+    """The g-maps other than g3 are layer steps, evaluated with no memo
+    and not counted, and P_k G3 is u_k embed(k): each u-row reads one
+    primitive row, u_k's own, so twice the u-words cost exactly twice
+    the row evaluations.  The Maltsev images are scalars, whose u-rows
+    evaluate no primitive row at all."""
+    Z = parse_ring_spec("Int")
+
+    def family(count):
+        return {k: mx.from_rows(Z, {a: {a % 5 + 1: k + a} for a in range(1, 9)})
+                for k in range(-count // 2, count - count // 2)}
+
+    small = _u_row_evals(family(30))
     assert small == 8 * 30
-    assert _u_row_evals(60) == 2 * small
+    assert _u_row_evals(family(60)) == 2 * small
+    assert _u_row_evals(tg.maltsev_embed(Z, 60)) == 0
+
+
+def middle_maps_match_the_flat_words(source, window):
+    """Each u-word's middle map P_k G3 is u_k embed(k), and agrees on rows
+    1..window (the report's default) and near 10^9 with the flat chain of the g-words g1 g_up^k
+    g3 in which f3 is read only by its rows, so that nothing reduces."""
+    ring = next(iter(source.values())).ring
+    gmaps = tg.build_g_family(source, ring)
+    f1, f3 = tg.build_two_generators(gmaps)
+    _, umaps = tg.word_maps({"f1": f1, "f3": f3}, ring, sorted(source))
+    env = {"f1": f1, "f3": mx.RowFiniteMap(ring, f3.row)}
+    g = {j: eval_word(tg.g_word(j), env, ring) for j in (1, 3, 4, 5)}
+    far = range(10 ** 9, 10 ** 9 + 4)
+    for k, u in source.items():
+        middle = _parts(umaps[k])[0]
+        expected = mx.compose(u, mx.from_index_map(ring, LayerStep("embed", k)))
+        assert factors(middle) == factors(expected), k
+        up = 4 if k >= 0 else 5
+        flat = product([g[1]] + [g[up]] * abs(k) + [g[3]])
+        assert isinstance(flat, mx.Chain)
+        assert mx.first_mismatch(middle, flat, window) is None, k
+        for a in far:
+            assert middle.row(a) == flat.row(a), (k, a)
+
+
+def factors(f):
+    """A map as its kind and its factors' maps, or its walk and coefficient."""
+    if isinstance(f, mx.Monomial):
+        return "monomial", [(s.kind, s.k) if isinstance(s, LayerStep) else s
+                            for s in f.walk], f.coeff
+    if isinstance(f, mx.Chain):
+        return "chain", [factors(step[0]) for step in f.steps]
+    return f
+
+
+@pytest.mark.parametrize("family", ["units", "random"])
+def test_u_word_middles_match_the_flat_words(family):
+    ring = parse_ring_spec("GF:5")
+    indices = range(-50, 51)
+    if family == "units":
+        source = {k: mx.matrix_unit(ring, 1 + k % 3, abs(k) + 1) for k in indices}
+    else:
+        drawn = random_family(ring, seed=8, count=len(indices), corner=12)
+        source = dict(zip(indices, drawn.values()))
+    middle_maps_match_the_flat_words(source, 28)
+
+
+@pytest.mark.parametrize("spec, count", [("Int", 51), ("Zmod:6", 6),
+                                         ("Mat:2:GF:2", 16)])
+def test_maltsev_u_word_middles_match_the_flat_words(spec, count):
+    ring = parse_ring_spec(spec)
+    middle_maps_match_the_flat_words(tg.maltsev_embed(ring, count), 16)
