@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 
 
 class IndexError_(Exception):
@@ -160,20 +161,30 @@ class SevenPartition:
 
     def landing(self, step):
         """The one class of every image of the walk step, or None; only
-        a table is decided.  On its class r mod M, t = M s + r goes to
-        k s + c with k = num M / den, whose class mod p = `period` repeats
-        in s with period p / gcd(k, p): one row of each is classified."""
+        a table is decided (`_table_landing`).  The answer is kept per
+        process in a cache of fixed size, keyed by this partition's class
+        and the table: `period` and `class_of` belong to the class, and a
+        class that borrows this method brings its own."""
         if step.__class__ is not AffineTable:
             return None
-        m, p = step.modulus, self.period
-        landed = set()
-        for r, entry in enumerate(step.entries):
-            if entry is not None:
-                num, den, _ = entry
-                least = r or m
-                for s in range(p // math.gcd(num * m // den, p)):
-                    landed.add(self.class_of(step(least + m * s)))
-        return landed.pop() if len(landed) == 1 else None
+        return _table_landing(self.__class__, step)
+
+
+@lru_cache(maxsize=256)
+def _table_landing(partition: type, step: AffineTable):
+    """The one class under `partition()` of every image of the table, or
+    None.  On its class r mod M, t = M s + r goes to k s + c with k =
+    num M / den, whose class mod p = `period` repeats in s with period
+    p / gcd(k, p): one row of each is classified."""
+    class_of, m, p = partition().class_of, step.modulus, partition.period
+    landed = set()
+    for r, entry in enumerate(step.entries):
+        if entry is not None:
+            num, den, _ = entry
+            least = r or m
+            for s in range(p // math.gcd(num * m // den, p)):
+                landed.add(class_of(step(least + m * s)))
+    return landed.pop() if len(landed) == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ Zero entries are pruned at every arithmetic step so supports are exact.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from .indexing import AffineTable, LayerStep
 from .rings import BaseRing, parse_ring_spec, same_ring
@@ -364,7 +364,7 @@ class Monomial(RowFiniteMap):
 def _merged(a, b):
     """The steps that replace the walk step a followed by b, or None to
     keep both.  Two tables merge into their exact composite
-    (`AffineTable.then`), none if it is the identity, unless it has more
+    (`_composite`), none if it is the identity, unless it has more
     entries than the two together; two layer steps merge by their
     composition rules (`LayerStep.then`)."""
     cls = a.__class__
@@ -373,10 +373,20 @@ def _merged(a, b):
     if cls is LayerStep:
         return a.then(b)
     if cls is AffineTable:
-        merged = a.then(b)
+        merged = _composite(a, b)
         if merged.modulus <= a.modulus + b.modulus:
             return () if merged.entries == ((1, 1, 0),) else (merged,)
     return None
+
+
+@lru_cache(maxsize=256)
+def _composite(a: AffineTable, b: AffineTable) -> AffineTable:
+    """`a.then(b)`, kept per process in a cache of fixed size that no
+    counter sees.  Tables define no `__eq__` and are never changed: the
+    key is the two objects, which the cache holds while it keeps them.
+    So the powers of f1's `PHI`, built afresh by every two-generator
+    report, come back as the same objects and hit the cache all along."""
+    return a.then(b)
 
 
 class Piecewise(RowFiniteMap):
@@ -641,7 +651,16 @@ def from_sparse(ring: BaseRing, triples) -> RowFiniteMap:
 
 
 def to_sparse(f: RowFiniteMap, n: int) -> list:
-    """Triples (row, col, element-text) for all nonzero cells in rows 1..n."""
+    """Triples (row, col, element-text) for all nonzero cells in rows 1..n.
+
+    A monomial's cells are read off its walk and its coefficient, formatted
+    once, with no row built; any other map's from its rows."""
+    if f.__class__ is Monomial:
+        if f.ring.is_zero(f.coeff):
+            return []
+        text = f.ring.format_payload(f.coeff)
+        cells = ((a, _walk(f.walk, a)) for a in range(1, n + 1))
+        return [(a, t, text) for a, t in cells if t is not None]
     out = []
     for a in range(1, n + 1):
         for c, v in sorted(f.row(a).entries.items()):

@@ -9,7 +9,7 @@ first elements.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 from . import matrices as mx
 from .indexing import AffineTable, LayerPartition, LayerStep, SevenPartition
@@ -77,6 +77,12 @@ def _u_factors(i: int) -> list:
     return [1] + [up] * k + [3] + [down] * k + [2]
 
 
+@cache
+def _g_word_texts() -> tuple:
+    """The texts of g_word(1..5), formatted once per process."""
+    return tuple(format_word(g_word(j)) for j in range(1, 6))
+
+
 def u_word_texts(indices) -> dict:
     """k -> the printed word of u_k, joined from the five g-word texts.
 
@@ -84,8 +90,9 @@ def u_word_texts(indices) -> dict:
     `_u_factors(k)`, so its text opens one bracket per factor after the
     first and closes one after each of them.
     """
-    closing = {j: f" * {format_word(g_word(j))})" for j in range(1, 6)}
-    first = format_word(g_word(1))
+    texts = _g_word_texts()
+    closing = {j: f" * {texts[j - 1]})" for j in range(1, 6)}
+    first = texts[0]
     out = {}
     for k in indices:
         rest = _u_factors(k)[1:]

@@ -141,16 +141,17 @@ ARGVS = list(dict.fromkeys(
     for line in block.splitlines() if line))
 
 
-def digests() -> dict:
-    """{line: {"sha256": ..., "status": ...}} for each argv line, run in
-    one process in a fresh directory that holds FILES."""
+def digests(argvs=None) -> dict:
+    """{line: {"sha256": ..., "status": ...}} for each argv line of
+    `argvs` (ARGVS if None), in that order, run in one process in a fresh
+    directory that holds FILES."""
     from rowfin import cli
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp, _chdir(tmp):
         for name, text in FILES.items():
             Path(name).write_text(text)
-        for line in ARGVS:
+        for line in ARGVS if argvs is None else argvs:
             report, _, _ = cli.run(line.split())
             out[line] = {
                 "sha256": hashlib.sha256(report.to_json().encode()).hexdigest(),

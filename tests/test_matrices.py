@@ -8,10 +8,12 @@ from oracle_reference import phi
 
 import rowfin
 from rowfin import matrices as mx
-from rowfin.indexing import AffineTable, IndexError_, LayerStep, SevenPartition
+from rowfin.indexing import (AffineTable, IndexError_, LayerStep, SevenPartition,
+                             _table_landing)
 from rowfin.matrices import FinVec, MatrixError, RowFiniteMap, row_evals
 from rowfin.rings import IntegerRing, PrimeField, RingError, parse_ring_spec
 from rowfin.triangular import sandwich_A, sandwich_B
+from rowfin.twogen import PHI, POSITION, SIGMA1_ROW
 
 Z = IntegerRing()
 GF2 = parse_ring_spec("GF:2")
@@ -536,6 +538,29 @@ def test_table_then_is_the_two_tables_in_turn():
                                                                        b.entries)
 
 
+def same_table(a, b):
+    return (a.modulus, a.entries) == (b.modulus, b.entries)
+
+
+def test_cached_composites_are_the_fresh_composites():
+    """`_composite` has the modulus and entries of a fresh `then`, for
+    seeded random pairs and for f1's powers PHI^1..PHI^11 and their
+    meets with POSITION and SIGMA1_ROW; a pair composed again gives the
+    same object."""
+    rng = random.Random(40)
+    pairs = [tuple(random_table(rng, moduli=range(1, 9)) for _ in range(2))
+             for _ in range(40)]
+    cached = fresh = PHI
+    for n in range(1, 12):
+        assert same_table(cached, fresh), n
+        pairs += [(cached, fresh), (cached, POSITION), (cached, SIGMA1_ROW)]
+        cached, fresh = mx._composite(cached, PHI), fresh.then(PHI)
+    for a, b in pairs:
+        both = mx._composite(a, b)
+        assert same_table(both, a.then(b)), (a.entries, b.entries)
+        assert mx._composite(a, b) is both
+
+
 @pytest.mark.parametrize("ring", [Z6, GF5, MAT2])
 def test_table_steps_match_general_rows(ring):
     """Monomials with table steps, alone and among index functions and
@@ -647,6 +672,21 @@ def test_a_table_landing_on_one_piece_becomes_that_piece():
         both = mx.compose(into_2, pw)
         assert isinstance(both, mx.Chain) and len(both.steps) == 2
         assert mx.first_mismatch(both, slow_product([into_2, pw]), 64) is None
+
+
+def test_landing_answers_are_kept_per_partition_class():
+    """One table object asked of ModFour and of SevenPartition, in either
+    order: each partition gets its own uncached answer."""
+    cases = (((28, 1, 0), 0, 7),       # 28t: class 0 mod 4, class 7 mod 7
+             ((4, 1, -3), 1, None),    # 4t - 3: class 1 mod 4 only
+             ((7, 1, -6), None, 1),    # 7t - 6: class 1 mod 7 only
+             ((2, 1, 1), None, None))  # 2t + 1: neither
+    for entry, mod_four, seven in cases:
+        for order in ((ModFour, SevenPartition), (SevenPartition, ModFour)):
+            table = AffineTable(1, [entry])
+            answers = {p: p().landing(table) for p in order}
+            assert answers == {ModFour: mod_four, SevenPartition: seven}
+            assert answers == {p: _table_landing.__wrapped__(p, table) for p in order}
 
 
 def test_a_seam_the_pieces_do_not_decide_keeps_the_chain():
@@ -848,6 +888,31 @@ def test_add_maps_of_random_monomial_pairs_agrees_with_the_row_sum(spec):
         for a in range(10 ** 9, 10 ** 9 + 32):
             assert total.row(a) == rows.row(a), a
     assert 50 < reduced < 250, reduced
+
+
+@pytest.mark.parametrize("spec", SAME_MAP_RINGS)
+def test_to_sparse_reads_a_monomial_off_its_walk(spec):
+    """A monomial's triples on rows 1..64 are those its rows give, for
+    random walks of tables, layer steps and memoized index functions,
+    some undefined on rows, and scalar or matrix coefficients; a zero
+    coefficient gives none."""
+    ring = parse_ring_spec(spec)
+    rng = random.Random(sum(map(ord, spec)) + 2)
+    shared = [mx._memoized_index(lambda a: a + 1),
+              mx._memoized_index(lambda a: a if a % 2 else None)]
+    coeffs = [ring.one, ring.zero] + [ring.random_payload(rng) for _ in range(3)]
+    undefined = 0
+    for _ in range(200):
+        recipes = [step_recipe(rng, shared) for _ in range(rng.randint(0, 3))]
+        f = monomial_of(ring, recipes, rng.choice(coeffs), rng.random() < 0.5)
+        got = mx.to_sparse(f, 64)
+        assert got == [(a, c, ring.format_payload(v)) for a in range(1, 65)
+                       for c, v in sorted(f.row(a).entries.items())]
+        if ring.is_zero(f.coeff):
+            assert got == []
+        elif 0 < len(got) < 64:
+            undefined += 1
+    assert undefined > 20, undefined
 
 
 def test_piecewise_rows_of_a_class_with_no_piece_are_one_zero():

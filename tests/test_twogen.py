@@ -5,6 +5,7 @@ import pytest
 import oracle_reference as ref
 from oracle_reference import u_word
 
+from rowfin import cli
 from rowfin import matrices as mx
 from rowfin import twogen as tg
 from rowfin import words as wd
@@ -189,6 +190,20 @@ def test_f1_powers_are_one_merged_table_step():
     prefix = eval_word(prod_chain([tg.F1] * 6 + [tg.F3]), {"f1": f1, "f3": f3}, GF3)
     assert isinstance(prefix, mx.Monomial) and prefix.coeff == GF3.one
     assert [step.entries for step in prefix.walk] == [((7, 1, -6),)]
+
+
+def test_a_wrong_cached_composite_fails_the_reports(monkeypatch):
+    """A composite cache that answers PHI for PHI PHI, so that f1^2 is
+    f1, fails the default two-gen and maltsev reports: both compose
+    f1's table through the cache."""
+    composite = mx._composite
+
+    def wrong(a, b):
+        return tg.PHI if a is tg.PHI and b is tg.PHI else composite(a, b)
+
+    monkeypatch.setattr(mx, "_composite", wrong)
+    failed = [argv for argv in (["two-gen"], ["maltsev"]) if cli.run(argv)[0].failed]
+    assert failed == [["two-gen"], ["maltsev"]]
 
 
 def f3_row(gmaps, alpha):
